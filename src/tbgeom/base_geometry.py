@@ -25,7 +25,6 @@ __all__ = [
     "curvature",
     "nabla_curvature",
     "sectional",
-    "ricci",
     "scalar_curvature_base",
     "lower_curvature",
     "fd_metric_derivatives",
@@ -295,15 +294,11 @@ def lower_curvature(g, R):
     return np.einsum("hp,pkij->hkij", g, R)
 
 
-def ricci(metric, x):
-    R = curvature(metric, x)
-    return np.einsum("ikij->kj", R)
-
-
 def scalar_curvature_base(metric, x):
     g = metric.matrix(x)
     ginv = _inverse(g, x)
-    return float(np.einsum("kj,kj->", ginv, ricci(metric, x)))
+    ricci = np.einsum("ikij->kj", curvature(metric, x))
+    return float(np.einsum("kj,kj->", ginv, ricci))
 
 
 def sectional(metric, x, X, Y):

@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .weights import WeightDomainError, weights_from_spec
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "list_suites", "main"]
 
 SCHEMA_VERSION = 1
+FORMATS = ("json", "csv", "both")
 
 
 class ConfigError(ValueError):
@@ -88,6 +88,9 @@ def load_config(doc) -> RunConfig:
     fiber_range = tuple(doc.get("fiber_range", (0.3, 1.5)))
     if len(fiber_range) != 2 or fiber_range[0] <= 0 or fiber_range[0] >= fiber_range[1]:
         raise ConfigError("config.fiber_range: expected 0 < lo < hi")
+    fmt = doc.get("format", "both")
+    if fmt not in FORMATS:
+        raise ConfigError(f"config.format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
     return RunConfig(
         base=doc["base"],
         weights=doc["weights"],
@@ -99,7 +102,7 @@ def load_config(doc) -> RunConfig:
         chart_box=doc.get("chart_box"),
         fiber_range=fiber_range,
         out=doc.get("out"),
-        format=doc.get("format", "both"),
+        format=fmt,
     )
 
 
@@ -133,13 +136,8 @@ def run(cfg: RunConfig) -> dict:
     """Execute the configured suites and assemble the report."""
     ctx = _build_context(cfg)
     start = time.monotonic()
-    ordered = [s for s in SUITE_ORDER if s in cfg.suites]
-    with ThreadPoolExecutor(max_workers=min(4, len(ordered))) as pool:
-        futures = {
-            name: pool.submit(run_suite, name, ctx, cfg.tolerances.get(name))
-            for name in ordered
-        }
-        results = [futures[name].result() for name in ordered]
+    results = [run_suite(name, ctx, cfg.tolerances.get(name))
+               for name in SUITE_ORDER if name in cfg.suites]
     report = {
         "schema": SCHEMA_VERSION,
         "config": cfg.echo(),
@@ -219,7 +217,7 @@ def main(argv=None):
     pv.add_argument("--seed", type=int, default=None)
     pv.add_argument("--h", type=float, default=None, dest="h")
     pv.add_argument("--out", default=None, help="report basename (json/csv appended)")
-    pv.add_argument("--format", choices=["json", "csv", "both"], default=None)
+    pv.add_argument("--format", choices=FORMATS, default=None)
     sub.add_parser("list-suites", help="print the suite catalogue")
     args = parser.parse_args(argv)
 

@@ -1,16 +1,111 @@
-"""Truncated Taylor (jet) arithmetic up to third order in n variables.
+"""Truncated Taylor (jet) arithmetic up to third order.
 
-A Jet carries the value of a scalar expression together with its partial
-derivatives up to order three.  Evaluating a metric or weight component
-on seeded jets yields all derivatives needed downstream (Christoffel
-symbols, curvature, its covariant derivative) in a single pass, exactly.
+A jet carries the value of a scalar expression together with its
+derivatives up to order three, so one evaluation on seeded jets yields
+every derivative needed downstream, exactly.  ``Taylor`` (one variable,
+four floats) serves the weights a(t), b(t); ``Jet`` (n variables, numpy
+arrays) serves the base metric components.  They share ``-``, ``/``,
+``reciprocal`` and ``**`` and differ in ``+``, ``*``, negation and ``compose``.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["Jet", "sqrt", "exp", "log", "jet_derivative"]
+__all__ = ["Series", "Taylor", "Jet", "sqrt", "exp", "log"]
+
+
+class Series:
+    """Operations shared by both jet types, written in terms of their own."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def reciprocal(self):
+        u = self.v
+        if u == 0.0:
+            raise ZeroDivisionError("jet reciprocal at zero value")
+        return self.compose(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+
+    def __truediv__(self, other):
+        if not isinstance(other, Series):
+            return self * (1.0 / float(other))
+        return self * other.reciprocal()
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * float(other)
+
+    def __pow__(self, p):
+        if isinstance(p, int):
+            if p < 0:
+                return (self ** (-p)).reciprocal()
+            out = 1.0
+            for _ in range(p):
+                out = out * self
+            return out
+        u = self.v
+        return self.compose(u**p, p * u ** (p - 1), p * (p - 1) * u ** (p - 2),
+                            p * (p - 1) * (p - 2) * u ** (p - 3))
+
+
+class Taylor(Series):
+    """Value and first three derivatives of a function of one variable."""
+
+    __slots__ = ("v", "d1", "d2", "d3")
+
+    def __init__(self, v, d1=0.0, d2=0.0, d3=0.0):
+        self.v, self.d1, self.d2, self.d3 = v, d1, d2, d3
+
+    @classmethod
+    def var(cls, value):
+        return cls(float(value), 1.0)
+
+    def derivative(self):
+        """The series shifted down one order; its unknown top order is NaN."""
+        return Taylor(self.d1, self.d2, self.d3, math.nan)
+
+    def __add__(self, other):
+        if isinstance(other, Taylor):
+            return Taylor(self.v + other.v, self.d1 + other.d1,
+                          self.d2 + other.d2, self.d3 + other.d3)
+        return Taylor(self.v + float(other), self.d1, self.d2, self.d3)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Taylor(-self.v, -self.d1, -self.d2, -self.d3)
+
+    def __mul__(self, other):
+        if not isinstance(other, Taylor):
+            c = float(other)
+            return Taylor(c * self.v, c * self.d1, c * self.d2, c * self.d3)
+        # Leibniz rule, with the rounding order of Jet at n = 1
+        a, b = self, other
+        return Taylor(
+            a.v * b.v,
+            a.v * b.d1 + b.v * a.d1,
+            a.v * b.d2 + b.v * a.d2 + a.d1 * b.d1 + b.d1 * a.d1,
+            a.v * b.d3 + b.v * a.d3 + 3.0 * (a.d2 * b.d1) + 3.0 * (b.d2 * a.d1),
+        )
+
+    __rmul__ = __mul__
+
+    def compose(self, f0, f1, f2, f3):
+        """Chain rule for a scalar map f applied to this series."""
+        g, h = self.d1, self.d2
+        return Taylor(
+            f0,
+            f1 * g,
+            f2 * (g * g) + f1 * h,
+            f3 * (g * g * g) + f2 * (3.0 * (h * g)) + f1 * self.d3,
+        )
 
 
 def _sym_gh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -22,8 +117,8 @@ def _sym_gh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     )
 
 
-class Jet:
-    """Value plus derivatives of orders 1..3 in ``n`` variables."""
+class Jet(Series):
+    """Value plus partial derivatives of orders 1..3 in ``n`` variables."""
 
     __slots__ = ("n", "v", "d1", "d2", "d3")
 
@@ -33,10 +128,6 @@ class Jet:
         self.d1 = np.zeros(n) if d1 is None else d1
         self.d2 = np.zeros((n, n)) if d2 is None else d2
         self.d3 = np.zeros((n, n, n)) if d3 is None else d3
-
-    @classmethod
-    def const(cls, value, n):
-        return cls(n, value)
 
     @classmethod
     def var(cls, value, index, n):
@@ -50,13 +141,8 @@ class Jet:
         x = np.asarray(x, dtype=float)
         return [cls.var(xi, i, x.size) for i, xi in enumerate(x)]
 
-    def _lift(self, other):
-        if isinstance(other, Jet):
-            return other
-        return Jet.const(float(other), self.n)
-
     def __add__(self, other):
-        o = self._lift(other)
+        o = other if isinstance(other, Jet) else Jet(self.n, float(other))
         return Jet(self.n, self.v + o.v, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
 
     __radd__ = __add__
@@ -64,112 +150,44 @@ class Jet:
     def __neg__(self):
         return Jet(self.n, -self.v, -self.d1, -self.d2, -self.d3)
 
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = float(other)
             return Jet(self.n, c * self.v, c * self.d1, c * self.d2, c * self.d3)
         a, b = self, other
-        v = a.v * b.v
-        d1 = a.v * b.d1 + b.v * a.d1
-        d2 = (
-            a.v * b.d2
-            + b.v * a.d2
-            + np.outer(a.d1, b.d1)
-            + np.outer(b.d1, a.d1)
-        )
+        d2 = a.v * b.d2 + b.v * a.d2 + np.outer(a.d1, b.d1) + np.outer(b.d1, a.d1)
         d3 = a.v * b.d3 + b.v * a.d3 + _sym_gh(b.d1, a.d2) + _sym_gh(a.d1, b.d2)
-        return Jet(self.n, v, d1, d2, d3)
+        return Jet(self.n, a.v * b.v, a.v * b.d1 + b.v * a.d1, d2, d3)
 
     __rmul__ = __mul__
 
     def compose(self, f0, f1, f2, f3):
         """Chain rule for a scalar map f applied to this jet."""
         g, h, c = self.d1, self.d2, self.d3
-        v = f0
-        d1 = f1 * g
-        d2 = f2 * np.outer(g, g) + f1 * h
         d3 = f3 * np.einsum("i,j,k->ijk", g, g, g) + f2 * _sym_gh(g, h) + f1 * c
-        return Jet(self.n, v, d1, d2, d3)
+        return Jet(self.n, f0, f1 * g, f2 * np.outer(g, g) + f1 * h, d3)
 
-    def reciprocal(self):
-        u = self.v
-        if u == 0.0:
-            raise ZeroDivisionError("jet reciprocal at zero value")
-        return self.compose(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
 
-    def __truediv__(self, other):
-        if not isinstance(other, Jet):
-            return self * (1.0 / float(other))
-        return self * other.reciprocal()
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
-
-    def __pow__(self, p):
-        if isinstance(p, int):
-            if p < 0:
-                return (self ** (-p)).reciprocal()
-            out = Jet.const(1.0, self.n)
-            for _ in range(p):
-                out = out * self
-            return out
-        u = self.v
-        return self.compose(
-            u**p,
-            p * u ** (p - 1),
-            p * (p - 1) * u ** (p - 2),
-            p * (p - 1) * (p - 2) * u ** (p - 3),
-        )
-
-    def __repr__(self):
-        return f"Jet({self.v!r}, n={self.n})"
+# values from numpy, whose exp and log differ from math's in the last bit
 
 
 def sqrt(x):
-    if isinstance(x, Jet):
+    if isinstance(x, Series):
         u = x.v
-        s = np.sqrt(u)
+        s = float(np.sqrt(u))
         return x.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (u**2 * s))
     return np.sqrt(x)
 
 
 def exp(x):
-    if isinstance(x, Jet):
-        e = np.exp(x.v)
+    if isinstance(x, Series):
+        e = float(np.exp(x.v))
         return x.compose(e, e, e, e)
     return np.exp(x)
 
 
 def log(x):
-    if isinstance(x, Jet):
+    if isinstance(x, Series):
         u = x.v
-        return x.compose(np.log(u), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+        return x.compose(float(np.log(u)), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
     return np.log(x)
-
-
-def jet_derivative(f, t):
-    """Derivative of a scalar jet-evaluable function, itself jet-evaluable.
-
-    Only orders 0..2 of the result are meaningful (the third would need a
-    fourth derivative of ``f``); callers must not read ``d3``.
-    """
-    if isinstance(t, Jet):
-        inner = f(Jet.var(t.v, 0, 1))
-        if not isinstance(inner, Jet):
-            return Jet.const(0.0, t.n)
-        f1 = float(inner.d1[0])
-        f2 = float(inner.d2[0, 0])
-        f3 = float(inner.d3[0, 0, 0])
-        d1 = f2 * t.d1
-        d2 = f3 * np.outer(t.d1, t.d1) + f2 * t.d2
-        return Jet(t.n, f1, d1, d2)
-    inner = f(Jet.var(float(t), 0, 1))
-    if not isinstance(inner, Jet):
-        return 0.0
-    return float(inner.d1[0])

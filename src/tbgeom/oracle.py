@@ -24,7 +24,6 @@ from .weights import WeightPair, derived_coeffs
 __all__ = [
     "InducedMetric",
     "split_to_coord",
-    "coord_to_split",
     "lift_matrix",
     "j_matrix",
     "omega_matrix",
@@ -92,27 +91,20 @@ def split_to_coord(U):
     return M @ np.concatenate([U.h, U.v])
 
 
-def coord_to_split(base, q, vec):
-    from .tangent_bundle import SplitVector, tangent_point
-
-    m = base.dim
-    P = tangent_point(base, q[:m], q[m:])
-    _, Minv = lift_matrix(base, P.x, P.u)
-    comps = Minv @ np.asarray(vec, dtype=float)
-    return SplitVector(comps[:m], comps[m:], P)
+def _chart_point(base, w, q):
+    # x, y, g(x), g y, t and the derived coefficients at q = (x, y)
+    q = np.asarray(q, dtype=float)
+    x, y = q[: base.dim], q[base.dim :]
+    g = base.matrix(x)
+    t = 0.5 * float(y @ g @ y)
+    return x, y, g, g @ y, t, derived_coeffs(w, t)
 
 
 def j_matrix(base, w, q):
     """Coordinate matrix of the almost complex structure at q = (x, y)."""
-    q = np.asarray(q, dtype=float)
+    x, y, g, gu, t, d = _chart_point(base, w, q)
+    sa = np.sqrt(w.eval(t).a)
     m = base.dim
-    x, y = q[:m], q[m:]
-    g = base.matrix(x)
-    t = 0.5 * float(y @ g @ y)
-    vals = w.eval(t)
-    d = derived_coeffs(w, t)
-    sa = np.sqrt(vals.a)
-    gu = g @ y
     JHV = np.eye(m) / sa - d.A_coef * np.outer(y, gu)
     JVH = -sa * np.eye(m) + d.B_coef * np.outer(y, gu)
     Jad = np.zeros((2 * m, 2 * m))
@@ -124,15 +116,9 @@ def j_matrix(base, w, q):
 
 def omega_matrix(base, w, q):
     """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b)."""
-    q = np.asarray(q, dtype=float)
+    x, y, g, gu, t, d = _chart_point(base, w, q)
+    sa = np.sqrt(w.eval(t).a)
     m = base.dim
-    x, y = q[:m], q[m:]
-    g = base.matrix(x)
-    t = 0.5 * float(y @ g @ y)
-    vals = w.eval(t)
-    d = derived_coeffs(w, t)
-    sa = np.sqrt(vals.a)
-    gu = g @ y
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
     OmHV = g @ (-sa * np.eye(m) + d.B_coef * np.outer(y, gu))
@@ -145,13 +131,8 @@ def omega_matrix(base, w, q):
 
 def lee_covector(base, w, q):
     """Coordinate components of the Lee form at q."""
-    q = np.asarray(q, dtype=float)
+    x, y, _, gu, _, d = _chart_point(base, w, q)
     m = base.dim
-    x, y = q[:m], q[m:]
-    g = base.matrix(x)
-    t = 0.5 * float(y @ g @ y)
-    d = derived_coeffs(w, t)
-    gu = g @ y
     om_ad = np.concatenate([np.zeros(m), d.lee_coef * gu])
     _, Minv = lift_matrix(base, x, y)
     return Minv.T @ om_ad

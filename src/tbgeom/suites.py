@@ -39,6 +39,8 @@ class Control:
 
     @property
     def ok(self):
+        if not math.isfinite(self.value):
+            return False
         return self.value >= self.bound if self.require == "min" else self.value <= self.bound
 
     def as_dict(self):
@@ -63,13 +65,16 @@ class SuiteResult:
 
     @property
     def max_residual(self):
-        return max(self.residuals) if self.residuals else 0.0
+        """Largest residual, or the first non-finite one (NaN loses every comparison)."""
+        bad = [r for r in self.residuals if not math.isfinite(r)]
+        return bad[0] if bad else max(self.residuals, default=0.0)
 
     @property
     def passed(self):
         if self.error is not None:
             return False
-        return self.max_residual <= self.tolerance and all(c.ok for c in self.controls)
+        r = self.max_residual
+        return math.isfinite(r) and r <= self.tolerance and all(c.ok for c in self.controls)
 
     def as_dict(self):
         hist_counts, hist_edges = _log_histogram(self.residuals)

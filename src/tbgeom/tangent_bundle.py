@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import base_geometry as bg
-from .weights import WeightPair, derived_coeffs
+from .weights import WeightPair, _hh_coef, derived_coeffs
 
 __all__ = [
     "BasePointMismatch",
@@ -181,15 +181,14 @@ def nijenhuis(w, base, P, X, Y, slots):
     Y = np.asarray(Y, dtype=float)
     d = derived_coeffs(w, P.t)
     vals = w.eval(P.t)
-    a, ap, t = vals.a, vals.ap, P.t
+    a, ap = vals.a, vals.ap
     sa = np.sqrt(a)
     gu = P.gu
     R = bg.curvature(base, P.x)
     gxu = float(X @ gu)
     gyu = float(Y @ gu)
     if slots == "HH":
-        coef = -ap / (2 * a * a) + (a + t * ap) / (a * sa) * d.A_coef
-        vec = coef * (gxu * Y - gyu * X) + _rop(R, X, Y, P.u)
+        vec = _hh_coef(vals, w.epsilon) * (gxu * Y - gyu * X) + _rop(R, X, Y, P.u)
         return SplitVector.vertical(vec, P)
     if slots == "VV":
         # g(X,u) restored on the R_{Yu}u term by antisymmetry of N

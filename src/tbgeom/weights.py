@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet, exp, jet_derivative, log, sqrt
+from .jets import Series, Taylor, exp, log, sqrt
 
 __all__ = [
     "WeightDomainError",
@@ -67,8 +67,8 @@ class WeightValues:
 class WeightPair:
     """Pair of scalar weight functions with sign eps and validity domain.
 
-    ``a`` and ``b`` must accept floats or 1-variable jets; derivatives are
-    extracted from jet evaluation (a to second order, b to first).
+    ``a`` and ``b`` must accept floats and either jet type; derivatives are
+    read from a ``Taylor`` evaluation (a to second order, b to first).
     """
 
     def __init__(self, a, b, epsilon=-1, t_domain=(0.0, math.inf), name="custom",
@@ -92,14 +92,11 @@ class WeightPair:
             raise WeightDomainError(
                 f"{self.name}: t={t} outside domain [{self.t_domain[0]}, {self.t_domain[1]})"
             )
-        tj = Jet.var(t, 0, 1)
+        tj = Taylor.var(t)
         aj = self.a(tj)
         bj = self.b(tj)
-        a = aj.v if isinstance(aj, Jet) else float(aj)
-        ap = float(aj.d1[0]) if isinstance(aj, Jet) else 0.0
-        app = float(aj.d2[0, 0]) if isinstance(aj, Jet) else 0.0
-        b = bj.v if isinstance(bj, Jet) else float(bj)
-        bp = float(bj.d1[0]) if isinstance(bj, Jet) else 0.0
+        a, ap, app = (aj.v, aj.d1, aj.d2) if isinstance(aj, Taylor) else (float(aj), 0.0, 0.0)
+        b, bp = (bj.v, bj.d1) if isinstance(bj, Taylor) else (float(bj), 0.0)
         w = WeightValues(t, a, ap, app, b, bp)
         if w.a <= 0.0:
             raise WeightDomainError(f"{self.name}: a(t)={w.a} <= 0 at t={t}")
@@ -174,12 +171,16 @@ def derived_coeffs(pair: WeightPair, t):
     return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, pair.epsilon))
 
 
-def integrability_constant(pair: WeightPair, t):
-    """c(t) = -a'/(2a^2) + ((a + t a')/(a sqrt(a))) A(t); constant iff integrable."""
-    w = pair.eval(t)
-    A, _ = _ab_coeffs(w, pair.epsilon)
+def _hh_coef(w: WeightValues, epsilon: int):
+    # coefficient of g(X,u)Y - g(Y,u)X in the HH Nijenhuis tensor
+    A, _ = _ab_coeffs(w, epsilon)
     a, ap = w.a, w.ap
     return -ap / (2 * a * a) + (a + w.t * ap) / (a * math.sqrt(a)) * A
+
+
+def integrability_constant(pair: WeightPair, t):
+    """c(t) = -a'/(2a^2) + ((a + t a')/(a sqrt(a))) A(t); constant iff integrable."""
+    return _hh_coef(pair.eval(t), pair.epsilon)
 
 
 def kahler_system_residuals(pair: WeightPair, t, c):
@@ -213,7 +214,12 @@ def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None,
     """
 
     def b(t):
-        apt = jet_derivative(a, t)
+        # a' is the derivative series of a at a seed, composed with t
+        s = a(Taylor.var(t.v if isinstance(t, Series) else t))
+        if not isinstance(s, Taylor):
+            return 0.0
+        ap = s.derivative()
+        apt = t.compose(ap.v, ap.d1, ap.d2, ap.d3) if isinstance(t, Series) else ap.v
         return apt * (1 + t * apt / (2 * a(t)))
 
     pair = WeightPair(a, b, epsilon, t_domain, name or "almost_kahler_complete")
@@ -386,10 +392,6 @@ def _flat_power(a0, k):
                       params={"a0": a0, "k": k})
 
 
-def _flat_exp(a0=1.0):
-    return _g1(a0)
-
-
 FAMILIES = {
     "sasaki": _sasaki,
     "cheeger_gromoll": _cheeger_gromoll,
@@ -400,7 +402,7 @@ FAMILIES = {
     "scal_band": _scal_band,
     "scal_t2": _scal_t2,
     "flat_power": _flat_power,
-    "flat_exp": _flat_exp,
+    "flat_exp": _g1,
     "kahler_case1": lambda c, kappa: kahler_family(1, c, kappa),
     "kahler_case2": lambda c, kappa: kahler_family(2, c, kappa),
 }

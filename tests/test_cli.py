@@ -3,11 +3,13 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from tbgeom import cli
+from tbgeom.suites import Control, SuiteResult
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -145,6 +147,33 @@ def test_cli_overrides(tmp_path):
     assert rep["config"]["samples"] == 3
     assert rep["config"]["seed"] == 5
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_unknown_report_format_exits_2(tmp_path, capsys):
+    with pytest.raises(cli.ConfigError, match="config.format"):
+        cli.load_config(base_cfg(format="xml"))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(format="xml", out=str(tmp_path / "report"))))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+    assert "config.format" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+@pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12], [math.inf]])
+def test_non_finite_residual_fails_its_suite(residuals):
+    res = SuiteResult("x", "a", 1e-6, residuals=residuals)
+    assert not math.isfinite(res.max_residual)
+    assert not res.passed
+    assert not res.as_dict()["passed"]
+    assert SuiteResult("x", "a", 1e-6, residuals=[1e-12, 1e-9]).passed
+
+
+def test_non_finite_control_fails_its_suite():
+    for require, bound in (("min", 1e-2), ("max", 1e-2)):
+        for value in (math.nan, math.inf):
+            control = Control("c", value, bound, require)
+            assert not control.ok
+            assert not SuiteResult("x", "a", 1e-6, residuals=[1e-12], controls=[control]).passed
 
 
 def test_list_suites_catalogue():

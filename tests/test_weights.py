@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tbgeom import weights as wt
+from tbgeom.jets import Jet
 
 
 def fd(f, t, h=1e-6):
@@ -25,6 +26,7 @@ ALL_FAMILIES = [
     wt.named_family("flat_exp", a0=2.0),
     wt.kahler_family(1, c=1.0, kappa=-1.0),
     wt.kahler_family(2, c=-1.0, kappa=2.0),
+    wt.almost_kahler_complete(lambda t: wt.exp(t)),
 ]
 
 
@@ -80,6 +82,23 @@ def test_derivatives_match_central_differences(pair):
         assert vals.bp == pytest.approx(fd(b, t), abs=1e-5 * max(1, abs(vals.bp)))
 
 
+@pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: p.name)
+def test_eval_matches_multivariate_jet(pair):
+    # the univariate Taylor path against the general Jet seeded in one variable
+    def series(f, tj, order):
+        fj = f(tj)
+        if not isinstance(fj, Jet):
+            return [float(fj)] + [0.0] * order
+        return [fj.v, fj.d1[0], fj.d2[0, 0]][: order + 1]
+
+    rng = np.random.default_rng(4)
+    for t in pair.sample_domain(rng, 10):
+        vals = pair.eval(t)
+        tj = Jet.seed([t])[0]
+        assert [vals.a, vals.ap, vals.app] == pytest.approx(series(pair.a, tj, 2), rel=1e-12)
+        assert [vals.b, vals.bp] == pytest.approx(series(pair.b, tj, 1), rel=1e-12)
+
+
 def test_ab_coefficients_stable_at_zero():
     cg = wt.named_family("cheeger_gromoll")
     d0 = wt.derived_coeffs(cg, 0.0)
@@ -106,6 +125,7 @@ def test_almost_kahler_complete_closure():
     pair = wt.almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1)
     # closure fixes b = a'(1 + t a'/(2a)); at t = 1 that is 1 + 1/4
     assert pair.eval(1.0).b == pytest.approx(1.25, rel=1e-12)
+    assert pair.b(1.0) == pytest.approx(1.25, rel=1e-12)
     for t in np.linspace(0.0, 3.0, 25):
         assert abs(wt.derived_coeffs(pair, t).lee_coef) <= 1e-10
 
