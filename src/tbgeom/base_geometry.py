@@ -22,10 +22,10 @@ __all__ = [
     "diagonal_polynomial",
     "metric_from_spec",
     "christoffel",
+    "base_jets",
     "curvature",
     "nabla_curvature",
     "sectional",
-    "scalar_curvature_base",
     "lower_curvature",
     "fd_metric_derivatives",
     "christoffel_fd",
@@ -87,8 +87,8 @@ class ChartMetric:
         )
         return g
 
-    def derivatives(self, x, order):
-        """Return (g, dg, ...) with dg[l, i, j] = d_l g_ij, up to ``order`` <= 3."""
+    def derivatives(self, x):
+        """Return (g, dg, d2g, d3g) with dg[l, i, j] = d_l g_ij, and so on."""
         x = self.check_domain(x)
         m = self.dim
         rows = self.components(Jet.seed(x))
@@ -103,12 +103,7 @@ class ChartMetric:
                 dg[:, i, j] = d1
                 d2g[:, :, i, j] = d2
                 d3g[:, :, :, i, j] = d3
-        out = [g, dg]
-        if order >= 2:
-            out.append(d2g)
-        if order >= 3:
-            out.append(d3g)
-        return tuple(out)
+        return g, dg, d2g, d3g
 
     def validate_at(self, x):
         g = self.matrix(x)
@@ -202,26 +197,21 @@ def _inverse(g, x):
 
 def christoffel(metric, x):
     """Levi-Civita symbols Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
-    g, dg = metric.derivatives(x, 1)
+    g, dg, _, _ = metric.derivatives(x)
     ginv = _inverse(g, x)
     # dg[l, i, j] = d_l g_ij ; core[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
     core = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     return 0.5 * np.einsum("kl,ijl->kij", ginv, core)
 
 
-def _christoffel_stack(metric, x, order):
-    """Gamma and its chart derivatives from metric jets.
+def base_jets(metric, x):
+    """(Gamma, R, nabla R) at x from one evaluation of the metric jets.
 
-    Returns (Gamma,), (Gamma, dGamma) or (Gamma, dGamma, d2Gamma) where
-    dGamma[p, k, i, j] = d_p Gamma^k_ij.
+    The layouts are those of ``christoffel``, ``curvature`` and
+    ``nabla_curvature``.  Gamma, dGamma[p, k, i, j] = d_p Gamma^k_ij and
+    d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).
     """
-    if order == 0:
-        return (christoffel(metric, x),)
-    if order == 1:
-        g, dg, d2g = metric.derivatives(x, 2)
-    else:
-        g, dg, d2g, d3g = metric.derivatives(x, 3)
-    m = metric.dim
+    g, dg, d2g, d3g = metric.derivatives(x)
     ginv = _inverse(g, x)
     core = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
     gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, core)
@@ -236,8 +226,6 @@ def _christoffel_stack(metric, x, order):
         np.einsum("pkl,ijl->pkij", dginv, core)
         + np.einsum("kl,pijl->pkij", ginv, dcore)
     )
-    if order == 1:
-        return gamma, dgamma
     d2core = (
         d3g.transpose(0, 1, 2, 3, 4)
         + d3g.transpose(0, 1, 3, 2, 4)
@@ -254,7 +242,21 @@ def _christoffel_stack(metric, x, order):
         + np.einsum("pkl,qijl->pqkij", dginv, dcore)
         + np.einsum("kl,pqijl->pqkij", ginv, d2core)
     )
-    return gamma, dgamma, d2gamma
+    R = _curvature_from(gamma, dgamma)
+    # dR[p, h, k, i, j] = d_p R^h_{kij}
+    dterm = d2gamma.transpose(0, 2, 4, 1, 3)  # d_p d_i G^h_jk -> (p, h, k, i, j)
+    dquad = np.einsum("phil,ljk->phkij", dgamma, gamma) + np.einsum(
+        "hil,pljk->phkij", gamma, dgamma
+    )
+    dR = dterm - dterm.transpose(0, 1, 2, 4, 3) + dquad - dquad.transpose(0, 1, 2, 4, 3)
+    NR = (
+        dR
+        + np.einsum("hlp,pkij->lhkij", gamma, R)
+        - np.einsum("plk,hpij->lhkij", gamma, R)
+        - np.einsum("pli,hkpj->lhkij", gamma, R)
+        - np.einsum("plj,hkip->lhkij", gamma, R)
+    )
+    return gamma, R, NR
 
 
 def _curvature_from(gamma, dgamma):
@@ -266,39 +268,17 @@ def _curvature_from(gamma, dgamma):
 
 def curvature(metric, x):
     """Curvature R[h, k, i, j] = R^h_{kij}, with R(e_i, e_j) e_k = R^h_{kij} e_h."""
-    gamma, dgamma = _christoffel_stack(metric, x, 1)
-    return _curvature_from(gamma, dgamma)
+    return base_jets(metric, x)[1]
 
 
 def nabla_curvature(metric, x):
     """Covariant derivative NR[l, h, k, i, j] = (nabla_l R)^h_{kij}."""
-    gamma, dgamma, d2gamma = _christoffel_stack(metric, x, 2)
-    # dR[p, h, k, i, j] = d_p R^h_{kij}
-    dterm = d2gamma.transpose(0, 2, 4, 1, 3)  # d_p d_i G^h_jk -> (p, h, k, i, j)
-    dquad = np.einsum("phil,ljk->phkij", dgamma, gamma) + np.einsum(
-        "hil,pljk->phkij", gamma, dgamma
-    )
-    dR = dterm - dterm.transpose(0, 1, 2, 4, 3) + dquad - dquad.transpose(0, 1, 2, 4, 3)
-    R = _curvature_from(gamma, dgamma)
-    return (
-        dR
-        + np.einsum("hlp,pkij->lhkij", gamma, R)
-        - np.einsum("plk,hpij->lhkij", gamma, R)
-        - np.einsum("pli,hkpj->lhkij", gamma, R)
-        - np.einsum("plj,hkip->lhkij", gamma, R)
-    )
+    return base_jets(metric, x)[2]
 
 
 def lower_curvature(g, R):
     """R_{hkij} = g_{hp} R^p_{kij}."""
     return np.einsum("hp,pkij->hkij", g, R)
-
-
-def scalar_curvature_base(metric, x):
-    g = metric.matrix(x)
-    ginv = _inverse(g, x)
-    ricci = np.einsum("ikij->kj", curvature(metric, x))
-    return float(np.einsum("kj,kj->", ginv, ricci))
 
 
 def sectional(metric, x, X, Y):

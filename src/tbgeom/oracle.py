@@ -92,18 +92,17 @@ def split_to_coord(U):
 
 
 def _chart_point(base, w, q):
-    # x, y, g(x), g y, t and the derived coefficients at q = (x, y)
+    # x, y, g(x), g y and the derived coefficients at q = (x, y)
     q = np.asarray(q, dtype=float)
     x, y = q[: base.dim], q[base.dim :]
     g = base.matrix(x)
-    t = 0.5 * float(y @ g @ y)
-    return x, y, g, g @ y, t, derived_coeffs(w, t)
+    return x, y, g, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
 
 
 def j_matrix(base, w, q):
     """Coordinate matrix of the almost complex structure at q = (x, y)."""
-    x, y, g, gu, t, d = _chart_point(base, w, q)
-    sa = np.sqrt(w.eval(t).a)
+    x, y, _, gu, d = _chart_point(base, w, q)
+    sa = np.sqrt(d.values.a)
     m = base.dim
     JHV = np.eye(m) / sa - d.A_coef * np.outer(y, gu)
     JVH = -sa * np.eye(m) + d.B_coef * np.outer(y, gu)
@@ -116,8 +115,8 @@ def j_matrix(base, w, q):
 
 def omega_matrix(base, w, q):
     """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b)."""
-    x, y, g, gu, t, d = _chart_point(base, w, q)
-    sa = np.sqrt(w.eval(t).a)
+    x, y, g, gu, d = _chart_point(base, w, q)
+    sa = np.sqrt(d.values.a)
     m = base.dim
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
@@ -131,7 +130,7 @@ def omega_matrix(base, w, q):
 
 def lee_covector(base, w, q):
     """Coordinate components of the Lee form at q."""
-    x, y, _, gu, _, d = _chart_point(base, w, q)
+    x, y, _, gu, d = _chart_point(base, w, q)
     m = base.dim
     om_ad = np.concatenate([np.zeros(m), d.lee_coef * gu])
     _, Minv = lift_matrix(base, x, y)

@@ -17,10 +17,10 @@ import numpy as np
 
 from . import base_geometry as bg
 from . import oracle as orc
+from . import tangent_bundle as tb
 from .weights import WeightPair, named_family
 
 __all__ = [
-    "SphereBundlePoint",
     "sphere_point",
     "ContactStructure",
     "generators",
@@ -40,28 +40,11 @@ __all__ = [
 _SASAKI = named_family("sasaki")
 
 
-@dataclass(frozen=True)
-class SphereBundlePoint:
-    base: bg.ChartMetric
-    x: np.ndarray
-    u: np.ndarray
-    r: float
-    gx: np.ndarray
-
-    @property
-    def q(self):
-        return np.concatenate([self.x, self.u])
-
-    @property
-    def gu(self):
-        return self.gx @ self.u
-
-    @property
-    def t(self):
-        return 0.5 * self.r**2
-
-
 def sphere_point(base, x, u, r=None):
+    """Point of the radius-r sphere bundle: a TangentPoint with t = r^2/2.
+
+    ``r`` defaults to |u|; a given ``r`` must match |u| to 1e-12 in r^2.
+    """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     gx = base.validate_at(x)
@@ -70,7 +53,7 @@ def sphere_point(base, x, u, r=None):
         r = float(np.sqrt(norm2))
     elif abs(norm2 - r * r) > 1e-12:
         raise bg.GeometryError(f"|g(u,u) - r^2| = {abs(norm2 - r*r)} > 1e-12")
-    return SphereBundlePoint(base, x, u, float(r), gx)
+    return tb.TangentPoint(base, x, u, gx, 0.5 * float(r) ** 2)
 
 
 def _weights_for(flavor, weights):
@@ -83,15 +66,14 @@ def _weights_for(flavor, weights):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def generators(P: SphereBundlePoint, flavor, weights=None):
+def generators(P: tb.TangentPoint, flavor, weights=None):
     """Spanning fields (delta_i, fiber-tangent verticals) in coordinates.
 
     Returns (deltas, verts): two (m, 2m) arrays of row vectors.  The
     verticals satisfy u^i vert_i = 0 and span an (m-1)-dimensional space.
     """
     m = P.base.dim
-    gamma = bg.christoffel(P.base, P.x)
-    gy = np.einsum("kij,j->ki", gamma, P.u)
+    gy = np.einsum("kij,j->ki", P.gamma, P.u)
     deltas = np.hstack([np.eye(m), -gy.T])
     scale = 1.0 / P.r**2 if flavor == "sasaki_r" else 1.0
     verts = np.hstack([np.zeros((m, m)), np.eye(m) - scale * np.outer(P.gu, P.u)])
@@ -215,15 +197,6 @@ def isometry_residuals(base, w, points, r=None, n_pairs=10, rng=None):
     return out
 
 
-def _t1_frames(P):
-    m = P.base.dim
-    gamma = bg.christoffel(P.base, P.x)
-    gy = np.einsum("kij,j->ki", gamma, P.u)
-    deltas = np.hstack([np.eye(m), -gy.T])  # rows delta_i
-    Ys = np.hstack([np.zeros((m, m)), np.eye(m) - np.outer(P.gu, P.u)])  # rows Y_i
-    return deltas, Ys
-
-
 def t1_connection(base, w, P, case, i, j):
     """Closed-form unit-bundle connection on the generator fields.
 
@@ -231,11 +204,10 @@ def t1_connection(base, w, P, case, i, j):
     nabla_{Y_i} delta_j, nabla_{delta_i} Y_j, nabla_{Y_i} Y_j; returns
     ambient coordinate components of the result.
     """
-    m = base.dim
+    tb.check_base(base, P)
     a = w.eval(P.t).a
-    gamma = bg.christoffel(base, P.x)
-    R = bg.curvature(base, P.x)
-    deltas, Ys = _t1_frames(P)
+    gamma, R = P.gamma, P.R
+    deltas, Ys = generators(P, "ga_unit")
     y, gu = P.u, P.gu
     if case == "dd":
         R0ij = np.einsum("klij,l->kij", R, y)  # R^k_{0ij}
@@ -259,7 +231,7 @@ class FiberGraphChart:
     Christoffel symbols in graph coordinates theta = (x, v-others).
     """
 
-    def __init__(self, P: SphereBundlePoint):
+    def __init__(self, P: tb.TangentPoint):
         self.base = P.base
         self.r = P.r
         self.m = P.base.dim
@@ -290,7 +262,7 @@ class FiberGraphChart:
         m, js = self.m, self.jstar
         q = self.embed(theta)
         x, v = q[:m], q[m:]
-        g, dg = self.base.derivatives(x, 1)
+        g, dg, _, _ = self.base.derivatives(x)
         gv = g @ v
         rest = np.delete(np.arange(m), js)
         Jc = np.zeros((2 * m, 2 * m - 1))
@@ -314,16 +286,8 @@ class FiberGraphChart:
         def gmat(th):
             return self.induced_matrix(th, ambient)
 
-        G = gmat(theta)
-        Ginv = np.linalg.inv(G)
-        dG = np.zeros((n, n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            d1 = (gmat(theta + e) - gmat(theta - e)) / (2 * h)
-            e2 = e / 2
-            d2 = (gmat(theta + e2) - gmat(theta - e2)) / h
-            dG[k] = (4 * d2 - d1) / 3
+        Ginv = np.linalg.inv(gmat(theta))
+        dG = np.array([orc._richardson(gmat, theta, k, h) for k in range(n)])
         core = dG.transpose(0, 1, 2) + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
         return 0.5 * np.einsum("kl,ijl->kij", Ginv, core)
 
@@ -356,6 +320,7 @@ class FiberGraphChart:
 
 def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
     """Graph-chart finite-difference counterpart of t1_connection."""
+    tb.check_base(base, P)
     chart = FiberGraphChart(P)
     ambient = orc.InducedMetric(base, w)
     m = base.dim
@@ -401,14 +366,7 @@ def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
         return chart.jacobian(th).T @ eta_at(q)
 
     th0 = chart.theta0
-    n = len(th0)
-    deta = np.zeros((n, n))
-    for al in range(n):
-        e = np.zeros(n)
-        e[al] = h
-        d1 = (eta_theta(th0 + e) - eta_theta(th0 - e)) / (2 * h)
-        d2 = (eta_theta(th0 + e / 2) - eta_theta(th0 - e / 2)) / h
-        deta[al] = (4 * d2 - d1) / 3
+    deta = np.array([orc._richardson(eta_theta, th0, al, h) for al in range(len(th0))])
     dmat = 0.5 * (deta - deta.T)  # dmat[al, be] = 1/2 (d_al eta_be - d_be eta_al)
     out = []
     for (U, V) in vectors:
@@ -420,12 +378,13 @@ def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
 
 def _kcontact_vectors(base, w, P):
     """Analytic residual vectors of the K-contact condition at P."""
+    tb.check_base(base, P)
     m = base.dim
     a = w.eval(P.t).a
     sa = np.sqrt(a)
-    R = bg.curvature(base, P.x)
+    R = P.R
     y, gu = P.u, P.gu
-    deltas, Ys = _t1_frames(P)
+    deltas, Ys = generators(P, "ga_unit")
     R0i0 = np.einsum("klij,l,j->ki", R, y, y)  # R^k_{0i0}
     res = []
     for i in range(m):
@@ -440,12 +399,13 @@ def _kcontact_vectors(base, w, P):
 
 def sasakian_residuals(base, w, P):
     """Analytic residual vectors of (nabla_U phi)V = G(U,V) xi - eta(V) U."""
+    tb.check_base(base, P)
     m = base.dim
     a = w.eval(P.t).a
     sa = np.sqrt(a)
-    R = bg.curvature(base, P.x)
+    R = P.R
     y, gu, g = P.u, P.gu, P.gx
-    deltas, Ys = _t1_frames(P)
+    deltas, Ys = generators(P, "ga_unit")
     xi0 = y @ deltas  # y^k delta_k
     R0i0 = np.einsum("klij,l,j->ki", R, y, y)
     R_i0j = np.einsum("kilj,l->kij", R, y)  # R^k_{i0j}

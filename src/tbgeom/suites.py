@@ -171,8 +171,7 @@ def _suite_base_checks(ctx, rng, tol):
     for _ in range(ctx.samples):
         x = ctx.sample_x(rng)
         g = ctx.base.matrix(x)
-        gam = bg.christoffel(ctx.base, x)
-        R = bg.curvature(ctx.base, x)
+        gam, R, NR = bg.base_jets(ctx.base, x)
         low = bg.lower_curvature(g, R)
         worst = np.max(np.abs(gam - gam.transpose(0, 2, 1)))
         worst = max(worst, np.max(np.abs(R + R.transpose(0, 1, 3, 2))))
@@ -182,7 +181,6 @@ def _suite_base_checks(ctx, rng, tol):
         bianchi = R + R.transpose(0, 3, 1, 2) + R.transpose(0, 2, 3, 1)
         worst = max(worst, np.max(np.abs(bianchi)))
         # second Bianchi: cyclic sum over (l, i, j)
-        NR = bg.nabla_curvature(ctx.base, x)
         b2 = NR + NR.transpose(4, 1, 2, 0, 3) + NR.transpose(3, 1, 2, 4, 0)
         worst = max(worst, np.max(np.abs(b2)))
         worst = max(worst, np.max(np.abs(gam - bg.christoffel_fd(ctx.base, x, h=1e-5))))
@@ -226,9 +224,8 @@ def _suite_lck(ctx, rng, tol):
     n2 = 2 * base.dim
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng)
-        q = np.concatenate([P.x, P.u])
         vecs = [rng.standard_normal(n2) for _ in range(3)]
-        dom, wed, dlee = _lck_terms(base, w, q, vecs, ctx.h)
+        dom, wed, dlee = _lck_terms(base, w, P.q, vecs, ctx.h)
         res.residuals.append(abs(dom - wed))
         res.residuals.append(abs(dlee))
     return res
@@ -246,11 +243,10 @@ def _suite_almost_kahler(ctx, rng, tol):
     cg_worst = 0.0
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng, weights=pair)
-        q = np.concatenate([P.x, P.u])
         vecs = [rng.standard_normal(n2) for _ in range(3)]
-        res.residuals.append(abs(_domega(base, pair, q, vecs, ctx.h)))
+        res.residuals.append(abs(_domega(base, pair, P.q, vecs, ctx.h)))
         res.residuals.append(abs(derived_coeffs(pair, P.t).lee_coef))
-        cg_worst = max(cg_worst, abs(_domega(base, cg, q, [vh, v1, v2], ctx.h)))
+        cg_worst = max(cg_worst, abs(_domega(base, cg, P.q, [vh, v1, v2], ctx.h)))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     res.controls.append(Control("cg_not_almost_kahler", cg_worst, 1e-2, "min"))
@@ -270,14 +266,14 @@ def _suite_kahler(ctx, rng, tol):
     r13_max = r14_max = dom_max = 0.0
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng, weights=pair, base=base)
-        q = np.concatenate([P.x, P.u])
         U = rng.standard_normal(n2)
         V = rng.standard_normal(n2)
-        res.residuals.append(float(np.max(np.abs(orc.fd_nijenhuis(base, pair, q, U, V)))))
+        nij = orc.fd_nijenhuis(base, pair, P.q, U, V)
+        res.residuals.append(float(np.max(np.abs(nij))))
         r13, r14 = kahler_system_residuals(pair, P.t, c)
         r13_max, r14_max = max(r13_max, abs(r13)), max(r14_max, abs(r14))
         vecs = [rng.standard_normal(n2) for _ in range(3)]
-        dom, wed, dlee = _lck_terms(base, pair, q, vecs, ctx.h)
+        dom, wed, dlee = _lck_terms(base, pair, P.q, vecs, ctx.h)
         res.residuals.append(abs(dom - wed))
         res.residuals.append(abs(dlee))
         dom_max = max(dom_max, abs(dom))
@@ -293,13 +289,12 @@ def _suite_connection(ctx, rng, tol):
     im = orc.InducedMetric(base, w)
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng)
-        q = np.concatenate([P.x, P.u])
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         for case, ku, kv in [("HH", "H", "H"), ("HV", "H", "V"), ("VH", "V", "H"), ("VV", "V", "V")]:
             closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
             num = orc.fd_lift_connection(
-                im, q, orc.lift_field(base, X, ku), orc.lift_field(base, Y, kv), h=ctx.h
+                im, P.q, orc.lift_field(base, X, ku), orc.lift_field(base, Y, kv), h=ctx.h
             )
             res.residuals.append(float(np.max(np.abs(closed - num))))
     return res
@@ -312,16 +307,15 @@ def _suite_curvature(ctx, rng, tol):
     sym_worst = 0.0
     for _ in range(max(1, ctx.samples // 4)):
         P = ctx.sample_point(rng)
-        q = np.concatenate([P.x, P.u])
-        Rhat = orc.fd_curvature(im, q, h=ctx.h)
+        Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         Z = rng.standard_normal(base.dim)
         for case in ["HHH", "HHV", "HVH", "HVV", "VVH", "VVV"]:
             closed = orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
-            Uc = orc.lift_field(base, X, case[0])(q)
-            Vc = orc.lift_field(base, Y, case[1])(q)
-            Wc = orc.lift_field(base, Z, case[2])(q)
+            Uc = orc.lift_field(base, X, case[0])(P.q)
+            Vc = orc.lift_field(base, Y, case[1])(P.q)
+            Wc = orc.lift_field(base, Z, case[2])(P.q)
             num = np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)
             res.residuals.append(float(np.max(np.abs(closed - num))))
         # closed-form curvature symmetries + first Bianchi on random splits
@@ -364,8 +358,7 @@ def _suite_flat_g1(ctx, rng, tol):
             worst = max(worst, float(np.max(np.abs(np.concatenate([vec.h, vec.v])))))
         res.residuals.append(worst)
         if k < max(2, ctx.samples // 10):
-            q = np.concatenate([P.x, P.u])
-            res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, q, h=ctx.h)))))
+            res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, P.q, h=ctx.h)))))
     return res
 
 
@@ -521,16 +514,15 @@ def _suite_oracle_cross(ctx, rng, tol):
     worst = dict.fromkeys(parts, 0.0)
     for _ in range(max(2, ctx.samples // 4)):
         P = ctx.sample_point(rng)
-        q = np.concatenate([P.x, P.u])
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         closed = orc.split_to_coord(tb.bundle_connection(w, base, P, "HV", X, Y))
         num = orc.fd_lift_connection(
-            im, q, orc.lift_field(base, X, "H"), orc.lift_field(base, Y, "V"), h=ctx.h
+            im, P.q, orc.lift_field(base, X, "H"), orc.lift_field(base, Y, "V"), h=ctx.h
         )
         worst["connection"] = max(worst["connection"], float(np.max(np.abs(closed - num))))
-        Rhat = orc.fd_curvature(im, q, h=ctx.h)
-        G = im.matrix(q)
+        Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
+        G = im.matrix(P.q)
         U = tb.random_split_vector(P, rng)
         V = tb.random_split_vector(P, rng)
         Wv = tb.random_split_vector(P, rng)

@@ -8,7 +8,9 @@ oracle (module ``oracle``) validates every one of them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +20,7 @@ from .weights import WeightPair, _hh_coef, derived_coeffs
 __all__ = [
     "BasePointMismatch",
     "TangentPoint",
+    "check_base",
     "SplitVector",
     "tangent_point",
     "bundle_metric",
@@ -43,9 +46,21 @@ class BasePointMismatch(ValueError):
     pass
 
 
+def _readonly(arr):
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class TangentPoint:
-    """Point (x, u) of T(M) with cached base metric value and energy density."""
+    """Point (x, u) of T(M) and what the closed forms read there.
+
+    g_x and the energy density t = g(u, u)/2 are fixed at construction.
+    g u, q = (x, u), Gamma, R and nabla R are computed on first use and
+    then kept (read-only); the last three come from one evaluation of the
+    base metric jets.  A sphere-bundle point is a TangentPoint whose radius
+    r = sqrt(2t) was given, not measured.
+    """
 
     base: bg.ChartMetric
     x: np.ndarray
@@ -53,9 +68,33 @@ class TangentPoint:
     gx: np.ndarray = field(repr=False)
     t: float
 
-    @property
+    @cached_property
     def gu(self):
-        return self.gx @ self.u
+        return _readonly(self.gx @ self.u)
+
+    @cached_property
+    def q(self):
+        return _readonly(np.concatenate([self.x, self.u]))
+
+    @property
+    def r(self):
+        return math.sqrt(2.0 * self.t)
+
+    @cached_property
+    def _jets(self):
+        return tuple(map(_readonly, bg.base_jets(self.base, self.x)))
+
+    @property
+    def gamma(self):
+        return self._jets[0]
+
+    @property
+    def R(self):
+        return self._jets[1]
+
+    @property
+    def NR(self):
+        return self._jets[2]
 
     def same_place(self, other):
         return (
@@ -111,6 +150,12 @@ def _check_same(U, V):
         raise BasePointMismatch("split vectors live at different tangent-bundle points")
 
 
+def check_base(base, P):
+    """Raise BasePointMismatch unless ``base`` is the metric P lives on."""
+    if base is not P.base:
+        raise BasePointMismatch(f"{base.name} is not the base metric of the point")
+
+
 def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector):
     """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u)."""
     _check_same(U, V)
@@ -124,8 +169,7 @@ def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
     """Compatible almost complex structure applied to U."""
     d = derived_coeffs(w, P.t)
-    vals = w.eval(P.t)
-    sa = np.sqrt(vals.a)
+    sa = np.sqrt(d.values.a)
     gu = P.gu
     # J X^H = (1/sqrt a) X^V - A g(X,u) u^V ; J X^V = -sqrt(a) X^H + B g(X,u) u^H
     new_v = U.h / sa - d.A_coef * float(U.h @ gu) * P.u
@@ -177,14 +221,15 @@ def _nrop(NR, Zdir, X, Y, W):
 
 def nijenhuis(w, base, P, X, Y, slots):
     """Closed-form integrability tensor on pure horizontal or vertical slots."""
+    check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     d = derived_coeffs(w, P.t)
-    vals = w.eval(P.t)
+    vals = d.values
     a, ap = vals.a, vals.ap
     sa = np.sqrt(a)
     gu = P.gu
-    R = bg.curvature(base, P.x)
+    R = P.R
     gxu = float(X @ gu)
     gyu = float(Y @ gu)
     if slots == "HH":
@@ -208,22 +253,19 @@ def bundle_connection(w, base, P, case, X, Y):
     nabla_{X^H} Y^V, "VH" nabla_{X^V} Y^H, "VV" nabla_{X^V} Y^V; X and Y are
     constant-coefficient base fields at the chart point.
     """
+    check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     d = derived_coeffs(w, P.t)
-    a = w.eval(P.t).a
-    gu = P.gu
-    gamma = bg.christoffel(base, P.x)
+    a = d.values.a
+    gu, R = P.gu, P.R
     if case in ("HH", "HV"):
-        nab = np.einsum("kij,i,j->k", gamma, X, Y)
+        nab = np.einsum("kij,i,j->k", P.gamma, X, Y)
     if case == "HH":
-        R = bg.curvature(base, P.x)
         return SplitVector(nab, -0.5 * _rop(R, X, Y, P.u), P)
     if case == "HV":
-        R = bg.curvature(base, P.x)
         return SplitVector(0.5 * a * _rop(R, P.u, Y, X), nab, P)
     if case == "VH":
-        R = bg.curvature(base, P.x)
         return SplitVector.horizontal(0.5 * a * _rop(R, P.u, X, Y), P)
     if case == "VV":
         gxu = float(X @ gu)
@@ -243,20 +285,19 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     ``case`` is one of HHH, HHV, HVH, HVV, VVH, VVV naming the slots of
     R(X^., Y^.) Z^. in order.
     """
+    check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     d = derived_coeffs(w, P.t)
-    vals = w.eval(P.t)
-    a, ap = vals.a, vals.ap
+    a, ap = d.values.a, d.values.ap
     g, gu, u = P.gx, P.gu, P.u
-    R = bg.curvature(base, P.x)
+    R, NR = P.R, P.NR
 
     def rop(Xv, Yv, Zv):
         return _rop(R, Xv, Yv, Zv)
 
     if case == "HHH":
-        NR = bg.nabla_curvature(base, P.x)
         h = (
             rop(X, Y, Z)
             + (a / 4)
@@ -269,7 +310,6 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         v = 0.5 * _nrop(NR, Z, X, Y, u)
         return SplitVector(h, v, P)
     if case == "HHV":
-        NR = bg.nabla_curvature(base, P.x)
         v = (
             rop(X, Y, Z)
             + (a / 4) * (rop(Y, rop(u, Z, X), u) - rop(X, rop(u, Z, Y), u))
@@ -279,7 +319,6 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         h = (a / 2) * (_nrop(NR, X, u, Z, Y) - _nrop(NR, Y, u, Z, X))
         return SplitVector(h, v, P)
     if case == "HVH":
-        NR = bg.nabla_curvature(base, P.x)
         h = (a / 2) * _nrop(NR, X, u, Y, Z)
         v = 0.5 * (
             rop(X, Z, Y)
@@ -318,6 +357,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
 
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion."""
+    check_base(base, P)
     out = SplitVector(np.zeros(P.base.dim), np.zeros(P.base.dim), P)
     terms = [
         ("HHH", U.h, V.h, W.h, +1),
@@ -381,6 +421,7 @@ def scalar_curvature(w, base, P, mode="closed"):
     adapted orthonormal basis; both modes agree with the coordinate
     oracle.
     """
+    check_base(base, P)
     m = base.dim
     if mode == "basis":
         basis = adapted_basis(w, P)
@@ -393,10 +434,9 @@ def scalar_curvature(w, base, P, mode="closed"):
                 total += bundle_metric(w, P, r, basis[al])
         return total
     d = derived_coeffs(w, P.t)
-    vals = w.eval(P.t)
-    a = vals.a
-    scal = bg.scalar_curvature_base(base, P.x)
-    R = bg.curvature(base, P.x)
+    a = d.values.a
+    R = P.R
+    scal = float(np.einsum("kj,kj->", np.linalg.inv(P.gx), np.einsum("ikij->kj", R)))
     frame = bg.orthonormal_frame(P.gx)
     acc = 0.0
     for i in range(m):
@@ -413,7 +453,7 @@ def scalar_curvature_space_form(w, c, m, t):
     oracle-corrected form of the constant-base-curvature display.
     """
     d = derived_coeffs(w, t)
-    a = w.eval(t).a
+    a = d.values.a
     return (m - 1) * (m * c - a * t * c * c - (m * d.F2 + 4 * t * d.F3) / a)
 
 

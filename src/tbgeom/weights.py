@@ -118,7 +118,11 @@ class WeightPair:
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """Scalar coefficients derived from a weight pair at one t."""
+    """Scalar coefficients derived from a weight pair at one t.
+
+    ``values`` are the weight values they were built from, so a caller
+    needs no second evaluation at the same t.
+    """
 
     L: float
     M: float
@@ -129,6 +133,7 @@ class DerivedCoefficients:
     A_coef: float
     B_coef: float
     lee_coef: float
+    values: WeightValues
 
 
 def _ab_coeffs(w: WeightValues, epsilon: int):
@@ -168,7 +173,7 @@ def derived_coeffs(pair: WeightPair, t):
     F2 = L - M * (1 + 2 * tt * L)
     F3 = N - (Mp + M * M + 2 * tt * M * N)
     A, B = _ab_coeffs(w, pair.epsilon)
-    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, pair.epsilon))
+    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, pair.epsilon), w)
 
 
 def _hh_coef(w: WeightValues, epsilon: int):

@@ -144,7 +144,7 @@ def test_exterior_derivative_conventions():
         g = SF1.matrix(x)
         gj = bg.christoffel(SF1, x)
         # t = y g y / 2: partial derivatives in coordinates
-        dg = SF1.derivatives(x, 1)[1]
+        dg = SF1.derivatives(x)[1]
         grad = np.concatenate([0.5 * np.einsum("lij,i,j->l", dg, y, y), g @ y])
         return float(grad @ v)
 

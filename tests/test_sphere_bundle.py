@@ -6,6 +6,7 @@ import pytest
 
 import tbgeom.base_geometry as bg
 import tbgeom.sphere_bundle as sb
+import tbgeom.tangent_bundle as tb
 from tbgeom.weights import WeightPair, named_family
 
 EU2 = bg.euclidean(2)
@@ -27,6 +28,22 @@ def test_sphere_point_radius_check():
         sb.sphere_point(EU2, [0.0, 0.0], [1.0, 0.0], r=2.0)
     P = sb.sphere_point(EU2, [0.0, 0.0], [0.6, 0.8])
     assert P.r == pytest.approx(1.0)
+
+
+def test_sphere_point_is_a_tangent_point_with_the_given_radius():
+    rng = np.random.default_rng(5)
+    for r in (1.3, 1.0, None):
+        for _ in range(20):
+            x = rng.uniform(-0.3, 0.3, 2)
+            d = rng.standard_normal(2)
+            d = d / np.sqrt(d @ SF1.matrix(x) @ d)
+            u = (1.0 if r is None else r) * d
+            P = sb.sphere_point(SF1, x, u, r=r)
+            assert isinstance(P, tb.TangentPoint)
+            r_given = float(np.sqrt(u @ SF1.matrix(x) @ u)) if r is None else float(r)
+            assert P.r == r_given
+            assert P.t == 0.5 * r_given**2
+            assert np.array_equal(P.q, np.concatenate([x, u]))
 
 
 def test_generators_flat_axis_fiber():

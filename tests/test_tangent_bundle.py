@@ -60,6 +60,47 @@ def test_base_point_mismatch_raises():
                          tb.SplitVector.horizontal([1, 0], P2))
 
 
+def test_base_other_than_the_points_raises():
+    P = point(SF1, [0.1, 0.2], [0.7, -0.4])
+    other = bg.SpaceForm(1.0, 2)  # same metric, different object
+    X, Y, Z = np.eye(2)[0], np.eye(2)[1], np.array([0.3, 0.5])
+    with pytest.raises(tb.BasePointMismatch):
+        tb.bundle_curvature(CG, other, P, "HHH", X, Y, Z)
+    with pytest.raises(tb.BasePointMismatch):
+        tb.bundle_connection(CG, other, P, "HV", X, Y)
+    with pytest.raises(tb.BasePointMismatch):
+        tb.scalar_curvature(CG, other, P)
+
+
+def test_one_jet_evaluation_per_point(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    x, u = np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3])
+    P = point(base, x, u)
+    calls = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, *args):
+        calls.append(1)
+        return derivatives(self, *args)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
+    X, Y, Z = np.array([1.0, -0.5, 0.2]), np.array([0.3, 0.8, -0.1]), np.array([0.4, 0.1, 0.9])
+    for case in ("HH", "HV", "VH", "VV"):
+        tb.bundle_connection(CG, base, P, case, X, Y)
+    for case in ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV"):
+        tb.bundle_curvature(CG, base, P, case, X, Y, Z)
+    for slots in ("HH", "VV"):
+        tb.nijenhuis(CG, base, P, X, Y, slots)
+    for mode in ("closed", "basis"):
+        tb.scalar_curvature(CG, base, P, mode=mode)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the point's jets are those of the stand-alone base functions, bit for bit
+    assert np.array_equal(P.gamma, bg.christoffel(base, x))
+    assert np.array_equal(P.R, bg.curvature(base, x))
+    assert np.array_equal(P.NR, bg.nabla_curvature(base, x))
+
+
 def test_almost_complex_sasaki_swaps_lifts():
     P = point(EU2, [0.2, 0.1], [0.4, 0.9])
     X = np.array([0.7, -0.2])
