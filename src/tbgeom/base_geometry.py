@@ -27,9 +27,6 @@ __all__ = [
     "nabla_curvature",
     "sectional",
     "lower_curvature",
-    "fd_metric_derivatives",
-    "christoffel_fd",
-    "curvature_fd",
     "orthonormal_frame",
 ]
 
@@ -195,13 +192,21 @@ def _inverse(g, x):
     return ginv
 
 
+def _christoffel_core(dg):
+    # core[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij
+    *lead, a, b, c = range(dg.ndim)
+    return dg + dg.transpose(*lead, b, a, c) - dg.transpose(*lead, b, c, a)
+
+
+def _levi_civita(ginv, dg):
+    """Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij) from g^{-1} and dg."""
+    return 0.5 * np.einsum("kl,ijl->kij", ginv, _christoffel_core(dg))
+
+
 def christoffel(metric, x):
-    """Levi-Civita symbols Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij)."""
+    """Levi-Civita symbols of ``metric`` at x from its analytic first derivatives."""
     g, dg, _, _ = metric.derivatives(x)
-    ginv = _inverse(g, x)
-    # dg[l, i, j] = d_l g_ij ; core[i, j, l] = d_i g_jl + d_j g_il - d_l g_ij
-    core = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, core)
+    return _levi_civita(_inverse(g, x), dg)
 
 
 def base_jets(metric, x):
@@ -213,24 +218,14 @@ def base_jets(metric, x):
     """
     g, dg, d2g, d3g = metric.derivatives(x)
     ginv = _inverse(g, x)
-    core = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    gamma = 0.5 * np.einsum("kl,ijl->kij", ginv, core)
-    # d_p core[i,j,l] from d2g[p, a, i, j] = d_p d_a g_ij
-    dcore = (
-        d2g.transpose(0, 1, 2, 3)  # d_p d_i g_jl -> (p, i, j, l)
-        + d2g.transpose(0, 2, 1, 3)  # d_p d_j g_il -> (p, i, j, l)
-        - d2g.transpose(0, 2, 3, 1)  # d_p d_l g_ij -> (p, i, j, l)
-    )
+    gamma = _levi_civita(ginv, dg)
+    # core and its first two derivatives d_p core, d_p d_q core
+    core, dcore, d2core = map(_christoffel_core, (dg, d2g, d3g))
     dginv = -np.einsum("ka,pab,bl->pkl", ginv, dg, ginv)
     dgamma = 0.5 * (
         np.einsum("pkl,ijl->pkij", dginv, core)
         + np.einsum("kl,pijl->pkij", ginv, dcore)
     )
-    d2core = (
-        d3g.transpose(0, 1, 2, 3, 4)
-        + d3g.transpose(0, 1, 3, 2, 4)
-        - d3g.transpose(0, 1, 3, 4, 2)
-    )  # d_p d_q core[i, j, l]
     d2ginv = -(
         np.einsum("pka,qab,bl->pqkl", dginv, dg, ginv)
         + np.einsum("ka,pqab,bl->pqkl", ginv, d2g, ginv)
@@ -283,10 +278,13 @@ def lower_curvature(g, R):
 
 def sectional(metric, x, X, Y):
     """Sectional curvature of span(X, Y) at x."""
+    return _sectional(metric.matrix(x), curvature(metric, x), X, Y)
+
+
+def _sectional(g, R, X, Y):
+    # sectional curvature of span(X, Y) from g and R at one point
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    g = metric.matrix(x)
-    R = curvature(metric, x)
     rxyy = np.einsum("hkij,k,i,j->h", R, Y, X, Y)
     num = float(rxyy @ g @ X)
     nx = float(X @ g @ X)
@@ -294,7 +292,7 @@ def sectional(metric, x, X, Y):
     xy = float(X @ g @ Y)
     den = nx * ny - xy * xy
     if den <= 1e-14 * nx * ny:
-        raise DegeneratePlaneError(f"degenerate plane at {x}: Gram determinant {den}")
+        raise DegeneratePlaneError(f"degenerate plane span({X}, {Y}): Gram determinant {den}")
     return num / den
 
 
@@ -318,38 +316,3 @@ def orthonormal_frame(g, first=None):
     if len(frame) != m:
         raise GeometryError("failed to build an orthonormal frame")
     return np.array(frame)
-
-
-def fd_metric_derivatives(metric, x, h=1e-5):
-    """Central-difference first derivatives dg[l, i, j] of the components."""
-    x = np.asarray(x, dtype=float)
-    m = metric.dim
-    dg = np.zeros((m, m, m))
-    for l in range(m):
-        e = np.zeros(m)
-        e[l] = h
-        dg[l] = (metric.matrix(x + e) - metric.matrix(x - e)) / (2 * h)
-    return dg
-
-
-def christoffel_fd(metric, x, h=1e-5):
-    g = metric.matrix(x)
-    ginv = _inverse(g, x)
-    dg = fd_metric_derivatives(metric, x, h)
-    core = dg.transpose(0, 1, 2) + dg.transpose(1, 0, 2) - dg.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, core)
-
-
-def curvature_fd(metric, x, h=1e-5):
-    """Curvature from central differences of christoffel_fd (nested steps)."""
-    x = np.asarray(x, dtype=float)
-    m = metric.dim
-    gamma = christoffel_fd(metric, x, h)
-    dgamma = np.zeros((m, m, m, m))
-    for p in range(m):
-        e = np.zeros(m)
-        e[p] = h
-        dgamma[p] = (christoffel_fd(metric, x + e, h) - christoffel_fd(metric, x - e, h)) / (
-            2 * h
-        )
-    return _curvature_from(gamma, dgamma)

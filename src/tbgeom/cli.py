@@ -230,25 +230,18 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    overrides = {
+        "suites": args.suite,
+        "samples": args.samples,
+        "seed": args.seed,
+        "h": args.h,
+        "out": args.out,
+        "format": args.format,
+    }
+    if isinstance(doc, dict):
+        doc.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         cfg = load_config(doc)
-        if args.suite:
-            for s in args.suite:
-                if s not in SUITES:
-                    raise ConfigError(f"--suite: unknown suite {s!r}")
-            cfg.suites = args.suite
-        if args.samples is not None:
-            if args.samples < 1:
-                raise ConfigError("--samples: must be >= 1")
-            cfg.samples = args.samples
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.h is not None:
-            cfg.h = args.h
-        if args.out is not None:
-            cfg.out = args.out
-        if args.format is not None:
-            cfg.format = args.format
         report = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

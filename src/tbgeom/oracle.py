@@ -4,7 +4,11 @@ Everything here is ground truth for the adapted-frame closed forms: the
 bundle metric is realized as an explicit 2m x 2m component matrix and all
 derived objects (connection, curvature, exterior derivatives, Nijenhuis
 tensor) are obtained by central finite differences with one Richardson
-extrapolation step.
+extrapolation step.  This module is the only place that differences on a
+chart: every derivative goes through ``_central``, and the connection and
+curvature of any metric with ``matrix(q)`` (the induced metric, a base
+``ChartMetric``, the sphere-bundle graph chart) through ``fd_connection``
+and ``fd_curvature``.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -45,16 +49,10 @@ class InducedMetric:
     def __init__(self, base, weights: WeightPair):
         self.base = base
         self.weights = weights
-        self.dim2 = 2 * base.dim
 
     def vertical_block(self, q):
         m = self.base.dim
-        x, y = q[:m], q[m:]
-        g = self.base.matrix(x)
-        t = 0.5 * float(y @ g @ y)
-        vals = self.weights.eval(t)
-        gu = g @ y
-        return vals.a * g + vals.b * np.outer(gu, gu)
+        return self.matrix(q)[m:, m:]
 
     def matrix(self, q):
         q = np.asarray(q, dtype=float)
@@ -63,7 +61,9 @@ class InducedMetric:
         g = self.base.matrix(x)
         gamma = bg.christoffel(self.base, x)
         gy = np.einsum("kij,j->ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
-        V = self.vertical_block(q)
+        vals = self.weights.eval(0.5 * float(y @ g @ y))
+        gu = g @ y
+        V = vals.a * g + vals.b * np.outer(gu, gu)
         G = np.zeros((2 * m, 2 * m))
         G[:m, :m] = g + gy.T @ V @ gy
         G[:m, m:] = gy.T @ V
@@ -146,61 +146,54 @@ def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
     ) / 3.0
 
 
-def _central(fun, q, k, h):
-    e = np.zeros(q.size)
-    e[k] = h
-    if h <= 0 or (q + e)[k] == q[k]:
-        raise ValueError(f"differencing step {h} underflows at {q[k]}")
-    return (fun(q + e) - fun(q - e)) / (2 * h)
+def _central(fun, q, v, h):
+    """Central quotient (fun(q + h v) - fun(q - h v)) / 2h along v."""
+    step = h * v
+    up = q + step
+    if h <= 0 or ((up == q).all() and v.any()):
+        raise ValueError(f"differencing step {h} underflows at {q}")
+    return (fun(up) - fun(q - step)) / (2 * h)
 
 
-def _richardson(fun, q, k, h):
-    d1 = _central(fun, q, k, h)
-    d2 = _central(fun, q, k, h / 2)
-    return (4.0 * d2 - d1) / 3.0
+def _derivative(fun, q, v, h, richardson):
+    """Derivative along v: the central quotient, Richardson-extrapolated once
+    as (4 D(h/2) - D(h)) / 3 unless ``richardson`` is false."""
+    d1 = _central(fun, q, v, h)
+    if not richardson:
+        return d1
+    return (4.0 * _central(fun, q, v, h / 2) - d1) / 3.0
 
 
-def fd_connection(im: InducedMetric, q, h=1e-4, richardson=True):
-    """Finite-difference Christoffel symbols of the induced metric."""
+def _partials(fun, q, h, richardson):
+    """Coordinate partials stacked on a leading axis: out[k] = d_k fun(q)."""
+    return np.array([_derivative(fun, q, e, h, richardson) for e in np.eye(q.size)])
+
+
+def fd_connection(metric, q, h=1e-4, richardson=True):
+    """Finite-difference Christoffel symbols of any metric with ``matrix(q)``."""
     q = np.asarray(q, dtype=float)
-    n = im.dim2
-    G = im.matrix(q)
+    G = metric.matrix(q)
     cond = np.linalg.cond(G)
     if cond > 1e8:
-        warnings.warn(f"induced metric conditioning {cond:.2e} at {q}")
-    Ginv = np.linalg.inv(G)
-    diff = _richardson if richardson else _central
-    dG = np.array([diff(im.matrix, q, k, h) for k in range(n)])
-    core = dG.transpose(0, 1, 2) + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
-    return 0.5 * np.einsum("kl,ijl->kij", Ginv, core)
+        warnings.warn(f"metric conditioning {cond:.2e} at {q}")
+    dG = _partials(metric.matrix, q, h, richardson)
+    return bg._levi_civita(np.linalg.inv(G), dG)
 
 
-def fd_curvature(im: InducedMetric, q, h=1e-4, richardson=True):
-    """Finite-difference curvature of the induced metric (nested differencing)."""
+def fd_curvature(metric, q, h=1e-4, richardson=True):
+    """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing)."""
     q = np.asarray(q, dtype=float)
-    n = im.dim2
 
     def conn(p):
-        return fd_connection(im, p, h=h, richardson=richardson)
+        return fd_connection(metric, p, h=h, richardson=richardson)
 
-    gamma = conn(q)
-    diff = _richardson if richardson else _central
-    dgamma = np.array([diff(conn, q, k, h) for k in range(n)])
-    term = dgamma.transpose(1, 3, 0, 2)
-    quad = np.einsum("hil,ljk->hkij", gamma, gamma)
-    return term - term.transpose(0, 1, 3, 2) + quad - quad.transpose(0, 1, 3, 2)
+    return bg._curvature_from(conn(q), _partials(conn, q, h, richardson))
 
 
 def fd_directional(fun, q, v, h=1e-4, richardson=True):
     """Directional derivative of a scalar- or array-valued function."""
-    v = np.asarray(v, dtype=float)
-
-    def once(step):
-        return (fun(q + step * v) - fun(q - step * v)) / (2 * step)
-
-    if not richardson:
-        return once(h)
-    return (4.0 * once(h / 2) - once(h)) / 3.0
+    q = np.asarray(q, dtype=float)
+    return _derivative(fun, q, np.asarray(v, dtype=float), h, richardson)
 
 
 def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):

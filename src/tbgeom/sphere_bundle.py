@@ -227,12 +227,13 @@ class FiberGraphChart:
     """Graph parametrization of the radius-r bundle near a point.
 
     Solves the fiber constraint for the largest-|g u| component; provides
-    the embedding, its Jacobian, the induced metric and finite-difference
-    Christoffel symbols in graph coordinates theta = (x, v-others).
+    the embedding, its Jacobian and the metric induced by ``ambient`` in
+    graph coordinates theta = (x, v-others).
     """
 
-    def __init__(self, P: tb.TangentPoint):
+    def __init__(self, P: tb.TangentPoint, ambient):
         self.base = P.base
+        self.ambient = ambient
         self.r = P.r
         self.m = P.base.dim
         self.jstar = int(np.argmax(np.abs(P.gu)))
@@ -276,42 +277,26 @@ class FiberGraphChart:
             Jc[m + js, m + col] = -gv[k] / gv[js]
         return Jc
 
-    def induced_matrix(self, theta, ambient):
+    def matrix(self, theta):
         J = self.jacobian(theta)
-        return J.T @ ambient.matrix(self.embed(theta)) @ J
-
-    def christoffel_fd(self, theta, ambient, h=1e-4):
-        n = 2 * self.m - 1
-
-        def gmat(th):
-            return self.induced_matrix(th, ambient)
-
-        Ginv = np.linalg.inv(gmat(theta))
-        dG = np.array([orc._richardson(gmat, theta, k, h) for k in range(n)])
-        core = dG.transpose(0, 1, 2) + dG.transpose(1, 0, 2) - dG.transpose(1, 2, 0)
-        return 0.5 * np.einsum("kl,ijl->kij", Ginv, core)
+        return J.T @ self.ambient.matrix(self.embed(theta)) @ J
 
     def to_theta(self, theta, vec):
         J = self.jacobian(theta)
         sol, *_ = np.linalg.lstsq(J, np.asarray(vec, dtype=float), rcond=None)
         return sol
 
-    def covariant_derivative(self, Ufield, Vfield, ambient, h=1e-4):
+    def covariant_derivative(self, Ufield, Vfield, h=1e-4):
         """nabla_U V at the chart center for tangent fields given in
         ambient coordinates; returns ambient coordinate components."""
         th0 = self.theta0
-        gam = self.christoffel_fd(th0, ambient, h=h)
+        gam = orc.fd_connection(self, th0, h=h)
 
         def vtheta(th):
             return self.to_theta(th, Vfield(self.embed(th)))
 
         U0 = self.to_theta(th0, Ufield(self.embed(th0)))
-        n = len(th0)
-        dV = np.zeros((n, n))
-        for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            dV[k] = (vtheta(th0 + e) - vtheta(th0 - e)) / (2 * h)
+        dV = orc._partials(vtheta, th0, h, richardson=False)
         out_theta = np.einsum("k,kc->c", U0, dV) + np.einsum(
             "kij,i,j->k", gam, U0, vtheta(th0)
         )
@@ -321,8 +306,7 @@ class FiberGraphChart:
 def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
     """Graph-chart finite-difference counterpart of t1_connection."""
     tb.check_base(base, P)
-    chart = FiberGraphChart(P)
-    ambient = orc.InducedMetric(base, w)
+    chart = FiberGraphChart(P, orc.InducedMetric(base, w))
     m = base.dim
 
     def delta_field(k):
@@ -348,13 +332,13 @@ def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
 
     U = delta_field(i) if case[0] == "d" else y_field(i)
     V = delta_field(j) if case[1] == "d" else y_field(j)
-    return chart.covariant_derivative(U, V, ambient, h=h)
+    return chart.covariant_derivative(U, V, h=h)
 
 
 def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
     """Numeric d(eta) on tangent vectors via the graph chart (1/2-convention)."""
-    chart = FiberGraphChart(P)
     w = _weights_for(flavor, weights)
+    chart = FiberGraphChart(P, orc.InducedMetric(P.base, w))
 
     def eta_at(q):
         m = P.base.dim
@@ -366,7 +350,7 @@ def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
         return chart.jacobian(th).T @ eta_at(q)
 
     th0 = chart.theta0
-    deta = np.array([orc._richardson(eta_theta, th0, al, h) for al in range(len(th0))])
+    deta = orc._partials(eta_theta, th0, h, richardson=True)
     dmat = 0.5 * (deta - deta.T)  # dmat[al, be] = 1/2 (d_al eta_be - d_be eta_al)
     out = []
     for (U, V) in vectors:

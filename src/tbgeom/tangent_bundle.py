@@ -289,7 +289,11 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    d = derived_coeffs(w, P.t)
+    return _bundle_curvature(derived_coeffs(w, P.t), P, case, X, Y, Z)
+
+
+def _bundle_curvature(d, P, case, X, Y, Z):
+    # bundle_curvature with the derived coefficients d at P.t already evaluated
     a, ap = d.values.a, d.values.ap
     g, gu, u = P.gx, P.gu, P.u
     R, NR = P.R, P.NR
@@ -358,6 +362,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion."""
     check_base(base, P)
+    d = derived_coeffs(w, P.t)
     out = SplitVector(np.zeros(P.base.dim), np.zeros(P.base.dim), P)
     terms = [
         ("HHH", U.h, V.h, W.h, +1),
@@ -371,7 +376,7 @@ def bundle_curvature_general(w, base, P, U, V, W):
     ]
     for case, X, Y, Z, sign in terms:
         if np.any(X) and np.any(Y) and np.any(Z):
-            out = out + sign * bundle_curvature(w, base, P, case, X, Y, Z)
+            out = out + sign * _bundle_curvature(d, P, case, X, Y, Z)
     return out
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from tbgeom import base_geometry as bg
 from tbgeom import cli
 from tbgeom.suites import Control, SuiteResult
 
@@ -147,6 +148,31 @@ def test_cli_overrides(tmp_path):
     assert rep["config"]["samples"] == 3
     assert rep["config"]["seed"] == 5
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("h", ["0", "5"])
+def test_bad_step_override_exits_2(tmp_path, capsys, h):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(out=str(tmp_path / "report"))))
+    assert cli.main(["verify", "--config", str(cfg_path), "--h", h]) == 2
+    assert "config.h" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_base_checks_evaluate_the_jets_once_per_sample(monkeypatch):
+    calls = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, *args):
+        calls.append(1)
+        return derivatives(self, *args)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
+    doc = base_cfg(base={"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
+                   suites=["base_checks"], samples=4)
+    rep = cli.run(cli.load_config(doc))
+    assert rep["all_passed"]
+    assert len(calls) == 4
 
 
 def test_unknown_report_format_exits_2(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import tbgeom.base_geometry as bg
 import tbgeom.oracle as orc
+import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
 from tbgeom.weights import kahler_family, named_family
 
@@ -226,3 +227,36 @@ def test_lee_covector_solves_lck_identity():
             vs = [rng.standard_normal(4) for _ in range(3)]
             dom = orc.fd_exterior_derivative(om, q, vs)
             assert dom == pytest.approx(orc.wedge_1_2(lee, Om, *vs), abs=1e-9)
+
+
+def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
+    calls = []
+    central = orc._central
+
+    def counted(*args):
+        calls.append(1)
+        return central(*args)
+
+    monkeypatch.setattr(orc, "_central", counted)
+    q = np.array([0.25, -0.1, 0.6, 0.4])
+    U, V, W = np.eye(4)[0], np.eye(4)[3], np.array([0.3, -0.2, 0.5, 0.1])
+
+    def om(qq, va, vb):
+        return float(va @ orc.omega_matrix(SF1, CG, qq) @ vb)
+
+    x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
+    P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
+    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    # (path, central quotients it takes: two per Richardson derivative)
+    paths = {
+        "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), 2 * 2),
+        "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), 3 * 2),
+        "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), 4 * 2),
+        # Richardson connection on the 3-dim graph chart, plain field partials
+        "t1_connection_fd": (lambda: sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1), 3 * 2 + 3),
+        "deta_numeric": (lambda: sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])]), 3 * 2),
+    }
+    for name, (path, n_central) in paths.items():
+        calls.clear()
+        path()
+        assert len(calls) == n_central, name

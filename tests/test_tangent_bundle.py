@@ -378,3 +378,21 @@ def test_scalar_curvature_sasaki_nonconstant_over_sphere():
     assert v1 == pytest.approx(1.9, rel=1e-12)
     assert v2 == pytest.approx(1.0, rel=1e-12)
     assert abs(v1 - v2) >= 0.05
+
+
+def test_general_curvature_evaluates_the_weights_once(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    P = point(base, np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3]))
+    rng = np.random.default_rng(9)
+    U, V, W = (tb.random_split_vector(P, rng) for _ in range(3))
+    expected = tb.bundle_curvature_general(CG, base, P, U, V, W)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return derived_coeffs(*args)
+
+    monkeypatch.setattr(tb, "derived_coeffs", counted)
+    got = tb.bundle_curvature_general(CG, base, P, U, V, W)
+    assert len(calls) == 1
+    assert np.array_equal(got.h, expected.h) and np.array_equal(got.v, expected.v)
