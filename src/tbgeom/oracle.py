@@ -8,7 +8,7 @@ extrapolation step.  This module is the only place that differences on a
 chart: every derivative goes through ``_central``, and the connection and
 curvature of any metric with ``matrix(q)`` (the induced metric, a base
 ``ChartMetric``, the sphere-bundle graph chart) through ``fd_connection``
-and ``fd_curvature``.
+and ``fd_curvature``, which evaluate each distinct stencil point once per call.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -18,6 +18,7 @@ Differential-form conventions (fixed):
 
 from __future__ import annotations
 
+import copy
 import warnings
 
 import numpy as np
@@ -58,8 +59,7 @@ class InducedMetric:
         q = np.asarray(q, dtype=float)
         m = self.base.dim
         x, y = q[:m], q[m:]
-        g = self.base.matrix(x)
-        gamma = bg.christoffel(self.base, x)
+        g, gamma = self._base_at(x)
         gy = np.einsum("kij,j->ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
         vals = self.weights.eval(0.5 * float(y @ g @ y))
         gu = g @ y
@@ -70,6 +70,10 @@ class InducedMetric:
         G[m:, :m] = V @ gy
         G[m:, m:] = V
         return G
+
+    def _base_at(self, x):
+        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric
+        return self.base.matrix(x), bg.christoffel(self.base, x)
 
 
 def lift_matrix(base, x, y):
@@ -169,9 +173,40 @@ def _partials(fun, q, h, richardson):
     return np.array([_derivative(fun, q, e, h, richardson) for e in np.eye(q.size)])
 
 
+def _once(fun):
+    # fun once per distinct point (keyed on its exact bytes); the arrays it returns
+    # are made read-only, so a stray write raises instead of corrupting a later lookup
+    seen = {}
+
+    def once(p):
+        key = p.tobytes()
+        if key not in seen:
+            seen[key] = out = fun(p)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.flags.writeable = False
+        return seen[key]
+
+    return once
+
+
+class _CallView:
+    """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and,
+    for an ``InducedMetric``, (g(x), Gamma(x)) once per distinct x.  Made on entry
+    to ``fd_connection`` / ``fd_curvature``, reused by nested calls, dropped on return."""
+
+    def __init__(self, metric):
+        if isinstance(metric, InducedMetric):
+            local = copy.copy(metric)
+            local._base_at = _once(metric._base_at)  # bound to the caller's metric: no cycle
+            metric = local
+        self.matrix = _once(metric.matrix)
+
+
 def fd_connection(metric, q, h=1e-4, richardson=True):
     """Finite-difference Christoffel symbols of any metric with ``matrix(q)``."""
     q = np.asarray(q, dtype=float)
+    if not isinstance(metric, _CallView):
+        metric = _CallView(metric)
     G = metric.matrix(q)
     cond = np.linalg.cond(G)
     if cond > 1e8:
@@ -183,9 +218,10 @@ def fd_connection(metric, q, h=1e-4, richardson=True):
 def fd_curvature(metric, q, h=1e-4, richardson=True):
     """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing)."""
     q = np.asarray(q, dtype=float)
+    view = _CallView(metric)
 
     def conn(p):
-        return fd_connection(metric, p, h=h, richardson=richardson)
+        return fd_connection(view, p, h=h, richardson=richardson)
 
     return bg._curvature_from(conn(q), _partials(conn, q, h, richardson))
 
@@ -257,10 +293,10 @@ def lift_field(base, X, kind):
     return field
 
 
-def fd_lift_connection(im: InducedMetric, q, Ufield, Vfield, h=1e-4):
-    """nabla_U V for coordinate vector fields, via fd_connection."""
+def fd_lift_connection(gamma, q, Ufield, Vfield, h=1e-4):
+    """nabla_U V for coordinate vector fields, from the Christoffel symbols
+    ``gamma`` at q (for example ``fd_connection(im, q)``)."""
     q = np.asarray(q, dtype=float)
-    gamma = fd_connection(im, q, h=h)
     U0 = Ufield(q)
     dV = fd_directional(Vfield, q, U0, h=h)
     return dV + np.einsum("kij,i,j->k", gamma, U0, Vfield(q))

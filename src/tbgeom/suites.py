@@ -292,10 +292,11 @@ def _suite_connection(ctx, rng, tol):
         P = ctx.sample_point(rng)
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
+        gamma = orc.fd_connection(im, P.q, h=ctx.h)
         for case, ku, kv in [("HH", "H", "H"), ("HV", "H", "V"), ("VH", "V", "H"), ("VV", "V", "V")]:
             closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
             num = orc.fd_lift_connection(
-                im, P.q, orc.lift_field(base, X, ku), orc.lift_field(base, Y, kv), h=ctx.h
+                gamma, P.q, orc.lift_field(base, X, ku), orc.lift_field(base, Y, kv), h=ctx.h
             )
             res.residuals.append(float(np.max(np.abs(closed - num))))
     return res
@@ -518,8 +519,9 @@ def _suite_oracle_cross(ctx, rng, tol):
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         closed = orc.split_to_coord(tb.bundle_connection(w, base, P, "HV", X, Y))
+        gamma = orc.fd_connection(im, P.q, h=ctx.h)
         num = orc.fd_lift_connection(
-            im, P.q, orc.lift_field(base, X, "H"), orc.lift_field(base, Y, "V"), h=ctx.h
+            gamma, P.q, orc.lift_field(base, X, "H"), orc.lift_field(base, Y, "V"), h=ctx.h
         )
         worst["connection"] = max(worst["connection"], float(np.max(np.abs(closed - num))))
         Rhat = orc.fd_curvature(im, P.q, h=ctx.h)

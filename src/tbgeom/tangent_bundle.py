@@ -25,7 +25,6 @@ __all__ = [
     "tangent_point",
     "bundle_metric",
     "almost_complex",
-    "compatibility_residual",
     "kahler_form",
     "lee_form",
     "nijenhuis",
@@ -37,7 +36,6 @@ __all__ = [
     "adapted_basis",
     "scalar_curvature",
     "scalar_curvature_space_form",
-    "scalar_constancy_residual",
     "random_split_vector",
 ]
 
@@ -180,22 +178,6 @@ def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVecto
 def random_split_vector(P, rng, scale=1.0):
     m = P.base.dim
     return SplitVector(scale * rng.standard_normal(m), scale * rng.standard_normal(m), P)
-
-
-def compatibility_residual(w, P, n_pairs=100, rng=None):
-    """max |g_A(JU, JV) - g_A(U, V)| over random pairs."""
-    rng = rng or np.random.default_rng(0)
-    worst = 0.0
-    for _ in range(n_pairs):
-        U = random_split_vector(P, rng)
-        V = random_split_vector(P, rng)
-        JU = almost_complex(w, P, U)
-        JV = almost_complex(w, P, V)
-        worst = max(
-            worst,
-            abs(bundle_metric(w, P, JU, JV) - bundle_metric(w, P, U, V)),
-        )
-    return worst
 
 
 def kahler_form(w, P, U, V):
@@ -460,17 +442,3 @@ def scalar_curvature_space_form(w, c, m, t):
     d = derived_coeffs(w, t)
     a = d.values.a
     return (m - 1) * (m * c - a * t * c * c - (m * d.F2 + 4 * t * d.F3) / a)
-
-
-def scalar_constancy_residual(w, c, m, t, dt=1e-5):
-    """Numeric residual of the constant-scalar-curvature condition.
-
-    Central t-derivative of the space-form scalar curvature; vanishes
-    identically exactly when the weight pair keeps the scalar curvature
-    constant over a curvature-c base.
-    """
-    lo, hi = w.t_domain
-    dt = min(dt, 0.25 * max(t - lo, 1e-12), 0.25 * max(hi - t, 1e-12))
-    up = scalar_curvature_space_form(w, c, m, t + dt)
-    dn = scalar_curvature_space_form(w, c, m, t - dt)
-    return (up - dn) / (2 * dt)

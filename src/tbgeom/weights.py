@@ -38,7 +38,6 @@ __all__ = [
     "kahler_family",
     "integrability_constant",
     "kahler_system_residuals",
-    "flatness_residual",
     "weights_from_spec",
     "FAMILIES",
 ]
@@ -201,12 +200,6 @@ def kahler_system_residuals(pair: WeightPair, t, c):
     r1 = w.b - 2 * w.ap * (w.t * w.ap + w.a) / w.a
     r2 = w.ap - 2 * c * w.a * (2 * w.t * w.ap + w.a)
     return r1, r2
-
-
-def flatness_residual(pair: WeightPair, t):
-    """Residual of the flatness relation t (a')^2 + 2 a a' - 2 a b = 0."""
-    w = pair.eval(t)
-    return w.t * w.ap**2 + 2 * w.a * w.ap - 2 * w.a * w.b
 
 
 def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None,

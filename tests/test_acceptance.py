@@ -205,7 +205,10 @@ def test_criterion_06_connection_curvature_oracle():
         case = ["HH", "HV", "VH", "VV"][rng.integers(4)]
         closed = orc.split_to_coord(tb.bundle_connection(CG, base, P, case, X, Y))
         num = orc.fd_lift_connection(
-            im, q, orc.lift_field(base, X, case[0]), orc.lift_field(base, Y, case[1])
+            orc.fd_connection(im, q),
+            q,
+            orc.lift_field(base, X, case[0]),
+            orc.lift_field(base, Y, case[1]),
         )
         worst_conn = max(worst_conn, float(np.max(np.abs(closed - num))))
         Rhat = orc.fd_curvature(im, q)

@@ -8,6 +8,7 @@ import tbgeom.base_geometry as bg
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
+from tbgeom.suites import SuiteContext, run_suite
 from tbgeom.weights import kahler_family, named_family
 
 SAS = named_family("sasaki")
@@ -77,9 +78,7 @@ def test_fd_connection_symmetry_and_closed_form_agreement():
     P = tb.tangent_point(SF1, q[:2], q[2:])
     X, Y = rng.standard_normal(2), rng.standard_normal(2)
     closed = orc.split_to_coord(tb.bundle_connection(CG, SF1, P, "HH", X, Y))
-    num = orc.fd_lift_connection(
-        im, q, orc.lift_field(SF1, X, "H"), orc.lift_field(SF1, Y, "H")
-    )
+    num = orc.fd_lift_connection(gam, q, orc.lift_field(SF1, X, "H"), orc.lift_field(SF1, Y, "H"))
     assert np.max(np.abs(closed - num)) <= 1e-5
 
 
@@ -260,3 +259,79 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
         calls.clear()
         path()
         assert len(calls) == n_central, name
+
+
+# the probe points of the benchmark's per-layer counts (bench/child.py)
+PROBES = {2: ([0.1, -0.2], [0.7, 0.4]), 3: ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])}
+
+
+@pytest.mark.parametrize("m,christoffels,matrices", [(2, 37, 133), (3, 77, 293)])
+def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christoffels, matrices):
+    # the plain nested stencil makes (2m * 4 + 1)^2 evaluations of each: 289 at
+    # m = 2, 625 at m = 3; only the distinct points q and base points x remain
+    calls = {"christoffel": 0, "matrix": 0}
+    christoffel, matrix = bg.christoffel, orc.InducedMetric.matrix
+
+    def counted_christoffel(*args):
+        calls["christoffel"] += 1
+        return christoffel(*args)
+
+    def counted_matrix(self, q):
+        calls["matrix"] += 1
+        return matrix(self, q)
+
+    monkeypatch.setattr(bg, "christoffel", counted_christoffel)
+    monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
+    x, u = PROBES[m]
+    im = orc.InducedMetric(bg.SpaceForm(1.0, m), CG)
+    orc.fd_curvature(im, np.array(x + u))
+    first = dict(calls)
+    assert first["christoffel"] <= christoffels and first["matrix"] <= matrices
+    # a second identical call counts the same: nothing outlives a call
+    calls.update(christoffel=0, matrix=0)
+    orc.fd_curvature(im, np.array(x + u))
+    assert calls == first
+    assert sorted(vars(im)) == ["base", "weights"]
+
+
+def _plain_fd_curvature(im, q, h=1e-4):
+    # the nested stencil with no memo: every point evaluated where it is used
+    def conn(p):
+        return bg._levi_civita(np.linalg.inv(im.matrix(p)), orc._partials(im.matrix, p, h, True))
+
+    return bg._curvature_from(conn(q), orc._partials(conn, q, h, True))
+
+
+@pytest.mark.parametrize("base,w,q", [
+    (bg.euclidean(3), named_family("g1"), [0.2, -0.1, 0.3, 0.9, -0.4, 0.6]),
+    (SF1, CG, [0.15, -0.2, 0.5, 0.6]),
+])
+def test_fd_curvature_is_bit_identical_to_the_uncached_stencil(base, w, q):
+    im = orc.InducedMetric(base, w)
+    q = np.array(q)
+    assert np.array_equal(orc.fd_curvature(im, q), _plain_fd_curvature(im, q))
+
+
+def test_call_view_hands_out_read_only_arrays():
+    view = orc._CallView(orc.InducedMetric(SF1, CG))
+    q = np.array([0.15, -0.2, 0.5, 0.6])
+    G = view.matrix(q)
+    assert view.matrix(q.copy()) is G
+    with pytest.raises(ValueError):
+        G[0, 0] = 0.0
+
+
+def test_connection_suite_makes_one_fd_connection_call_per_sample(monkeypatch):
+    calls = []
+    fd_connection = orc.fd_connection
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fd_connection(*args, **kwargs)
+
+    monkeypatch.setattr(orc, "fd_connection", counted)
+    ctx = SuiteContext(base=SF1, weights=CG, samples=3, seed=0, h=1e-4,
+                       chart_box=np.tile([-0.4, 0.4], (2, 1)), fiber_range=(0.3, 1.5))
+    res = run_suite("connection", ctx)
+    assert res.error is None and res.passed
+    assert len(calls) == ctx.samples
