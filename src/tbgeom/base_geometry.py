@@ -47,13 +47,6 @@ class DegeneratePlaneError(GeometryError):
     pass
 
 
-def _entry_jet_parts(entry, n):
-    if isinstance(entry, Jet):
-        return entry.v, entry.d1, entry.d2, entry.d3
-    z1 = np.zeros(n)
-    return float(entry), z1, np.zeros((n, n)), np.zeros((n, n, n))
-
-
 class ChartMetric:
     """Metric components g_ij on a single chart of an m-manifold.
 
@@ -84,23 +77,22 @@ class ChartMetric:
         )
         return g
 
-    def derivatives(self, x):
-        """Return (g, dg, d2g, d3g) with dg[l, i, j] = d_l g_ij, and so on."""
+    def derivatives(self, x, order=3):
+        """The first ``order + 1`` of (g, dg, d2g, d3g), with dg[l, i, j] = d_l g_ij
+        and so on: (g, dg) at order 1, all four at order 3."""
         x = self.check_domain(x)
         m = self.dim
-        rows = self.components(Jet.seed(x))
-        g = np.zeros((m, m))
-        dg = np.zeros((m, m, m))
-        d2g = np.zeros((m, m, m, m))
-        d3g = np.zeros((m, m, m, m, m))
+        rows = self.components(Jet.seed(x, order))
+        out = tuple(np.zeros((m,) * (k + 2)) for k in range(order + 1))
         for i in range(m):
             for j in range(m):
-                v, d1, d2, d3 = _entry_jet_parts(rows[i][j], m)
-                g[i, j] = v
-                dg[:, i, j] = d1
-                d2g[:, :, i, j] = d2
-                d3g[:, :, :, i, j] = d3
-        return g, dg, d2g, d3g
+                e = rows[i][j]
+                if isinstance(e, Jet):
+                    for arr, part in zip(out, (e.v, e.d1, e.d2, e.d3)):
+                        arr[..., i, j] = part
+                else:
+                    out[0][i, j] = float(e)
+        return out
 
     def validate_at(self, x):
         g = self.matrix(x)
@@ -204,8 +196,8 @@ def _levi_civita(ginv, dg):
 
 
 def christoffel(metric, x):
-    """Levi-Civita symbols of ``metric`` at x from its analytic first derivatives."""
-    g, dg, _, _ = metric.derivatives(x)
+    """Levi-Civita symbols of ``metric`` at x from its first-order jets."""
+    g, dg = metric.derivatives(x, 1)
     return _levi_civita(_inverse(g, x), dg)
 
 
@@ -216,7 +208,7 @@ def base_jets(metric, x):
     ``nabla_curvature``.  Gamma, dGamma[p, k, i, j] = d_p Gamma^k_ij and
     d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).
     """
-    g, dg, d2g, d3g = metric.derivatives(x)
+    g, dg, d2g, d3g = metric.derivatives(x, 3)
     ginv = _inverse(g, x)
     gamma = _levi_civita(ginv, dg)
     # core and its first two derivatives d_p core, d_p d_q core

@@ -4,8 +4,10 @@ A jet carries the value of a scalar expression together with its
 derivatives up to order three, so one evaluation on seeded jets yields
 every derivative needed downstream, exactly.  ``Taylor`` (one variable,
 four floats) serves the weights a(t), b(t); ``Jet`` (n variables, numpy
-arrays) serves the base metric components.  They share ``-``, ``/``,
-``reciprocal`` and ``**`` and differ in ``+``, ``*``, negation and ``compose``.
+arrays) serves the base metric components, truncated at the order its
+caller reads: 1 for g and its first derivatives, 3 for the curvature and
+its covariant derivative.  They share ``-``, ``/``, ``reciprocal`` and
+``**`` and differ in ``+``, ``*``, negation and ``compose``.
 """
 
 from __future__ import annotations
@@ -118,52 +120,84 @@ def _sym_gh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 class Jet(Series):
-    """Value plus partial derivatives of orders 1..3 in ``n`` variables."""
+    """Value plus partial derivatives in ``n`` variables, truncated at order 1 or 3.
+
+    The order is fixed when the point is seeded.  An order-1 jet carries only
+    ``v`` and ``d1`` (``d2 = d3 = None``), and arithmetic keeps its operands'
+    order, so callers that read only first derivatives build nothing else.
+    """
 
     __slots__ = ("n", "v", "d1", "d2", "d3")
 
-    def __init__(self, n, v, d1=None, d2=None, d3=None):
+    def __init__(self, n, v, d1, d2=None, d3=None):
         self.n = n
         self.v = float(v)
-        self.d1 = np.zeros(n) if d1 is None else d1
-        self.d2 = np.zeros((n, n)) if d2 is None else d2
-        self.d3 = np.zeros((n, n, n)) if d3 is None else d3
+        self.d1, self.d2, self.d3 = d1, d2, d3
+
+    @property
+    def order(self):
+        return 1 if self.d2 is None else 3
 
     @classmethod
-    def var(cls, value, index, n):
-        d1 = np.zeros(n)
-        d1[index] = 1.0
-        return cls(n, value, d1)
-
-    @classmethod
-    def seed(cls, x):
+    def seed(cls, x, order=3):
         """Seed a chart point: one independent variable per component."""
+        if order not in (1, 3):
+            raise ValueError(f"jet order must be 1 or 3, got {order!r}")
         x = np.asarray(x, dtype=float)
-        return [cls.var(xi, i, x.size) for i, xi in enumerate(x)]
+        n = x.size
+        jets = []
+        for i, xi in enumerate(x):
+            d1 = np.zeros(n)
+            d1[i] = 1.0
+            high = (np.zeros((n, n)), np.zeros((n, n, n))) if order == 3 else ()
+            jets.append(cls(n, xi, d1, *high))
+        return jets
+
+    def _operand(self, other):
+        # the other jet of a binary operation, which must be of this jet's order
+        if (other.d2 is None) != (self.d2 is None):
+            raise ValueError(f"cannot combine jets of orders {self.order} and {other.order}")
+        return other
 
     def __add__(self, other):
-        o = other if isinstance(other, Jet) else Jet(self.n, float(other))
-        return Jet(self.n, self.v + o.v, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
+        if isinstance(other, Jet):
+            o = self._operand(other)
+            v, d1, d2, d3 = o.v, o.d1, o.d2, o.d3
+        else:
+            # a constant adds +0.0 to every derivative, turning -0.0 into +0.0
+            v, d1, d2, d3 = float(other), 0.0, 0.0, 0.0
+        if self.d2 is None:
+            return Jet(self.n, self.v + v, self.d1 + d1)
+        return Jet(self.n, self.v + v, self.d1 + d1, self.d2 + d2, self.d3 + d3)
 
     __radd__ = __add__
 
     def __neg__(self):
+        if self.d2 is None:
+            return Jet(self.n, -self.v, -self.d1)
         return Jet(self.n, -self.v, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = float(other)
+            if self.d2 is None:
+                return Jet(self.n, c * self.v, c * self.d1)
             return Jet(self.n, c * self.v, c * self.d1, c * self.d2, c * self.d3)
-        a, b = self, other
+        a, b = self, self._operand(other)
+        d1 = a.v * b.d1 + b.v * a.d1
+        if a.d2 is None:
+            return Jet(self.n, a.v * b.v, d1)
         d2 = a.v * b.d2 + b.v * a.d2 + np.outer(a.d1, b.d1) + np.outer(b.d1, a.d1)
         d3 = a.v * b.d3 + b.v * a.d3 + _sym_gh(b.d1, a.d2) + _sym_gh(a.d1, b.d2)
-        return Jet(self.n, a.v * b.v, a.v * b.d1 + b.v * a.d1, d2, d3)
+        return Jet(self.n, a.v * b.v, d1, d2, d3)
 
     __rmul__ = __mul__
 
     def compose(self, f0, f1, f2, f3):
         """Chain rule for a scalar map f applied to this jet."""
         g, h, c = self.d1, self.d2, self.d3
+        if h is None:
+            return Jet(self.n, f0, f1 * g)
         d3 = f3 * np.einsum("i,j,k->ijk", g, g, g) + f2 * _sym_gh(g, h) + f1 * c
         return Jet(self.n, f0, f1 * g, f2 * np.outer(g, g) + f1 * h, d3)
 

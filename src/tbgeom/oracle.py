@@ -72,8 +72,10 @@ class InducedMetric:
         return G
 
     def _base_at(self, x):
-        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric
-        return self.base.matrix(x), bg.christoffel(self.base, x)
+        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric,
+        # from one first-order jet evaluation
+        g, dg = self.base.derivatives(x, 1)
+        return g, bg._levi_civita(bg._inverse(g, x), dg)
 
 
 def lift_matrix(base, x, y):

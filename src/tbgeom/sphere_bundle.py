@@ -260,10 +260,11 @@ class FiberGraphChart:
         return np.concatenate([x, v])
 
     def jacobian(self, theta):
+        """(q, J): the embedded point q and the Jacobian dq/dtheta at theta."""
         m, js = self.m, self.jstar
         q = self.embed(theta)
         x, v = q[:m], q[m:]
-        g, dg, _, _ = self.base.derivatives(x)
+        g, dg = self.base.derivatives(x, 1)
         gv = g @ v
         rest = np.delete(np.arange(m), js)
         Jc = np.zeros((2 * m, 2 * m - 1))
@@ -275,16 +276,11 @@ class FiberGraphChart:
         for col, k in enumerate(rest):
             Jc[m + k, m + col] = 1.0
             Jc[m + js, m + col] = -gv[k] / gv[js]
-        return Jc
+        return q, Jc
 
     def matrix(self, theta):
-        J = self.jacobian(theta)
-        return J.T @ self.ambient.matrix(self.embed(theta)) @ J
-
-    def to_theta(self, theta, vec):
-        J = self.jacobian(theta)
-        sol, *_ = np.linalg.lstsq(J, np.asarray(vec, dtype=float), rcond=None)
-        return sol
+        q, J = self.jacobian(theta)
+        return J.T @ self.ambient.matrix(q) @ J
 
     def covariant_derivative(self, Ufield, Vfield, h=1e-4):
         """nabla_U V at the chart center for tangent fields given in
@@ -293,14 +289,22 @@ class FiberGraphChart:
         gam = orc.fd_connection(self, th0, h=h)
 
         def vtheta(th):
-            return self.to_theta(th, Vfield(self.embed(th)))
+            q, J = self.jacobian(th)
+            return _to_theta(J, Vfield(q))
 
-        U0 = self.to_theta(th0, Ufield(self.embed(th0)))
+        q0, J0 = self.jacobian(th0)
+        U0 = _to_theta(J0, Ufield(q0))
         dV = orc._partials(vtheta, th0, h, richardson=False)
         out_theta = np.einsum("k,kc->c", U0, dV) + np.einsum(
-            "kij,i,j->k", gam, U0, vtheta(th0)
+            "kij,i,j->k", gam, U0, _to_theta(J0, Vfield(q0))
         )
-        return self.jacobian(th0) @ out_theta
+        return J0 @ out_theta
+
+
+def _to_theta(J, vec):
+    # graph-chart components of an ambient tangent vector, given the chart's Jacobian
+    sol, *_ = np.linalg.lstsq(J, np.asarray(vec, dtype=float), rcond=None)
+    return sol
 
 
 def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
@@ -346,17 +350,16 @@ def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
         return contact_structure(Pq, flavor, w, rescaled=rescaled).eta
 
     def eta_theta(th):
-        q = chart.embed(th)
-        return chart.jacobian(th).T @ eta_at(q)
+        q, J = chart.jacobian(th)
+        return J.T @ eta_at(q)
 
     th0 = chart.theta0
     deta = orc._partials(eta_theta, th0, h, richardson=True)
     dmat = 0.5 * (deta - deta.T)  # dmat[al, be] = 1/2 (d_al eta_be - d_be eta_al)
+    _, J0 = chart.jacobian(th0)
     out = []
     for (U, V) in vectors:
-        Ut = chart.to_theta(th0, U)
-        Vt = chart.to_theta(th0, V)
-        out.append(float(Ut @ dmat @ Vt))
+        out.append(float(_to_theta(J0, U) @ dmat @ _to_theta(J0, V)))
     return np.array(out)
 
 

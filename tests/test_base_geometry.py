@@ -146,6 +146,36 @@ def test_curvature_matches_pure_central_differences():
     assert np.max(np.abs(diff)) <= 1e-6
 
 
+DIAG_POLY3 = bg.diagonal_polynomial(
+    3,
+    [
+        [{"c": 1.0, "powers": [0, 0, 0]}, {"c": 0.5, "powers": [0, 2, 0]}],
+        [{"c": 2.0, "powers": [0, 0, 0]}, {"c": -0.3, "powers": [1, 0, 1]}],
+        [{"c": 1.0, "powers": [0, 0, 0]}, {"c": 0.2, "powers": [3, 1, 0]}],
+    ],
+)
+ORDER_METRICS = [bg.SpaceForm(c, m) for c in (1.0, 0.0, -1.0) for m in (2, 3)] + [DIAG_POLY3]
+
+
+@pytest.mark.parametrize("metric", ORDER_METRICS, ids=lambda mt: f"{mt.name}-{mt.dim}")
+def test_first_order_derivatives_are_the_leading_arrays(metric):
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        x = rng.uniform(-0.6, 0.6, metric.dim)
+        low, full = metric.derivatives(x, 1), metric.derivatives(x)
+        assert len(low) == 2 and len(full) == 4
+        for a, b in zip(low, full):
+            assert a.tobytes() == b.tobytes()
+        # g from the jets is the plain evaluation, bit for bit
+        assert low[0].tobytes() == metric.matrix(x).tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 2, 4])
+def test_derivatives_reject_other_orders(order):
+    with pytest.raises(ValueError, match="order must be 1 or 3"):
+        bg.SpaceForm(1.0, 2).derivatives([0.1, 0.2], order)
+
+
 def test_chart_domain_violation_is_hard_error():
     sf = bg.SpaceForm(-4.0, 2)  # domain |x|^2 < 1
     with pytest.raises(bg.ChartDomainError):

@@ -74,3 +74,61 @@ def test_jet_derivative_is_jet_evaluable():
     assert math.isnan(ap.d3)
     # it takes part in further jet arithmetic: (a'^2)' = 2 a' a''
     assert (ap * ap).d1 == pytest.approx(2 * ap.v * ap.d1)
+
+
+def _bits(j):
+    # value and first derivatives as raw bytes, so -0.0 and +0.0 differ
+    return np.float64(j.v).tobytes(), j.d1.tobytes()
+
+
+FIRST_ORDER_OPS = {
+    "add_const": lambda x, y: x + 2.5,
+    "radd_const": lambda x, y: 2.5 + x,
+    "sub_const": lambda x, y: x - 2.5,
+    "rsub_const": lambda x, y: 2.5 - x,
+    "add_jet": lambda x, y: x + y,
+    "sub_jet": lambda x, y: x - y,
+    "neg": lambda x, y: -x,
+    # the constant turns the -0.0 partial of -x into +0.0
+    "neg_add_const": lambda x, y: -x + 1.0,
+    "mul_scalar": lambda x, y: 3.0 * x,
+    "rmul_scalar": lambda x, y: x * -0.5,
+    "mul_jet": lambda x, y: x * y,
+    "div_jet": lambda x, y: x / y,
+    "div_const": lambda x, y: x / 3.0,
+    "rdiv_const": lambda x, y: 2.0 / x,
+    "reciprocal": lambda x, y: (x * y).reciprocal(),
+    "pow_int": lambda x, y: (x + y) ** 3,
+    "pow_neg_int": lambda x, y: (x - y) ** -2,
+    "pow_float": lambda x, y: (x * y) ** 1.5,
+    "sqrt": lambda x, y: sqrt(x * x + y),
+    "exp": lambda x, y: exp(x - y),
+    "log": lambda x, y: log(x + y * y),
+    "space_form": lambda x, y: 1.0 / ((1.0 + 0.25 * x * x + 0.25 * y * y) ** 2),
+}
+
+
+@pytest.mark.parametrize("op", FIRST_ORDER_OPS.values(), ids=FIRST_ORDER_OPS.keys())
+def test_first_order_jets_match_the_leading_orders_bit_for_bit(op):
+    p = [0.7, 1.3]
+    low, full = op(*Jet.seed(p, 1)), op(*Jet.seed(p, 3))
+    assert (low.order, low.d2, low.d3) == (1, None, None)
+    assert full.order == 3 and full.d3.shape == (2, 2, 2)
+    assert _bits(low) == _bits(full)
+
+
+def test_first_order_constant_sum_has_no_negative_zero():
+    x, _ = Jet.seed([0.7, 1.3], 1)
+    assert np.signbit((-x).d1[1]) and not np.signbit((-x + 1.0).d1[1])
+
+
+def test_jets_of_different_orders_do_not_combine():
+    a, b = Jet.seed([0.5], 1)[0], Jet.seed([0.5], 3)[0]
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t, lambda s, t: s / t):
+        with pytest.raises(ValueError, match="orders 1 and 3"):
+            op(a, b)
+        with pytest.raises(ValueError, match="orders 3 and 1"):
+            op(b, a)
+    for order in (0, 2, 4):
+        with pytest.raises(ValueError, match="order must be 1 or 3"):
+            Jet.seed([0.5], order)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tbgeom.base_geometry as bg
+import tbgeom.jets as jets
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
@@ -269,8 +270,9 @@ PROBES = {2: ([0.1, -0.2], [0.7, 0.4]), 3: ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
 def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christoffels, matrices):
     # the plain nested stencil makes (2m * 4 + 1)^2 evaluations of each: 289 at
     # m = 2, 625 at m = 3; only the distinct points q and base points x remain
-    calls = {"christoffel": 0, "matrix": 0}
+    calls = {"christoffel": 0, "matrix": 0, "jets": 0}
     christoffel, matrix = bg.christoffel, orc.InducedMetric.matrix
+    derivatives = bg.ChartMetric.derivatives
 
     def counted_christoffel(*args):
         calls["christoffel"] += 1
@@ -280,18 +282,48 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
         calls["matrix"] += 1
         return matrix(self, q)
 
+    def counted_derivatives(self, *args):
+        calls["jets"] += 1
+        return derivatives(self, *args)
+
     monkeypatch.setattr(bg, "christoffel", counted_christoffel)
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted_derivatives)
     x, u = PROBES[m]
     im = orc.InducedMetric(bg.SpaceForm(1.0, m), CG)
     orc.fd_curvature(im, np.array(x + u))
     first = dict(calls)
     assert first["christoffel"] <= christoffels and first["matrix"] <= matrices
+    # one jet evaluation per distinct base point, whether or not through christoffel
+    assert first["jets"] <= christoffels
     # a second identical call counts the same: nothing outlives a call
-    calls.update(christoffel=0, matrix=0)
+    calls.update(christoffel=0, matrix=0, jets=0)
     orc.fd_curvature(im, np.array(x + u))
     assert calls == first
     assert sorted(vars(im)) == ["base", "weights"]
+
+
+def test_first_order_readers_build_no_higher_jets(monkeypatch):
+    # christoffel, the graph chart's Jacobian and the oracle's base points
+    # read only g and dg, so they never form a third-order jet product
+    calls = []
+    sym_gh = jets._sym_gh
+
+    def counted(*args):
+        calls.append(1)
+        return sym_gh(*args)
+
+    monkeypatch.setattr(jets, "_sym_gh", counted)
+    base = bg.SpaceForm(1.0, 3)
+    x, u = (np.array(v) for v in PROBES[3])
+    bg.christoffel(base, x)
+    chart = sb.FiberGraphChart(tb.tangent_point(base, x, u), orc.InducedMetric(base, CG))
+    chart.jacobian(chart.theta0)
+    orc.fd_curvature(orc.InducedMetric(base, CG), np.concatenate([x, u]))
+    assert calls == []
+    # the counter sees the third-order jets that curvature needs
+    bg.curvature(base, x)
+    assert calls
 
 
 def _plain_fd_curvature(im, q, h=1e-4):

@@ -162,6 +162,37 @@ def test_unrescaled_deta_display():
     assert abs(vals[-1]) <= 1e-8
 
 
+def test_graph_chart_embeds_each_point_once(monkeypatch):
+    calls = {"embed": 0, "jacobian": 0}
+    embed, jacobian = sb.FiberGraphChart.embed, sb.FiberGraphChart.jacobian
+
+    def counted_embed(self, theta):
+        calls["embed"] += 1
+        return embed(self, theta)
+
+    def counted_jacobian(self, theta):
+        calls["jacobian"] += 1
+        return jacobian(self, theta)
+
+    monkeypatch.setattr(sb.FiberGraphChart, "embed", counted_embed)
+    monkeypatch.setattr(sb.FiberGraphChart, "jacobian", counted_jacobian)
+    P = unit_point(SF1, np.array([0.2, -0.1]), np.array([0.8, 0.45]))
+    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    seen = []
+    for pairs in ([(deltas[0], Ys[1])], [(deltas[0], Ys[1]), (deltas[1], Ys[0]), (Ys[0], Ys[1])]):
+        calls.update(embed=0, jacobian=0)
+        vals = sb.deta_numeric(P, "ga_unit", CG, pairs)
+        seen.append((dict(calls), vals[0]))
+    # one embedding per Jacobian, and J(theta0) once however many vectors
+    assert seen[0][0]["embed"] == seen[0][0]["jacobian"]
+    assert seen[0][0] == seen[1][0]
+    assert seen[0][1] == seen[1][1]
+    # the graph-chart connection embeds each point once too
+    calls.update(embed=0, jacobian=0)
+    sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1)
+    assert 0 < calls["embed"] == calls["jacobian"]
+
+
 def test_rescaled_contact_metric_condition():
     rng = np.random.default_rng(4)
     for flavor, w, r in [("sasaki_r", None, 1.6), ("ga_unit", CG, 1.0)]:
