@@ -197,8 +197,13 @@ def _levi_civita(ginv, dg):
 
 def christoffel(metric, x):
     """Levi-Civita symbols of ``metric`` at x from its first-order jets."""
+    return _metric_and_christoffel(metric, x)[1]
+
+
+def _metric_and_christoffel(metric, x):
+    # (g(x), Gamma(x)) from one first-order jet evaluation
     g, dg = metric.derivatives(x, 1)
-    return _levi_civita(_inverse(g, x), dg)
+    return g, _levi_civita(_inverse(g, x), dg)
 
 
 def base_jets(metric, x):

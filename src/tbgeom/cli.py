@@ -18,9 +18,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .base_geometry import GeometryError, metric_from_spec
+from .base_geometry import metric_from_spec
 from .suites import SUITE_ORDER, SUITES, SuiteContext, run_suite
-from .weights import WeightDomainError, weights_from_spec
+from .weights import weights_from_spec
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "run", "list_suites", "main"]
 
@@ -74,19 +74,27 @@ def load_config(doc) -> RunConfig:
             raise ConfigError(
                 f"config.suites: unknown suite {s!r}; known: {', '.join(SUITE_ORDER)}"
             )
-    samples = int(doc.get("samples", 20))
+    samples = _convert(doc, "samples", 20, int)
     if samples < 1:
         raise ConfigError("config.samples: must be >= 1")
-    seed = int(doc.get("seed", 0))
-    h = float(doc.get("h", 1e-4))
+    seed = _convert(doc, "seed", 0, int)
+    h = _convert(doc, "h", 1e-4, float)
     if not (0 < h < 1):
         raise ConfigError("config.h: must lie in (0, 1)")
     tolerances = doc.get("tolerances", {})
-    for name in tolerances:
+    if not isinstance(tolerances, dict):
+        raise ConfigError("config.tolerances: expected an object")
+    for name, tol in tolerances.items():
         if name not in SUITES:
             raise ConfigError(f"config.tolerances.{name}: unknown suite")
-    fiber_range = tuple(doc.get("fiber_range", (0.3, 1.5)))
-    if len(fiber_range) != 2 or fiber_range[0] <= 0 or fiber_range[0] >= fiber_range[1]:
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
+            raise ConfigError(f"config.tolerances.{name}: expected a number, got {tol!r}")
+    try:
+        fiber_range = tuple(doc.get("fiber_range", (0.3, 1.5)))
+        valid = len(fiber_range) == 2 and 0 < fiber_range[0] < fiber_range[1]
+    except TypeError:
+        valid = False
+    if not valid:
         raise ConfigError("config.fiber_range: expected 0 < lo < hi")
     fmt = doc.get("format", "both")
     if fmt not in FORMATS:
@@ -106,17 +114,29 @@ def load_config(doc) -> RunConfig:
     )
 
 
+def _convert(doc, name, default, kind):
+    # doc[name] (or the default) as a number of the given kind, else ConfigError
+    try:
+        return kind(doc.get(name, default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config.{name}: {exc}") from exc
+
+
 def _build_context(cfg: RunConfig) -> SuiteContext:
+    # GeometryError and WeightDomainError are ValueErrors, as are bad numbers in a spec
     try:
         base = metric_from_spec(cfg.base)
-    except (GeometryError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"config.base: {exc}") from exc
     try:
         weights = weights_from_spec(cfg.weights)
-    except (WeightDomainError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"config.weights: {exc}") from exc
     if cfg.chart_box is not None:
-        box = np.asarray(cfg.chart_box, dtype=float)
+        try:
+            box = np.asarray(cfg.chart_box, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config.chart_box: {exc}") from exc
         if box.shape != (base.dim, 2):
             raise ConfigError(f"config.chart_box: expected shape ({base.dim}, 2)")
     else:

@@ -29,7 +29,6 @@ from .weights import WeightPair, derived_coeffs
 __all__ = [
     "InducedMetric",
     "split_to_coord",
-    "lift_matrix",
     "j_matrix",
     "omega_matrix",
     "lee_covector",
@@ -60,28 +59,30 @@ class InducedMetric:
         m = self.base.dim
         x, y = q[:m], q[m:]
         g, gamma = self._base_at(x)
-        gy = np.einsum("kij,j->ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
-        vals = self.weights.eval(0.5 * float(y @ g @ y))
-        gu = g @ y
-        V = vals.a * g + vals.b * np.outer(gu, gu)
-        G = np.zeros((2 * m, 2 * m))
-        G[:m, :m] = g + gy.T @ V @ gy
-        G[:m, m:] = gy.T @ V
-        G[m:, :m] = V @ gy
-        G[m:, m:] = V
-        return G
+        return _metric_matrix(g, gamma, y, self.weights.eval(0.5 * float(y @ g @ y)))
 
     def _base_at(self, x):
-        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric,
-        # from one first-order jet evaluation
-        g, dg = self.base.derivatives(x, 1)
-        return g, bg._levi_civita(bg._inverse(g, x), dg)
+        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric
+        return bg._metric_and_christoffel(self.base, x)
 
 
-def lift_matrix(base, x, y):
-    """Frame change M with columns = coordinate components of (delta_i, d/dy^i)."""
-    m = base.dim
-    gamma = bg.christoffel(base, x)
+def _metric_matrix(g, gamma, y, vals):
+    # components at (x, y) from g(x), Gamma(x) and the weight values at t = g(y, y)/2
+    m = len(y)
+    gy = np.einsum("kij,j->ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
+    gu = g @ y
+    V = vals.a * g + vals.b * np.outer(gu, gu)
+    G = np.zeros((2 * m, 2 * m))
+    G[:m, :m] = g + gy.T @ V @ gy
+    G[:m, m:] = gy.T @ V
+    G[m:, :m] = V @ gy
+    G[m:, m:] = V
+    return G
+
+
+def _frame(gamma, y):
+    # frame change M, columns = coordinate components of (delta_i, d/dy^i), and M^-1
+    m = len(y)
     gy = np.einsum("kij,j->ki", gamma, y)
     M = np.eye(2 * m)
     M[m:, :m] = -gy
@@ -93,35 +94,41 @@ def lift_matrix(base, x, y):
 def split_to_coord(U):
     """Coordinate components of a split vector."""
     P = U.at
-    M, _ = lift_matrix(P.base, P.x, P.u)
+    M, _ = _frame(P.gamma, P.u)
     return M @ np.concatenate([U.h, U.v])
 
 
 def _chart_point(base, w, q):
-    # x, y, g(x), g y and the derived coefficients at q = (x, y)
+    # y, g(x), Gamma(x), g y and the derived coefficients at q = (x, y); the base
+    # metric is evaluated once, as first-order jets
     q = np.asarray(q, dtype=float)
     x, y = q[: base.dim], q[base.dim :]
-    g = base.matrix(x)
-    return x, y, g, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
+    g, gamma = bg._metric_and_christoffel(base, x)
+    return y, g, gamma, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
 
 
 def j_matrix(base, w, q):
     """Coordinate matrix of the almost complex structure at q = (x, y)."""
-    x, y, _, gu, d = _chart_point(base, w, q)
+    y, _, gamma, gu, d = _chart_point(base, w, q)
+    return _j_matrix(y, gamma, gu, d)
+
+
+def _j_matrix(y, gamma, gu, d):
+    # j_matrix from the data of one chart point
     sa = np.sqrt(d.values.a)
-    m = base.dim
+    m = len(y)
     JHV = np.eye(m) / sa - d.A_coef * np.outer(y, gu)
     JVH = -sa * np.eye(m) + d.B_coef * np.outer(y, gu)
     Jad = np.zeros((2 * m, 2 * m))
     Jad[m:, :m] = JHV
     Jad[:m, m:] = JVH
-    M, Minv = lift_matrix(base, x, y)
+    M, Minv = _frame(gamma, y)
     return M @ Jad @ Minv
 
 
 def omega_matrix(base, w, q):
     """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b)."""
-    x, y, g, gu, d = _chart_point(base, w, q)
+    y, g, gamma, gu, d = _chart_point(base, w, q)
     sa = np.sqrt(d.values.a)
     m = base.dim
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
@@ -130,16 +137,16 @@ def omega_matrix(base, w, q):
     Om = np.zeros((2 * m, 2 * m))
     Om[:m, m:] = OmHV
     Om[m:, :m] = -OmHV.T
-    _, Minv = lift_matrix(base, x, y)
+    _, Minv = _frame(gamma, y)
     return Minv.T @ Om @ Minv
 
 
 def lee_covector(base, w, q):
     """Coordinate components of the Lee form at q."""
-    x, y, _, gu, d = _chart_point(base, w, q)
+    y, _, gamma, gu, d = _chart_point(base, w, q)
     m = base.dim
     om_ad = np.concatenate([np.zeros(m), d.lee_coef * gu])
-    _, Minv = lift_matrix(base, x, y)
+    _, Minv = _frame(gamma, y)
     return Minv.T @ om_ad
 
 

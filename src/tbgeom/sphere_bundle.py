@@ -11,7 +11,7 @@ are test targets, not the implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,8 +105,11 @@ def induced_metric(P, flavor, weights=None):
 
 
 def unit_normal(P, flavor, weights=None):
-    w = _weights_for(flavor, weights)
-    vals = w.eval(P.t)
+    return _unit_normal(P, _weights_for(flavor, weights).eval(P.t))
+
+
+def _unit_normal(P, vals):
+    # unit_normal from the weight values at P.t
     norm2 = vals.a * P.r**2 + vals.b * P.r**4
     return np.concatenate([np.zeros(P.base.dim), P.u]) / np.sqrt(norm2)
 
@@ -140,14 +143,17 @@ def contact_structure(P, flavor, weights=None, rescaled=False, epsilon=None):
     w = _weights_for(flavor, weights)
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
-    G = orc.InducedMetric(P.base, w).matrix(P.q)
-    J = orc.j_matrix(P.base, w, P.q)
-    N = unit_normal(P, flavor, w)
+    # G and J share one chart point, whose t = g(y, y)/2 may differ from P.t in
+    # the last bit; the normal and the rescaling read the weights at P.t
+    y, g, gamma, gu, d = orc._chart_point(P.base, w, P.q)
+    G = orc._metric_matrix(g, gamma, y, d.values)
+    J = orc._j_matrix(y, gamma, gu, d)
+    vals = w.eval(P.t)
+    N = _unit_normal(P, vals)
     phi = (np.eye(len(N)) - np.outer(N, G @ N)) @ J
     eta = J.T @ G @ N
     xi = -J @ N
     if rescaled:
-        vals = w.eval(P.t)
         if flavor == "sasaki_r":
             r = P.r
             xi, eta, G = 2 * r * xi, eta / (2 * r), G / (4 * r**2)
@@ -339,14 +345,33 @@ def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
     return chart.covariant_derivative(U, V, h=h)
 
 
+class _FirstOrderView(bg.ChartMetric):
+    """One ``deta_numeric`` call's view of a base metric: (g, dg) from one
+    first-order jet evaluation per distinct x, served as read-only arrays;
+    ``matrix`` returns that g and ``validate_at`` keeps its checks."""
+
+    def __init__(self, base):
+        super().__init__(base.dim, base.components, base.domain, base.name)
+        self._first = orc._once(lambda x: base.derivatives(x, 1))
+
+    def matrix(self, x):
+        return self.derivatives(x, 1)[0]
+
+    def derivatives(self, x, order):
+        if order != 1:
+            raise ValueError(f"the first-order view has no order-{order} jets")
+        return self._first(np.asarray(x, dtype=float))
+
+
 def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
     """Numeric d(eta) on tangent vectors via the graph chart (1/2-convention)."""
     w = _weights_for(flavor, weights)
-    chart = FiberGraphChart(P, orc.InducedMetric(P.base, w))
+    base = _FirstOrderView(P.base)
+    chart = FiberGraphChart(replace(P, base=base), orc.InducedMetric(base, w))
 
     def eta_at(q):
-        m = P.base.dim
-        Pq = sphere_point(P.base, q[:m], q[m:], r=P.r)
+        m = base.dim
+        Pq = sphere_point(base, q[:m], q[m:], r=P.r)
         return contact_structure(Pq, flavor, w, rescaled=rescaled).eta
 
     def eta_theta(th):

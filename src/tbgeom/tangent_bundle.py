@@ -144,7 +144,7 @@ class SplitVector:
 
 
 def _check_same(U, V):
-    if not U.at.same_place(V.at):
+    if U.at is not V.at and not U.at.same_place(V.at):
         raise BasePointMismatch("split vectors live at different tangent-bundle points")
 
 
@@ -156,8 +156,12 @@ def check_base(base, P):
 
 def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector):
     """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u)."""
+    return _bundle_metric(w.eval(P.t), P, U, V)
+
+
+def _bundle_metric(vals, P, U, V):
+    # bundle_metric with the weight values at P.t already evaluated
     _check_same(U, V)
-    vals = w.eval(P.t)
     g, gu = P.gx, P.gu
     return float(
         U.h @ g @ V.h + vals.a * (U.v @ g @ V.v) + vals.b * (U.v @ gu) * (V.v @ gu)
@@ -344,41 +348,55 @@ def _bundle_curvature(d, P, case, X, Y, Z):
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion."""
     check_base(base, P)
-    d = derived_coeffs(w, P.t)
-    out = SplitVector(np.zeros(P.base.dim), np.zeros(P.base.dim), P)
+    return _bundle_curvature_general(derived_coeffs(w, P.t), P, U, V, W)
+
+
+def _bundle_curvature_general(d, P, U, V, W):
+    # bundle_curvature_general with the derived coefficients d at P.t: the nonzero
+    # slot terms, all at P, are summed on their h and v arrays
+    uh, uv, vh, vv, wh, wv = (np.any(a) for a in (U.h, U.v, V.h, V.v, W.h, W.v))
     terms = [
-        ("HHH", U.h, V.h, W.h, +1),
-        ("HHV", U.h, V.h, W.v, +1),
-        ("HVH", U.h, V.v, W.h, +1),
-        ("HVV", U.h, V.v, W.v, +1),
-        ("HVH", V.h, U.v, W.h, -1),
-        ("HVV", V.h, U.v, W.v, -1),
-        ("VVH", U.v, V.v, W.h, +1),
-        ("VVV", U.v, V.v, W.v, +1),
+        ("HHH", U.h, V.h, W.h, 1.0, uh and vh and wh),
+        ("HHV", U.h, V.h, W.v, 1.0, uh and vh and wv),
+        ("HVH", U.h, V.v, W.h, 1.0, uh and vv and wh),
+        ("HVV", U.h, V.v, W.v, 1.0, uh and vv and wv),
+        ("HVH", V.h, U.v, W.h, -1.0, vh and uv and wh),
+        ("HVV", V.h, U.v, W.v, -1.0, vh and uv and wv),
+        ("VVH", U.v, V.v, W.h, 1.0, uv and vv and wh),
+        ("VVV", U.v, V.v, W.v, 1.0, uv and vv and wv),
     ]
-    for case, X, Y, Z, sign in terms:
-        if np.any(X) and np.any(Y) and np.any(Z):
-            out = out + sign * _bundle_curvature(d, P, case, X, Y, Z)
-    return out
+    h = np.zeros(P.base.dim)
+    v = np.zeros(P.base.dim)
+    for case, X, Y, Z, sign, live in terms:
+        if live:
+            r = _bundle_curvature(d, P, case, X, Y, Z)
+            h = h + sign * r.h
+            v = v + sign * r.v
+    return SplitVector(h, v, P)
 
 
 def area_squared(w, P, U, V):
     """Gram determinant g_A(U,U) g_A(V,V) - g_A(U,V)^2."""
-    uu = bundle_metric(w, P, U, U)
-    vv = bundle_metric(w, P, V, V)
-    uv = bundle_metric(w, P, U, V)
+    uu, vv, uv = _gram(w.eval(P.t), P, U, V)
     return uu * vv - uv * uv
+
+
+def _gram(vals, P, U, V):
+    # g_A(U,U), g_A(V,V), g_A(U,V) from the weight values at P.t
+    return (_bundle_metric(vals, P, U, U), _bundle_metric(vals, P, V, V),
+            _bundle_metric(vals, P, U, V))
 
 
 def bundle_sectional(w, base, P, U, V):
     """Sectional curvature of span(U, V) on the bundle."""
-    q = area_squared(w, P, U, V)
-    uu = bundle_metric(w, P, U, U)
-    vv = bundle_metric(w, P, V, V)
+    d = derived_coeffs(w, P.t)
+    uu, vv, uv = _gram(d.values, P, U, V)
+    q = uu * vv - uv * uv
     if q <= 1e-14 * uu * vv:
         raise bg.DegeneratePlaneError(f"degenerate bundle plane (Gram {q})")
-    ruvv = bundle_curvature_general(w, base, P, U, V, V)
-    return bundle_metric(w, P, ruvv, U) / q
+    check_base(base, P)
+    ruvv = _bundle_curvature_general(d, P, U, V, V)
+    return _bundle_metric(d.values, P, ruvv, U) / q
 
 
 def adapted_basis(w, P):
@@ -387,9 +405,13 @@ def adapted_basis(w, P):
     Built from a g_x-orthonormal base frame with e_1 = u/|u|; the e_1
     vertical leg is scaled by 1/sqrt(a+2tb), the others by 1/sqrt(a).
     """
+    return _adapted_basis(w.eval(P.t), P)
+
+
+def _adapted_basis(vals, P):
+    # adapted_basis from the weight values at P.t
     if P.t <= 0:
         raise bg.GeometryError("adapted basis needs a nonzero fiber vector")
-    vals = w.eval(P.t)
     frame = bg.orthonormal_frame(P.gx, first=P.u)
     basis = [SplitVector.horizontal(e, P) for e in frame]
     basis.append(SplitVector.vertical(frame[0] / np.sqrt(vals.vertical_norm_weight), P))
@@ -410,17 +432,17 @@ def scalar_curvature(w, base, P, mode="closed"):
     """
     check_base(base, P)
     m = base.dim
+    d = derived_coeffs(w, P.t)
     if mode == "basis":
-        basis = adapted_basis(w, P)
+        basis = _adapted_basis(d.values, P)
         total = 0.0
         for al in range(2 * m):
             for be in range(2 * m):
                 if al == be:
                     continue
-                r = bundle_curvature_general(w, base, P, basis[al], basis[be], basis[be])
-                total += bundle_metric(w, P, r, basis[al])
+                r = _bundle_curvature_general(d, P, basis[al], basis[be], basis[be])
+                total += _bundle_metric(d.values, P, r, basis[al])
         return total
-    d = derived_coeffs(w, P.t)
     a = d.values.a
     R = P.R
     scal = float(np.einsum("kj,kj->", np.linalg.inv(P.gx), np.einsum("ikij->kj", R)))

@@ -185,6 +185,22 @@ def test_unknown_report_format_exits_2(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 
+@pytest.mark.parametrize("field,value", [
+    ("samples", "abc"),
+    ("seed", "x"),
+    ("fiber_range", 5),
+    ("chart_box", [["a", "b"], [0, 1]]),
+    ("tolerances", {"curvature": "tight"}),
+    ("base", {"kind": "space_form", "dim": "two", "params": {"curvature": 0.0}}),
+])
+def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(**{field: value}, out=str(tmp_path / "report"))))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+    assert f"config.{field}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
 @pytest.mark.parametrize("residuals", [[1e-12, math.nan], [math.nan, 1e-12], [math.inf]])
 def test_non_finite_residual_fails_its_suite(residuals):
     res = SuiteResult("x", "a", 1e-6, residuals=residuals)

@@ -46,6 +46,18 @@ def test_induced_metric_symmetric_positive_definite():
         assert np.linalg.eigvalsh(G).min() > 0
 
 
+def lift_matrix(base, x, y):
+    """Frame change M with columns = coordinate components of (delta_i, d/dy^i)."""
+    m = base.dim
+    gamma = bg.christoffel(base, x)
+    gy = np.einsum("kij,j->ki", gamma, y)
+    M = np.eye(2 * m)
+    M[m:, :m] = -gy
+    Minv = np.eye(2 * m)
+    Minv[m:, :m] = gy
+    return M, Minv
+
+
 def test_induced_metric_block_identities():
     im = orc.InducedMetric(SF1, CG)
     rng = np.random.default_rng(2)
@@ -57,7 +69,7 @@ def test_induced_metric_block_identities():
     gu = g @ y
     assert np.allclose(V, vals.a * g + vals.b * np.outer(gu, gu))
     # conjugation by the frame change reproduces the full matrix
-    M, Minv = orc.lift_matrix(SF1, x, y)
+    M, Minv = lift_matrix(SF1, x, y)
     Gad = np.zeros((4, 4))
     Gad[:2, :2] = g
     Gad[2:, 2:] = V
@@ -367,3 +379,24 @@ def test_connection_suite_makes_one_fd_connection_call_per_sample(monkeypatch):
     res = run_suite("connection", ctx)
     assert res.error is None and res.passed
     assert len(calls) == ctx.samples
+
+
+@pytest.mark.parametrize("fn", [orc.j_matrix, orc.omega_matrix, orc.lee_covector])
+def test_pointwise_maps_evaluate_the_base_once(monkeypatch, fn):
+    # g and Gamma come from one first-order jet evaluation, with no separate g(x)
+    x, u = PROBES[3]
+    q = np.array(x + u)
+    base = bg.SpaceForm(1.0, 3)
+    expected = fn(base, CG, q)
+    calls = {"matrix": 0, "derivatives": 0}
+    for name in calls:
+        original = getattr(bg.ChartMetric, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(bg.ChartMetric, name, counted)
+    got = fn(base, CG, q)
+    assert calls == {"matrix": 0, "derivatives": 1}
+    assert got.tobytes() == expected.tobytes()

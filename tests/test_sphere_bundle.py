@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import tbgeom.base_geometry as bg
+import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
 from tbgeom.weights import WeightPair, named_family
@@ -309,3 +310,111 @@ def test_space_form_symmetrization_identity():
     R0i0 = np.einsum("klij,l,j->ki", R, u, u)
     expect = (np.eye(2) - np.outer(u, g @ u)) / a
     assert np.max(np.abs(R0i0 - expect)) <= 1e-9
+
+
+def count_base_calls(monkeypatch, *extra):
+    # counts ChartMetric.matrix / derivatives calls (and any (owner, name) in extra)
+    targets = [(bg.ChartMetric, "matrix"), (bg.ChartMetric, "derivatives"), *extra]
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for owner, name in targets:
+        original = getattr(owner, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+SF3 = bg.SpaceForm(1.0, 3)
+M3_POINT = ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
+
+
+@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", None, 1.3)])
+@pytest.mark.parametrize("rescaled", [False, True])
+def test_contact_structure_evaluates_the_base_once(monkeypatch, flavor, w, r, rescaled):
+    P = unit_point(SF3, *M3_POINT, r=r)
+    calls = count_base_calls(monkeypatch, (WeightPair, "eval"))
+    sb.contact_structure(P, flavor, w, rescaled=rescaled)
+    # one chart point (jets and weights at its t) and the weights once at P.t
+    assert calls == {"matrix": 0, "derivatives": 1, "eval": 2}
+
+
+def plain_deta(P, flavor, w, vectors, h=1e-4):
+    # deta_numeric's stencil with no memo: the base metric evaluated where it is used
+    m = P.base.dim
+    chart = sb.FiberGraphChart(P, orc.InducedMetric(P.base, w))
+
+    def eta_theta(th):
+        q, J = chart.jacobian(th)
+        Pq = sb.sphere_point(P.base, q[:m], q[m:], r=P.r)
+        return J.T @ sb.contact_structure(Pq, flavor, w, rescaled=True).eta
+
+    deta = orc._partials(eta_theta, chart.theta0, h, richardson=True)
+    dmat = 0.5 * (deta - deta.T)
+    _, J0 = chart.jacobian(chart.theta0)
+    return np.array([float(sb._to_theta(J0, U) @ dmat @ sb._to_theta(J0, V)) for U, V in vectors])
+
+
+@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", SAS, 1.3)])
+def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, flavor, w, r):
+    P = unit_point(SF3, *M3_POINT, r=r)
+    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
+    expected = plain_deta(P, flavor, w, pairs)
+    calls = count_base_calls(monkeypatch)
+    got = sb.deta_numeric(P, flavor, w, pairs)
+    # the Richardson stencil moves x along 3 coordinates at 4 steps each; the
+    # 2 fiber coordinates keep x, so 13 distinct base points
+    assert calls == {"matrix": 0, "derivatives": 13}
+    assert np.array_equal(got, expected)
+
+
+def test_first_order_view_serves_read_only_arrays_and_keeps_its_checks():
+    view = sb._FirstOrderView(SF3)
+    x, u = (np.array(v) for v in M3_POINT)
+    g = view.matrix(x)
+    assert np.array_equal(g, SF3.matrix(x))
+    assert view.derivatives(x.copy(), 1)[0] is g
+    for arr in (g, view.derivatives(x, 1)[1]):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        view.derivatives(x, 3)
+    # sphere_point's radius check and validate_at's checks still run on the view
+    with pytest.raises(bg.GeometryError, match="r\\^2"):
+        sb.sphere_point(view, x, u, r=5.0)
+    skew = bg.ChartMetric(2, lambda xs: [[1.0, xs[0]], [0.0, 1.0]], name="skew")
+    with pytest.raises(bg.GeometryError, match="not symmetric"):
+        sb._FirstOrderView(skew).validate_at(np.array([0.5, 0.0]))
+    indefinite = bg.diagonal_polynomial(
+        2, [[{"c": 1.0, "powers": [1, 0]}], [{"c": 1.0, "powers": [0, 0]}]])
+    with pytest.raises(bg.SingularMetricError):
+        sb._FirstOrderView(indefinite).validate_at(np.array([-0.5, 0.0]))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", SAS, 1.3)])
+@pytest.mark.parametrize("epsilon", [-1, 1])
+def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, flavor, w, r,
+                                                           epsilon):
+    base = bg.SpaceForm(1.0, m)
+    x, u = (v[:m] for v in M3_POINT)
+    P = unit_point(base, x, u, r=r)
+    w_eps = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
+    seen = []
+    j_from_chart_point = orc._j_matrix
+
+    def recorded(*args):
+        seen.append(j_from_chart_point(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(orc, "_j_matrix", recorded)
+    S = sb.contact_structure(P, flavor, w, epsilon=epsilon)
+    monkeypatch.undo()
+    [J] = seen
+    assert S.G.tobytes() == orc.InducedMetric(base, w_eps).matrix(P.q).tobytes()
+    assert J.tobytes() == orc.j_matrix(base, w_eps, P.q).tobytes()
+    assert np.array_equal(S.normal, sb.unit_normal(P, flavor, w_eps))
+    assert S.xi.tobytes() == (-J @ S.normal).tobytes()

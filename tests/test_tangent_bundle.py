@@ -419,3 +419,53 @@ def test_general_curvature_evaluates_the_weights_once(monkeypatch):
     got = tb.bundle_curvature_general(CG, base, P, U, V, W)
     assert len(calls) == 1
     assert np.array_equal(got.h, expected.h) and np.array_equal(got.v, expected.v)
+
+
+def test_basis_scalar_and_bundle_sectional_evaluate_the_weights_once(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    P = point(base, np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3]))
+    rng = np.random.default_rng(4)
+    U, V = (tb.random_split_vector(P, rng) for _ in range(2))
+    expected = (tb.scalar_curvature(CG, base, P, mode="basis"), tb.bundle_sectional(CG, base, P, U, V))
+    calls = {"derived_coeffs": 0, "eval": 0}
+    evaluate = tb.WeightPair.eval
+
+    def counted_coeffs(*args):
+        calls["derived_coeffs"] += 1
+        return derived_coeffs(*args)
+
+    def counted_eval(self, t):
+        calls["eval"] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(tb, "derived_coeffs", counted_coeffs)
+    monkeypatch.setattr(tb.WeightPair, "eval", counted_eval)
+    got = []
+    for fn in (lambda: tb.scalar_curvature(CG, base, P, mode="basis"),
+               lambda: tb.bundle_sectional(CG, base, P, U, V)):
+        calls.update(derived_coeffs=0, eval=0)
+        got.append(fn())
+        assert calls == {"derived_coeffs": 1, "eval": 1}
+    assert tuple(got) == expected
+
+
+def test_general_curvature_makes_no_point_comparison(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    P = point(base, np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3]))
+    rng = np.random.default_rng(9)
+    U, V, W = (tb.random_split_vector(P, rng) for _ in range(3))
+    calls = []
+    same_place = tb.TangentPoint.same_place
+
+    def counted(self, other):
+        calls.append(1)
+        return same_place(self, other)
+
+    monkeypatch.setattr(tb.TangentPoint, "same_place", counted)
+    R = tb.bundle_curvature_general(CG, base, P, U, V, W)
+    tb.bundle_metric(CG, P, R, U)
+    assert calls == []
+    # a vector at a copy of P still passes the comparison, and is checked
+    Q = point(base, P.x.copy(), P.u.copy())
+    tb.bundle_metric(CG, P, U, tb.SplitVector(V.h, V.v, Q))
+    assert calls == [1]
