@@ -50,10 +50,6 @@ class InducedMetric:
         self.base = base
         self.weights = weights
 
-    def vertical_block(self, q):
-        m = self.base.dim
-        return self.matrix(q)[m:, m:]
-
     def matrix(self, q):
         q = np.asarray(q, dtype=float)
         m = self.base.dim

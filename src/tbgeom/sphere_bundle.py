@@ -99,17 +99,13 @@ def induced_metric(P, flavor, weights=None):
         G_vv = g - np.outer(gu, gu) / P.r**2
     else:
         w = _weights_for(flavor, weights)
-        a = w.eval(P.t).a
+        a = P.values(w).a
         G_vv = a * (g - np.outer(gu, gu))
     return G_dd, G_dv, G_vv
 
 
 def unit_normal(P, flavor, weights=None):
-    return _unit_normal(P, _weights_for(flavor, weights).eval(P.t))
-
-
-def _unit_normal(P, vals):
-    # unit_normal from the weight values at P.t
+    vals = P.values(_weights_for(flavor, weights))
     norm2 = vals.a * P.r**2 + vals.b * P.r**4
     return np.concatenate([np.zeros(P.base.dim), P.u]) / np.sqrt(norm2)
 
@@ -141,15 +137,16 @@ def contact_structure(P, flavor, weights=None, rescaled=False, epsilon=None):
     flag the structure is renormalized to a contact metric structure.
     """
     w = _weights_for(flavor, weights)
+    # the normal and the rescaling read the weights at P.t, whose values do not
+    # depend on epsilon; G and J share one chart point, whose t = g(y, y)/2 may
+    # differ from P.t in the last bit
+    vals = P.values(w)
+    N = unit_normal(P, flavor, w)
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
-    # G and J share one chart point, whose t = g(y, y)/2 may differ from P.t in
-    # the last bit; the normal and the rescaling read the weights at P.t
     y, g, gamma, gu, d = orc._chart_point(P.base, w, P.q)
     G = orc._metric_matrix(g, gamma, y, d.values)
     J = orc._j_matrix(y, gamma, gu, d)
-    vals = w.eval(P.t)
-    N = _unit_normal(P, vals)
     phi = (np.eye(len(N)) - np.outer(N, G @ N)) @ J
     eta = J.T @ G @ N
     xi = -J @ N
@@ -211,7 +208,7 @@ def t1_connection(base, w, P, case, i, j):
     ambient coordinate components of the result.
     """
     tb.check_base(base, P)
-    a = w.eval(P.t).a
+    a = P.values(w).a
     gamma, R = P.gamma, P.R
     deltas, Ys = generators(P, "ga_unit")
     y, gu = P.u, P.gu
@@ -348,11 +345,13 @@ def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
 class _FirstOrderView(bg.ChartMetric):
     """One ``deta_numeric`` call's view of a base metric: (g, dg) from one
     first-order jet evaluation per distinct x, served as read-only arrays;
-    ``matrix`` returns that g and ``validate_at`` keeps its checks."""
+    ``matrix`` returns that g, and ``validate_at`` runs its checks once per
+    distinct x."""
 
     def __init__(self, base):
         super().__init__(base.dim, base.components, base.domain, base.name)
         self._first = orc._once(lambda x: base.derivatives(x, 1))
+        self.validate_at = orc._once(super().validate_at)
 
     def matrix(self, x):
         return self.derivatives(x, 1)[0]
@@ -392,7 +391,7 @@ def _kcontact_vectors(base, w, P):
     """Analytic residual vectors of the K-contact condition at P."""
     tb.check_base(base, P)
     m = base.dim
-    a = w.eval(P.t).a
+    a = P.values(w).a
     sa = np.sqrt(a)
     R = P.R
     y, gu = P.u, P.gu
@@ -413,7 +412,7 @@ def sasakian_residuals(base, w, P):
     """Analytic residual vectors of (nabla_U phi)V = G(U,V) xi - eta(V) U."""
     tb.check_base(base, P)
     m = base.dim
-    a = w.eval(P.t).a
+    a = P.values(w).a
     sa = np.sqrt(a)
     R = P.R
     y, gu, g = P.u, P.gu, P.gx

@@ -21,7 +21,6 @@ from . import tangent_bundle as tb
 from .weights import (
     WeightPair,
     almost_kahler_complete,
-    derived_coeffs,
     kahler_family,
     kahler_system_residuals,
     named_family,
@@ -117,12 +116,12 @@ class SuiteContext:
         return np.random.default_rng([self.seed, suite_index])
 
     def sample_x(self, rng):
+        """An admissible x in the chart box and the base metric validated there."""
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
         for _ in range(1000):
             x = lo + (hi - lo) * rng.random(self.base.dim)
             try:
-                self.base.validate_at(x)
-                return x
+                return x, self.base.validate_at(x)
             except bg.GeometryError:
                 continue
         raise bg.ChartDomainError("chart box contains no admissible points")
@@ -131,9 +130,9 @@ class SuiteContext:
         w = weights or self.weights
         base = base or self.base
         for _ in range(1000):
-            x = self.sample_x(rng)
+            x, g = self.sample_x(rng)
             try:
-                g = base.validate_at(x)
+                g = g if base is self.base else base.validate_at(x)
                 break
             except bg.GeometryError:
                 continue
@@ -150,13 +149,13 @@ class SuiteContext:
         hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
         t = lo + (hi - lo) * rng.random()
         u = math.sqrt(2.0 * t) * direction
-        return tb.tangent_point(base, x, u)
+        return tb.TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u))
 
 
 def _sphere_sample(ctx, rng, base=None):
     base = base or ctx.base
-    x = ctx.sample_x(rng)
-    g = base.validate_at(x)
+    x, g = ctx.sample_x(rng)
+    g = g if base is ctx.base else base.validate_at(x)
     u = rng.standard_normal(base.dim)
     u /= math.sqrt(u @ g @ u)
     return x, u
@@ -169,8 +168,7 @@ def _suite_base_checks(ctx, rng, tol):
     res = SuiteResult("base_checks", "§2 / Prop. 2.12 prerequisites", tol)
     m = ctx.base.dim
     for _ in range(ctx.samples):
-        x = ctx.sample_x(rng)
-        g = ctx.base.matrix(x)
+        x, g = ctx.sample_x(rng)
         gam, R, NR = bg.base_jets(ctx.base, x)
         low = bg.lower_curvature(g, R)
         worst = np.max(np.abs(gam - gam.transpose(0, 2, 1)))
@@ -246,7 +244,7 @@ def _suite_almost_kahler(ctx, rng, tol):
         P = ctx.sample_point(rng, weights=pair)
         vecs = [rng.standard_normal(n2) for _ in range(3)]
         res.residuals.append(abs(_domega(base, pair, P.q, vecs, ctx.h)))
-        res.residuals.append(abs(derived_coeffs(pair, P.t).lee_coef))
+        res.residuals.append(abs(P.coeffs(pair).lee_coef))
         cg_worst = max(cg_worst, abs(_domega(base, cg, P.q, [vh, v1, v2], ctx.h)))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
@@ -373,7 +371,7 @@ def _suite_sectional(ctx, rng, tol):
     c = base.curvature
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng)
-        vals = w.eval(P.t)
+        vals = P.values(w)
         frame = bg.orthonormal_frame(P.gx, first=P.u)
         X, Y = frame[0], frame[-1]
         if base.dim > 2:

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import base_geometry as bg
-from .weights import WeightPair, _hh_coef, derived_coeffs
+from .weights import WeightPair, _coeffs_from, _hh_coef, derived_coeffs
 
 __all__ = [
     "BasePointMismatch",
@@ -56,8 +56,11 @@ class TangentPoint:
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
     then kept (read-only); the last three come from one evaluation of the
-    base metric jets.  A sphere-bundle point is a TangentPoint whose radius
-    r = sqrt(2t) was given, not measured.
+    base metric jets.  So are the weights: ``values(w)`` is w.eval(t),
+    evaluated once per weight pair (matched by identity), and ``coeffs(w)``
+    the derived coefficients built from those same values.  A sphere-bundle
+    point is a TangentPoint whose radius r = sqrt(2t) was given, not
+    measured.
     """
 
     base: bg.ChartMetric
@@ -93,6 +96,26 @@ class TangentPoint:
     @property
     def NR(self):
         return self._jets[2]
+
+    @cached_property
+    def _weights(self):
+        # id(w) -> [w, w.eval(t), coefficients or None]; holding w keeps its id unique
+        return {}
+
+    def values(self, w: WeightPair):
+        """Weight values of ``w`` at t, evaluated on first use and kept."""
+        if id(w) not in self._weights:
+            self._weights[id(w)] = [w, w.eval(self.t), None]
+        return self._weights[id(w)][1]
+
+    def coeffs(self, w: WeightPair):
+        """Derived coefficients of ``w`` built from ``values(w)`` on first use and
+        kept; on the zero section at eps = +1 they raise WeightDomainError."""
+        vals = self.values(w)
+        entry = self._weights[id(w)]
+        if entry[2] is None:
+            entry[2] = _coeffs_from(vals, w.epsilon)
+        return entry[2]
 
     def same_place(self, other):
         return (
@@ -156,11 +179,7 @@ def check_base(base, P):
 
 def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector):
     """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u)."""
-    return _bundle_metric(w.eval(P.t), P, U, V)
-
-
-def _bundle_metric(vals, P, U, V):
-    # bundle_metric with the weight values at P.t already evaluated
+    vals = P.values(w)
     _check_same(U, V)
     g, gu = P.gx, P.gu
     return float(
@@ -170,7 +189,7 @@ def _bundle_metric(vals, P, U, V):
 
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
     """Compatible almost complex structure applied to U."""
-    d = derived_coeffs(w, P.t)
+    d = P.coeffs(w)
     sa = np.sqrt(d.values.a)
     gu = P.gu
     # J X^H = (1/sqrt a) X^V - A g(X,u) u^V ; J X^V = -sqrt(a) X^H + B g(X,u) u^H
@@ -191,7 +210,7 @@ def kahler_form(w, P, U, V):
 
 def lee_form(w, P, U):
     """Lee form: zero on horizontal vectors, lee_coef * g(X, u) on verticals."""
-    d = derived_coeffs(w, P.t)
+    d = P.coeffs(w)
     return d.lee_coef * float(U.v @ P.gu)
 
 
@@ -210,7 +229,7 @@ def nijenhuis(w, base, P, X, Y, slots):
     check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    d = derived_coeffs(w, P.t)
+    d = P.coeffs(w)
     vals = d.values
     a, ap = vals.a, vals.ap
     sa = np.sqrt(a)
@@ -242,7 +261,7 @@ def bundle_connection(w, base, P, case, X, Y):
     check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    d = derived_coeffs(w, P.t)
+    d = P.coeffs(w)
     a = d.values.a
     gu, R = P.gu, P.R
     if case in ("HH", "HV"):
@@ -275,11 +294,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
-    return _bundle_curvature(derived_coeffs(w, P.t), P, case, X, Y, Z)
-
-
-def _bundle_curvature(d, P, case, X, Y, Z):
-    # bundle_curvature with the derived coefficients d at P.t already evaluated
+    d = P.coeffs(w)
     a, ap = d.values.a, d.values.ap
     g, gu, u = P.gx, P.gu, P.u
     R, NR = P.R, P.NR
@@ -346,14 +361,11 @@ def _bundle_curvature(d, P, case, X, Y, Z):
 
 
 def bundle_curvature_general(w, base, P, U, V, W):
-    """R(U, V) W for arbitrary split vectors, by multilinear expansion."""
+    """R(U, V) W for arbitrary split vectors, by multilinear expansion.
+
+    The nonzero slot terms, all at P, are summed on their h and v arrays.
+    """
     check_base(base, P)
-    return _bundle_curvature_general(derived_coeffs(w, P.t), P, U, V, W)
-
-
-def _bundle_curvature_general(d, P, U, V, W):
-    # bundle_curvature_general with the derived coefficients d at P.t: the nonzero
-    # slot terms, all at P, are summed on their h and v arrays
     uh, uv, vh, vv, wh, wv = (np.any(a) for a in (U.h, U.v, V.h, V.v, W.h, W.v))
     terms = [
         ("HHH", U.h, V.h, W.h, 1.0, uh and vh and wh),
@@ -369,7 +381,7 @@ def _bundle_curvature_general(d, P, U, V, W):
     v = np.zeros(P.base.dim)
     for case, X, Y, Z, sign, live in terms:
         if live:
-            r = _bundle_curvature(d, P, case, X, Y, Z)
+            r = bundle_curvature(w, base, P, case, X, Y, Z)
             h = h + sign * r.h
             v = v + sign * r.v
     return SplitVector(h, v, P)
@@ -377,26 +389,17 @@ def _bundle_curvature_general(d, P, U, V, W):
 
 def area_squared(w, P, U, V):
     """Gram determinant g_A(U,U) g_A(V,V) - g_A(U,V)^2."""
-    uu, vv, uv = _gram(w.eval(P.t), P, U, V)
+    uu, vv, uv = (bundle_metric(w, P, A, B) for A, B in ((U, U), (V, V), (U, V)))
     return uu * vv - uv * uv
-
-
-def _gram(vals, P, U, V):
-    # g_A(U,U), g_A(V,V), g_A(U,V) from the weight values at P.t
-    return (_bundle_metric(vals, P, U, U), _bundle_metric(vals, P, V, V),
-            _bundle_metric(vals, P, U, V))
 
 
 def bundle_sectional(w, base, P, U, V):
     """Sectional curvature of span(U, V) on the bundle."""
-    d = derived_coeffs(w, P.t)
-    uu, vv, uv = _gram(d.values, P, U, V)
-    q = uu * vv - uv * uv
-    if q <= 1e-14 * uu * vv:
+    q = area_squared(w, P, U, V)
+    if q <= 1e-14 * bundle_metric(w, P, U, U) * bundle_metric(w, P, V, V):
         raise bg.DegeneratePlaneError(f"degenerate bundle plane (Gram {q})")
-    check_base(base, P)
-    ruvv = _bundle_curvature_general(d, P, U, V, V)
-    return _bundle_metric(d.values, P, ruvv, U) / q
+    ruvv = bundle_curvature_general(w, base, P, U, V, V)
+    return bundle_metric(w, P, ruvv, U) / q
 
 
 def adapted_basis(w, P):
@@ -405,11 +408,7 @@ def adapted_basis(w, P):
     Built from a g_x-orthonormal base frame with e_1 = u/|u|; the e_1
     vertical leg is scaled by 1/sqrt(a+2tb), the others by 1/sqrt(a).
     """
-    return _adapted_basis(w.eval(P.t), P)
-
-
-def _adapted_basis(vals, P):
-    # adapted_basis from the weight values at P.t
+    vals = P.values(w)
     if P.t <= 0:
         raise bg.GeometryError("adapted basis needs a nonzero fiber vector")
     frame = bg.orthonormal_frame(P.gx, first=P.u)
@@ -432,16 +431,16 @@ def scalar_curvature(w, base, P, mode="closed"):
     """
     check_base(base, P)
     m = base.dim
-    d = derived_coeffs(w, P.t)
+    d = P.coeffs(w)
     if mode == "basis":
-        basis = _adapted_basis(d.values, P)
+        basis = adapted_basis(w, P)
         total = 0.0
         for al in range(2 * m):
             for be in range(2 * m):
                 if al == be:
                     continue
-                r = _bundle_curvature_general(d, P, basis[al], basis[be], basis[be])
-                total += _bundle_metric(d.values, P, r, basis[al])
+                r = bundle_curvature_general(w, base, P, basis[al], basis[be], basis[be])
+                total += bundle_metric(w, P, r, basis[al])
         return total
     a = d.values.a
     R = P.R

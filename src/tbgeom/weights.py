@@ -159,7 +159,11 @@ def _lee_coef(w: WeightValues, epsilon: int):
 
 def derived_coeffs(pair: WeightPair, t):
     """Connection, curvature, complex-structure and Lee coefficients at t."""
-    w = pair.eval(t)
+    return _coeffs_from(pair.eval(t), pair.epsilon)
+
+
+def _coeffs_from(w: WeightValues, epsilon: int):
+    # derived_coeffs from weight values already evaluated
     a, ap, app, b, bp, tt = w.a, w.ap, w.app, w.b, w.bp, w.t
     v = w.vertical_norm_weight
     L = ap / (2 * a)
@@ -171,8 +175,8 @@ def derived_coeffs(pair: WeightPair, t):
     F1 = Lp - L * L - N * (1 + 2 * tt * L)
     F2 = L - M * (1 + 2 * tt * L)
     F3 = N - (Mp + M * M + 2 * tt * M * N)
-    A, B = _ab_coeffs(w, pair.epsilon)
-    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, pair.epsilon), w)
+    A, B = _ab_coeffs(w, epsilon)
+    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, epsilon), w)
 
 
 def _hh_coef(w: WeightValues, epsilon: int):

@@ -6,11 +6,14 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from tbgeom import base_geometry as bg
 from tbgeom import cli
-from tbgeom.suites import Control, SuiteResult
+from tbgeom import tangent_bundle as tb
+from tbgeom.suites import Control, SuiteContext, SuiteResult, run_suite
+from tbgeom.weights import WeightPair, named_family
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -173,6 +176,49 @@ def test_base_checks_evaluate_the_jets_once_per_sample(monkeypatch):
     rep = cli.run(cli.load_config(doc))
     assert rep["all_passed"]
     assert len(calls) == 4
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def sphere_context(samples):
+    return SuiteContext(base=bg.SpaceForm(1.0, 3), weights=named_family("cheeger_gromoll"),
+                        samples=samples, seed=3, h=1e-4, chart_box=np.tile([-0.4, 0.4], (3, 1)),
+                        fiber_range=(0.3, 1.5))
+
+
+def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):
+    calls = count_calls(monkeypatch, WeightPair, "eval")
+    ctx = sphere_context(4)
+    res = run_suite("sectional", ctx)
+    assert res.error is None and res.passed
+    assert len(calls) == ctx.samples
+
+
+def test_sample_point_validates_each_sampled_x_once_per_base(monkeypatch):
+    ctx = sphere_context(4)
+    calls = count_calls(monkeypatch, bg.ChartMetric, "validate_at")
+    rng = ctx.rng(0)
+    got = [ctx.sample_point(rng) for _ in range(3)]
+    assert len(calls) == 3
+    for P in got:
+        Q = tb.tangent_point(ctx.base, P.x, P.u)
+        assert P.t == Q.t and P.gx.tobytes() == Q.gx.tobytes()
+    # an override base is checked too, and a point outside its domain is redrawn
+    del calls[:]
+    small = bg.SpaceForm(-30.0, 3)
+    P = ctx.sample_point(rng, base=small)
+    assert P.base is small and float(P.x @ P.x) < 4 / 30
+    assert len(calls) >= 2 and len(calls) % 2 == 0
 
 
 def test_unknown_report_format_exits_2(tmp_path, capsys):

@@ -63,7 +63,7 @@ def test_induced_metric_block_identities():
     rng = np.random.default_rng(2)
     q = np.concatenate([rng.uniform(-0.3, 0.3, 2), rng.uniform(-1, 1, 2)])
     x, y = q[:2], q[2:]
-    V = im.vertical_block(q)
+    V = im.matrix(q)[2:, 2:]
     g = SF1.matrix(x)
     vals = CG.eval(0.5 * y @ g @ y)
     gu = g @ y

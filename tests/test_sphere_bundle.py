@@ -363,11 +363,11 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, flavor, w, r):
     deltas, Ys = sb.generators(P, "ga_unit", CG)
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
     expected = plain_deta(P, flavor, w, pairs)
-    calls = count_base_calls(monkeypatch)
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
     got = sb.deta_numeric(P, flavor, w, pairs)
     # the Richardson stencil moves x along 3 coordinates at 4 steps each; the
-    # 2 fiber coordinates keep x, so 13 distinct base points
-    assert calls == {"matrix": 0, "derivatives": 13}
+    # 2 fiber coordinates keep x, so 13 distinct base points, each checked once
+    assert calls == {"matrix": 0, "derivatives": 13, "validate_at": 13}
     assert np.array_equal(got, expected)
 
 

@@ -8,7 +8,14 @@ import pytest
 
 import tbgeom.base_geometry as bg
 import tbgeom.tangent_bundle as tb
-from tbgeom.weights import almost_kahler_complete, derived_coeffs, kahler_family, named_family
+from tbgeom.weights import (
+    WeightDomainError,
+    WeightPair,
+    almost_kahler_complete,
+    derived_coeffs,
+    kahler_family,
+    named_family,
+)
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -403,50 +410,67 @@ def test_scalar_curvature_sasaki_nonconstant_over_sphere():
     assert abs(v1 - v2) >= 0.05
 
 
+def count_weight_evals(monkeypatch):
+    calls = []
+    evaluate = WeightPair.eval
+
+    def counted(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(WeightPair, "eval", counted)
+    return calls
+
+
 def test_general_curvature_evaluates_the_weights_once(monkeypatch):
     base = bg.SpaceForm(1.0, 3)
+    calls = count_weight_evals(monkeypatch)
     P = point(base, np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3]))
     rng = np.random.default_rng(9)
     U, V, W = (tb.random_split_vector(P, rng) for _ in range(3))
-    expected = tb.bundle_curvature_general(CG, base, P, U, V, W)
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return derived_coeffs(*args)
-
-    monkeypatch.setattr(tb, "derived_coeffs", counted)
-    got = tb.bundle_curvature_general(CG, base, P, U, V, W)
-    assert len(calls) == 1
-    assert np.array_equal(got.h, expected.h) and np.array_equal(got.v, expected.v)
+    first = tb.bundle_curvature_general(CG, base, P, U, V, W)
+    second = tb.bundle_curvature_general(CG, base, P, U, V, W)
+    # the point evaluates the pair once, at its own t, and keeps the values
+    assert calls == [P.t]
+    assert np.array_equal(first.h, second.h) and np.array_equal(first.v, second.v)
 
 
 def test_basis_scalar_and_bundle_sectional_evaluate_the_weights_once(monkeypatch):
     base = bg.SpaceForm(1.0, 3)
-    P = point(base, np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3]))
+    x, u = np.array([0.1, -0.2, 0.15]), np.array([0.7, 0.4, -0.3])
     rng = np.random.default_rng(4)
-    U, V = (tb.random_split_vector(P, rng) for _ in range(2))
-    expected = (tb.scalar_curvature(CG, base, P, mode="basis"), tb.bundle_sectional(CG, base, P, U, V))
-    calls = {"derived_coeffs": 0, "eval": 0}
-    evaluate = tb.WeightPair.eval
+    P0 = point(base, x, u)
+    U0, V0 = (tb.random_split_vector(P0, rng) for _ in range(2))
+    expected = (tb.scalar_curvature(CG, base, P0, mode="basis"),
+                tb.bundle_sectional(CG, base, P0, U0, V0))
+    calls = count_weight_evals(monkeypatch)
+    P = point(base, x, u)
+    U, V = (tb.SplitVector(Z.h, Z.v, P) for Z in (U0, V0))
+    got = (tb.scalar_curvature(CG, base, P, mode="basis"), tb.bundle_sectional(CG, base, P, U, V))
+    assert calls == [P.t]
+    assert got == expected
 
-    def counted_coeffs(*args):
-        calls["derived_coeffs"] += 1
-        return derived_coeffs(*args)
 
-    def counted_eval(self, t):
-        calls["eval"] += 1
-        return evaluate(self, t)
+def test_point_keeps_one_evaluation_per_weight_pair(monkeypatch):
+    calls = count_weight_evals(monkeypatch)
+    P = point(SF1, [0.1, 0.2], [0.7, -0.4])
+    twin = named_family("cheeger_gromoll")
+    assert P.coeffs(CG).values is P.values(CG)
+    assert P.values(twin) is not P.values(CG) and P.values(twin) == P.values(CG)
+    assert len(calls) == 2
 
-    monkeypatch.setattr(tb, "derived_coeffs", counted_coeffs)
-    monkeypatch.setattr(tb.WeightPair, "eval", counted_eval)
-    got = []
-    for fn in (lambda: tb.scalar_curvature(CG, base, P, mode="basis"),
-               lambda: tb.bundle_sectional(CG, base, P, U, V)):
-        calls.update(derived_coeffs=0, eval=0)
-        got.append(fn())
-        assert calls == {"derived_coeffs": 1, "eval": 1}
-    assert tuple(got) == expected
+
+def test_bundle_metric_on_the_zero_section_at_eps_plus_one():
+    # A and B are undefined there: readers of them raise, the metric does not
+    plus = WeightPair(CG.a, CG.b, +1, name="cg+")
+    P = point(SF1, [0.1, 0.2], [0.0, 0.0])
+    U = tb.SplitVector(np.array([1.0, 0.5]), np.array([0.3, -0.2]), P)
+    before = tb.bundle_metric(plus, P, U, U)
+    with pytest.raises(WeightDomainError):
+        tb.almost_complex(plus, P, U)
+    assert tb.bundle_metric(plus, P, U, U) == before == tb.bundle_metric(CG, P, U, U)
+    with pytest.raises(WeightDomainError):
+        tb.lee_form(plus, P, U)
 
 
 def test_general_curvature_makes_no_point_comparison(monkeypatch):
