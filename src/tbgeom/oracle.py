@@ -124,9 +124,12 @@ def _j_matrix(y, gamma, gu, d):
 
 def omega_matrix(base, w, q):
     """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b)."""
-    y, g, gamma, gu, d = _chart_point(base, w, q)
+    return _omega_matrix(*_chart_point(base, w, q))
+
+
+def _omega_matrix(y, g, gamma, gu, d):
     sa = np.sqrt(d.values.a)
-    m = base.dim
+    m = len(y)
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
     OmHV = g @ (-sa * np.eye(m) + d.B_coef * np.outer(y, gu))
@@ -139,8 +142,11 @@ def omega_matrix(base, w, q):
 
 def lee_covector(base, w, q):
     """Coordinate components of the Lee form at q."""
-    y, _, gamma, gu, d = _chart_point(base, w, q)
-    m = base.dim
+    return _lee_covector(*_chart_point(base, w, q))
+
+
+def _lee_covector(y, g, gamma, gu, d):
+    m = len(y)
     om_ad = np.concatenate([np.zeros(m), d.lee_coef * gu])
     _, Minv = _frame(gamma, y)
     return Minv.T @ om_ad
@@ -188,7 +194,8 @@ def _once(fun):
         if key not in seen:
             seen[key] = out = fun(p)
             for a in out if isinstance(out, tuple) else (out,):
-                a.flags.writeable = False
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
         return seen[key]
 
     return once

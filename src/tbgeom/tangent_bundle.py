@@ -135,7 +135,7 @@ def tangent_point(base, x, u):
 
 @dataclass(frozen=True)
 class SplitVector:
-    """Tangent vector of T(M): h on the horizontal frame, v on the vertical."""
+    """Tangent vector of T(M), or an (n, m) stack: h horizontal, v vertical parts."""
 
     h: np.ndarray
     v: np.ndarray
@@ -143,11 +143,11 @@ class SplitVector:
 
     @classmethod
     def horizontal(cls, X, P):
-        return cls(np.asarray(X, dtype=float), np.zeros(P.base.dim), P)
+        return cls(np.asarray(X, dtype=float), np.zeros(np.shape(X)), P)
 
     @classmethod
     def vertical(cls, X, P):
-        return cls(np.zeros(P.base.dim), np.asarray(X, dtype=float), P)
+        return cls(np.zeros(np.shape(X)), np.asarray(X, dtype=float), P)
 
     def __add__(self, other):
         _check_same(self, other)
@@ -177,14 +177,19 @@ def check_base(base, P):
         raise BasePointMismatch(f"{base.name} is not the base metric of the point")
 
 
+def _dot(A, B):
+    # A . B row by row on a trailing axis of 1; each row rounds as the 1-D A @ B
+    return np.vecdot(A, B)[..., None]
+
+
 def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector):
-    """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u)."""
+    """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u), row by row on stacks."""
     vals = P.values(w)
     _check_same(U, V)
     g, gu = P.gx, P.gu
-    return float(
-        U.h @ g @ V.h + vals.a * (U.v @ g @ V.v) + vals.b * (U.v @ gu) * (V.v @ gu)
-    )
+    dot = np.vecdot
+    out = dot(U.h @ g, V.h) + vals.a * dot(U.v @ g, V.v) + vals.b * dot(U.v, gu) * dot(V.v, gu)
+    return float(out) if out.ndim == 0 else out
 
 
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
@@ -215,13 +220,13 @@ def lee_form(w, P, U):
 
 
 def _rop(R, X, Y, Z):
-    # R_{XY}Z with R[h, k, i, j] = R^h_{kij}
-    return np.einsum("hkij,k,i,j->h", R, Z, X, Y)
+    # R_{XY}Z with R[h, k, i, j] = R^h_{kij}, row by row on stacks
+    return np.einsum("hkij,...k,...i,...j->...h", R, Z, X, Y)
 
 
 def _nrop(NR, Zdir, X, Y, W):
-    # (nabla_Zdir R)_{XY} W
-    return np.einsum("lhkij,l,k,i,j->h", NR, Zdir, W, X, Y)
+    # (nabla_Zdir R)_{XY} W, row by row on stacks
+    return np.einsum("lhkij,...l,...k,...i,...j->...h", NR, Zdir, W, X, Y)
 
 
 def nijenhuis(w, base, P, X, Y, slots):
@@ -288,7 +293,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     """Curvature tensor of the bundle metric on lift slots.
 
     ``case`` is one of HHH, HHV, HVH, HVV, VVH, VVV naming the slots of
-    R(X^., Y^.) Z^. in order.
+    R(X^., Y^.) Z^. in order, row by row when X, Y, Z are (n, m) stacks.
     """
     check_base(base, P)
     X = np.asarray(X, dtype=float)
@@ -318,8 +323,8 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         v = (
             rop(X, Y, Z)
             + (a / 4) * (rop(Y, rop(u, Z, X), u) - rop(X, rop(u, Z, Y), u))
-            + d.L * float(Z @ gu) * rop(X, Y, u)
-            + d.M * float(rop(X, Y, u) @ g @ Z) * u
+            + d.L * _dot(Z, gu) * rop(X, Y, u)
+            + d.M * _dot(rop(X, Y, u) @ g, Z) * u
         )
         h = (a / 2) * (_nrop(NR, X, u, Z, Y) - _nrop(NR, Y, u, Z, X))
         return SplitVector(h, v, P)
@@ -328,8 +333,8 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         v = 0.5 * (
             rop(X, Z, Y)
             - (a / 2) * rop(X, rop(u, Y, Z), u)
-            + d.L * float(Y @ gu) * rop(X, Z, u)
-            + d.M * float(rop(X, Z, u) @ g @ Y) * u
+            + d.L * _dot(Y, gu) * rop(X, Z, u)
+            + d.M * _dot(rop(X, Z, u) @ g, Y) * u
         )
         return SplitVector(h, v, P)
     if case == "HVV":
@@ -337,20 +342,19 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
             -(a / 2) * rop(Y, Z, X)
             - (a * a / 4) * rop(u, Y, rop(u, Z, X))
             + (ap / 4)
-            * (float(Z @ gu) * rop(u, Y, X) - float(Y @ gu) * rop(u, Z, X))
+            * (_dot(Z, gu) * rop(u, Y, X) - _dot(Y, gu) * rop(u, Z, X))
         )
         return SplitVector.horizontal(h, P)
     if case == "VVH":
         h = (
             a * rop(X, Y, Z)
-            + (ap / 2) * (float(X @ gu) * rop(u, Y, Z) - float(Y @ gu) * rop(u, X, Z))
+            + (ap / 2) * (_dot(X, gu) * rop(u, Y, Z) - _dot(Y, gu) * rop(u, X, Z))
             + (a * a / 4) * (rop(u, X, rop(u, Y, Z)) - rop(u, Y, rop(u, X, Z)))
         )
         return SplitVector.horizontal(h, P)
     if case == "VVV":
-        gxu, gyu = float(X @ gu), float(Y @ gu)
-        gxz, gyz = float(X @ g @ Z), float(Y @ g @ Z)
-        gzu = float(Z @ gu)
+        gxu, gyu, gzu = _dot(X, gu), _dot(Y, gu), _dot(Z, gu)
+        gxz, gyz = _dot(X @ g, Z), _dot(Y @ g, Z)
         v = (
             d.F1 * gzu * (gxu * Y - gyu * X)
             + d.F2 * (gxz * Y - gyz * X)
@@ -425,23 +429,29 @@ def scalar_curvature(w, base, P, mode="closed"):
     ``closed`` evaluates scal - (a/2) sum_{i<j} |R(e_i,e_j)u|^2
     + ((1-m)/a)(m F2 + 4t F3); the -a/2 coefficient is the
     oracle-verified one (the horizontal-vertical sectional block carries a
-    weight a).  ``basis`` double-sums curvature numerators over the
-    adapted orthonormal basis; both modes agree with the coordinate
-    oracle.
+    weight a).  ``basis`` sums g_A(R(E_a, E_b) E_b, E_a) in (a, b) order over
+    the ordered pairs a != b of the adapted orthonormal basis, from four
+    batched ``bundle_curvature`` calls (HHH, HVV, -HVH, VVV); both modes
+    agree with the coordinate oracle.
     """
     check_base(base, P)
     m = base.dim
     d = P.coeffs(w)
     if mode == "basis":
-        basis = adapted_basis(w, P)
-        total = 0.0
-        for al in range(2 * m):
-            for be in range(2 * m):
-                if al == be:
-                    continue
-                r = bundle_curvature_general(w, base, P, basis[al], basis[be], basis[be])
-                total += bundle_metric(w, P, r, basis[al])
-        return total
+        E = adapted_basis(w, P)
+        Eh, Ev = np.array([e.h for e in E]), np.array([e.v for e in E])
+        al, be = np.nonzero(~np.eye(2 * m, dtype=bool))
+        Rh, Rv = np.zeros((al.size, m)), np.zeros((al.size, m))
+        for case, rows, X, Y, Z, sign in (
+            ("HHH", (al < m) & (be < m), Eh[al], Eh[be], Eh[be], 1.0),
+            ("HVV", (al < m) & (be >= m), Eh[al], Ev[be], Ev[be], 1.0),
+            ("HVH", (al >= m) & (be < m), Eh[be], Ev[al], Eh[be], -1.0),
+            ("VVV", (al >= m) & (be >= m), Ev[al], Ev[be], Ev[be], 1.0),
+        ):
+            r = bundle_curvature(w, base, P, case, X[rows], Y[rows], Z[rows])
+            Rh[rows], Rv[rows] = sign * r.h, sign * r.v
+        num = bundle_metric(w, P, SplitVector(Rh, Rv, P), SplitVector(Eh[al], Ev[al], P))
+        return float(np.cumsum(num)[-1])  # adds in (a, b) order, one pair at a time
     a = d.values.a
     R = P.R
     scal = float(np.einsum("kj,kj->", np.linalg.inv(P.gx), np.einsum("ikij->kj", R)))

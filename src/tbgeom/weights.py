@@ -67,7 +67,8 @@ class WeightPair:
     """Pair of scalar weight functions with sign eps and validity domain.
 
     ``a`` and ``b`` must accept floats and either jet type; derivatives are
-    read from a ``Taylor`` evaluation (a to second order, b to first).
+    read from a ``Taylor`` evaluation (a to second order, b to first); when
+    ``b`` is ``a`` that one evaluation serves both.
     """
 
     def __init__(self, a, b, epsilon=-1, t_domain=(0.0, math.inf), name="custom",
@@ -93,7 +94,7 @@ class WeightPair:
             )
         tj = Taylor.var(t)
         aj = self.a(tj)
-        bj = self.b(tj)
+        bj = aj if self.b is self.a else self.b(tj)
         a, ap, app = (aj.v, aj.d1, aj.d2) if isinstance(aj, Taylor) else (float(aj), 0.0, 0.0)
         b, bp = (bj.v, bj.d1) if isinstance(bj, Taylor) else (float(bj), 0.0)
         w = WeightValues(t, a, ap, app, b, bp)

@@ -9,7 +9,7 @@ import tbgeom.jets as jets
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
-from tbgeom.suites import SuiteContext, run_suite
+from tbgeom.suites import SuiteContext, _lck_terms, run_suite
 from tbgeom.weights import kahler_family, named_family
 
 SAS = named_family("sasaki")
@@ -400,3 +400,40 @@ def test_pointwise_maps_evaluate_the_base_once(monkeypatch, fn):
     got = fn(base, CG, q)
     assert calls == {"matrix": 0, "derivatives": 1}
     assert got.tobytes() == expected.tobytes()
+
+
+def lck_terms_from_public_maps(base, w, q, vecs, h):
+    """dOmega, lee ^ Omega and d(lee) with every chart point built afresh."""
+
+    def omega_form(p, v1, v2):
+        return float(v1 @ orc.omega_matrix(base, w, p) @ v2)
+
+    def lee_1form(p, v):
+        return float(orc.lee_covector(base, w, p) @ v)
+
+    wed = orc.wedge_1_2(orc.lee_covector(base, w, q), orc.omega_matrix(base, w, q), *vecs)
+    return (orc.fd_exterior_derivative(omega_form, q, vecs, h=h), wed,
+            orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_lck_terms_build_one_chart_point_per_distinct_point(monkeypatch, m):
+    base = bg.SpaceForm(1.0, m)
+    w = named_family("lck_example")
+    rng = np.random.default_rng(m)
+    q = np.concatenate([rng.uniform(-0.3, 0.3, m), rng.uniform(-0.8, 0.8, m)])
+    vecs = [rng.standard_normal(2 * m) for _ in range(3)]
+    expected = lck_terms_from_public_maps(base, w, q, vecs, 1e-4)
+    calls = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, *args):
+        calls.append(1)
+        return derivatives(self, *args)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
+    got = _lck_terms(base, w, q, vecs, 1e-4)
+    # the centre and the 12 points of the dOmega stencil (4 along each of the 3
+    # vectors); the d(lee) stencil along v1 and v2 is 8 of those 12
+    assert len(calls) == 13
+    assert got == expected

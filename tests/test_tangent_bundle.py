@@ -493,3 +493,79 @@ def test_general_curvature_makes_no_point_comparison(monkeypatch):
     Q = point(base, P.x.copy(), P.u.copy())
     tb.bundle_metric(CG, P, U, tb.SplitVector(V.h, V.v, Q))
     assert calls == [1]
+
+
+CASES = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
+
+
+def basis_scalar_reference(w, base, P):
+    """The adapted-basis scalar curvature as a double loop of general
+    curvatures and metric pairings, one ordered pair (a, b) at a time."""
+    basis = tb.adapted_basis(w, P)
+    total = 0.0
+    for al in range(2 * base.dim):
+        for be in range(2 * base.dim):
+            if al == be:
+                continue
+            r = tb.bundle_curvature_general(w, base, P, basis[al], basis[be], basis[be])
+            total += tb.bundle_metric(w, P, r, basis[al])
+    return total
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("eps", [-1, 1])
+def test_batched_curvature_rows_are_the_single_calls(m, eps):
+    # a base with nabla R != 0, so the nabla R slot terms are exercised too
+    entries = [[{"c": 1.0, "powers": [0] * m},
+                {"c": 0.4, "powers": [2 if j == (i + 1) % m else 0 for j in range(m)]}]
+               for i in range(m)]
+    base = bg.diagonal_polynomial(m, entries)
+    pair = WeightPair(CG.a, CG.b, eps, name=f"cg{eps:+d}")
+    rng = np.random.default_rng([m, eps + 1])
+    P = point(base, rng.uniform(-0.3, 0.3, m), rng.uniform(-0.8, 0.8, m))
+    X, Y, Z = (rng.standard_normal((5, m)) for _ in range(3))
+    for case in CASES:
+        stack = tb.bundle_curvature(pair, base, P, case, X, Y, Z)
+        assert stack.h.shape == stack.v.shape == (5, m)
+        for i in range(5):
+            one = tb.bundle_curvature(pair, base, P, case, X[i], Y[i], Z[i])
+            assert one.h.shape == one.v.shape == (m,)
+            assert one.h.tobytes() == stack.h[i].tobytes()
+            assert one.v.tobytes() == stack.v[i].tobytes()
+    U = tb.SplitVector(X, Y, P)
+    V = tb.SplitVector(Z, X, P)
+    rows = tb.bundle_metric(pair, P, U, V)
+    singles = [tb.bundle_metric(pair, P, tb.SplitVector(X[i], Y[i], P),
+                                tb.SplitVector(Z[i], X[i], P)) for i in range(5)]
+    assert isinstance(singles[0], float) and rows.tolist() == singles
+
+
+def test_basis_scalar_is_the_double_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    lck = named_family("lck_example")
+    for base in (SF1, bg.SpaceForm(-1.0, 3), bg.euclidean(3)):
+        for pair in (CG, SAS, G1, lck, kahler_family(2, -1.0, 2.0)):
+            for _ in range(2):
+                m = base.dim
+                P = point(base, rng.uniform(-0.3, 0.3, m), rng.uniform(-0.8, 0.8, m))
+                if not pair.contains(P.t):
+                    continue
+                got = tb.scalar_curvature(pair, base, P, mode="basis")
+                assert got == basis_scalar_reference(pair, base, P)
+
+
+def test_basis_scalar_makes_four_slot_calls(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    P = point(base, [0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
+    calls = {"bundle_curvature": [], "bundle_curvature_general": []}
+    for name, seen in calls.items():
+        original = getattr(tb, name)
+
+        def counted(*args, _seen=seen, _original=original):
+            _seen.append(args[3])
+            return _original(*args)
+
+        monkeypatch.setattr(tb, name, counted)
+    tb.scalar_curvature(CG, base, P, mode="basis")
+    assert calls == {"bundle_curvature": ["HHH", "HVV", "HVH", "VVV"],
+                     "bundle_curvature_general": []}

@@ -105,6 +105,26 @@ def test_eval_matches_multivariate_jet(pair):
         assert [vals.b, vals.bp] == pytest.approx(series(pair.b, tj, 1), rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["cheeger_gromoll", "g1", "lck_example"])
+def test_eval_reads_one_series_when_b_is_a(name):
+    shared = wt.named_family(name)
+    assert shared.b is shared.a
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return shared.a(t)
+
+    once = wt.WeightPair(counted, counted, shared.epsilon, shared.t_domain, name)
+    twice = wt.WeightPair(counted, lambda t: counted(t), shared.epsilon, shared.t_domain, name)
+    for t in (0.0, 0.3, 1.7):
+        calls.clear()
+        vals = once.eval(t)
+        assert len(calls) == 1
+        assert vals == twice.eval(t) == shared.eval(t)
+        assert len(calls) == 3
+
+
 def test_ab_coefficients_stable_at_zero():
     cg = wt.named_family("cheeger_gromoll")
     d0 = wt.derived_coeffs(cg, 0.0)
