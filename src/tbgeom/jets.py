@@ -7,7 +7,8 @@ four floats) serves the weights a(t), b(t); ``Jet`` (n variables, numpy
 arrays) serves the base metric components, truncated at the order its
 caller reads: 1 for g and its first derivatives, 3 for the curvature and
 its covariant derivative.  They share ``-``, ``/``, ``reciprocal`` and
-``**`` and differ in ``+``, ``*``, negation and ``compose``.
+``**`` and differ in ``+``, ``*``, negation and ``compose``.  A ``Taylor``
+may carry arrays, one entry per t, each equal to its float evaluation.
 """
 
 from __future__ import annotations
@@ -17,6 +18,16 @@ import math
 import numpy as np
 
 __all__ = ["Series", "Taylor", "Jet", "sqrt", "exp", "log"]
+
+
+def _num(x):
+    # a constant as a float, or unchanged when it is an array of values
+    return x if isinstance(x, np.ndarray) else float(x)
+
+
+def _pow(u, p):
+    # u**p, on an array through the float power of each entry: numpy's array power can differ
+    return (u.astype(object) ** p).astype(float) if isinstance(u, np.ndarray) else u**p
 
 
 class Series:
@@ -32,17 +43,18 @@ class Series:
 
     def reciprocal(self):
         u = self.v
-        if u == 0.0:
+        zero = u == 0.0
+        if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise ZeroDivisionError("jet reciprocal at zero value")
-        return self.compose(1.0 / u, -1.0 / u**2, 2.0 / u**3, -6.0 / u**4)
+        return self.compose(1.0 / u, -1.0 / _pow(u, 2), 2.0 / _pow(u, 3), -6.0 / _pow(u, 4))
 
     def __truediv__(self, other):
         if not isinstance(other, Series):
-            return self * (1.0 / float(other))
+            return self * (1.0 / _num(other))
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
-        return self.reciprocal() * float(other)
+        return self.reciprocal() * _num(other)
 
     def __pow__(self, p):
         if isinstance(p, int):
@@ -53,8 +65,8 @@ class Series:
                 out = out * self
             return out
         u = self.v
-        return self.compose(u**p, p * u ** (p - 1), p * (p - 1) * u ** (p - 2),
-                            p * (p - 1) * (p - 2) * u ** (p - 3))
+        return self.compose(_pow(u, p), p * _pow(u, p - 1), p * (p - 1) * _pow(u, p - 2),
+                            p * (p - 1) * (p - 2) * _pow(u, p - 3))
 
 
 class Taylor(Series):
@@ -67,7 +79,7 @@ class Taylor(Series):
 
     @classmethod
     def var(cls, value):
-        return cls(float(value), 1.0)
+        return cls(_num(value), 1.0)
 
     def derivative(self):
         """The series shifted down one order; its unknown top order is NaN."""
@@ -77,7 +89,7 @@ class Taylor(Series):
         if isinstance(other, Taylor):
             return Taylor(self.v + other.v, self.d1 + other.d1,
                           self.d2 + other.d2, self.d3 + other.d3)
-        return Taylor(self.v + float(other), self.d1, self.d2, self.d3)
+        return Taylor(self.v + _num(other), self.d1, self.d2, self.d3)
 
     __radd__ = __add__
 
@@ -86,7 +98,7 @@ class Taylor(Series):
 
     def __mul__(self, other):
         if not isinstance(other, Taylor):
-            c = float(other)
+            c = _num(other)
             return Taylor(c * self.v, c * self.d1, c * self.d2, c * self.d3)
         # Leibniz rule, with the rounding order of Jet at n = 1
         a, b = self, other
@@ -208,14 +220,14 @@ class Jet(Series):
 def sqrt(x):
     if isinstance(x, Series):
         u = x.v
-        s = float(np.sqrt(u))
-        return x.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (u**2 * s))
+        s = _num(np.sqrt(u))
+        return x.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (_pow(u, 2) * s))
     return np.sqrt(x)
 
 
 def exp(x):
     if isinstance(x, Series):
-        e = float(np.exp(x.v))
+        e = _num(np.exp(x.v))
         return x.compose(e, e, e, e)
     return np.exp(x)
 
@@ -223,5 +235,5 @@ def exp(x):
 def log(x):
     if isinstance(x, Series):
         u = x.v
-        return x.compose(float(np.log(u)), 1.0 / u, -1.0 / u**2, 2.0 / u**3)
+        return x.compose(_num(np.log(u)), 1.0 / u, -1.0 / _pow(u, 2), 2.0 / _pow(u, 3))
     return np.log(x)

@@ -9,6 +9,8 @@ chart: every derivative goes through ``_central``, and the connection and
 curvature of any metric with ``matrix(q)`` (the induced metric, a base
 ``ChartMetric``, the sphere-bundle graph chart) through ``fd_connection``
 and ``fd_curvature``, which evaluate each distinct stencil point once per call.
+For an ``InducedMetric`` the call's whole stencil goes to ``matrix`` as one
+stack of distinct points, whose rows equal single calls bit for bit.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -51,11 +53,13 @@ class InducedMetric:
         self.weights = weights
 
     def matrix(self, q):
+        """Components at q = (x, y), or at each row of an (n, 2m) stack of points."""
         q = np.asarray(q, dtype=float)
         m = self.base.dim
-        x, y = q[:m], q[m:]
-        g, gamma = self._base_at(x)
-        return _metric_matrix(g, gamma, y, self.weights.eval(0.5 * float(y @ g @ y)))
+        x, y = q[..., :m], q[..., m:]
+        g, gamma = self._base_at(x) if q.ndim == 1 else map(np.array, zip(*map(self._base_at, x)))
+        t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
+        return _metric_matrix(g, gamma, y, self.weights.eval(t))
 
     def _base_at(self, x):
         # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric
@@ -63,16 +67,18 @@ class InducedMetric:
 
 
 def _metric_matrix(g, gamma, y, vals):
-    # components at (x, y) from g(x), Gamma(x) and the weight values at t = g(y, y)/2
-    m = len(y)
-    gy = np.einsum("kij,j->ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
-    gu = g @ y
-    V = vals.a * g + vals.b * np.outer(gu, gu)
-    G = np.zeros((2 * m, 2 * m))
-    G[:m, :m] = g + gy.T @ V @ gy
-    G[:m, m:] = gy.T @ V
-    G[m:, :m] = V @ gy
-    G[m:, m:] = V
+    # components at (x, y) from g(x), Gamma(x) and the weights at t = g(y, y)/2, on any stack axes
+    m = y.shape[-1]
+    gy = np.einsum("...kij,...j->...ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
+    gu = (g @ y[..., None])[..., 0]
+    a, b = (np.asarray(f)[..., None, None] for f in (vals.a, vals.b))
+    V = a * g + b * (gu[..., :, None] * gu[..., None, :])
+    gyTV = np.swapaxes(gy, -1, -2) @ V
+    G = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
+    G[..., :m, :m] = g + gyTV @ gy
+    G[..., :m, m:] = gyTV
+    G[..., m:, :m] = V @ gy
+    G[..., m:, m:] = V
     return G
 
 
@@ -94,23 +100,22 @@ def split_to_coord(U):
     return M @ np.concatenate([U.h, U.v])
 
 
-def _chart_point(base, w, q):
+def _chart_point(base, w, q, base_at=None):
     # y, g(x), Gamma(x), g y and the derived coefficients at q = (x, y); the base
-    # metric is evaluated once, as first-order jets
+    # metric is evaluated once, as first-order jets, or taken from base_at(x)
     q = np.asarray(q, dtype=float)
     x, y = q[: base.dim], q[base.dim :]
-    g, gamma = bg._metric_and_christoffel(base, x)
+    g, gamma = base_at(x) if base_at else bg._metric_and_christoffel(base, x)
     return y, g, gamma, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
 
 
 def j_matrix(base, w, q):
     """Coordinate matrix of the almost complex structure at q = (x, y)."""
-    y, _, gamma, gu, d = _chart_point(base, w, q)
-    return _j_matrix(y, gamma, gu, d)
+    return _j_matrix(*_chart_point(base, w, q))
 
 
-def _j_matrix(y, gamma, gu, d):
-    # j_matrix from the data of one chart point
+def _j_matrix(y, g, gamma, gu, d):
+    # j_matrix from the data of one chart point (g is not read)
     sa = np.sqrt(d.values.a)
     m = len(y)
     JHV = np.eye(m) / sa - d.A_coef * np.outer(y, gu)
@@ -161,13 +166,18 @@ def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
     ) / 3.0
 
 
+def _pair(q, v, h):
+    # the two points q + h v and q - h v of a central quotient
+    step = h * v
+    return q + step, q - step
+
+
 def _central(fun, q, v, h):
     """Central quotient (fun(q + h v) - fun(q - h v)) / 2h along v."""
-    step = h * v
-    up = q + step
+    up, down = _pair(q, v, h)
     if h <= 0 or ((up == q).all() and v.any()):
         raise ValueError(f"differencing step {h} underflows at {q}")
-    return (fun(up) - fun(q - step)) / (2 * h)
+    return (fun(up) - fun(down)) / (2 * h)
 
 
 def _derivative(fun, q, v, h, richardson):
@@ -184,6 +194,12 @@ def _partials(fun, q, h, richardson):
     return np.array([_derivative(fun, q, e, h, richardson) for e in np.eye(q.size)])
 
 
+def _stencil(q, h, richardson):
+    """q and every point ``_partials`` evaluates around it, built as ``_central`` builds them."""
+    steps = (h, h / 2) if richardson else (h,)
+    return [q] + [p for e in np.eye(q.size) for s in steps for p in _pair(q, e, s)]
+
+
 def _once(fun):
     # fun once per distinct point (keyed on its exact bytes); the arrays it returns
     # are made read-only, so a stray write raises instead of corrupting a later lookup
@@ -198,27 +214,34 @@ def _once(fun):
                     a.flags.writeable = False
         return seen[key]
 
+    once.seen = seen
     return once
 
 
 class _CallView:
     """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and,
-    for an ``InducedMetric``, (g(x), Gamma(x)) once per distinct x.  Made on entry
-    to ``fd_connection`` / ``fd_curvature``, reused by nested calls, dropped on return."""
+    for an ``InducedMetric``, (g(x), Gamma(x)) once per distinct x, with the call's
+    ``stencil`` evaluated up front as one stack.  Made on entry to ``fd_connection`` /
+    ``fd_curvature``, reused by nested calls, dropped on return."""
 
-    def __init__(self, metric):
-        if isinstance(metric, InducedMetric):
-            local = copy.copy(metric)
-            local._base_at = _once(metric._base_at)  # bound to the caller's metric: no cycle
-            metric = local
-        self.matrix = _once(metric.matrix)
+    def __init__(self, metric, stencil):
+        if not isinstance(metric, InducedMetric):
+            self.matrix = _once(metric.matrix)
+            return
+        local = copy.copy(metric)
+        local._base_at = _once(metric._base_at)  # bound to the caller's metric: no cycle
+        self.matrix = _once(local.matrix)
+        distinct = {p.tobytes(): p for p in stencil}
+        for key, G in zip(distinct, local.matrix(np.array(list(distinct.values())))):
+            G.flags.writeable = False
+            self.matrix.seen[key] = G
 
 
 def fd_connection(metric, q, h=1e-4, richardson=True):
     """Finite-difference Christoffel symbols of any metric with ``matrix(q)``."""
     q = np.asarray(q, dtype=float)
     if not isinstance(metric, _CallView):
-        metric = _CallView(metric)
+        metric = _CallView(metric, _stencil(q, h, richardson))
     G = metric.matrix(q)
     cond = np.linalg.cond(G)
     if cond > 1e8:
@@ -230,7 +253,8 @@ def fd_connection(metric, q, h=1e-4, richardson=True):
 def fd_curvature(metric, q, h=1e-4, richardson=True):
     """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing)."""
     q = np.asarray(q, dtype=float)
-    view = _CallView(metric)
+    stencil = [p for s in _stencil(q, h, richardson) for p in _stencil(s, h, richardson)]
+    view = _CallView(metric, stencil)
 
     def conn(p):
         return fd_connection(view, p, h=h, richardson=richardson)
@@ -270,8 +294,10 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     U = np.asarray(U, dtype=float)
     V = np.asarray(V, dtype=float)
 
+    base_at = _once(lambda x: bg._metric_and_christoffel(base, x))
+
     def J(p):
-        return j_matrix(base, w, p)
+        return _j_matrix(*_chart_point(base, w, p, base_at))
 
     J0 = J(q)
     JU, JV = J0 @ U, J0 @ V
@@ -290,10 +316,10 @@ def lift_field(base, X, kind):
     m = base.dim
 
     if kind == "H":
+        christoffel = _once(lambda x: bg.christoffel(base, x))  # one Gamma per distinct x
 
         def field(q):
-            gamma = bg.christoffel(base, q[:m])
-            return np.concatenate([X, -np.einsum("kij,j,i->k", gamma, q[m:], X)])
+            return np.concatenate([X, -np.einsum("kij,j,i->k", christoffel(q[:m]), q[m:], X)])
 
     elif kind == "V":
 

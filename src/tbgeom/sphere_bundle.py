@@ -146,7 +146,7 @@ def contact_structure(P, flavor, weights=None, rescaled=False, epsilon=None):
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
     y, g, gamma, gu, d = orc._chart_point(P.base, w, P.q)
     G = orc._metric_matrix(g, gamma, y, d.values)
-    J = orc._j_matrix(y, gamma, gu, d)
+    J = orc._j_matrix(y, g, gamma, gu, d)
     phi = (np.eye(len(N)) - np.outer(N, G @ N)) @ J
     eta = J.T @ G @ N
     xi = -J @ N

@@ -393,14 +393,19 @@ def bundle_curvature_general(w, base, P, U, V, W):
 
 def area_squared(w, P, U, V):
     """Gram determinant g_A(U,U) g_A(V,V) - g_A(U,V)^2."""
+    return _gram(w, P, U, V)[2]
+
+
+def _gram(w, P, U, V):
+    # g_A(U,U), g_A(V,V) and the Gram determinant of U and V
     uu, vv, uv = (bundle_metric(w, P, A, B) for A, B in ((U, U), (V, V), (U, V)))
-    return uu * vv - uv * uv
+    return uu, vv, uu * vv - uv * uv
 
 
 def bundle_sectional(w, base, P, U, V):
     """Sectional curvature of span(U, V) on the bundle."""
-    q = area_squared(w, P, U, V)
-    if q <= 1e-14 * bundle_metric(w, P, U, U) * bundle_metric(w, P, V, V):
+    uu, vv, q = _gram(w, P, U, V)
+    if q <= 1e-14 * uu * vv:
         raise bg.DegeneratePlaneError(f"degenerate bundle plane (Gram {q})")
     ruvv = bundle_curvature_general(w, base, P, U, V, V)
     return bundle_metric(w, P, ruvv, U) / q

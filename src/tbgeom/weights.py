@@ -84,36 +84,41 @@ class WeightPair:
 
     def contains(self, t):
         lo, hi = self.t_domain
-        return lo <= t < hi
+        return (lo <= t) & (t < hi)
 
     def eval(self, t):
-        t = float(t)
-        if not self.contains(t):
+        """Weight values at a float t, or at each t of a 1-D array (then every field
+        is an array, each entry equal to the float evaluation).  Any t outside the
+        domain, or with a <= 0 or a + 2tb <= 0, raises WeightDomainError."""
+        t = t if isinstance(t, np.ndarray) else float(t)
+        bad = _first(np.logical_not(self.contains(t)), t)
+        if bad:
             raise WeightDomainError(
-                f"{self.name}: t={t} outside domain [{self.t_domain[0]}, {self.t_domain[1]})"
+                f"{self.name}: t={bad[0]} outside domain [{self.t_domain[0]}, {self.t_domain[1]})"
             )
         tj = Taylor.var(t)
         aj = self.a(tj)
         bj = aj if self.b is self.a else self.b(tj)
         a, ap, app = (aj.v, aj.d1, aj.d2) if isinstance(aj, Taylor) else (float(aj), 0.0, 0.0)
         b, bp = (bj.v, bj.d1) if isinstance(bj, Taylor) else (float(bj), 0.0)
+        if isinstance(t, np.ndarray):
+            a, ap, app, b, bp = (np.broadcast_to(f, t.shape) for f in (a, ap, app, b, bp))
         w = WeightValues(t, a, ap, app, b, bp)
-        if w.a <= 0.0:
-            raise WeightDomainError(f"{self.name}: a(t)={w.a} <= 0 at t={t}")
-        if w.vertical_norm_weight <= 0.0:
-            raise WeightDomainError(
-                f"{self.name}: a+2tb={w.vertical_norm_weight} <= 0 at t={t}"
-            )
+        for what, value in (("a(t)", w.a), ("a+2tb", w.vertical_norm_weight)):
+            bad = _first(value <= 0.0, value, t)
+            if bad:
+                raise WeightDomainError(f"{self.name}: {what}={bad[0]} <= 0 at t={bad[1]}")
         return w
-
-    def sample_domain(self, rng, n, t_max=None):
-        lo, hi = self.t_domain
-        hi = min(hi, t_max if t_max is not None else 3.0)
-        lo = max(lo, 1e-3)
-        return lo + (hi - lo) * rng.random(n) * 0.98
 
     def __repr__(self):
         return f"WeightPair({self.name}, eps={self.epsilon})"
+
+
+def _first(bad, *values):
+    # None if ``bad`` holds nowhere, else ``values`` (floats, or arrays like it) at its first hit
+    if isinstance(bad, np.ndarray):
+        return [v[bad.argmax()] for v in values] if bad.any() else None
+    return values if bad else None
 
 
 @dataclass(frozen=True)

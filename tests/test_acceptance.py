@@ -28,6 +28,7 @@ from tbgeom.weights import (
     named_family,
     weights_from_spec,
 )
+from weight_sampling import sample_domain
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -168,7 +169,7 @@ def test_criterion_05_kahler_families():
         worst_dlee = max(worst_dlee, abs(dlee))
         max_dom = max(max_dom, abs(dom))
     ak = almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1)
-    worst_ic = max(abs(integrability_constant(ak, t)) for t in ak.sample_domain(rng, 20))
+    worst_ic = max(abs(integrability_constant(ak, t)) for t in sample_domain(ak, rng, 20))
     flat = bg.euclidean(2)
     worst_flat = curved_nij = 0.0
     for w in (ak, named_family("g1")):

@@ -1,0 +1,47 @@
+"""Every residual and control of the shipped configs, pinned to the last bit.
+
+``residual_fingerprint.json`` holds ``float.hex`` of each residual and
+control value of ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with
+``samples`` overridden to 4.  A change that claims to keep the numbers
+bit-identical is checked here; a change that moves them on purpose
+regenerates the file and says why.  Regenerate it from the repository root
+with
+
+    PYTHONPATH=src python3 tests/test_fingerprint.py
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from tbgeom.cli import load_config, run
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = Path(__file__).with_name("residual_fingerprint.json")
+CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2")
+SAMPLES = 4
+
+
+def fingerprint(name):
+    """Per suite: its error, residuals and controls, each number as float.hex."""
+    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc.update(samples=SAMPLES, out=None)
+    return {
+        s["name"]: {
+            "error": s["error"],
+            "residuals": [float(r).hex() for r in s["residuals"]],
+            "controls": [[c["name"], float(c["value"]).hex()] for c in s["controls"]],
+        }
+        for s in run(load_config(doc))["suites"]
+    }
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_residuals_and_controls_match_the_pinned_bits(name):
+    assert fingerprint(name) == json.loads(PINNED.read_text())[name]
+
+
+if __name__ == "__main__":
+    PINNED.write_text(json.dumps({n: fingerprint(n) for n in CONFIGS}, indent=1) + "\n")
+    print(f"wrote {PINNED}")

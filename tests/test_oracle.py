@@ -282,7 +282,7 @@ PROBES = {2: ([0.1, -0.2], [0.7, 0.4]), 3: ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
 def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christoffels, matrices):
     # the plain nested stencil makes (2m * 4 + 1)^2 evaluations of each: 289 at
     # m = 2, 625 at m = 3; only the distinct points q and base points x remain
-    calls = {"christoffel": 0, "matrix": 0, "jets": 0}
+    calls = {"christoffel": 0, "matrix": 0, "jets": 0, "batches": 0}
     christoffel, matrix = bg.christoffel, orc.InducedMetric.matrix
     derivatives = bg.ChartMetric.derivatives
 
@@ -291,7 +291,9 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
         return christoffel(*args)
 
     def counted_matrix(self, q):
-        calls["matrix"] += 1
+        # one call evaluates every row of a stack of points
+        calls["matrix"] += len(np.atleast_2d(q))
+        calls["batches"] += 1
         return matrix(self, q)
 
     def counted_derivatives(self, *args):
@@ -306,10 +308,12 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
     orc.fd_curvature(im, np.array(x + u))
     first = dict(calls)
     assert first["christoffel"] <= christoffels and first["matrix"] <= matrices
+    # the whole two-level stencil is evaluated as one stack
+    assert first["batches"] == 1
     # one jet evaluation per distinct base point, whether or not through christoffel
     assert first["jets"] <= christoffels
     # a second identical call counts the same: nothing outlives a call
-    calls.update(christoffel=0, matrix=0, jets=0)
+    calls.update(christoffel=0, matrix=0, jets=0, batches=0)
     orc.fd_curvature(im, np.array(x + u))
     assert calls == first
     assert sorted(vars(im)) == ["base", "weights"]
@@ -338,6 +342,91 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
     assert calls
 
 
+@pytest.mark.parametrize("base,w", [
+    (bg.euclidean(2), named_family("g1")),
+    (SF1, CG),
+    (bg.SpaceForm(-0.5, 3), named_family("lck_example")),
+    (bg.euclidean(3), SAS),
+])
+def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w):
+    m = base.dim
+    rng = np.random.default_rng(m)
+    qs = np.concatenate([rng.uniform(-0.4, 0.4, (40, m)), rng.uniform(-0.9, 0.9, (40, m))], axis=1)
+    qs[1] = qs[0]  # a repeated point
+    qs[2, :m] = qs[3, :m]  # two points over one base point
+    im = orc.InducedMetric(base, w)
+    stacked = im.matrix(qs)
+    assert stacked.shape == (40, 2 * m, 2 * m)
+    for q, G in zip(qs, stacked):
+        assert G.tobytes() == im.matrix(q).tobytes()
+
+
+def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
+    rows = []
+    matrix = orc.InducedMetric.matrix
+
+    def counted(self, q):
+        rows.append(len(np.atleast_2d(q)))
+        return matrix(self, q)
+
+    im = orc.InducedMetric(SF1, CG)
+    q = np.array([0.15, -0.2, 0.5, 0.6])
+    # the unbatched quotients, every point evaluated alone where it is used
+    expected = bg._levi_civita(np.linalg.inv(im.matrix(q)), orc._partials(im.matrix, q, 1e-4, True))
+    monkeypatch.setattr(orc.InducedMetric, "matrix", counted)
+    got = orc.fd_connection(im, q)
+    # the centre and four points along each of the 2m coordinates
+    assert rows == [1 + 4 * 4]
+    assert got.tobytes() == expected.tobytes()
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_horizontal_lift_reads_one_christoffel_per_distinct_x(monkeypatch):
+    q = np.array([0.15, -0.2, 0.5, 0.6])
+    X, Y = np.array([0.3, -0.7]), np.array([0.8, 0.1])
+    gamma = orc.fd_connection(orc.InducedMetric(SF1, CG), q)
+
+    def plain_h(p):
+        return np.concatenate([Y, -np.einsum("kij,j,i->k", bg.christoffel(SF1, p[:2]), p[2:], Y)])
+
+    expected = orc.fd_lift_connection(gamma, q, orc.lift_field(SF1, X, "V"), plain_h)
+    calls = count_calls(monkeypatch, bg, "christoffel")
+    got = orc.fd_lift_connection(gamma, q, orc.lift_field(SF1, X, "V"), orc.lift_field(SF1, Y, "H"))
+    # the field at q and at the four stencil points along the vertical (0, X) share x
+    assert len(calls) == 1
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
+    q = np.array([0.15, -0.2, 0.5, 0.6])
+    U, V = np.array([0.0, 0.0, 1.0, 0.3]), np.array([0.0, 0.0, -0.2, 0.9])
+    h = 1e-5
+
+    def J(p):
+        return orc.j_matrix(SF1, CG, p)
+
+    J0 = J(q)
+    dJ = {k: orc.fd_directional(J, q, v, h=h) for k, v in
+          {"JU": J0 @ U, "JV": J0 @ V, "U": U, "V": V}.items()}
+    expected = dJ["JU"] @ V - dJ["JV"] @ U + J0 @ (dJ["V"] @ U) - J0 @ (dJ["U"] @ V)
+    calls = count_calls(monkeypatch, bg.ChartMetric, "derivatives")
+    got = orc.fd_nijenhuis(SF1, CG, q, U, V, h=h)
+    # q, whose x the vertical U and V stencils keep, and 4 points along each of JU, JV
+    assert len(calls) == 1 + 4 + 4
+    assert got.tobytes() == expected.tobytes()
+
+
 def _plain_fd_curvature(im, q, h=1e-4):
     # the nested stencil with no memo: every point evaluated where it is used
     def conn(p):
@@ -357,12 +446,14 @@ def test_fd_curvature_is_bit_identical_to_the_uncached_stencil(base, w, q):
 
 
 def test_call_view_hands_out_read_only_arrays():
-    view = orc._CallView(orc.InducedMetric(SF1, CG))
     q = np.array([0.15, -0.2, 0.5, 0.6])
-    G = view.matrix(q)
-    assert view.matrix(q.copy()) is G
-    with pytest.raises(ValueError):
-        G[0, 0] = 0.0
+    view = orc._CallView(orc.InducedMetric(SF1, CG), [q])
+    # a row of the stacked stencil, and a point outside it evaluated on first read
+    for p in (q, q + 0.01):
+        G = view.matrix(p)
+        assert view.matrix(p.copy()) is G
+        with pytest.raises(ValueError):
+            G[0, 0] = 0.0
 
 
 def test_connection_suite_makes_one_fd_connection_call_per_sample(monkeypatch):

@@ -451,6 +451,25 @@ def test_basis_scalar_and_bundle_sectional_evaluate_the_weights_once(monkeypatch
     assert got == expected
 
 
+def test_bundle_sectional_reads_each_gram_entry_once(monkeypatch):
+    # g_A(U,U), g_A(V,V) and g_A(U,V) for the Gram determinant and its
+    # degeneracy check, and g_A(R(U,V)V, U) for the numerator
+    P = point(SF1, [0.1, 0.2], [0.7, -0.4])
+    rng = np.random.default_rng(6)
+    U, V = (tb.random_split_vector(P, rng) for _ in range(2))
+    expected = tb.bundle_sectional(CG, SF1, P, U, V)
+    calls = []
+    bundle_metric = tb.bundle_metric
+
+    def counted(*args):
+        calls.append(1)
+        return bundle_metric(*args)
+
+    monkeypatch.setattr(tb, "bundle_metric", counted)
+    assert tb.bundle_sectional(CG, SF1, P, U, V) == expected
+    assert len(calls) == 4
+
+
 def test_point_keeps_one_evaluation_per_weight_pair(monkeypatch):
     calls = count_weight_evals(monkeypatch)
     P = point(SF1, [0.1, 0.2], [0.7, -0.4])

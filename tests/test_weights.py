@@ -1,12 +1,15 @@
 """Weight families, derived coefficients, and the closure/integrability laws."""
 
 import math
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from tbgeom import weights as wt
 from tbgeom.jets import Jet
+from weight_sampling import sample_domain
 
 
 def fd(f, t, h=1e-6):
@@ -34,6 +37,45 @@ ALL_FAMILIES = [
     wt.kahler_family(2, c=-1.0, kappa=2.0),
     wt.almost_kahler_complete(lambda t: wt.exp(t)),
 ]
+
+
+# every family, an almost-Kahler completion and both kinds of spec function
+STACKED = ALL_FAMILIES + [
+    wt.almost_kahler_complete(lambda t: 1 + t),
+    wt.weights_from_spec({"a": {"poly": [1.0, 0.5, 0.25]}, "b": {"poly": [0.2, -0.1]}}),
+    wt.weights_from_spec({"a": {"exp_poly": [0.1, -0.3]}, "b": {"exp_poly": [-1.0, 0.2, 0.05]}}),
+]
+
+
+@pytest.mark.parametrize("pair", STACKED, ids=[f"{p.name}-{i}" for i, p in enumerate(STACKED)])
+def test_eval_on_an_array_matches_each_float_evaluation_bit_for_bit(pair):
+    t = sample_domain(pair, np.random.default_rng(5), 64)
+    stacked = pair.eval(t)
+    for f in fields(wt.WeightValues):
+        column = getattr(stacked, f.name)
+        assert column.shape == t.shape, f.name
+        for i, ti in enumerate(t):
+            assert float(column[i]).hex() == float(getattr(pair.eval(ti), f.name)).hex(), f.name
+
+
+@pytest.mark.parametrize("pair,bad,match", [
+    (wt.named_family("g1"), -0.25, "outside domain"),
+    (wt.kahler_family(2, c=1.0, kappa=-1.0), 1.5, "outside domain"),
+    (wt.named_family("scal_exp", m=2), 0.0, "outside domain"),
+    (wt.WeightPair(lambda t: 1 - t, lambda t: 0.0), 2.0, r"a\(t\)=-1.0 <= 0 at t=2.0"),
+    (wt.WeightPair(lambda t: 1.0, lambda t: -t), 1.0, r"a\+2tb=-1.0 <= 0 at t=1.0"),
+])
+def test_eval_on_an_array_rejects_one_bad_t(pair, bad, match):
+    # the stacked error names the bad entry as the float evaluation does, and
+    # no NaN is formed on the way
+    t = np.array([0.25, 0.5, bad, 0.75])
+    with pytest.raises(wt.WeightDomainError, match=match) as single:
+        pair.eval(bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(wt.WeightDomainError) as stacked:
+            pair.eval(t)
+    assert str(stacked.value) == str(single.value)
 
 
 def test_sasaki_coefficients_vanish():
@@ -69,7 +111,7 @@ def test_g1_coefficients():
 @pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: p.name)
 def test_positivity_on_domain(pair):
     rng = np.random.default_rng(0)
-    for t in pair.sample_domain(rng, 50):
+    for t in sample_domain(pair, rng, 50):
         vals = pair.eval(t)
         assert vals.a > 0
         assert vals.vertical_norm_weight > 0
@@ -78,7 +120,7 @@ def test_positivity_on_domain(pair):
 @pytest.mark.parametrize("pair", ALL_FAMILIES, ids=lambda p: p.name)
 def test_derivatives_match_central_differences(pair):
     rng = np.random.default_rng(1)
-    for t in pair.sample_domain(rng, 8, t_max=2.0):
+    for t in sample_domain(pair, rng, 8, t_max=2.0):
         if t < 1e-4:
             continue
         vals = pair.eval(t)
@@ -98,7 +140,7 @@ def test_eval_matches_multivariate_jet(pair):
         return [fj.v, fj.d1[0], fj.d2[0, 0]][: order + 1]
 
     rng = np.random.default_rng(4)
-    for t in pair.sample_domain(rng, 10):
+    for t in sample_domain(pair, rng, 10):
         vals = pair.eval(t)
         tj = Jet.seed([t])[0]
         assert [vals.a, vals.ap, vals.app] == pytest.approx(series(pair.a, tj, 2), rel=1e-12)
@@ -195,7 +237,7 @@ def test_kahler_family_system_residuals():
     for case, c, kappa in [(2, -1.0, 2.0), (1, 1.0, -1.0)]:
         pair = wt.kahler_family(case, c, kappa)
         rng = np.random.default_rng(2)
-        for t in pair.sample_domain(rng, 50):
+        for t in sample_domain(pair, rng, 50):
             r13, r14 = wt.kahler_system_residuals(pair, t, c)
             assert abs(r13) <= 1e-10
             assert abs(r14) <= 1e-10
@@ -237,7 +279,7 @@ def test_flat_power_family():
 def test_flat_families_satisfy_flatness_relation(name, params):
     pair = wt.named_family(name, **params)
     rng = np.random.default_rng(3)
-    for t in pair.sample_domain(rng, 20, t_max=2.5):
+    for t in sample_domain(pair, rng, 20, t_max=2.5):
         v = pair.eval(t)
         scale = max(1.0, abs(2 * v.a * v.b))
         assert abs(flatness_residual(pair, t)) <= 1e-12 * scale

@@ -1,0 +1,10 @@
+"""Sampling inside a weight pair's domain, shared by the weight and acceptance tests."""
+
+
+def sample_domain(pair, rng, n, t_max=None):
+    """n values of t drawn uniformly from the pair's domain, clipped to
+    [1e-3, min(hi, t_max or 3)) and kept off its upper end."""
+    lo, hi = pair.t_domain
+    hi = min(hi, t_max if t_max is not None else 3.0)
+    lo = max(lo, 1e-3)
+    return lo + (hi - lo) * rng.random(n) * 0.98
