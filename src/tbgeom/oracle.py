@@ -6,9 +6,9 @@ derived objects (connection, curvature, exterior derivatives, Nijenhuis
 tensor) are obtained by central finite differences with one Richardson
 extrapolation step.  This module is the only place that differences on a
 chart: every derivative goes through ``_central``, and the connection and
-curvature of any metric with ``matrix(q)`` (the induced metric, a base
-``ChartMetric``, the sphere-bundle graph chart) through ``fd_connection``
-and ``fd_curvature``, which evaluate each distinct stencil point once per call.
+curvature of any metric with ``matrix(q)`` (the induced metric or a base
+``ChartMetric``) through ``fd_connection`` and ``fd_curvature``, which
+evaluate each distinct stencil point once per call.
 For an ``InducedMetric`` the call's whole stencil goes to ``matrix`` as one
 stack of distinct points, whose rows equal single calls bit for bit.
 

@@ -11,7 +11,7 @@ are test targets, not the implementation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "contact_structure",
     "isometry_residuals",
     "t1_connection",
-    "FiberGraphChart",
     "t1_connection_fd",
     "deta_numeric",
     "k_contact_verdict",
@@ -38,6 +37,7 @@ __all__ = [
 ]
 
 _SASAKI = named_family("sasaki")
+_ISOMETRY_PAIRS = 10  # random tangent pairs per point in isometry_residuals
 
 
 def sphere_point(base, x, u, r=None):
@@ -66,7 +66,7 @@ def _weights_for(flavor, weights):
     raise ValueError(f"unknown flavor {flavor!r}")
 
 
-def generators(P: tb.TangentPoint, flavor, weights=None):
+def generators(P: tb.TangentPoint, flavor):
     """Spanning fields (delta_i, fiber-tangent verticals) in coordinates.
 
     Returns (deltas, verts): two (m, 2m) arrays of row vectors.  The
@@ -167,7 +167,7 @@ def _rand_tangent(S, rng):
     return v / n
 
 
-def isometry_residuals(base, w, points, r=None, n_pairs=10, rng=None):
+def isometry_residuals(base, w, points, r=None, rng=None):
     """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle.
 
     Compares the pulled-back rescaled sphere-bundle structure with the
@@ -189,7 +189,7 @@ def isometry_residuals(base, w, points, r=None, n_pairs=10, rng=None):
         def rnorm(v):
             return float(np.sqrt(max(v @ S_r.G @ v, 0.0)))
 
-        for _ in range(n_pairs):
+        for _ in range(_ISOMETRY_PAIRS):
             U = _rand_tangent(S_A, rng)
             V = _rand_tangent(S_A, rng)
             lhs = float(dF @ U @ S_r.G @ (dF @ V))
@@ -226,105 +226,11 @@ def t1_connection(base, w, P, case, i, j):
     raise ValueError(f"unknown case {case!r}")
 
 
-class FiberGraphChart:
-    """Graph parametrization of the radius-r bundle near a point.
-
-    Solves the fiber constraint for the largest-|g u| component; provides
-    the embedding, its Jacobian and the metric induced by ``ambient`` in
-    graph coordinates theta = (x, v-others).
-    """
-
-    def __init__(self, P: tb.TangentPoint, ambient):
-        self.base = P.base
-        self.ambient = ambient
-        self.r = P.r
-        self.m = P.base.dim
-        self.jstar = int(np.argmax(np.abs(P.gu)))
-        self.ref = float(P.u[self.jstar])
-        self.theta0 = np.concatenate(
-            [P.x, np.delete(P.u, self.jstar)]
-        )
-
-    def embed(self, theta):
-        m, js = self.m, self.jstar
-        x = theta[:m]
-        g = self.base.matrix(x)
-        v = np.zeros(m)
-        rest = np.delete(np.arange(m), js)
-        v[rest] = theta[m:]
-        A = g[js, js]
-        B = 2.0 * float(g[js, rest] @ v[rest])
-        C = float(v[rest] @ g[np.ix_(rest, rest)] @ v[rest]) - self.r**2
-        disc = B * B - 4 * A * C
-        if disc < 0:
-            raise bg.GeometryError("graph chart left the bundle")
-        roots = [(-B + s * np.sqrt(disc)) / (2 * A) for s in (+1.0, -1.0)]
-        v[js] = min(roots, key=lambda rt: abs(rt - self.ref))
-        return np.concatenate([x, v])
-
-    def jacobian(self, theta):
-        """(q, J): the embedded point q and the Jacobian dq/dtheta at theta."""
-        m, js = self.m, self.jstar
-        q = self.embed(theta)
-        x, v = q[:m], q[m:]
-        g, dg = self.base.derivatives(x, 1)
-        gv = g @ v
-        rest = np.delete(np.arange(m), js)
-        Jc = np.zeros((2 * m, 2 * m - 1))
-        Jc[:m, :m] = np.eye(m)
-        # x-columns: dv_js/dx_i = -(d_i g_kl v^k v^l) / (2 (g v)_js)
-        Fx = np.einsum("ikl,k,l->i", dg, v, v)
-        Jc[m + js, :m] = -Fx / (2.0 * gv[js])
-        # fiber columns
-        for col, k in enumerate(rest):
-            Jc[m + k, m + col] = 1.0
-            Jc[m + js, m + col] = -gv[k] / gv[js]
-        return q, Jc
-
-    def matrix(self, theta):
-        q, J = self.jacobian(theta)
-        return J.T @ self.ambient.matrix(q) @ J
-
-    def covariant_derivative(self, Ufield, Vfield, h=1e-4):
-        """nabla_U V at the chart center for tangent fields given in
-        ambient coordinates; returns ambient coordinate components."""
-        th0 = self.theta0
-        gam = orc.fd_connection(self, th0, h=h)
-
-        def vtheta(th):
-            q, J = self.jacobian(th)
-            return _to_theta(J, Vfield(q))
-
-        q0, J0 = self.jacobian(th0)
-        U0 = _to_theta(J0, Ufield(q0))
-        dV = orc._partials(vtheta, th0, h, richardson=False)
-        out_theta = np.einsum("k,kc->c", U0, dV) + np.einsum(
-            "kij,i,j->k", gam, U0, _to_theta(J0, Vfield(q0))
-        )
-        return J0 @ out_theta
-
-
-def _to_theta(J, vec):
-    # graph-chart components of an ambient tangent vector, given the chart's Jacobian
-    sol, *_ = np.linalg.lstsq(J, np.asarray(vec, dtype=float), rcond=None)
-    return sol
-
-
 def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
-    """Graph-chart finite-difference counterpart of t1_connection."""
+    """Finite-difference counterpart of t1_connection by the Gauss formula: the
+    tangential part of the ambient oracle connection on the generator fields."""
     tb.check_base(base, P)
-    chart = FiberGraphChart(P, orc.InducedMetric(base, w))
     m = base.dim
-
-    def delta_field(k):
-        def f(q):
-            gamma = bg.christoffel(base, q[:m])
-            out = np.zeros(2 * m)
-            out[k] = 1.0
-            out[m:] = -gamma[:, k, :] @ q[m:]
-            return out
-
-        return f
 
     def y_field(k):
         def f(q):
@@ -337,54 +243,30 @@ def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
 
         return f
 
-    U = delta_field(i) if case[0] == "d" else y_field(i)
-    V = delta_field(j) if case[1] == "d" else y_field(j)
-    return chart.covariant_derivative(U, V, h=h)
+    def field(kind, k):
+        return orc.lift_field(base, np.eye(m)[k], "H") if kind == "d" else y_field(k)
 
-
-class _FirstOrderView(bg.ChartMetric):
-    """One ``deta_numeric`` call's view of a base metric: (g, dg) from one
-    first-order jet evaluation per distinct x, served as read-only arrays;
-    ``matrix`` returns that g, and ``validate_at`` runs its checks once per
-    distinct x."""
-
-    def __init__(self, base):
-        super().__init__(base.dim, base.components, base.domain, base.name)
-        self._first = orc._once(lambda x: base.derivatives(x, 1))
-        self.validate_at = orc._once(super().validate_at)
-
-    def matrix(self, x):
-        return self.derivatives(x, 1)[0]
-
-    def derivatives(self, x, order):
-        if order != 1:
-            raise ValueError(f"the first-order view has no order-{order} jets")
-        return self._first(np.asarray(x, dtype=float))
+    U, V = field(case[0], i), field(case[1], j)
+    ambient = orc.InducedMetric(base, w)
+    amb = orc.fd_lift_connection(orc.fd_connection(ambient, P.q, h), P.q, U, V, h)
+    # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
+    dg = base.derivatives(P.x, 1)[1]
+    dt = np.concatenate([0.5 * np.einsum("kij,i,j->k", dg, P.u, P.u), P.gu])
+    N = np.linalg.solve(ambient.matrix(P.q), dt)
+    return amb - N * (dt @ amb) / (dt @ N)
 
 
 def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
-    """Numeric d(eta) on tangent vectors via the graph chart (1/2-convention)."""
+    """Numeric d(eta) on tangent vectors (1/2-convention), by pullback: eta is
+    extended off the bundle as the eta of the radius-|y| bundle through each point."""
     w = _weights_for(flavor, weights)
-    base = _FirstOrderView(P.base)
-    chart = FiberGraphChart(replace(P, base=base), orc.InducedMetric(base, w))
+    m = P.base.dim
 
-    def eta_at(q):
-        m = base.dim
-        Pq = sphere_point(base, q[:m], q[m:], r=P.r)
-        return contact_structure(Pq, flavor, w, rescaled=rescaled).eta
+    def eta(q, v):
+        Pq = sphere_point(P.base, q[:m], q[m:])
+        return float(contact_structure(Pq, flavor, w, rescaled=rescaled).eta @ v)
 
-    def eta_theta(th):
-        q, J = chart.jacobian(th)
-        return J.T @ eta_at(q)
-
-    th0 = chart.theta0
-    deta = orc._partials(eta_theta, th0, h, richardson=True)
-    dmat = 0.5 * (deta - deta.T)  # dmat[al, be] = 1/2 (d_al eta_be - d_be eta_al)
-    _, J0 = chart.jacobian(th0)
-    out = []
-    for (U, V) in vectors:
-        out.append(float(_to_theta(J0, U) @ dmat @ _to_theta(J0, V)))
-    return np.array(out)
+    return np.array([orc.fd_exterior_derivative(eta, P.q, [U, V], h=h) for U, V in vectors])
 
 
 def _kcontact_vectors(base, w, P):

@@ -456,7 +456,7 @@ def _suite_sphere_bundle(ctx, rng, tol):
             # induced metric displays vs ambient restriction
             G_dd, G_dv, G_vv = sb.induced_metric(P, flavor, ww)
             amb = sb.ambient_metric_matrix(P, flavor, ww)
-            deltas, verts = sb.generators(P, flavor, ww)
+            deltas, verts = sb.generators(P, flavor)
             res.residuals.append(float(np.max(np.abs(deltas @ amb @ deltas.T - G_dd))))
             res.residuals.append(float(np.max(np.abs(deltas @ amb @ verts.T - G_dv))))
             res.residuals.append(float(np.max(np.abs(verts @ amb @ verts.T - G_vv))))
@@ -464,6 +464,13 @@ def _suite_sphere_bundle(ctx, rng, tol):
             res.residuals.append(float(np.max(np.abs(P.u @ verts))))
             rank = np.linalg.matrix_rank(verts, tol=1e-10)
             res.residuals.append(float(abs(rank - (m - 1))))
+            if flavor == "ga_unit":
+                # the unit-bundle connection on one generator case per sample
+                case, i, j = ("dd", "Yd", "dY", "YY")[k % 4], k % m, (k // 4) % m
+                gap = sb.t1_connection(base, w, P, case, i, j) - sb.t1_connection_fd(
+                    base, w, P, case, i, j
+                )
+                res.residuals.append(float(np.max(np.abs(gap))))
             # rescaled contact metric condition, numeric d(eta)
             S2 = sb.contact_structure(P, flavor, ww, rescaled=True)
             Pt2 = S2.tangent_projector()

@@ -258,15 +258,16 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
 
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
     P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
-    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    deltas, Ys = sb.generators(P, "ga_unit")
     # (path, central quotients it takes: two per Richardson derivative)
     paths = {
         "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), 2 * 2),
         "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), 3 * 2),
         "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), 4 * 2),
-        # Richardson connection on the 3-dim graph chart, plain field partials
-        "t1_connection_fd": (lambda: sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1), 3 * 2 + 3),
-        "deta_numeric": (lambda: sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])]), 3 * 2),
+        # Richardson connection on the 4-dim chart, one Richardson field derivative
+        "t1_connection_fd": (lambda: sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1), 4 * 2 + 2),
+        # eta(V) along U and eta(U) along V
+        "deta_numeric": (lambda: sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])]), 2 * 2),
     }
     for name, (path, n_central) in paths.items():
         calls.clear()
@@ -320,7 +321,7 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
 
 
 def test_first_order_readers_build_no_higher_jets(monkeypatch):
-    # christoffel, the graph chart's Jacobian and the oracle's base points
+    # christoffel, the oracle's base points and the sphere-bundle oracles
     # read only g and dg, so they never form a third-order jet product
     calls = []
     sym_gh = jets._sym_gh
@@ -329,12 +330,17 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
         calls.append(1)
         return sym_gh(*args)
 
-    monkeypatch.setattr(jets, "_sym_gh", counted)
     base = bg.SpaceForm(1.0, 3)
     x, u = (np.array(v) for v in PROBES[3])
+    u = u / np.sqrt(u @ base.matrix(x) @ u)
+    # the generators read Gamma from the point's full jets: take them before counting,
+    # and hand the oracles a fresh point
+    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0), "ga_unit")
+    P = sb.sphere_point(base, x, u, r=1.0)
+    monkeypatch.setattr(jets, "_sym_gh", counted)
     bg.christoffel(base, x)
-    chart = sb.FiberGraphChart(tb.tangent_point(base, x, u), orc.InducedMetric(base, CG))
-    chart.jacobian(chart.theta0)
+    sb.t1_connection_fd(base, CG, P, "dY", 0, 1)
+    sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])])
     orc.fd_curvature(orc.InducedMetric(base, CG), np.concatenate([x, u]))
     assert calls == []
     # the counter sees the third-order jets that curvature needs

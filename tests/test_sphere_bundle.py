@@ -62,7 +62,7 @@ def test_generators_rank_and_tangency():
     for flavor, w, r in [("sasaki_r", None, 1.7), ("ga_unit", CG, 1.0)]:
         for _ in range(5):
             P = unit_point(SF1, rng.uniform(-0.3, 0.3, 2), rng.standard_normal(2), r)
-            deltas, verts = sb.generators(P, flavor, w)
+            deltas, verts = sb.generators(P, flavor)
             assert np.max(np.abs(P.u @ verts)) <= 1e-12
             assert np.linalg.matrix_rank(verts, tol=1e-10) == P.base.dim - 1
             # tangency: the constraint gradient annihilates all generators
@@ -79,7 +79,7 @@ def test_induced_metric_displays_match_ambient():
         P = unit_point(SF1, rng.uniform(-0.3, 0.3, 2), rng.standard_normal(2), r)
         G_dd, G_dv, G_vv = sb.induced_metric(P, flavor, w)
         amb = sb.ambient_metric_matrix(P, flavor, w)
-        deltas, verts = sb.generators(P, flavor, w)
+        deltas, verts = sb.generators(P, flavor)
         assert np.max(np.abs(deltas @ amb @ deltas.T - G_dd)) <= 1e-12
         assert np.max(np.abs(deltas @ amb @ verts.T - G_dv)) <= 1e-12
         assert np.max(np.abs(verts @ amb @ verts.T - G_vv)) <= 1e-12
@@ -123,7 +123,7 @@ def test_contact_structure_identities(epsilon):
 def test_contact_structure_displayed_components():
     rng = np.random.default_rng(3)
     P = unit_point(SF1, [0.2, -0.1], [0.8, 0.3])
-    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    deltas, Ys = sb.generators(P, "ga_unit")
     for eps in (-1, +1):
         S = sb.contact_structure(P, "ga_unit", CG, rescaled=False, epsilon=eps)
         a = CG.eval(0.5).a
@@ -147,7 +147,7 @@ def test_contact_structure_displayed_components():
 
 def test_unrescaled_deta_display():
     P = unit_point(SF1, [0.1, 0.2], [0.5, -0.7])
-    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    deltas, Ys = sb.generators(P, "ga_unit")
     g, gu = P.gx, P.gu
     pairs = [(deltas[i], Ys[j]) for i in range(2) for j in range(2)]
     pairs += [(deltas[0], deltas[1]), (Ys[0], Ys[1])]
@@ -163,35 +163,37 @@ def test_unrescaled_deta_display():
     assert abs(vals[-1]) <= 1e-8
 
 
-def test_graph_chart_embeds_each_point_once(monkeypatch):
-    calls = {"embed": 0, "jacobian": 0}
-    embed, jacobian = sb.FiberGraphChart.embed, sb.FiberGraphChart.jacobian
+def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
+    calls = {"contact_structure": 0, "matrix": 0, "rows": 0}
+    contact_structure, matrix = sb.contact_structure, orc.InducedMetric.matrix
 
-    def counted_embed(self, theta):
-        calls["embed"] += 1
-        return embed(self, theta)
+    def counted_contact_structure(*args, **kwargs):
+        calls["contact_structure"] += 1
+        return contact_structure(*args, **kwargs)
 
-    def counted_jacobian(self, theta):
-        calls["jacobian"] += 1
-        return jacobian(self, theta)
+    def counted_matrix(self, q):
+        calls["matrix"] += 1
+        calls["rows"] += len(np.atleast_2d(q))
+        return matrix(self, q)
 
-    monkeypatch.setattr(sb.FiberGraphChart, "embed", counted_embed)
-    monkeypatch.setattr(sb.FiberGraphChart, "jacobian", counted_jacobian)
+    monkeypatch.setattr(sb, "contact_structure", counted_contact_structure)
+    monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
     P = unit_point(SF1, np.array([0.2, -0.1]), np.array([0.8, 0.45]))
-    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    deltas, Ys = sb.generators(P, "ga_unit")
     seen = []
     for pairs in ([(deltas[0], Ys[1])], [(deltas[0], Ys[1]), (deltas[1], Ys[0]), (Ys[0], Ys[1])]):
-        calls.update(embed=0, jacobian=0)
+        calls.update(contact_structure=0)
         vals = sb.deta_numeric(P, "ga_unit", CG, pairs)
-        seen.append((dict(calls), vals[0]))
-    # one embedding per Jacobian, and J(theta0) once however many vectors
-    assert seen[0][0]["embed"] == seen[0][0]["jacobian"]
-    assert seen[0][0] == seen[1][0]
+        seen.append((calls["contact_structure"], vals[0]))
+    # eta at the 4 Richardson points along each of U and V: 8 distinct points a
+    # pair, and a pair's value does not depend on the others
+    assert seen[0][0] == 8 and seen[1][0] == 3 * 8
     assert seen[0][1] == seen[1][1]
-    # the graph-chart connection embeds each point once too
-    calls.update(embed=0, jacobian=0)
+    # the Gauss-formula connection: the 1 + 8m connection stencil as one stack,
+    # and the ambient metric at P once more for the normal
+    calls.update(matrix=0, rows=0)
     sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1)
-    assert 0 < calls["embed"] == calls["jacobian"]
+    assert calls["matrix"] == 2 and calls["rows"] == 1 + 8 * 2 + 1
 
 
 def test_rescaled_contact_metric_condition():
@@ -233,7 +235,7 @@ def test_isometry_a4(base):
 
 def test_t1_connection_flat_base():
     P = unit_point(EU2, [0.3, -0.4], [0.7, 0.1])
-    _, Ys = sb.generators(P, "ga_unit", SAS)
+    _, Ys = sb.generators(P, "ga_unit")
     for i in range(2):
         for j in range(2):
             out = sb.t1_connection(EU2, SAS, P, "YY", i, j)
@@ -246,7 +248,7 @@ def test_t1_connection_space_form_identity():
     # on the unit bundle of a curvature-1 base with a = 1:
     # nabla_{Y_i} delta_j = (1/2) R^k_{j0i} delta_k with space-form curvature
     P = unit_point(SF1, [0.1, 0.2], [0.9, -0.2])
-    deltas, _ = sb.generators(P, "ga_unit", SAS)
+    deltas, _ = sb.generators(P, "ga_unit")
     g, gu, y = P.gx, P.gu, P.u
     for i in range(2):
         for j in range(2):
@@ -257,12 +259,19 @@ def test_t1_connection_space_form_identity():
 
 @pytest.mark.parametrize("case", ["dd", "Yd", "dY", "YY"])
 def test_t1_connection_matches_hypersurface_oracle(case):
-    P = unit_point(SF1, [0.2, -0.1], [0.8, 0.45])
-    for i in range(2):
-        for j in range(2):
-            closed = sb.t1_connection(SF1, CG, P, case, i, j)
-            num = sb.t1_connection_fd(SF1, CG, P, case, i, j)
-            assert np.max(np.abs(closed - num)) <= 1e-4
+    inputs = [
+        (SF1, CG, [0.2, -0.1], [0.8, 0.45]),
+        (SF1, SAS, [0.1, 0.25], [-0.3, 0.9]),
+        (bg.SpaceForm(0.5, 3), named_family("g1"), [0.1, -0.2, 0.15], [0.7, 0.4, -0.3]),
+        (bg.SpaceForm(0.5, 3), CG, [-0.2, 0.1, 0.05], [0.2, -0.6, 0.5]),
+    ]
+    for base, w, x, u in inputs:
+        P = unit_point(base, x, u)
+        for i in range(base.dim):
+            for j in range(base.dim):
+                closed = sb.t1_connection(base, w, P, case, i, j)
+                num = sb.t1_connection_fd(base, w, P, case, i, j)
+                assert np.max(np.abs(closed - num)) <= 1e-9
 
 
 def test_k_contact_verdicts():
@@ -342,56 +351,42 @@ def test_contact_structure_evaluates_the_base_once(monkeypatch, flavor, w, r, re
 
 
 def plain_deta(P, flavor, w, vectors, h=1e-4):
-    # deta_numeric's stencil with no memo: the base metric evaluated where it is used
+    # d(eta)(U, V) = 1/2 (U eta(V) - V eta(U)) on the pulled-back extension, written out
     m = P.base.dim
-    chart = sb.FiberGraphChart(P, orc.InducedMetric(P.base, w))
 
-    def eta_theta(th):
-        q, J = chart.jacobian(th)
-        Pq = sb.sphere_point(P.base, q[:m], q[m:], r=P.r)
-        return J.T @ sb.contact_structure(Pq, flavor, w, rescaled=True).eta
+    def eta(q):
+        Pq = sb.sphere_point(P.base, q[:m], q[m:])
+        return sb.contact_structure(Pq, flavor, w, rescaled=True).eta
 
-    deta = orc._partials(eta_theta, chart.theta0, h, richardson=True)
-    dmat = 0.5 * (deta - deta.T)
-    _, J0 = chart.jacobian(chart.theta0)
-    return np.array([float(sb._to_theta(J0, U) @ dmat @ sb._to_theta(J0, V)) for U, V in vectors])
+    def along(U, V):
+        return orc.fd_directional(lambda q: float(eta(q) @ V), P.q, U, h=h)
+
+    return np.array([(along(U, V) - along(V, U)) / 2 for U, V in vectors])
 
 
 @pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", SAS, 1.3)])
 def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, flavor, w, r):
     P = unit_point(SF3, *M3_POINT, r=r)
-    deltas, Ys = sb.generators(P, "ga_unit", CG)
+    deltas, Ys = sb.generators(P, "ga_unit")
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
     expected = plain_deta(P, flavor, w, pairs)
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
     got = sb.deta_numeric(P, flavor, w, pairs)
-    # the Richardson stencil moves x along 3 coordinates at 4 steps each; the
-    # 2 fiber coordinates keep x, so 13 distinct base points, each checked once
-    assert calls == {"matrix": 0, "derivatives": 13, "validate_at": 13}
+    # 8 eta evaluations a pair; each evaluates the base metric at its own point
+    # once as first-order jets and checks it once (validate_at's matrix)
+    assert calls == {"matrix": 16, "derivatives": 16, "validate_at": 16}
     assert np.array_equal(got, expected)
 
 
-def test_first_order_view_serves_read_only_arrays_and_keeps_its_checks():
-    view = sb._FirstOrderView(SF3)
-    x, u = (np.array(v) for v in M3_POINT)
-    g = view.matrix(x)
-    assert np.array_equal(g, SF3.matrix(x))
-    assert view.derivatives(x.copy(), 1)[0] is g
-    for arr in (g, view.derivatives(x, 1)[1]):
-        with pytest.raises(ValueError):
-            arr[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        view.derivatives(x, 3)
-    # sphere_point's radius check and validate_at's checks still run on the view
-    with pytest.raises(bg.GeometryError, match="r\\^2"):
-        sb.sphere_point(view, x, u, r=5.0)
-    skew = bg.ChartMetric(2, lambda xs: [[1.0, xs[0]], [0.0, 1.0]], name="skew")
-    with pytest.raises(bg.GeometryError, match="not symmetric"):
-        sb._FirstOrderView(skew).validate_at(np.array([0.5, 0.0]))
-    indefinite = bg.diagonal_polynomial(
+def test_deta_numeric_raises_on_an_indefinite_stencil():
+    # g = diag(x1, 1) is positive definite only for x1 > 0; the stencil around
+    # x1 = 5e-5 steps to x1 = -5e-5 and must raise there, never return NaN
+    base = bg.diagonal_polynomial(
         2, [[{"c": 1.0, "powers": [1, 0]}], [{"c": 1.0, "powers": [0, 0]}]])
+    P = unit_point(base, [5e-5, 0.0], [0.0, 1.0])
+    deltas, Ys = sb.generators(P, "ga_unit")
     with pytest.raises(bg.SingularMetricError):
-        sb._FirstOrderView(indefinite).validate_at(np.array([-0.5, 0.0]))
+        sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[0])])
 
 
 @pytest.mark.parametrize("m", [2, 3])
