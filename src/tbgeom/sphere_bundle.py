@@ -1,11 +1,13 @@
 """Tangent sphere bundles as hypersurfaces, their contact structures,
 the radius-sqrt(a) isometry, and the K-contact/Sasakian verdicts.
 
-Two flavors of hypersurface are supported: the radius-r bundle inside the
-Sasaki-weighted ambient ("sasaki_r") and the unit bundle inside the
-two-weight ambient ("ga_unit", where the energy density is frozen at 1/2).
+There is one construction: the radius-r bundle g(u, u) = r^2 inside T(M)
+with the metric of a weight pair w, given as a point P of that bundle
+(``sphere_point``, radius P.r) and w.  The paper's unit tangent bundle is
+(w, r = 1) and its tangent sphere bundle of radius r is (Sasaki, r).
 Contact structures are built directly from the ambient almost complex
-structure by tangent/normal projection; the displayed component formulas
+structure by tangent/normal projection and rescaled to a contact metric
+structure by c = 2 r sqrt(a(r^2/2)); the displayed component formulas
 are test targets, not the implementation.
 """
 
@@ -25,7 +27,6 @@ __all__ = [
     "ContactStructure",
     "generators",
     "induced_metric",
-    "ambient_metric_matrix",
     "unit_normal",
     "contact_structure",
     "isometry_residuals",
@@ -56,17 +57,7 @@ def sphere_point(base, x, u, r=None):
     return tb.TangentPoint(base, x, u, gx, 0.5 * float(r) ** 2)
 
 
-def _weights_for(flavor, weights):
-    if flavor == "sasaki_r":
-        return _SASAKI
-    if flavor == "ga_unit":
-        if weights is None:
-            raise ValueError("ga_unit flavor needs a weight pair")
-        return weights
-    raise ValueError(f"unknown flavor {flavor!r}")
-
-
-def generators(P: tb.TangentPoint, flavor):
+def generators(P: tb.TangentPoint):
     """Spanning fields (delta_i, fiber-tangent verticals) in coordinates.
 
     Returns (deltas, verts): two (m, 2m) arrays of row vectors.  The
@@ -75,17 +66,11 @@ def generators(P: tb.TangentPoint, flavor):
     m = P.base.dim
     gy = np.einsum("kij,j->ki", P.gamma, P.u)
     deltas = np.hstack([np.eye(m), -gy.T])
-    scale = 1.0 / P.r**2 if flavor == "sasaki_r" else 1.0
-    verts = np.hstack([np.zeros((m, m)), np.eye(m) - scale * np.outer(P.gu, P.u)])
+    verts = np.hstack([np.zeros((m, m)), np.eye(m) - 1.0 / P.r**2 * np.outer(P.gu, P.u)])
     return deltas, verts
 
 
-def ambient_metric_matrix(P, flavor, weights=None):
-    w = _weights_for(flavor, weights)
-    return orc.InducedMetric(P.base, w).matrix(P.q)
-
-
-def induced_metric(P, flavor, weights=None):
+def induced_metric(P, w):
     """Displayed component formulas of the induced metric on the generators.
 
     Returns (G_dd, G_dv, G_vv); the ambient restriction reproduces these
@@ -95,17 +80,12 @@ def induced_metric(P, flavor, weights=None):
     g, gu = P.gx, P.gu
     G_dd = g.copy()
     G_dv = np.zeros((m, m))
-    if flavor == "sasaki_r":
-        G_vv = g - np.outer(gu, gu) / P.r**2
-    else:
-        w = _weights_for(flavor, weights)
-        a = P.values(w).a
-        G_vv = a * (g - np.outer(gu, gu))
+    G_vv = P.values(w).a * (g - np.outer(gu, gu) / P.r**2)
     return G_dd, G_dv, G_vv
 
 
-def unit_normal(P, flavor, weights=None):
-    vals = P.values(_weights_for(flavor, weights))
+def unit_normal(P, w):
+    vals = P.values(w)
     norm2 = vals.a * P.r**2 + vals.b * P.r**4
     return np.concatenate([np.zeros(P.base.dim), P.u]) / np.sqrt(norm2)
 
@@ -126,22 +106,19 @@ class ContactStructure:
         scale = float(N @ G @ N)
         return np.eye(len(N)) - np.outer(N, G @ N) / scale
 
-    def project(self, v):
-        return self.tangent_projector() @ np.asarray(v, dtype=float)
 
-
-def contact_structure(P, flavor, weights=None, rescaled=False, epsilon=None):
+def contact_structure(P, w, rescaled=False, epsilon=None):
     """Almost contact metric structure induced by the ambient Hermitian pair.
 
     phi U = tan(J U), eta(U) N = nor(J U), xi = -J N; with the rescaled
-    flag the structure is renormalized to a contact metric structure.
+    flag the structure is renormalized to a contact metric structure by
+    c = 2 r sqrt(a): xi -> -eps c xi, eta -> -eps eta / c, G -> G / c^2.
     """
-    w = _weights_for(flavor, weights)
     # the normal and the rescaling read the weights at P.t, whose values do not
     # depend on epsilon; G and J share one chart point, whose t = g(y, y)/2 may
     # differ from P.t in the last bit
     vals = P.values(w)
-    N = unit_normal(P, flavor, w)
+    N = unit_normal(P, w)
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
     y, g, gamma, gu, d = orc._chart_point(P.base, w, P.q)
@@ -151,18 +128,14 @@ def contact_structure(P, flavor, weights=None, rescaled=False, epsilon=None):
     eta = J.T @ G @ N
     xi = -J @ N
     if rescaled:
-        if flavor == "sasaki_r":
-            r = P.r
-            xi, eta, G = 2 * r * xi, eta / (2 * r), G / (4 * r**2)
-        else:
-            sa = np.sqrt(vals.a)
-            eps = w.epsilon
-            xi, eta, G = -2 * eps * sa * xi, -eps / (2 * sa) * eta, G / (4 * vals.a)
+        eps = w.epsilon
+        c = 2 * P.r * np.sqrt(vals.a)
+        xi, eta, G = -eps * c * xi, -eps / c * eta, G / (4 * P.r**2 * vals.a)
     return ContactStructure(phi, xi, eta, G, N, rescaled)
 
 
 def _rand_tangent(S, rng):
-    v = S.project(rng.standard_normal(len(S.xi)))
+    v = S.tangent_projector() @ rng.standard_normal(len(S.xi))
     n = np.sqrt(float(v @ S.G @ v))
     return v / n
 
@@ -182,9 +155,9 @@ def isometry_residuals(base, w, points, r=None, rng=None):
     out = {"metric": 0.0, "phi": 0.0, "xi": 0.0, "r": r_used}
     for (x, u) in points:
         P1 = sphere_point(base, x, u, r=1.0)
-        S_A = contact_structure(P1, "ga_unit", w, rescaled=True)
+        S_A = contact_structure(P1, w, rescaled=True)
         Pr = sphere_point(base, x, r_used * np.asarray(u), r=r_used)
-        S_r = contact_structure(Pr, "sasaki_r", rescaled=True)
+        S_r = contact_structure(Pr, _SASAKI, rescaled=True)
 
         def rnorm(v):
             return float(np.sqrt(max(v @ S_r.G @ v, 0.0)))
@@ -200,17 +173,16 @@ def isometry_residuals(base, w, points, r=None, rng=None):
     return out
 
 
-def t1_connection(base, w, P, case, i, j):
-    """Closed-form unit-bundle connection on the generator fields.
+def t1_connection(P, w, case, i, j):
+    """Closed-form unit-bundle connection on the generator fields (P.r = 1).
 
     ``case`` in {"dd", "Yd", "dY", "YY"} selects nabla_{delta_i} delta_j,
     nabla_{Y_i} delta_j, nabla_{delta_i} Y_j, nabla_{Y_i} Y_j; returns
     ambient coordinate components of the result.
     """
-    tb.check_base(base, P)
     a = P.values(w).a
     gamma, R = P.gamma, P.R
-    deltas, Ys = generators(P, "ga_unit")
+    deltas, Ys = generators(P)
     y, gu = P.u, P.gu
     if case == "dd":
         R0ij = np.einsum("klij,l->kij", R, y)  # R^k_{0ij}
@@ -226,11 +198,10 @@ def t1_connection(base, w, P, case, i, j):
     raise ValueError(f"unknown case {case!r}")
 
 
-def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
+def t1_connection_fd(P, w, case, i, j, h=1e-4):
     """Finite-difference counterpart of t1_connection by the Gauss formula: the
     tangential part of the ambient oracle connection on the generator fields."""
-    tb.check_base(base, P)
-    m = base.dim
+    base, m = P.base, P.base.dim
 
     def y_field(k):
         def f(q):
@@ -256,28 +227,26 @@ def t1_connection_fd(base, w, P, case, i, j, h=1e-4):
     return amb - N * (dt @ amb) / (dt @ N)
 
 
-def deta_numeric(P, flavor, weights=None, vectors=None, h=1e-4, rescaled=True):
+def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     """Numeric d(eta) on tangent vectors (1/2-convention), by pullback: eta is
     extended off the bundle as the eta of the radius-|y| bundle through each point."""
-    w = _weights_for(flavor, weights)
     m = P.base.dim
 
     def eta(q, v):
         Pq = sphere_point(P.base, q[:m], q[m:])
-        return float(contact_structure(Pq, flavor, w, rescaled=rescaled).eta @ v)
+        return float(contact_structure(Pq, w, rescaled=rescaled).eta @ v)
 
     return np.array([orc.fd_exterior_derivative(eta, P.q, [U, V], h=h) for U, V in vectors])
 
 
-def _kcontact_vectors(base, w, P):
+def _kcontact_vectors(P, w):
     """Analytic residual vectors of the K-contact condition at P."""
-    tb.check_base(base, P)
-    m = base.dim
+    m = P.base.dim
     a = P.values(w).a
     sa = np.sqrt(a)
     R = P.R
     y, gu = P.u, P.gu
-    deltas, Ys = generators(P, "ga_unit")
+    deltas, Ys = generators(P)
     R0i0 = np.einsum("klij,l,j->ki", R, y, y)  # R^k_{0i0}
     res = []
     for i in range(m):
@@ -290,15 +259,14 @@ def _kcontact_vectors(base, w, P):
     return res
 
 
-def sasakian_residuals(base, w, P):
+def sasakian_residuals(P, w):
     """Analytic residual vectors of (nabla_U phi)V = G(U,V) xi - eta(V) U."""
-    tb.check_base(base, P)
-    m = base.dim
+    m = P.base.dim
     a = P.values(w).a
     sa = np.sqrt(a)
     R = P.R
     y, gu, g = P.u, P.gu, P.gx
-    deltas, Ys = generators(P, "ga_unit")
+    deltas, Ys = generators(P)
     xi0 = y @ deltas  # y^k delta_k
     R0i0 = np.einsum("klij,l,j->ki", R, y, y)
     R_i0j = np.einsum("kilj,l->kij", R, y)  # R^k_{i0j}
@@ -339,14 +307,14 @@ def k_contact_verdict(base, w, points, tol=1e-8):
     a = w.eval(0.5).a
     for (x, u) in points:
         P = sphere_point(base, x, u, r=1.0)
-        S = contact_structure(P, "ga_unit", w, rescaled=True)
+        S = contact_structure(P, w, rescaled=True)
 
         def gnorm(v):
             return float(np.sqrt(max(v @ S.G @ v, 0.0)))
 
-        for v in _kcontact_vectors(base, w, P):
+        for v in _kcontact_vectors(P, w):
             kc = max(kc, gnorm(v))
-        for v in sasakian_residuals(base, w, P):
+        for v in sasakian_residuals(P, w):
             sas = max(sas, gnorm(v))
     predicted = isinstance(base, bg.SpaceForm) and abs(base.curvature - 1.0 / a) < 1e-12
     return {

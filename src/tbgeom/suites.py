@@ -298,10 +298,11 @@ def _suite_connection(ctx, rng, tol):
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         gamma = orc.fd_connection(im, P.q, h=ctx.h)
-        for case, ku, kv in [("HH", "H", "H"), ("HV", "H", "V"), ("VH", "V", "H"), ("VV", "V", "V")]:
+        lifts = {k: (orc.lift_field(base, X, k), orc.lift_field(base, Y, k)) for k in "HV"}
+        for case in ("HH", "HV", "VH", "VV"):
             closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
             num = orc.fd_lift_connection(
-                gamma, P.q, orc.lift_field(base, X, ku), orc.lift_field(base, Y, kv), h=ctx.h
+                gamma, P.q, lifts[case[0]][0], lifts[case[1]][1], h=ctx.h
             )
             res.residuals.append(float(np.max(np.abs(closed - num))))
     return res
@@ -318,11 +319,10 @@ def _suite_curvature(ctx, rng, tol):
         X = rng.standard_normal(base.dim)
         Y = rng.standard_normal(base.dim)
         Z = rng.standard_normal(base.dim)
+        lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
         for case in ["HHH", "HHV", "HVH", "HVV", "VVH", "VVV"]:
             closed = orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
-            Uc = orc.lift_field(base, X, case[0])(P.q)
-            Vc = orc.lift_field(base, Y, case[1])(P.q)
-            Wc = orc.lift_field(base, Z, case[2])(P.q)
+            Uc, Vc, Wc = (lifts[k][n] for n, k in enumerate(case))
             num = np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)
             res.residuals.append(float(np.max(np.abs(closed - num))))
         # closed-form curvature symmetries + first Bianchi on random splits
@@ -428,14 +428,16 @@ def _suite_scalar(ctx, rng, tol):
 def _suite_sphere_bundle(ctx, rng, tol):
     res = SuiteResult("sphere_bundle", "§3.1-3.2", tol)
     base, w = ctx.base, ctx.weights
+    sas = named_family("sasaki")
     m = base.dim
     deta_worst = 0.0
     for k in range(max(2, ctx.samples // 4)):
         x, u = _sphere_sample(ctx, rng)
-        for flavor, ww, r in [("ga_unit", w, 1.0), ("sasaki_r", None, 1.3)]:
+        # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r)
+        for unit, ww, r in [(True, w, 1.0), (False, sas, 1.3)]:
             P = sb.sphere_point(base, x, r * u, r=r)
-            for eps in ([-1, 1] if flavor == "ga_unit" else [None]):
-                S = sb.contact_structure(P, flavor, ww, rescaled=False, epsilon=eps)
+            for eps in ([-1, 1] if unit else [None]):
+                S = sb.contact_structure(P, ww, rescaled=False, epsilon=eps)
                 Pt = S.tangent_projector()
                 for _ in range(3):
                     U = Pt @ rng.standard_normal(2 * m)
@@ -454,9 +456,9 @@ def _suite_sphere_bundle(ctx, rng, tol):
                 res.residuals.append(float(np.max(np.abs(S.phi @ S.xi))))
                 res.residuals.append(abs(float(S.eta @ S.xi) - 1.0))
             # induced metric displays vs ambient restriction
-            G_dd, G_dv, G_vv = sb.induced_metric(P, flavor, ww)
-            amb = sb.ambient_metric_matrix(P, flavor, ww)
-            deltas, verts = sb.generators(P, flavor)
+            G_dd, G_dv, G_vv = sb.induced_metric(P, ww)
+            amb = orc.InducedMetric(base, ww).matrix(P.q)
+            deltas, verts = sb.generators(P)
             res.residuals.append(float(np.max(np.abs(deltas @ amb @ deltas.T - G_dd))))
             res.residuals.append(float(np.max(np.abs(deltas @ amb @ verts.T - G_dv))))
             res.residuals.append(float(np.max(np.abs(verts @ amb @ verts.T - G_vv))))
@@ -464,21 +466,19 @@ def _suite_sphere_bundle(ctx, rng, tol):
             res.residuals.append(float(np.max(np.abs(P.u @ verts))))
             rank = np.linalg.matrix_rank(verts, tol=1e-10)
             res.residuals.append(float(abs(rank - (m - 1))))
-            if flavor == "ga_unit":
+            if unit:
                 # the unit-bundle connection on one generator case per sample
                 case, i, j = ("dd", "Yd", "dY", "YY")[k % 4], k % m, (k // 4) % m
-                gap = sb.t1_connection(base, w, P, case, i, j) - sb.t1_connection_fd(
-                    base, w, P, case, i, j
-                )
+                gap = sb.t1_connection(P, w, case, i, j) - sb.t1_connection_fd(P, w, case, i, j)
                 res.residuals.append(float(np.max(np.abs(gap))))
             # rescaled contact metric condition, numeric d(eta)
-            S2 = sb.contact_structure(P, flavor, ww, rescaled=True)
+            S2 = sb.contact_structure(P, ww, rescaled=True)
             Pt2 = S2.tangent_projector()
             pairs = [
                 (Pt2 @ rng.standard_normal(2 * m), Pt2 @ rng.standard_normal(2 * m))
                 for _ in range(2)
             ]
-            dvals = sb.deta_numeric(P, flavor, ww, pairs, rescaled=True)
+            dvals = sb.deta_numeric(P, ww, pairs, rescaled=True)
             for (U, V), dv in zip(pairs, dvals):
                 deta_worst = max(deta_worst, abs(dv - float(U @ S2.G @ (S2.phi @ V))))
     res.controls.append(Control("contact_metric_condition", deta_worst, 1e-8, "max"))

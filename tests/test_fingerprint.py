@@ -37,9 +37,27 @@ def fingerprint(name):
     }
 
 
+def first_difference(got, pinned):
+    """Where one suite's fingerprint first departs from the pinned one, in words."""
+    if got["error"] != pinned["error"]:
+        return f"error {got['error']!r}, pinned {pinned['error']!r}"
+    for kind in ("residuals", "controls"):
+        for i, (a, b) in enumerate(zip(got[kind], pinned[kind])):
+            if a != b and kind == "residuals":
+                return f"residual {i}: {a}, pinned {b}"
+            if a != b:
+                return f"control {i}: {a[0]} = {a[1]}, pinned {b[0]} = {b[1]}"
+        if len(got[kind]) != len(pinned[kind]):
+            return f"{len(got[kind])} {kind}, pinned {len(pinned[kind])}"
+    return f"fields {sorted(got)}, pinned {sorted(pinned)}"
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 def test_residuals_and_controls_match_the_pinned_bits(name):
-    assert fingerprint(name) == json.loads(PINNED.read_text())[name]
+    got, pinned = fingerprint(name), json.loads(PINNED.read_text())[name]
+    assert got.keys() == pinned.keys(), f"{name}: suites {list(got)}, pinned {list(pinned)}"
+    for suite, want in pinned.items():
+        assert got[suite] == want, f"{name} / {suite}: {first_difference(got[suite], want)}"
 
 
 if __name__ == "__main__":

@@ -258,16 +258,16 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
 
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
     P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     # (path, central quotients it takes: two per Richardson derivative)
     paths = {
         "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), 2 * 2),
         "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), 3 * 2),
         "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), 4 * 2),
         # Richardson connection on the 4-dim chart, one Richardson field derivative
-        "t1_connection_fd": (lambda: sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1), 4 * 2 + 2),
+        "t1_connection_fd": (lambda: sb.t1_connection_fd(P, CG, "dY", 0, 1), 4 * 2 + 2),
         # eta(V) along U and eta(U) along V
-        "deta_numeric": (lambda: sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])]), 2 * 2),
+        "deta_numeric": (lambda: sb.deta_numeric(P, CG, [(deltas[0], Ys[1])]), 2 * 2),
     }
     for name, (path, n_central) in paths.items():
         calls.clear()
@@ -335,12 +335,12 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
     u = u / np.sqrt(u @ base.matrix(x) @ u)
     # the generators read Gamma from the point's full jets: take them before counting,
     # and hand the oracles a fresh point
-    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0), "ga_unit")
+    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0))
     P = sb.sphere_point(base, x, u, r=1.0)
     monkeypatch.setattr(jets, "_sym_gh", counted)
     bg.christoffel(base, x)
-    sb.t1_connection_fd(base, CG, P, "dY", 0, 1)
-    sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[1])])
+    sb.t1_connection_fd(P, CG, "dY", 0, 1)
+    sb.deta_numeric(P, CG, [(deltas[0], Ys[1])])
     orc.fd_curvature(orc.InducedMetric(base, CG), np.concatenate([x, u]))
     assert calls == []
     # the counter sees the third-order jets that curvature needs

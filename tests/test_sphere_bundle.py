@@ -50,7 +50,7 @@ def test_sphere_point_is_a_tangent_point_with_the_given_radius():
 def test_generators_flat_axis_fiber():
     # r = 1, Euclidean, u = e1: Z_1 = 0 and Z_2 = d/dv^2
     P = sb.sphere_point(EU2, [0.0, 0.0], [1.0, 0.0], r=1.0)
-    deltas, verts = sb.generators(P, "sasaki_r")
+    deltas, verts = sb.generators(P)
     assert np.allclose(deltas[:, :2], np.eye(2)) and np.allclose(deltas[:, 2:], 0)
     assert np.allclose(verts[0], 0)
     assert np.allclose(verts[1], [0, 0, 0, 1])
@@ -59,27 +59,26 @@ def test_generators_flat_axis_fiber():
 
 def test_generators_rank_and_tangency():
     rng = np.random.default_rng(0)
-    for flavor, w, r in [("sasaki_r", None, 1.7), ("ga_unit", CG, 1.0)]:
+    for w, r in [(SAS, 1.7), (CG, 1.0)]:
         for _ in range(5):
             P = unit_point(SF1, rng.uniform(-0.3, 0.3, 2), rng.standard_normal(2), r)
-            deltas, verts = sb.generators(P, flavor)
+            deltas, verts = sb.generators(P)
             assert np.max(np.abs(P.u @ verts)) <= 1e-12
             assert np.linalg.matrix_rank(verts, tol=1e-10) == P.base.dim - 1
             # tangency: the constraint gradient annihilates all generators
-            amb = sb.ambient_metric_matrix(P, flavor, w)
-            N = sb.unit_normal(P, flavor, w)
+            amb = orc.InducedMetric(SF1, w).matrix(P.q)
+            N = sb.unit_normal(P, w)
             for row in np.vstack([deltas, verts]):
                 assert abs(row @ amb @ N) <= 1e-12
 
 
 def test_induced_metric_displays_match_ambient():
     rng = np.random.default_rng(1)
-    for flavor, w, r in [("sasaki_r", None, 1.0), ("sasaki_r", None, 2.0),
-                         ("ga_unit", CG, 1.0), ("ga_unit", named_family("g1"), 1.0)]:
+    for w, r in [(SAS, 1.0), (SAS, 2.0), (CG, 1.0), (named_family("g1"), 1.0)]:
         P = unit_point(SF1, rng.uniform(-0.3, 0.3, 2), rng.standard_normal(2), r)
-        G_dd, G_dv, G_vv = sb.induced_metric(P, flavor, w)
-        amb = sb.ambient_metric_matrix(P, flavor, w)
-        deltas, verts = sb.generators(P, flavor)
+        G_dd, G_dv, G_vv = sb.induced_metric(P, w)
+        amb = orc.InducedMetric(SF1, w).matrix(P.q)
+        deltas, verts = sb.generators(P)
         assert np.max(np.abs(deltas @ amb @ deltas.T - G_dd)) <= 1e-12
         assert np.max(np.abs(deltas @ amb @ verts.T - G_dv)) <= 1e-12
         assert np.max(np.abs(verts @ amb @ verts.T - G_vv)) <= 1e-12
@@ -88,12 +87,12 @@ def test_induced_metric_displays_match_ambient():
 def test_induced_metric_flat_unit_case():
     # r = 1, u = e1, Euclidean: G_r(Z_k, Z_l) = delta_kl on the nonzero rows
     P = sb.sphere_point(EU2, [0.4, 0.4], [1.0, 0.0], r=1.0)
-    _, _, G_vv = sb.induced_metric(P, "sasaki_r")
+    _, _, G_vv = sb.induced_metric(P, SAS)
     assert G_vv[1, 1] == pytest.approx(1.0)
     assert abs(G_vv[0, 0]) <= 1e-15
-    # weighted flavor scales the fiber block by a
+    # a weight pair scales the fiber block by a
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    _, _, G_vv4 = sb.induced_metric(P, "ga_unit", w4)
+    _, _, G_vv4 = sb.induced_metric(P, w4)
     g, gu = P.gx, P.gu
     assert np.allclose(G_vv4, 4.0 * (g - np.outer(gu, gu)))
 
@@ -101,12 +100,10 @@ def test_induced_metric_flat_unit_case():
 @pytest.mark.parametrize("epsilon", [-1, +1])
 def test_contact_structure_identities(epsilon):
     rng = np.random.default_rng(2)
-    for flavor, w, r in [("sasaki_r", None, 1.4), ("ga_unit", CG, 1.0)]:
-        if flavor == "sasaki_r" and epsilon == +1:
-            continue
+    for w, r in [(SAS, 1.4), (CG, 1.0)]:
         for k in range(5):
             P = unit_point(SF1, rng.uniform(-0.3, 0.3, 2), rng.standard_normal(2), r)
-            S = sb.contact_structure(P, flavor, w, rescaled=False, epsilon=epsilon)
+            S = sb.contact_structure(P, w, rescaled=False, epsilon=epsilon)
             Pt = S.tangent_projector()
             for _ in range(10):
                 U = Pt @ rng.standard_normal(4)
@@ -123,9 +120,9 @@ def test_contact_structure_identities(epsilon):
 def test_contact_structure_displayed_components():
     rng = np.random.default_rng(3)
     P = unit_point(SF1, [0.2, -0.1], [0.8, 0.3])
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     for eps in (-1, +1):
-        S = sb.contact_structure(P, "ga_unit", CG, rescaled=False, epsilon=eps)
+        S = sb.contact_structure(P, CG, rescaled=False, epsilon=eps)
         a = CG.eval(0.5).a
         # eta(delta_i) = -eps g_i0, eta(Y_i) = 0, xi = -eps y^k delta_k
         assert np.allclose(deltas @ S.eta, -eps * P.gu, atol=1e-13)
@@ -136,8 +133,8 @@ def test_contact_structure_displayed_components():
         expected = -np.sqrt(a) * (deltas.T - np.outer(P.u @ deltas, P.gu))
         assert np.allclose(S.phi @ Ys.T, expected, atol=1e-13)
     # the rescaled structure is sign-independent on tangent vectors
-    Sm = sb.contact_structure(P, "ga_unit", CG, rescaled=True, epsilon=-1)
-    Sp = sb.contact_structure(P, "ga_unit", CG, rescaled=True, epsilon=+1)
+    Sm = sb.contact_structure(P, CG, rescaled=True, epsilon=-1)
+    Sp = sb.contact_structure(P, CG, rescaled=True, epsilon=+1)
     assert np.allclose(Sm.xi, Sp.xi, atol=1e-13)
     assert np.allclose(Sm.eta, Sp.eta, atol=1e-13)
     assert np.allclose(Sm.G, Sp.G, atol=1e-13)
@@ -147,11 +144,11 @@ def test_contact_structure_displayed_components():
 
 def test_unrescaled_deta_display():
     P = unit_point(SF1, [0.1, 0.2], [0.5, -0.7])
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     g, gu = P.gx, P.gu
     pairs = [(deltas[i], Ys[j]) for i in range(2) for j in range(2)]
     pairs += [(deltas[0], deltas[1]), (Ys[0], Ys[1])]
-    vals = sb.deta_numeric(P, "ga_unit", CG, pairs, rescaled=False)
+    vals = sb.deta_numeric(P, CG, pairs, rescaled=False)
     k = 0
     eps = CG.epsilon
     for i in range(2):
@@ -179,11 +176,11 @@ def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
     monkeypatch.setattr(sb, "contact_structure", counted_contact_structure)
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
     P = unit_point(SF1, np.array([0.2, -0.1]), np.array([0.8, 0.45]))
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     seen = []
     for pairs in ([(deltas[0], Ys[1])], [(deltas[0], Ys[1]), (deltas[1], Ys[0]), (Ys[0], Ys[1])]):
         calls.update(contact_structure=0)
-        vals = sb.deta_numeric(P, "ga_unit", CG, pairs)
+        vals = sb.deta_numeric(P, CG, pairs)
         seen.append((calls["contact_structure"], vals[0]))
     # eta at the 4 Richardson points along each of U and V: 8 distinct points a
     # pair, and a pair's value does not depend on the others
@@ -192,18 +189,24 @@ def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
     # the Gauss-formula connection: the 1 + 8m connection stencil as one stack,
     # and the ambient metric at P once more for the normal
     calls.update(matrix=0, rows=0)
-    sb.t1_connection_fd(SF1, CG, P, "dY", 0, 1)
+    sb.t1_connection_fd(P, CG, "dY", 0, 1)
     assert calls["matrix"] == 2 and calls["rows"] == 1 + 8 * 2 + 1
 
 
 def test_rescaled_contact_metric_condition():
     rng = np.random.default_rng(4)
-    for flavor, w, r in [("sasaki_r", None, 1.6), ("ga_unit", CG, 1.0)]:
+    # the radius-r bundle of any weight pair, the paper's two bundles first
+    inputs = [(SAS, 1.6), (CG, 1.0)] + [
+        (WeightPair(w.a, w.b, eps, w.t_domain, w.name, w.params), r)
+        for w, r in [(CG, 1.3), (named_family("g1"), 0.7)]
+        for eps in (-1, 1)
+    ]
+    for w, r in inputs:
         P = unit_point(SF1, [0.15, 0.05], rng.standard_normal(2), r)
-        S = sb.contact_structure(P, flavor, w, rescaled=True)
+        S = sb.contact_structure(P, w, rescaled=True)
         Pt = S.tangent_projector()
         pairs = [(Pt @ rng.standard_normal(4), Pt @ rng.standard_normal(4)) for _ in range(5)]
-        dvals = sb.deta_numeric(P, flavor, w, pairs, rescaled=True)
+        dvals = sb.deta_numeric(P, w, pairs, rescaled=True)
         for (U, V), dv in zip(pairs, dvals):
             assert abs(dv - float(U @ S.G @ (S.phi @ V))) <= 1e-8
 
@@ -235,24 +238,24 @@ def test_isometry_a4(base):
 
 def test_t1_connection_flat_base():
     P = unit_point(EU2, [0.3, -0.4], [0.7, 0.1])
-    _, Ys = sb.generators(P, "ga_unit")
+    _, Ys = sb.generators(P)
     for i in range(2):
         for j in range(2):
-            out = sb.t1_connection(EU2, SAS, P, "YY", i, j)
+            out = sb.t1_connection(P, SAS, "YY", i, j)
             assert np.allclose(out, -P.gu[j] * Ys[i], atol=1e-14)
             for case in ("dd", "Yd", "dY"):
-                assert np.max(np.abs(sb.t1_connection(EU2, SAS, P, case, i, j))) <= 1e-14
+                assert np.max(np.abs(sb.t1_connection(P, SAS, case, i, j))) <= 1e-14
 
 
 def test_t1_connection_space_form_identity():
     # on the unit bundle of a curvature-1 base with a = 1:
     # nabla_{Y_i} delta_j = (1/2) R^k_{j0i} delta_k with space-form curvature
     P = unit_point(SF1, [0.1, 0.2], [0.9, -0.2])
-    deltas, _ = sb.generators(P, "ga_unit")
+    deltas, _ = sb.generators(P)
     g, gu, y = P.gx, P.gu, P.u
     for i in range(2):
         for j in range(2):
-            out = sb.t1_connection(SF1, SAS, P, "Yd", i, j)
+            out = sb.t1_connection(P, SAS, "Yd", i, j)
             coef = 0.5 * (g[i, j] * y - gu[j] * np.eye(2)[:, i])
             assert np.allclose(out, coef @ deltas, atol=1e-12)
 
@@ -269,8 +272,8 @@ def test_t1_connection_matches_hypersurface_oracle(case):
         P = unit_point(base, x, u)
         for i in range(base.dim):
             for j in range(base.dim):
-                closed = sb.t1_connection(base, w, P, case, i, j)
-                num = sb.t1_connection_fd(base, w, P, case, i, j)
+                closed = sb.t1_connection(P, w, case, i, j)
+                num = sb.t1_connection_fd(P, w, case, i, j)
                 assert np.max(np.abs(closed - num)) <= 1e-9
 
 
@@ -338,25 +341,29 @@ def count_base_calls(monkeypatch, *extra):
 
 SF3 = bg.SpaceForm(1.0, 3)
 M3_POINT = ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
+# the unit bundle under a weight pair and the Sasaki bundle of radius 1.3; the
+# ids keep the names these cases had when the bundle was chosen by a string
+BUNDLES = [(CG, 1.0), (SAS, 1.3)]
+BUNDLE_IDS = ["ga_unit-w0-1.0", "sasaki_r-w1-1.3"]
 
 
-@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", None, 1.3)])
+@pytest.mark.parametrize("w,r", BUNDLES, ids=["ga_unit-w0-1.0", "sasaki_r-None-1.3"])
 @pytest.mark.parametrize("rescaled", [False, True])
-def test_contact_structure_evaluates_the_base_once(monkeypatch, flavor, w, r, rescaled):
+def test_contact_structure_evaluates_the_base_once(monkeypatch, w, r, rescaled):
     P = unit_point(SF3, *M3_POINT, r=r)
     calls = count_base_calls(monkeypatch, (WeightPair, "eval"))
-    sb.contact_structure(P, flavor, w, rescaled=rescaled)
+    sb.contact_structure(P, w, rescaled=rescaled)
     # one chart point (jets and weights at its t) and the weights once at P.t
     assert calls == {"matrix": 0, "derivatives": 1, "eval": 2}
 
 
-def plain_deta(P, flavor, w, vectors, h=1e-4):
+def plain_deta(P, w, vectors, h=1e-4):
     # d(eta)(U, V) = 1/2 (U eta(V) - V eta(U)) on the pulled-back extension, written out
     m = P.base.dim
 
     def eta(q):
         Pq = sb.sphere_point(P.base, q[:m], q[m:])
-        return sb.contact_structure(Pq, flavor, w, rescaled=True).eta
+        return sb.contact_structure(Pq, w, rescaled=True).eta
 
     def along(U, V):
         return orc.fd_directional(lambda q: float(eta(q) @ V), P.q, U, h=h)
@@ -364,14 +371,14 @@ def plain_deta(P, flavor, w, vectors, h=1e-4):
     return np.array([(along(U, V) - along(V, U)) / 2 for U, V in vectors])
 
 
-@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", SAS, 1.3)])
-def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, flavor, w, r):
+@pytest.mark.parametrize("w,r", BUNDLES, ids=BUNDLE_IDS)
+def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
     P = unit_point(SF3, *M3_POINT, r=r)
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
-    expected = plain_deta(P, flavor, w, pairs)
+    expected = plain_deta(P, w, pairs)
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
-    got = sb.deta_numeric(P, flavor, w, pairs)
+    got = sb.deta_numeric(P, w, pairs)
     # 8 eta evaluations a pair; each evaluates the base metric at its own point
     # once as first-order jets and checks it once (validate_at's matrix)
     assert calls == {"matrix": 16, "derivatives": 16, "validate_at": 16}
@@ -384,16 +391,15 @@ def test_deta_numeric_raises_on_an_indefinite_stencil():
     base = bg.diagonal_polynomial(
         2, [[{"c": 1.0, "powers": [1, 0]}], [{"c": 1.0, "powers": [0, 0]}]])
     P = unit_point(base, [5e-5, 0.0], [0.0, 1.0])
-    deltas, Ys = sb.generators(P, "ga_unit")
+    deltas, Ys = sb.generators(P)
     with pytest.raises(bg.SingularMetricError):
-        sb.deta_numeric(P, "ga_unit", CG, [(deltas[0], Ys[0])])
+        sb.deta_numeric(P, CG, [(deltas[0], Ys[0])])
 
 
 @pytest.mark.parametrize("m", [2, 3])
-@pytest.mark.parametrize("flavor,w,r", [("ga_unit", CG, 1.0), ("sasaki_r", SAS, 1.3)])
+@pytest.mark.parametrize("w,r", BUNDLES, ids=BUNDLE_IDS)
 @pytest.mark.parametrize("epsilon", [-1, 1])
-def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, flavor, w, r,
-                                                           epsilon):
+def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r, epsilon):
     base = bg.SpaceForm(1.0, m)
     x, u = (v[:m] for v in M3_POINT)
     P = unit_point(base, x, u, r=r)
@@ -406,10 +412,10 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, flav
         return seen[-1]
 
     monkeypatch.setattr(orc, "_j_matrix", recorded)
-    S = sb.contact_structure(P, flavor, w, epsilon=epsilon)
+    S = sb.contact_structure(P, w, epsilon=epsilon)
     monkeypatch.undo()
     [J] = seen
     assert S.G.tobytes() == orc.InducedMetric(base, w_eps).matrix(P.q).tobytes()
     assert J.tobytes() == orc.j_matrix(base, w_eps, P.q).tobytes()
-    assert np.array_equal(S.normal, sb.unit_normal(P, flavor, w_eps))
+    assert np.array_equal(S.normal, sb.unit_normal(P, w_eps))
     assert S.xi.tobytes() == (-J @ S.normal).tobytes()
