@@ -62,11 +62,15 @@ class ChartMetric:
         self.name = name
 
     def check_domain(self, x):
+        """x as a float array, checked to be a point of the chart, or each row of an
+        (n, m) stack to be one; an error names the first point outside."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ChartDomainError(f"point shape {x.shape} != ({self.dim},)")
-        if self.domain is not None and not self.domain(x):
-            raise ChartDomainError(f"{self.name}: point {x} outside chart domain")
+        if x.shape[-1:] != (self.dim,) or x.ndim > 2:
+            raise ChartDomainError(f"point shape {x.shape} != ({self.dim},) or (n, {self.dim})")
+        if self.domain is not None:
+            for p in x if x.ndim == 2 else (x,):
+                if not self.domain(p):
+                    raise ChartDomainError(f"{self.name}: point {p} outside chart domain")
         return x
 
     def matrix(self, x):
@@ -79,29 +83,39 @@ class ChartMetric:
 
     def derivatives(self, x, order=3):
         """The first ``order + 1`` of (g, dg, d2g, d3g), with dg[l, i, j] = d_l g_ij
-        and so on: (g, dg) at order 1, all four at order 3."""
+        and so on: (g, dg) at order 1, all four at order 3.  At an (n, m) stack of
+        points, one evaluation of ``components`` on stacked jets gives each array a
+        leading axis of n rows, each equal to the single call bit for bit."""
         x = self.check_domain(x)
-        m = self.dim
+        m, stack = self.dim, x.shape[:-1]
         rows = self.components(Jet.seed(x, order))
-        out = tuple(np.zeros((m,) * (k + 2)) for k in range(order + 1))
+        out = tuple(np.zeros(stack + (m,) * (k + 2)) for k in range(order + 1))
         for i in range(m):
             for j in range(m):
                 e = rows[i][j]
                 if isinstance(e, Jet):
                     for arr, part in zip(out, (e.v, e.d1, e.d2, e.d3)):
-                        arr[..., i, j] = part
+                        arr[..., i, j] = np.moveaxis(part, -1, 0) if stack else part
                 else:
-                    out[0][i, j] = float(e)
+                    out[0][..., i, j] = float(e)
         return out
 
     def validate_at(self, x):
-        g = self.matrix(x)
-        if np.max(np.abs(g - g.T)) != 0.0:
-            raise GeometryError(f"{self.name}: components not symmetric at {x}")
-        w = np.linalg.eigvalsh(g)
-        if w.min() <= 0.0:
+        return self._checked(self.matrix(x), x)
+
+    def _checked(self, g, x):
+        # g at x, checked symmetric and positive definite; on an (n, m, m) stack at the
+        # rows of x every row is checked, and an error names the first bad row's point
+        xs, gs = np.reshape(x, (-1, self.dim)), np.reshape(g, (-1, self.dim, self.dim))
+        asym = np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) != 0.0
+        if asym.any():
+            raise GeometryError(f"{self.name}: components not symmetric at {xs[asym.argmax()]}")
+        w = np.linalg.eigvalsh(gs)
+        low = w.min(axis=1) <= 0.0
+        if low.any():
+            i = low.argmax()
             raise SingularMetricError(
-                f"{self.name}: metric not positive definite at {x} (eigenvalues {w})"
+                f"{self.name}: metric not positive definite at {xs[i]} (eigenvalues {w[i]})"
             )
         return g
 
@@ -177,11 +191,13 @@ def metric_from_spec(doc):
 
 
 def _inverse(g, x):
+    # g^-1 at x, or at each row of a stack; an error names the first singular row's point
     try:
-        ginv = np.linalg.inv(g)
+        return np.linalg.inv(g)
     except np.linalg.LinAlgError as exc:
+        for gi, xi in zip(g, x) if g.ndim == 3 else ():
+            _inverse(gi, xi)
         raise SingularMetricError(f"metric matrix singular at point {x}") from exc
-    return ginv
 
 
 def _christoffel_core(dg):
@@ -191,8 +207,9 @@ def _christoffel_core(dg):
 
 
 def _levi_civita(ginv, dg):
-    """Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij) from g^{-1} and dg."""
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, _christoffel_core(dg))
+    """Gamma^k_ij = 1/2 g^{kl}(d_i g_jl + d_j g_il - d_l g_ij) from g^{-1} and dg,
+    on any leading stack axes."""
+    return 0.5 * np.einsum("...kl,...ijl->...kij", ginv, _christoffel_core(dg))
 
 
 def christoffel(metric, x):
@@ -201,7 +218,7 @@ def christoffel(metric, x):
 
 
 def _metric_and_christoffel(metric, x):
-    # (g(x), Gamma(x)) from one first-order jet evaluation
+    # (g(x), Gamma(x)) from one first-order jet evaluation, at a point or an (n, m) stack
     g, dg = metric.derivatives(x, 1)
     return g, _levi_civita(_inverse(g, x), dg)
 

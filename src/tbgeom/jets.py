@@ -9,6 +9,14 @@ caller reads: 1 for g and its first derivatives, 3 for the curvature and
 its covariant derivative.  They share ``-``, ``/``, ``reciprocal`` and
 ``**`` and differ in ``+``, ``*``, negation and ``compose``.  A ``Taylor``
 may carry arrays, one entry per t, each equal to its float evaluation.
+
+A ``Jet`` may likewise be seeded at a stack of N points (vector-mode
+Taylor arithmetic): ``v`` is then an (N,) array and the stack is the
+*last* axis of ``d1`` (n, N), ``d2`` (n, n, N) and ``d3`` (n, n, n, N),
+so the same products broadcast for one point and for a stack.  Each
+point's slice equals its single-point evaluation bit for bit: every
+operation is elementwise in the stack, and array powers go through the
+float power of each entry.
 """
 
 from __future__ import annotations
@@ -22,11 +30,15 @@ __all__ = ["Series", "Taylor", "Jet", "sqrt", "exp", "log"]
 
 def _num(x):
     # a constant as a float, or unchanged when it is an array of values
+    if type(x) is float:
+        return x
     return x if isinstance(x, np.ndarray) else float(x)
 
 
 def _pow(u, p):
     # u**p, on an array through the float power of each entry: numpy's array power can differ
+    if type(u) is float:
+        return u**p
     return (u.astype(object) ** p).astype(float) if isinstance(u, np.ndarray) else u**p
 
 
@@ -124,15 +136,13 @@ class Taylor(Series):
 
 def _sym_gh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
     # symmetrization of gradient x hessian over the three index placements
-    return (
-        np.einsum("jk,i->ijk", h, g)
-        + np.einsum("ik,j->ijk", h, g)
-        + np.einsum("ij,k->ijk", h, g)
-    )
+    return (h[None] * g[:, None, None] + h[:, None] * g[None, :, None]
+            + h[:, :, None] * g[None, None])
 
 
 class Jet(Series):
-    """Value plus partial derivatives in ``n`` variables, truncated at order 1 or 3.
+    """Value plus partial derivatives in ``n`` variables, truncated at order 1 or 3,
+    at one point or at a stack of points (on the last axis, see the module).
 
     The order is fixed when the point is seeded.  An order-1 jet carries only
     ``v`` and ``d1`` (``d2 = d3 = None``), and arithmetic keeps its operands'
@@ -143,7 +153,7 @@ class Jet(Series):
 
     def __init__(self, n, v, d1, d2=None, d3=None):
         self.n = n
-        self.v = float(v)
+        self.v = v  # a float, or an (N,) array for a stack
         self.d1, self.d2, self.d3 = d1, d2, d3
 
     @property
@@ -152,17 +162,18 @@ class Jet(Series):
 
     @classmethod
     def seed(cls, x, order=3):
-        """Seed a chart point: one independent variable per component."""
+        """Seed a chart point, or each row of an (N, n) stack of points: one
+        independent variable per component."""
         if order not in (1, 3):
             raise ValueError(f"jet order must be 1 or 3, got {order!r}")
         x = np.asarray(x, dtype=float)
-        n = x.size
+        n, stack = x.shape[-1], x.shape[:-1]
         jets = []
-        for i, xi in enumerate(x):
-            d1 = np.zeros(n)
+        for i in range(n):
+            d1 = np.zeros((n,) + stack)
             d1[i] = 1.0
-            high = (np.zeros((n, n)), np.zeros((n, n, n))) if order == 3 else ()
-            jets.append(cls(n, xi, d1, *high))
+            high = (np.zeros((n, n) + stack), np.zeros((n, n, n) + stack)) if order == 3 else ()
+            jets.append(cls(n, x[..., i] if stack else float(x[i]), d1, *high))
         return jets
 
     def _operand(self, other):
@@ -199,7 +210,7 @@ class Jet(Series):
         d1 = a.v * b.d1 + b.v * a.d1
         if a.d2 is None:
             return Jet(self.n, a.v * b.v, d1)
-        d2 = a.v * b.d2 + b.v * a.d2 + np.outer(a.d1, b.d1) + np.outer(b.d1, a.d1)
+        d2 = a.v * b.d2 + b.v * a.d2 + a.d1[:, None] * b.d1[None] + b.d1[:, None] * a.d1[None]
         d3 = a.v * b.d3 + b.v * a.d3 + _sym_gh(b.d1, a.d2) + _sym_gh(a.d1, b.d2)
         return Jet(self.n, a.v * b.v, d1, d2, d3)
 
@@ -210,8 +221,9 @@ class Jet(Series):
         g, h, c = self.d1, self.d2, self.d3
         if h is None:
             return Jet(self.n, f0, f1 * g)
-        d3 = f3 * np.einsum("i,j,k->ijk", g, g, g) + f2 * _sym_gh(g, h) + f1 * c
-        return Jet(self.n, f0, f1 * g, f2 * np.outer(g, g) + f1 * h, d3)
+        gg = g[:, None] * g[None]  # outer products on the leading axes, any stack axis last
+        d3 = f3 * (gg[:, :, None] * g[None, None]) + f2 * _sym_gh(g, h) + f1 * c
+        return Jet(self.n, f0, f1 * g, f2 * gg + f1 * h, d3)
 
 
 # values from numpy, whose exp and log differ from math's in the last bit

@@ -10,7 +10,12 @@ curvature of any metric with ``matrix(q)`` (the induced metric or a base
 ``ChartMetric``) through ``fd_connection`` and ``fd_curvature``, which
 evaluate each distinct stencil point once per call.
 For an ``InducedMetric`` the call's whole stencil goes to ``matrix`` as one
-stack of distinct points, whose rows equal single calls bit for bit.
+stack of distinct points, whose rows equal single calls bit for bit; the
+stack's distinct base points x are evaluated as one stack of first-order
+jets (``ChartMetric.derivatives`` on an (n, m) stack).  Stencils of other
+maps are built by ``_stencil`` along given directions, with the points
+``_central`` steps to, and ``_chart_points`` evaluates the chart data at all
+of them from one stacked base evaluation and one weight evaluation.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -20,13 +25,12 @@ Differential-form conventions (fixed):
 
 from __future__ import annotations
 
-import copy
 import warnings
 
 import numpy as np
 
 from . import base_geometry as bg
-from .weights import WeightPair, derived_coeffs
+from .weights import WeightPair, WeightValues, _coeffs_from, derived_coeffs
 
 __all__ = [
     "InducedMetric",
@@ -53,17 +57,27 @@ class InducedMetric:
         self.weights = weights
 
     def matrix(self, q):
-        """Components at q = (x, y), or at each row of an (n, 2m) stack of points."""
+        """Components at q = (x, y), or at each row of an (n, 2m) stack of points;
+        (g, Gamma) at the stack's distinct x come from one stacked jet evaluation."""
         q = np.asarray(q, dtype=float)
         m = self.base.dim
         x, y = q[..., :m], q[..., m:]
-        g, gamma = self._base_at(x) if q.ndim == 1 else map(np.array, zip(*map(self._base_at, x)))
+        if q.ndim == 1:
+            g, gamma = bg._metric_and_christoffel(self.base, x)
+        else:
+            xs, index = _distinct(x)
+            g, gamma = (a[index] for a in bg._metric_and_christoffel(self.base, xs))
         t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
         return _metric_matrix(g, gamma, y, self.weights.eval(t))
 
-    def _base_at(self, x):
-        # (g(x), Gamma(x)), all that ``matrix`` reads from the base metric
-        return bg._metric_and_christoffel(self.base, x)
+
+def _distinct(points):
+    """The distinct rows of an (n, k) stack, compared by their exact bytes, and the
+    index of each row among them."""
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return rows[first], index
 
 
 def _metric_matrix(g, gamma, y, vals):
@@ -107,6 +121,17 @@ def _chart_point(base, w, q, base_at=None):
     x, y = q[: base.dim], q[base.dim :]
     g, gamma = base_at(x) if base_at else bg._metric_and_christoffel(base, x)
     return y, g, gamma, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
+
+
+def _chart_points(w, y, g, gamma):
+    """``_chart_point`` at each row of a stack, from y and the (g, Gamma) that
+    ``bg._metric_and_christoffel`` evaluates on the stack of x: y, g, Gamma and g y
+    stacked, and a list of derived coefficients, one per row, from one weight
+    evaluation on the array of t.  Each row equals the single call bit for bit."""
+    vals = w.eval(0.5 * (y[:, None, :] @ g @ y[..., None])[:, 0, 0])
+    rows = zip(*(f.tolist() for f in vars(vals).values()))  # one float WeightValues per t
+    coeffs = [_coeffs_from(WeightValues(*row), w.epsilon) for row in rows]
+    return y, g, gamma, (g @ y[..., None])[..., 0], coeffs
 
 
 def j_matrix(base, w, q):
@@ -194,10 +219,11 @@ def _partials(fun, q, h, richardson):
     return np.array([_derivative(fun, q, e, h, richardson) for e in np.eye(q.size)])
 
 
-def _stencil(q, h, richardson):
-    """q and every point ``_partials`` evaluates around it, built as ``_central`` builds them."""
+def _stencil(q, vectors, h, richardson):
+    """q and every point ``_derivative`` evaluates around it along each of ``vectors``
+    (``_partials``: the coordinate axes), built as ``_central`` builds them."""
     steps = (h, h / 2) if richardson else (h,)
-    return [q] + [p for e in np.eye(q.size) for s in steps for p in _pair(q, e, s)]
+    return [q] + [p for v in vectors for s in steps for p in _pair(q, v, s)]
 
 
 def _once(fun):
@@ -219,29 +245,25 @@ def _once(fun):
 
 
 class _CallView:
-    """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and,
-    for an ``InducedMetric``, (g(x), Gamma(x)) once per distinct x, with the call's
-    ``stencil`` evaluated up front as one stack.  Made on entry to ``fd_connection`` /
+    """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and, for
+    an ``InducedMetric``, the call's ``stencil`` evaluated up front as one stack (so
+    (g(x), Gamma(x)) once per distinct x).  Made on entry to ``fd_connection`` /
     ``fd_curvature``, reused by nested calls, dropped on return."""
 
     def __init__(self, metric, stencil):
-        if not isinstance(metric, InducedMetric):
-            self.matrix = _once(metric.matrix)
-            return
-        local = copy.copy(metric)
-        local._base_at = _once(metric._base_at)  # bound to the caller's metric: no cycle
-        self.matrix = _once(local.matrix)
-        distinct = {p.tobytes(): p for p in stencil}
-        for key, G in zip(distinct, local.matrix(np.array(list(distinct.values())))):
-            G.flags.writeable = False
-            self.matrix.seen[key] = G
+        self.matrix = _once(metric.matrix)
+        if isinstance(metric, InducedMetric):
+            points = _distinct(np.array(stencil))[0]
+            for p, G in zip(points, metric.matrix(points)):
+                G.flags.writeable = False
+                self.matrix.seen[p.tobytes()] = G
 
 
 def fd_connection(metric, q, h=1e-4, richardson=True):
     """Finite-difference Christoffel symbols of any metric with ``matrix(q)``."""
     q = np.asarray(q, dtype=float)
     if not isinstance(metric, _CallView):
-        metric = _CallView(metric, _stencil(q, h, richardson))
+        metric = _CallView(metric, _stencil(q, np.eye(q.size), h, richardson))
     G = metric.matrix(q)
     cond = np.linalg.cond(G)
     if cond > 1e8:
@@ -253,7 +275,9 @@ def fd_connection(metric, q, h=1e-4, richardson=True):
 def fd_curvature(metric, q, h=1e-4, richardson=True):
     """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing)."""
     q = np.asarray(q, dtype=float)
-    stencil = [p for s in _stencil(q, h, richardson) for p in _stencil(s, h, richardson)]
+    axes = np.eye(q.size)
+    stencil = [p for s in _stencil(q, axes, h, richardson)
+               for p in _stencil(s, axes, h, richardson)]
     view = _CallView(metric, stencil)
 
     def conn(p):

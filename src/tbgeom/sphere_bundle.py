@@ -20,6 +20,7 @@ import numpy as np
 from . import base_geometry as bg
 from . import oracle as orc
 from . import tangent_bundle as tb
+from .jets import _pow
 from .weights import WeightPair, named_family
 
 __all__ = [
@@ -218,7 +219,8 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
         return orc.lift_field(base, np.eye(m)[k], "H") if kind == "d" else y_field(k)
 
     U, V = field(case[0], i), field(case[1], j)
-    ambient = orc.InducedMetric(base, w)
+    # one view of the ambient metric: its stencil stack holds G at P.q for the normal
+    ambient = orc._CallView(orc.InducedMetric(base, w), orc._stencil(P.q, np.eye(2 * m), h, True))
     amb = orc.fd_lift_connection(orc.fd_connection(ambient, P.q, h), P.q, U, V, h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
     dg = base.derivatives(P.x, 1)[1]
@@ -229,14 +231,38 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
 
 def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     """Numeric d(eta) on tangent vectors (1/2-convention), by pullback: eta is
-    extended off the bundle as the eta of the radius-|y| bundle through each point."""
-    m = P.base.dim
+    extended off the bundle as the eta of the radius-|y| bundle through each point,
+    evaluated at the call's 8 stencil points per pair as one stack."""
+    vectors = [[np.asarray(v, dtype=float) for v in pair] for pair in vectors]
+    stencil = orc._stencil(P.q, [v for pair in vectors for v in pair], h, True)[1:]
+    eta = _extended_eta(P.base, w, orc._distinct(np.array(stencil))[0], rescaled)
 
-    def eta(q, v):
-        Pq = sphere_point(P.base, q[:m], q[m:])
-        return float(contact_structure(Pq, w, rescaled=rescaled).eta @ v)
+    def form(q, v):
+        return float(eta[q.tobytes()] @ v)
 
-    return np.array([orc.fd_exterior_derivative(eta, P.q, [U, V], h=h) for U, V in vectors])
+    return np.array([orc.fd_exterior_derivative(form, P.q, [U, V], h=h) for U, V in vectors])
+
+
+def _extended_eta(base, w, qs, rescaled):
+    # eta of contact_structure(sphere_point(base, x, y), w, rescaled) at each row (x, y)
+    # of qs, keyed by its bytes, with each row checked as sphere_point checks it; one
+    # stacked base evaluation, and only G, J and the unit normal are built
+    m = base.dim
+    x, y = qs[:, :m], qs[:, m:]
+    g, gamma = bg._metric_and_christoffel(base, x)
+    base._checked(g, x)
+    # sphere_point's t = |y|^2/2 through r = |y|, and its radius sqrt(2t), as in unit_normal
+    t = 0.5 * _pow(np.sqrt((y[:, None, :] @ g @ y[..., None])[:, 0, 0]), 2)
+    r = np.sqrt(2.0 * t)
+    vals = w.eval(t)
+    norm = np.sqrt(vals.a * _pow(r, 2) + vals.b * _pow(r, 4))
+    N = np.hstack([np.zeros_like(y), y]) / norm[:, None]
+    scale = -w.epsilon / (2 * r * np.sqrt(vals.a)) if rescaled else np.ones(len(qs))
+    eta = {}
+    for q, n, c, (yi, gi, gam, gu, d) in zip(qs, N, scale, zip(*orc._chart_points(w, y, g, gamma))):
+        J = orc._j_matrix(yi, gi, gam, gu, d)
+        eta[q.tobytes()] = c * (J.T @ orc._metric_matrix(gi, gam, yi, d.values) @ n)
+    return eta
 
 
 def _kcontact_vectors(P, w):

@@ -197,9 +197,14 @@ def _suite_base_checks(ctx, rng, tol):
     return res
 
 
-def _charts(base, w):
-    # the oracle's chart data of w at each distinct point, computed once per point
-    return orc._once(lambda p: orc._chart_point(base, w, p))
+def _charts(base, w, q, vecs, h):
+    # the oracle's chart data of w at q and at each point of the exterior-derivative
+    # stencil along vecs, from one stacked evaluation; looked up by a point's bytes
+    qs = orc._distinct(np.array(orc._stencil(q, vecs, h, True)))[0]
+    x, y = np.hsplit(qs, 2)
+    charts = orc._chart_points(w, y, *bg._metric_and_christoffel(base, x))
+    table = dict(zip((p.tobytes() for p in qs), zip(*charts)))
+    return lambda p: table[p.tobytes()]
 
 
 def _domega(chart, q, vecs, h):
@@ -213,8 +218,9 @@ def _domega(chart, q, vecs, h):
 
 def _lck_terms(base, w, q, vecs, h):
     """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, from
-    one chart point per distinct q (the d(lee) stencil is part of the dOmega one)."""
-    chart = _charts(base, w)
+    one stacked chart evaluation of q and the dOmega stencil (the d(lee) stencil is
+    part of it)."""
+    chart = _charts(base, w, q, vecs, h)
 
     def lee_1form(p, v):
         return float(orc._lee_covector(*chart(p)) @ v)
@@ -250,9 +256,11 @@ def _suite_almost_kahler(ctx, rng, tol):
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng, weights=pair)
         vecs = [rng.standard_normal(n2) for _ in range(3)]
-        res.residuals.append(abs(_domega(_charts(base, pair), P.q, vecs, ctx.h)))
+        chart = _charts(base, pair, P.q, vecs, ctx.h)
+        res.residuals.append(abs(_domega(chart, P.q, vecs, ctx.h)))
         res.residuals.append(abs(P.coeffs(pair).lee_coef))
-        cg_worst = max(cg_worst, abs(_domega(_charts(base, cg), P.q, [vh, v1, v2], ctx.h)))
+        chart = _charts(base, cg, P.q, [vh, v1, v2], ctx.h)
+        cg_worst = max(cg_worst, abs(_domega(chart, P.q, [vh, v1, v2], ctx.h)))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     res.controls.append(Control("cg_not_almost_kahler", cg_worst, 1e-2, "min"))
@@ -418,7 +426,7 @@ def _suite_scalar(ctx, rng, tol):
         denom = max(1.0, abs(closed))
         res.residuals.append(abs(closed - basis) / denom)
         if isinstance(base, bg.SpaceForm):
-            sf_form = tb.scalar_curvature_space_form(w, base.curvature, base.dim, P.t)
+            sf_form = tb.scalar_curvature_space_form(w, base.curvature, base.dim, P)
             res.controls.append(
                 Control("space_form_display", abs(sf_form - closed) / denom, 1e-9, "max")
             )

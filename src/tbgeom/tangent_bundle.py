@@ -473,8 +473,9 @@ def scalar_curvature_space_form(w, c, m, t):
     """Space-form reduction of the scalar curvature closed form.
 
     Evaluates (m-1)[m c - a t c^2 - (m F2 + 4 t F3)/a], the
-    oracle-corrected form of the constant-base-curvature display.
+    oracle-corrected form of the constant-base-curvature display, at the
+    energy density t, or at a TangentPoint t, whose ``coeffs(w)`` it reads.
     """
-    d = derived_coeffs(w, t)
-    a = d.values.a
+    d = t.coeffs(w) if isinstance(t, TangentPoint) else derived_coeffs(w, t)
+    a, t = d.values.a, d.values.t
     return (m - 1) * (m * c - a * t * c * c - (m * d.F2 + 4 * t * d.F3) / a)

@@ -91,7 +91,9 @@ class WeightPair:
         is an array, each entry equal to the float evaluation).  Any t outside the
         domain, or with a <= 0 or a + 2tb <= 0, raises WeightDomainError."""
         t = t if isinstance(t, np.ndarray) else float(t)
-        bad = _first(np.logical_not(self.contains(t)), t)
+        # each check reads a plain bool directly on the float path
+        inside = self.contains(t)
+        bad = None if inside is True else _first(np.logical_not(inside), t)
         if bad:
             raise WeightDomainError(
                 f"{self.name}: t={bad[0]} outside domain [{self.t_domain[0]}, {self.t_domain[1]})"
@@ -101,11 +103,12 @@ class WeightPair:
         bj = aj if self.b is self.a else self.b(tj)
         a, ap, app = (aj.v, aj.d1, aj.d2) if isinstance(aj, Taylor) else (float(aj), 0.0, 0.0)
         b, bp = (bj.v, bj.d1) if isinstance(bj, Taylor) else (float(bj), 0.0)
-        if isinstance(t, np.ndarray):
+        if type(t) is not float:
             a, ap, app, b, bp = (np.broadcast_to(f, t.shape) for f in (a, ap, app, b, bp))
         w = WeightValues(t, a, ap, app, b, bp)
         for what, value in (("a(t)", w.a), ("a+2tb", w.vertical_norm_weight)):
-            bad = _first(value <= 0.0, value, t)
+            low = value <= 0.0
+            bad = None if low is False else _first(low, value, t)
             if bad:
                 raise WeightDomainError(f"{self.name}: {what}={bad[0]} <= 0 at t={bad[1]}")
         return w

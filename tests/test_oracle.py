@@ -283,7 +283,7 @@ PROBES = {2: ([0.1, -0.2], [0.7, 0.4]), 3: ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
 def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christoffels, matrices):
     # the plain nested stencil makes (2m * 4 + 1)^2 evaluations of each: 289 at
     # m = 2, 625 at m = 3; only the distinct points q and base points x remain
-    calls = {"christoffel": 0, "matrix": 0, "jets": 0, "batches": 0}
+    calls = {"christoffel": 0, "matrix": 0, "jets": [], "batches": 0}
     christoffel, matrix = bg.christoffel, orc.InducedMetric.matrix
     derivatives = bg.ChartMetric.derivatives
 
@@ -297,9 +297,9 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
         calls["batches"] += 1
         return matrix(self, q)
 
-    def counted_derivatives(self, *args):
-        calls["jets"] += 1
-        return derivatives(self, *args)
+    def counted_derivatives(self, x, *args):
+        calls["jets"].append(len(np.atleast_2d(x)))  # the rows of one stacked evaluation
+        return derivatives(self, x, *args)
 
     monkeypatch.setattr(bg, "christoffel", counted_christoffel)
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
@@ -308,13 +308,13 @@ def test_fd_curvature_evaluates_each_stencil_point_once(monkeypatch, m, christof
     im = orc.InducedMetric(bg.SpaceForm(1.0, m), CG)
     orc.fd_curvature(im, np.array(x + u))
     first = dict(calls)
-    assert first["christoffel"] <= christoffels and first["matrix"] <= matrices
+    assert first["christoffel"] == 0 and first["matrix"] == matrices
     # the whole two-level stencil is evaluated as one stack
     assert first["batches"] == 1
-    # one jet evaluation per distinct base point, whether or not through christoffel
-    assert first["jets"] <= christoffels
+    # its distinct base points as one stacked jet evaluation, none through christoffel
+    assert first["jets"] == [christoffels]
     # a second identical call counts the same: nothing outlives a call
-    calls.update(christoffel=0, matrix=0, jets=0, batches=0)
+    calls.update(christoffel=0, matrix=0, jets=[], batches=0)
     orc.fd_curvature(im, np.array(x + u))
     assert calls == first
     assert sorted(vars(im)) == ["base", "weights"]
@@ -524,13 +524,13 @@ def test_lck_terms_build_one_chart_point_per_distinct_point(monkeypatch, m):
     calls = []
     derivatives = bg.ChartMetric.derivatives
 
-    def counted(self, *args):
-        calls.append(1)
-        return derivatives(self, *args)
+    def counted(self, x, *args):
+        calls.append(len(np.atleast_2d(x)))  # the rows of one stacked evaluation
+        return derivatives(self, x, *args)
 
     monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
     got = _lck_terms(base, w, q, vecs, 1e-4)
-    # the centre and the 12 points of the dOmega stencil (4 along each of the 3
-    # vectors); the d(lee) stencil along v1 and v2 is 8 of those 12
-    assert len(calls) == 13
+    # one evaluation of 13 rows: the centre and the 12 points of the dOmega stencil
+    # (4 along each of the 3 vectors); the d(lee) stencil along v1 and v2 is 8 of those 12
+    assert calls == [13]
     assert got == expected

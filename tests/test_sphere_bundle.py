@@ -175,22 +175,26 @@ def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
 
     monkeypatch.setattr(sb, "contact_structure", counted_contact_structure)
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted_matrix)
+    rows = count_rows(monkeypatch)
     P = unit_point(SF1, np.array([0.2, -0.1]), np.array([0.8, 0.45]))
     deltas, Ys = sb.generators(P)
     seen = []
     for pairs in ([(deltas[0], Ys[1])], [(deltas[0], Ys[1]), (deltas[1], Ys[0]), (Ys[0], Ys[1])]):
-        calls.update(contact_structure=0)
+        rows.clear()
         vals = sb.deta_numeric(P, CG, pairs)
-        seen.append((calls["contact_structure"], vals[0]))
-    # eta at the 4 Richardson points along each of U and V: 8 distinct points a
-    # pair, and a pair's value does not depend on the others
-    assert seen[0][0] == 8 and seen[1][0] == 3 * 8
+        seen.append((list(rows), vals[0]))
+    # eta at the 4 Richardson points along each of U and V, all pairs' distinct
+    # points as one stacked base evaluation and no contact_structure: 8 rows for
+    # one pair, 16 for three pairs along 4 distinct vectors; and a pair's value does
+    # not depend on the others
+    assert seen[0][0] == [8] and seen[1][0] == [16]
+    assert calls["contact_structure"] == 0
     assert seen[0][1] == seen[1][1]
     # the Gauss-formula connection: the 1 + 8m connection stencil as one stack,
-    # and the ambient metric at P once more for the normal
+    # whose row at P also gives the ambient metric for the normal
     calls.update(matrix=0, rows=0)
     sb.t1_connection_fd(P, CG, "dY", 0, 1)
-    assert calls["matrix"] == 2 and calls["rows"] == 1 + 8 * 2 + 1
+    assert calls["matrix"] == 1 and calls["rows"] == 1 + 8 * 2
 
 
 def test_rescaled_contact_metric_condition():
@@ -339,6 +343,19 @@ def count_base_calls(monkeypatch, *extra):
     return calls
 
 
+def count_rows(monkeypatch):
+    # the number of points of each ChartMetric.derivatives call, a stack or one point
+    rows = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, x, *args, **kwargs):
+        rows.append(len(np.atleast_2d(x)))
+        return derivatives(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
+    return rows
+
+
 SF3 = bg.SpaceForm(1.0, 3)
 M3_POINT = ([0.1, -0.2, 0.15], [0.7, 0.4, -0.3])
 # the unit bundle under a weight pair and the Sasaki bundle of radius 1.3; the
@@ -377,11 +394,14 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
     deltas, Ys = sb.generators(P)
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
     expected = plain_deta(P, w, pairs)
-    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"))
+    rows = count_rows(monkeypatch)
     got = sb.deta_numeric(P, w, pairs)
-    # 8 eta evaluations a pair; each evaluates the base metric at its own point
-    # once as first-order jets and checks it once (validate_at's matrix)
-    assert calls == {"matrix": 16, "derivatives": 16, "validate_at": 16}
+    # 8 eta evaluations a pair at 16 distinct points: one stacked first-order
+    # evaluation of the base metric, each row checked there (no validate_at), and
+    # the weights on the array of chart t = g(y, y)/2 and of the points' t = r^2/2
+    assert calls == {"matrix": 0, "derivatives": 1, "validate_at": 0, "eval": 2}
+    assert rows == [16]
     assert np.array_equal(got, expected)
 
 

@@ -380,6 +380,21 @@ def test_scalar_curvature_closed_vs_basis_and_space_form_display():
             assert closed == pytest.approx(disp, rel=1e-9)
 
 
+def test_space_form_display_reads_the_point_coefficients(monkeypatch):
+    # at a TangentPoint the display reads P.coeffs(w): the float-t value, bit for
+    # bit, with no second weight evaluation once the point holds the weights
+    P = point(SF1, [0.2, -0.1], [0.7, 0.4])
+    for pair in (CG, G1):
+        expected = tb.scalar_curvature_space_form(pair, 1.0, 2, P.t)
+        P.coeffs(pair)
+        calls = []
+        evaluate = WeightPair.eval
+        monkeypatch.setattr(WeightPair, "eval", lambda *a: calls.append(1) or evaluate(*a))
+        got = tb.scalar_curvature_space_form(pair, 1.0, 2, P)
+        monkeypatch.undo()
+        assert calls == [] and got.hex() == expected.hex()
+
+
 def test_scalar_curvature_flat_sasaki_zero():
     P = point(EU2, [0.1, 0.1], [0.4, 0.3])
     assert tb.scalar_curvature(SAS, EU2, P) == 0.0
