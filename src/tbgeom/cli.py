@@ -74,10 +74,8 @@ def load_config(doc) -> RunConfig:
             raise ConfigError(
                 f"config.suites: unknown suite {s!r}; known: {', '.join(SUITE_ORDER)}"
             )
-    samples = _convert(doc, "samples", 20, int)
-    if samples < 1:
-        raise ConfigError("config.samples: must be >= 1")
-    seed = _convert(doc, "seed", 0, int)
+    samples = _integer(doc, "samples", 20, 1)
+    seed = _integer(doc, "seed", 0, 0)
     h = _convert(doc, "h", 1e-4, float)
     if not (0 < h < 1):
         raise ConfigError("config.h: must lie in (0, 1)")
@@ -112,6 +110,17 @@ def load_config(doc) -> RunConfig:
         out=doc.get("out"),
         format=fmt,
     )
+
+
+def _integer(doc, name, default, low):
+    # doc[name] (or the default) if it is a JSON integer >= low (not a bool, a
+    # fraction or a string), else ConfigError
+    value = doc.get(name, default)
+    if type(value) is not int:
+        raise ConfigError(f"config.{name}: expected an integer, got {value!r}")
+    if value < low:
+        raise ConfigError(f"config.{name}: must be >= {low}")
+    return value
 
 
 def _convert(doc, name, default, kind):

@@ -14,8 +14,11 @@ stack of distinct points, whose rows equal single calls bit for bit; the
 stack's distinct base points x are evaluated as one stack of first-order
 jets (``ChartMetric.derivatives`` on an (n, m) stack).  Stencils of other
 maps are built by ``_stencil`` along given directions, with the points
-``_central`` steps to, and ``_chart_points`` evaluates the chart data at all
-of them from one stacked base evaluation and one weight evaluation.
+``_central`` steps to, and ``_once(fun, points)`` evaluates a map at their
+distinct points as one stack and serves each point's row by its exact bytes.
+``_chart_point`` takes a point q or an (n, 2m) stack: one stacked base
+evaluation at the distinct x, as in ``InducedMetric.matrix``, and one weight
+evaluation on the array of t; J, Omega and the Lee form act on its stack axes.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -30,7 +33,7 @@ import warnings
 import numpy as np
 
 from . import base_geometry as bg
-from .weights import WeightPair, WeightValues, _coeffs_from, derived_coeffs
+from .weights import WeightPair, derived_coeffs
 
 __all__ = [
     "InducedMetric",
@@ -59,16 +62,8 @@ class InducedMetric:
     def matrix(self, q):
         """Components at q = (x, y), or at each row of an (n, 2m) stack of points;
         (g, Gamma) at the stack's distinct x come from one stacked jet evaluation."""
-        q = np.asarray(q, dtype=float)
-        m = self.base.dim
-        x, y = q[..., :m], q[..., m:]
-        if q.ndim == 1:
-            g, gamma = bg._metric_and_christoffel(self.base, x)
-        else:
-            xs, index = _distinct(x)
-            g, gamma = (a[index] for a in bg._metric_and_christoffel(self.base, xs))
-        t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
-        return _metric_matrix(g, gamma, y, self.weights.eval(t))
+        y, g, gamma, gu, t = _chart_base(self.base, q)
+        return _metric_matrix(y, g, gamma, gu, self.weights.eval(t))
 
 
 def _distinct(points):
@@ -80,13 +75,38 @@ def _distinct(points):
     return rows[first], index
 
 
-def _metric_matrix(g, gamma, y, vals):
-    # components at (x, y) from g(x), Gamma(x) and the weights at t = g(y, y)/2, on any stack axes
+def _chart_base(base, q):
+    # y, g(x), Gamma(x), g y and t = g(y, y)/2 at q = (x, y) or at each row of an
+    # (n, 2m) stack, with (g, Gamma) from one first-order jet evaluation at the distinct x
+    q = np.asarray(q, dtype=float)
+    x, y = q[..., : base.dim], q[..., base.dim :]
+    if q.ndim == 1:
+        g, gamma = bg._metric_and_christoffel(base, x)
+    else:
+        xs, index = _distinct(x)
+        g, gamma = (a[index] for a in bg._metric_and_christoffel(base, xs))
+    t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
+    return y, g, gamma, (g @ y[..., None])[..., 0], t
+
+
+def _chart_point(base, w, q):
+    """y, g(x), Gamma(x), g y and the derived coefficients of w at q = (x, y), or each
+    stacked over the rows of an (n, 2m) stack with the weights evaluated once on the
+    array of t; every row equals the single call bit for bit."""
+    *chart, t = _chart_base(base, q)
+    return (*chart, derived_coeffs(w, t))
+
+
+def _per_row(f):
+    # a scalar coefficient, or one per stack row, broadcast against the rows' matrices
+    return np.asarray(f)[..., None, None]
+
+
+def _metric_matrix(y, g, gamma, gu, vals):
+    # components at (x, y) from its chart data and the weights at t = g(y, y)/2, on any stack axes
     m = y.shape[-1]
     gy = np.einsum("...kij,...j->...ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
-    gu = (g @ y[..., None])[..., 0]
-    a, b = (np.asarray(f)[..., None, None] for f in (vals.a, vals.b))
-    V = a * g + b * (gu[..., :, None] * gu[..., None, :])
+    V = _per_row(vals.a) * g + _per_row(vals.b) * (gu[..., :, None] * gu[..., None, :])
     gyTV = np.swapaxes(gy, -1, -2) @ V
     G = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
     G[..., :m, :m] = g + gyTV @ gy
@@ -97,13 +117,14 @@ def _metric_matrix(g, gamma, y, vals):
 
 
 def _frame(gamma, y):
-    # frame change M, columns = coordinate components of (delta_i, d/dy^i), and M^-1
-    m = len(y)
-    gy = np.einsum("kij,j->ki", gamma, y)
-    M = np.eye(2 * m)
-    M[m:, :m] = -gy
-    Minv = np.eye(2 * m)
-    Minv[m:, :m] = gy
+    # frame change M, columns = coordinate components of (delta_i, d/dy^i), and M^-1,
+    # on any stack axes
+    m = y.shape[-1]
+    gy = np.einsum("...kij,...j->...ki", gamma, y)
+    eye = np.broadcast_to(np.eye(2 * m), y.shape[:-1] + (2 * m, 2 * m))
+    M, Minv = eye.copy(), eye.copy()
+    M[..., m:, :m] = -gy
+    Minv[..., m:, :m] = gy
     return M, Minv
 
 
@@ -114,72 +135,58 @@ def split_to_coord(U):
     return M @ np.concatenate([U.h, U.v])
 
 
-def _chart_point(base, w, q, base_at=None):
-    # y, g(x), Gamma(x), g y and the derived coefficients at q = (x, y); the base
-    # metric is evaluated once, as first-order jets, or taken from base_at(x)
-    q = np.asarray(q, dtype=float)
-    x, y = q[: base.dim], q[base.dim :]
-    g, gamma = base_at(x) if base_at else bg._metric_and_christoffel(base, x)
-    return y, g, gamma, g @ y, derived_coeffs(w, 0.5 * float(y @ g @ y))
-
-
-def _chart_points(w, y, g, gamma):
-    """``_chart_point`` at each row of a stack, from y and the (g, Gamma) that
-    ``bg._metric_and_christoffel`` evaluates on the stack of x: y, g, Gamma and g y
-    stacked, and a list of derived coefficients, one per row, from one weight
-    evaluation on the array of t.  Each row equals the single call bit for bit."""
-    vals = w.eval(0.5 * (y[:, None, :] @ g @ y[..., None])[:, 0, 0])
-    rows = zip(*(f.tolist() for f in vars(vals).values()))  # one float WeightValues per t
-    coeffs = [_coeffs_from(WeightValues(*row), w.epsilon) for row in rows]
-    return y, g, gamma, (g @ y[..., None])[..., 0], coeffs
-
-
 def j_matrix(base, w, q):
-    """Coordinate matrix of the almost complex structure at q = (x, y)."""
+    """Coordinate matrix of the almost complex structure at q = (x, y), or at each
+    row of an (n, 2m) stack."""
     return _j_matrix(*_chart_point(base, w, q))
 
 
+def _j_blocks(y, gu, d):
+    # the adapted-frame blocks of J, vertical -> horizontal and back, on any stack axes
+    m = y.shape[-1]
+    sa = np.sqrt(_per_row(d.values.a))
+    yu = y[..., :, None] * gu[..., None, :]  # the outer product y gu^T
+    return -sa * np.eye(m) + _per_row(d.B_coef) * yu, np.eye(m) / sa - _per_row(d.A_coef) * yu
+
+
 def _j_matrix(y, g, gamma, gu, d):
-    # j_matrix from the data of one chart point (g is not read)
-    sa = np.sqrt(d.values.a)
-    m = len(y)
-    JHV = np.eye(m) / sa - d.A_coef * np.outer(y, gu)
-    JVH = -sa * np.eye(m) + d.B_coef * np.outer(y, gu)
-    Jad = np.zeros((2 * m, 2 * m))
-    Jad[m:, :m] = JHV
-    Jad[:m, m:] = JVH
+    # j_matrix from the data of a chart point or a stack of them (g is not read)
+    m = y.shape[-1]
+    JVH, JHV = _j_blocks(y, gu, d)
+    Jad = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
+    Jad[..., m:, :m] = JHV
+    Jad[..., :m, m:] = JVH
     M, Minv = _frame(gamma, y)
     return M @ Jad @ Minv
 
 
 def omega_matrix(base, w, q):
-    """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b)."""
+    """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b), at q or at
+    each row of a stack."""
     return _omega_matrix(*_chart_point(base, w, q))
 
 
 def _omega_matrix(y, g, gamma, gu, d):
-    sa = np.sqrt(d.values.a)
-    m = len(y)
+    m = y.shape[-1]
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
-    OmHV = g @ (-sa * np.eye(m) + d.B_coef * np.outer(y, gu))
-    Om = np.zeros((2 * m, 2 * m))
-    Om[:m, m:] = OmHV
-    Om[m:, :m] = -OmHV.T
+    OmHV = g @ _j_blocks(y, gu, d)[0]
+    Om = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
+    Om[..., :m, m:] = OmHV
+    Om[..., m:, :m] = -np.swapaxes(OmHV, -1, -2)
     _, Minv = _frame(gamma, y)
-    return Minv.T @ Om @ Minv
+    return np.swapaxes(Minv, -1, -2) @ Om @ Minv
 
 
 def lee_covector(base, w, q):
-    """Coordinate components of the Lee form at q."""
+    """Coordinate components of the Lee form at q, or at each row of a stack."""
     return _lee_covector(*_chart_point(base, w, q))
 
 
 def _lee_covector(y, g, gamma, gu, d):
-    m = len(y)
-    om_ad = np.concatenate([np.zeros(m), d.lee_coef * gu])
+    om_ad = np.concatenate([np.zeros_like(gu), np.asarray(d.lee_coef)[..., None] * gu], axis=-1)
     _, Minv = _frame(gamma, y)
-    return Minv.T @ om_ad
+    return (np.swapaxes(Minv, -1, -2) @ om_ad[..., None])[..., 0]
 
 
 def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
@@ -226,21 +233,31 @@ def _stencil(q, vectors, h, richardson):
     return [q] + [p for v in vectors for s in steps for p in _pair(q, v, s)]
 
 
-def _once(fun):
-    # fun once per distinct point (keyed on its exact bytes); the arrays it returns
-    # are made read-only, so a stray write raises instead of corrupting a later lookup
+def _readonly(out):
+    # the arrays of out (one, or a tuple) made read-only, so a stray write to an entry
+    # served by _once raises instead of corrupting a later lookup
+    for a in out if isinstance(out, tuple) else (out,):
+        a.flags.writeable = False
+    return out
+
+
+def _once(fun, points=()):
+    """``fun(p)`` once per distinct point p, keyed on its exact bytes, with read-only
+    arrays.  ``points`` are evaluated up front as one stack of their distinct rows, for a
+    ``fun`` that takes a point or an (n, k) stack; their entries are its read-only rows
+    (a tuple of rows where ``fun`` returns a tuple)."""
     seen = {}
+    if len(points):
+        qs = _distinct(np.array(points))[0]
+        out = _readonly(fun(qs))
+        seen.update(zip((p.tobytes() for p in qs), zip(*out) if isinstance(out, tuple) else out))
 
     def once(p):
         key = p.tobytes()
         if key not in seen:
-            seen[key] = out = fun(p)
-            for a in out if isinstance(out, tuple) else (out,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+            seen[key] = _readonly(fun(p))
         return seen[key]
 
-    once.seen = seen
     return once
 
 
@@ -251,12 +268,7 @@ class _CallView:
     ``fd_curvature``, reused by nested calls, dropped on return."""
 
     def __init__(self, metric, stencil):
-        self.matrix = _once(metric.matrix)
-        if isinstance(metric, InducedMetric):
-            points = _distinct(np.array(stencil))[0]
-            for p, G in zip(points, metric.matrix(points)):
-                G.flags.writeable = False
-                self.matrix.seen[p.tobytes()] = G
+        self.matrix = _once(metric.matrix, stencil if isinstance(metric, InducedMetric) else ())
 
 
 def fd_connection(metric, q, h=1e-4, richardson=True):
@@ -314,17 +326,12 @@ def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
 
 def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     """Numeric Nijenhuis tensor of J on coordinate-extended constant fields."""
-    q = np.asarray(q, dtype=float)
-    U = np.asarray(U, dtype=float)
-    V = np.asarray(V, dtype=float)
-
-    base_at = _once(lambda x: bg._metric_and_christoffel(base, x))
-
-    def J(p):
-        return _j_matrix(*_chart_point(base, w, p, base_at))
-
-    J0 = J(q)
+    q, U, V = (np.asarray(a, dtype=float) for a in (q, U, V))
+    J0 = j_matrix(base, w, q)
     JU, JV = J0 @ U, J0 @ V
+    # J at the 16 points the four directional derivatives step to, as one stack
+    J = _once(lambda p: _j_matrix(*_chart_point(base, w, p)),
+              _stencil(q, [JU, JV, U, V], h, True)[1:])
     dJ_JU = fd_directional(J, q, JU, h=h)
     dJ_JV = fd_directional(J, q, JV, h=h)
     dJ_U = fd_directional(J, q, U, h=h)

@@ -123,7 +123,7 @@ def contact_structure(P, w, rescaled=False, epsilon=None):
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
     y, g, gamma, gu, d = orc._chart_point(P.base, w, P.q)
-    G = orc._metric_matrix(g, gamma, y, d.values)
+    G = orc._metric_matrix(y, g, gamma, gu, d.values)
     J = orc._j_matrix(y, g, gamma, gu, d)
     phi = (np.eye(len(N)) - np.outer(N, G @ N)) @ J
     eta = J.T @ G @ N
@@ -235,34 +235,31 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     evaluated at the call's 8 stencil points per pair as one stack."""
     vectors = [[np.asarray(v, dtype=float) for v in pair] for pair in vectors]
     stencil = orc._stencil(P.q, [v for pair in vectors for v in pair], h, True)[1:]
-    eta = _extended_eta(P.base, w, orc._distinct(np.array(stencil))[0], rescaled)
+    eta = orc._once(lambda qs: _extended_eta(P.base, w, qs, rescaled), stencil)
 
     def form(q, v):
-        return float(eta[q.tobytes()] @ v)
+        return float(eta(q) @ v)
 
     return np.array([orc.fd_exterior_derivative(form, P.q, [U, V], h=h) for U, V in vectors])
 
 
 def _extended_eta(base, w, qs, rescaled):
     # eta of contact_structure(sphere_point(base, x, y), w, rescaled) at each row (x, y)
-    # of qs, keyed by its bytes, with each row checked as sphere_point checks it; one
-    # stacked base evaluation, and only G, J and the unit normal are built
-    m = base.dim
-    x, y = qs[:, :m], qs[:, m:]
-    g, gamma = bg._metric_and_christoffel(base, x)
-    base._checked(g, x)
-    # sphere_point's t = |y|^2/2 through r = |y|, and its radius sqrt(2t), as in unit_normal
-    t = 0.5 * _pow(np.sqrt((y[:, None, :] @ g @ y[..., None])[:, 0, 0]), 2)
+    # of an (n, 2m) stack, each row checked as sphere_point checks it; one chart
+    # evaluation of the stack, and only G, J and the unit normal are built
+    y, g, gamma, gu, d = orc._chart_point(base, w, qs)
+    base._checked(g, qs[:, : base.dim])
+    # sphere_point's t = |y|^2/2 through r = |y| (|y|^2 is twice the chart's t, exactly),
+    # and its radius sqrt(2t), as in unit_normal
+    t = 0.5 * _pow(np.sqrt(2.0 * d.values.t), 2)
     r = np.sqrt(2.0 * t)
     vals = w.eval(t)
     norm = np.sqrt(vals.a * _pow(r, 2) + vals.b * _pow(r, 4))
     N = np.hstack([np.zeros_like(y), y]) / norm[:, None]
     scale = -w.epsilon / (2 * r * np.sqrt(vals.a)) if rescaled else np.ones(len(qs))
-    eta = {}
-    for q, n, c, (yi, gi, gam, gu, d) in zip(qs, N, scale, zip(*orc._chart_points(w, y, g, gamma))):
-        J = orc._j_matrix(yi, gi, gam, gu, d)
-        eta[q.tobytes()] = c * (J.T @ orc._metric_matrix(gi, gam, yi, d.values) @ n)
-    return eta
+    J = orc._j_matrix(y, g, gamma, gu, d)
+    G = orc._metric_matrix(y, g, gamma, gu, d.values)
+    return scale[:, None] * (np.swapaxes(J, -1, -2) @ G @ N[..., None])[..., 0]
 
 
 def _kcontact_vectors(P, w):

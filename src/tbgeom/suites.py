@@ -1,7 +1,8 @@
 """Named verification suites executed by the batch runner.
 
 Each suite draws deterministic samples, evaluates one family of closed
-forms against its independent check, and reports residuals.  Negative
+forms against its independent check, and appends residuals and controls
+to the result that ``run_suite`` made from its ``SUITES`` entry.  Negative
 controls (configurations that must exhibit a LARGE residual for the suite
 to pass) are first-class: a suite passes only if its residuals stay below
 tolerance and every control stays above its bound.
@@ -164,8 +165,7 @@ def _sphere_sample(ctx, rng, base=None):
 # ---------------------------------------------------------------- suites
 
 
-def _suite_base_checks(ctx, rng, tol):
-    res = SuiteResult("base_checks", "§2 / Prop. 2.12 prerequisites", tol)
+def _suite_base_checks(ctx, rng, res):
     m = ctx.base.dim
     for _ in range(ctx.samples):
         x, g = ctx.sample_x(rng)
@@ -194,44 +194,41 @@ def _suite_base_checks(ctx, rng, tol):
             X = rng.standard_normal(m)
             Y = rng.standard_normal(m)
             res.residuals.append(abs(bg._sectional(g, R, X, Y) - c))
-    return res
 
 
-def _charts(base, w, q, vecs, h):
-    # the oracle's chart data of w at q and at each point of the exterior-derivative
-    # stencil along vecs, from one stacked evaluation; looked up by a point's bytes
-    qs = orc._distinct(np.array(orc._stencil(q, vecs, h, True)))[0]
-    x, y = np.hsplit(qs, 2)
-    charts = orc._chart_points(w, y, *bg._metric_and_christoffel(base, x))
-    table = dict(zip((p.tobytes() for p in qs), zip(*charts)))
-    return lambda p: table[p.tobytes()]
+def _forms(base, w, q, vecs, h):
+    # Omega and the Lee covector of w at q and at each point of the exterior-derivative
+    # stencil along vecs, from one chart evaluation of them all
+    def forms(qs):
+        chart = orc._chart_point(base, w, qs)
+        return orc._omega_matrix(*chart), orc._lee_covector(*chart)
+
+    return orc._once(forms, orc._stencil(q, vecs, h, True))
 
 
-def _domega(chart, q, vecs, h):
-    """Numeric dOmega(v1, v2, v3) at q of the fundamental form built from ``chart``."""
+def _domega(forms, q, vecs, h):
+    """Numeric dOmega(v1, v2, v3) at q of the fundamental form served by ``forms``."""
 
     def omega_form(p, v1, v2):
-        return float(v1 @ orc._omega_matrix(*chart(p)) @ v2)
+        return float(v1 @ forms(p)[0] @ v2)
 
     return orc.fd_exterior_derivative(omega_form, q, vecs, h=h)
 
 
 def _lck_terms(base, w, q, vecs, h):
     """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, from
-    one stacked chart evaluation of q and the dOmega stencil (the d(lee) stencil is
-    part of it)."""
-    chart = _charts(base, w, q, vecs, h)
+    one chart evaluation of q and the dOmega stencil (the d(lee) stencil is part of it)."""
+    forms = _forms(base, w, q, vecs, h)
 
     def lee_1form(p, v):
-        return float(orc._lee_covector(*chart(p)) @ v)
+        return float(forms(p)[1] @ v)
 
-    wed = orc.wedge_1_2(orc._lee_covector(*chart(q)), orc._omega_matrix(*chart(q)), *vecs)
+    Om, lee = forms(q)
     dlee = orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h)
-    return _domega(chart, q, vecs, h), wed, dlee
+    return _domega(forms, q, vecs, h), orc.wedge_1_2(lee, Om, *vecs), dlee
 
 
-def _suite_lck(ctx, rng, tol):
-    res = SuiteResult("lck", "Prop. 2.6", tol)
+def _suite_lck(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     n2 = 2 * base.dim
     for _ in range(ctx.samples):
@@ -240,11 +237,9 @@ def _suite_lck(ctx, rng, tol):
         dom, wed, dlee = _lck_terms(base, w, P.q, vecs, ctx.h)
         res.residuals.append(abs(dom - wed))
         res.residuals.append(abs(dlee))
-    return res
 
 
-def _suite_almost_kahler(ctx, rng, tol):
-    res = SuiteResult("almost_kahler", "Thm. 2.6", tol)
+def _suite_almost_kahler(ctx, rng, res):
     base = ctx.base
     pair = almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1, name="ak(1+t)")
     cg = named_family("cheeger_gromoll")
@@ -256,23 +251,21 @@ def _suite_almost_kahler(ctx, rng, tol):
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng, weights=pair)
         vecs = [rng.standard_normal(n2) for _ in range(3)]
-        chart = _charts(base, pair, P.q, vecs, ctx.h)
-        res.residuals.append(abs(_domega(chart, P.q, vecs, ctx.h)))
+        forms = _forms(base, pair, P.q, vecs, ctx.h)
+        res.residuals.append(abs(_domega(forms, P.q, vecs, ctx.h)))
         res.residuals.append(abs(P.coeffs(pair).lee_coef))
-        chart = _charts(base, cg, P.q, [vh, v1, v2], ctx.h)
-        cg_worst = max(cg_worst, abs(_domega(chart, P.q, [vh, v1, v2], ctx.h)))
+        forms = _forms(base, cg, P.q, [vh, v1, v2], ctx.h)
+        cg_worst = max(cg_worst, abs(_domega(forms, P.q, [vh, v1, v2], ctx.h)))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     res.controls.append(Control("cg_not_almost_kahler", cg_worst, 1e-2, "min"))
-    return res
 
 
-def _suite_kahler(ctx, rng, tol):
+def _suite_kahler(ctx, rng, res):
     # Eq. (13) is closure under the unverified Lee coefficient a'/sqrt(a), so
     # the case-2 pairs are integrable and lcK: the residuals are the
     # Nijenhuis tensor, dOmega - lee ^ Omega and d(lee), and the fundamental
     # form must stay visibly non-closed.
-    res = SuiteResult("kahler", "Thm. 2.9 / Eqs. (13)-(17)", tol)
     c, kappa = -1.0, 2.0
     base = bg.SpaceForm(c, 2)
     pair = kahler_family(2, c, kappa)
@@ -294,11 +287,9 @@ def _suite_kahler(ctx, rng, tol):
     res.controls.append(Control("eq13_residual", r13_max, 1e-10, "max"))
     res.controls.append(Control("eq14_residual", r14_max, 1e-10, "max"))
     res.controls.append(Control("not_closed", dom_max, 1e-2, "min"))
-    return res
 
 
-def _suite_connection(ctx, rng, tol):
-    res = SuiteResult("connection", "Prop. 2.11", tol)
+def _suite_connection(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     im = orc.InducedMetric(base, w)
     for _ in range(ctx.samples):
@@ -313,11 +304,9 @@ def _suite_connection(ctx, rng, tol):
                 gamma, P.q, lifts[case[0]][0], lifts[case[1]][1], h=ctx.h
             )
             res.residuals.append(float(np.max(np.abs(closed - num))))
-    return res
 
 
-def _suite_curvature(ctx, rng, tol):
-    res = SuiteResult("curvature", "Prop. 2.12", tol)
+def _suite_curvature(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     im = orc.InducedMetric(base, w)
     sym_worst = 0.0
@@ -355,11 +344,9 @@ def _suite_curvature(ctx, rng, tol):
         )
         sym_worst = max(sym_worst, math.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum))))
     res.controls.append(Control("curvature_symmetries", sym_worst, 1e-8, "max"))
-    return res
 
 
-def _suite_flat_g1(ctx, rng, tol):
-    res = SuiteResult("flat_g1", "Prop. 2.17", tol)
+def _suite_flat_g1(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     im = orc.InducedMetric(base, w)
     for k in range(ctx.samples):
@@ -374,15 +361,13 @@ def _suite_flat_g1(ctx, rng, tol):
         res.residuals.append(worst)
         if k < max(2, ctx.samples // 10):
             res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, P.q, h=ctx.h)))))
-    return res
 
 
-def _suite_sectional(ctx, rng, tol):
-    res = SuiteResult("sectional", "Prop. 2.15 / Lemma 2.14", tol)
+def _suite_sectional(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     if not isinstance(base, bg.SpaceForm):
         res.error = "sectional display suite needs a space-form base"
-        return res
+        return
     c = base.curvature
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng)
@@ -413,11 +398,9 @@ def _suite_sectional(ctx, rng, tol):
         res.residuals.append(
             abs(q_vv - (vals.a**2 + vals.a * vals.b * (gxu**2 + gyu**2)))
         )
-    return res
 
 
-def _suite_scalar(ctx, rng, tol):
-    res = SuiteResult("scalar", "Prop. 2.18 / Cor. 2.20", tol)
+def _suite_scalar(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     for _ in range(ctx.samples):
         P = ctx.sample_point(rng)
@@ -430,11 +413,9 @@ def _suite_scalar(ctx, rng, tol):
             res.controls.append(
                 Control("space_form_display", abs(sf_form - closed) / denom, 1e-9, "max")
             )
-    return res
 
 
-def _suite_sphere_bundle(ctx, rng, tol):
-    res = SuiteResult("sphere_bundle", "§3.1-3.2", tol)
+def _suite_sphere_bundle(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     sas = named_family("sasaki")
     m = base.dim
@@ -490,11 +471,9 @@ def _suite_sphere_bundle(ctx, rng, tol):
             for (U, V), dv in zip(pairs, dvals):
                 deta_worst = max(deta_worst, abs(dv - float(U @ S2.G @ (S2.phi @ V))))
     res.controls.append(Control("contact_metric_condition", deta_worst, 1e-8, "max"))
-    return res
 
 
-def _suite_isometry(ctx, rng, tol):
-    res = SuiteResult("isometry", "Thms. 3.3-3.4", tol)
+def _suite_isometry(ctx, rng, res):
     base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
     pts = [_sphere_sample(ctx, rng) for _ in range(max(2, ctx.samples // 5))]
@@ -502,11 +481,9 @@ def _suite_isometry(ctx, rng, tol):
     res.residuals.extend([good["metric"], good["phi"], good["xi"]])
     bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
-    return res
 
 
-def _suite_k_contact(ctx, rng, tol):
-    res = SuiteResult("k_contact", "Thm. 3.7", tol)
+def _suite_k_contact(ctx, rng, res):
     sf1 = bg.SpaceForm(1.0, ctx.base.dim)
     pts = [_sphere_sample(ctx, rng, base=sf1) for _ in range(max(2, ctx.samples // 4))]
     sas = named_family("sasaki")
@@ -525,11 +502,9 @@ def _suite_k_contact(ctx, rng, tol):
     vc = sb.k_contact_verdict(ctx.base, ctx.weights, pts_c)
     agree = vc["is_k_contact"] == vc["predicted_k_contact"]
     res.controls.append(Control("verdict_matches_theorem", 1.0 if agree else 0.0, 0.5, "min"))
-    return res
 
 
-def _suite_oracle_cross(ctx, rng, tol):
-    res = SuiteResult("oracle_cross", "Props. 2.11 / 2.12 / 2.15 / 2.18", tol)
+def _suite_oracle_cross(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     im = orc.InducedMetric(base, w)
     parts = {"connection": 1e-5, "curvature": 1e-4, "sectional": 1e-4, "scalar": 1e-4}
@@ -565,7 +540,6 @@ def _suite_oracle_cross(ctx, rng, tol):
     for name, t0 in parts.items():
         res.residuals.append(worst[name] / t0)
         res.controls.append(Control(f"{name}_residual", worst[name], t0, "max"))
-    return res
 
 
 SUITES = {
@@ -592,11 +566,10 @@ def run_suite(name, ctx, tolerance=None):
     tol = default_tol if tolerance is None else float(tolerance)
     idx = SUITE_ORDER.index(name)
     rng = ctx.rng(idx)
+    res = SuiteResult(name, anchor, tol, seed=[ctx.seed, idx])
     try:
-        result = fn(ctx, rng, tol)
+        fn(ctx, rng, res)
     except Exception as exc:  # domain violations etc: report, keep running
-        result = SuiteResult(name, anchor, tol, error=f"{type(exc).__name__}: {exc}")
-    result.anchor = anchor
-    result.tolerance = tol
-    result.seed = [ctx.seed, idx]
-    return result
+        res = SuiteResult(name, anchor, tol, error=f"{type(exc).__name__}: {exc}",
+                          seed=[ctx.seed, idx])
+    return res

@@ -126,7 +126,8 @@ def _first(bad, *values):
 
 @dataclass(frozen=True)
 class DerivedCoefficients:
-    """Scalar coefficients derived from a weight pair at one t.
+    """Scalar coefficients derived from a weight pair at one t, or at each t of
+    an array (then every field is an array, each entry equal to the float call).
 
     ``values`` are the weight values they were built from, so a caller
     needs no second evaluation at the same t.
@@ -144,15 +145,20 @@ class DerivedCoefficients:
     values: WeightValues
 
 
+def _sqrt(v):
+    # math.sqrt on a float, np.sqrt entry by entry on an array: both round correctly
+    return math.sqrt(v) if type(v) is float else np.sqrt(v)
+
+
 def _ab_coeffs(w: WeightValues, epsilon: int):
-    sa = math.sqrt(w.a)
-    q = math.sqrt(w.vertical_norm_weight)
+    sa = _sqrt(w.a)
+    q = _sqrt(w.vertical_norm_weight)
     if epsilon == -1:
         A = w.b / (sa * q * (sa + q))
         B = -w.b / (sa + q)
         return A, B
     t = w.t
-    if t < 1e-12:
+    if _first(t < 1e-12, t):
         raise WeightDomainError("A(t), B(t) undefined on the zero section for eps=+1")
     A = (1.0 / (2 * t)) * (1.0 / sa + 1.0 / q)
     B = (1.0 / (2 * t)) * (sa + q)
@@ -162,17 +168,18 @@ def _ab_coeffs(w: WeightValues, epsilon: int):
 def _lee_coef(w: WeightValues, epsilon: int):
     # oracle-adjudicated Lee coefficient: (1/sqrt(a)) (a'/(2 sqrt(a)) + B(t))
     _, B = _ab_coeffs(w, epsilon)
-    sa = math.sqrt(w.a)
+    sa = _sqrt(w.a)
     return (w.ap / (2 * sa) + B) / sa
 
 
 def derived_coeffs(pair: WeightPair, t):
-    """Connection, curvature, complex-structure and Lee coefficients at t."""
+    """Connection, curvature, complex-structure and Lee coefficients at a float t
+    or at each t of a 1-D array."""
     return _coeffs_from(pair.eval(t), pair.epsilon)
 
 
 def _coeffs_from(w: WeightValues, epsilon: int):
-    # derived_coeffs from weight values already evaluated
+    # derived_coeffs from weight values already evaluated, at one t or an array of t
     a, ap, app, b, bp, tt = w.a, w.ap, w.app, w.b, w.bp, w.t
     v = w.vertical_norm_weight
     L = ap / (2 * a)

@@ -238,12 +238,27 @@ def test_unknown_report_format_exits_2(tmp_path, capsys):
     ("chart_box", [["a", "b"], [0, 1]]),
     ("tolerances", {"curvature": "tight"}),
     ("base", {"kind": "space_form", "dim": "two", "params": {"curvature": 0.0}}),
+    # samples and seed are JSON integers, seed >= 0
+    ("samples", 2.7),
+    ("samples", True),
+    ("seed", -1),
+    ("seed", 1.5),
+    ("seed", False),
 ])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_cfg(**{field: value}, out=str(tmp_path / "report"))))
     assert cli.main(["verify", "--config", str(cfg_path)]) == 2
     assert f"config.{field}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    # a seed numpy cannot take is a config error, not a traceback
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(out=str(tmp_path / "report"))))
+    assert cli.main(["verify", "--config", str(cfg_path), "--seed", "-3"]) == 2
+    assert "config.seed" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == [cfg_path]
 
 

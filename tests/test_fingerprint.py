@@ -2,7 +2,8 @@
 
 ``residual_fingerprint.json`` holds ``float.hex`` of each residual and
 control value of ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with
-``samples`` overridden to 4.  A change that claims to keep the numbers
+``samples`` overridden to 4, and of one inline m = 3 document (``INLINE``):
+the stacked dOmega, Lee-form and d(eta) maps at m = 3.  A change that claims to keep the numbers
 bit-identical is checked here; a change that moves them on purpose
 regenerates the file and says why.  Regenerate it from the repository root
 with
@@ -19,14 +20,21 @@ from tbgeom.cli import load_config, run
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = Path(__file__).with_name("residual_fingerprint.json")
-CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2")
 SAMPLES = 4
+INLINE = {
+    "cg_s3": {
+        "base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
+        "weights": {"name": "cheeger_gromoll"},
+        "suites": ["lck", "almost_kahler", "sphere_bundle"],
+    },
+}
+CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)
 
 
 def fingerprint(name):
     """Per suite: its error, residuals and controls, each number as float.hex."""
-    doc = json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    doc.update(samples=SAMPLES, out=None)
+    doc = INLINE.get(name) or json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    doc = dict(doc, samples=SAMPLES, out=None)
     return {
         s["name"]: {
             "error": s["error"],

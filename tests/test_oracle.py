@@ -10,7 +10,7 @@ import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
 from tbgeom.suites import SuiteContext, _lck_terms, run_suite
-from tbgeom.weights import kahler_family, named_family
+from tbgeom.weights import WeightDomainError, WeightPair, kahler_family, named_family
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -353,6 +353,7 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
     (SF1, CG),
     (bg.SpaceForm(-0.5, 3), named_family("lck_example")),
     (bg.euclidean(3), SAS),
+    (SF1, kahler_family(1, 1.0, -0.5)),  # eps = +1
 ])
 def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w):
     m = base.dim
@@ -365,6 +366,31 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
     assert stacked.shape == (40, 2 * m, 2 * m)
     for q, G in zip(qs, stacked):
         assert G.tobytes() == im.matrix(q).tobytes()
+    # the chart point, each derived coefficient and the maps built on it
+    *chart, d = orc._chart_point(base, w, qs)
+    maps = [orc.j_matrix, orc.omega_matrix, orc.lee_covector]
+    on_stack = [f(base, w, qs) for f in maps]
+    assert [a.shape for a in on_stack] == [(40, 2 * m, 2 * m)] * 2 + [(40, 2 * m)]
+    for i, q in enumerate(qs):
+        *one, e = orc._chart_point(base, w, q)
+        assert [a[i].tobytes() for a in chart] == [a.tobytes() for a in one]
+        for many, single in ((d, e), (d.values, e.values)):
+            for name, value in vars(single).items():
+                if name != "values":
+                    assert float(getattr(many, name)[i]).hex() == value.hex(), name
+        for f, a in zip(maps, on_stack):
+            assert a[i].tobytes() == f(base, w, q).tobytes(), f.__name__
+
+
+def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
+    # A(t), B(t) are undefined at t = 0 for eps = +1: one such row fails the whole stack
+    w = WeightPair(CG.a, CG.b, +1, CG.t_domain, CG.name, CG.params)
+    qs = np.array([[0.1, -0.2, 0.5, 0.6], [0.1, -0.2, 0.0, 0.0], [0.3, 0.1, -0.4, 0.2]])
+    orc.InducedMetric(SF1, w).matrix(qs)  # the metric itself is defined there
+    with pytest.raises(WeightDomainError, match="zero section"):
+        orc._chart_point(SF1, w, qs)
+    with pytest.raises(WeightDomainError, match="zero section"):
+        orc.j_matrix(SF1, w, qs)
 
 
 def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
@@ -426,10 +452,18 @@ def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
     dJ = {k: orc.fd_directional(J, q, v, h=h) for k, v in
           {"JU": J0 @ U, "JV": J0 @ V, "U": U, "V": V}.items()}
     expected = dJ["JU"] @ V - dJ["JV"] @ U + J0 @ (dJ["V"] @ U) - J0 @ (dJ["U"] @ V)
-    calls = count_calls(monkeypatch, bg.ChartMetric, "derivatives")
+    rows = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, x, *args):
+        rows.append(len(np.atleast_2d(x)))  # the rows of one stacked evaluation
+        return derivatives(self, x, *args)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
     got = orc.fd_nijenhuis(SF1, CG, q, U, V, h=h)
-    # q, whose x the vertical U and V stencils keep, and 4 points along each of JU, JV
-    assert len(calls) == 1 + 4 + 4
+    # J at q, then its 16-point stencil as one stack at 9 distinct x: q's, which the
+    # vertical U and V stencils keep, and 4 points along each of JU, JV
+    assert rows == [1, 1 + 4 + 4]
     assert got.tobytes() == expected.tobytes()
 
 

@@ -184,10 +184,11 @@ def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
         vals = sb.deta_numeric(P, CG, pairs)
         seen.append((list(rows), vals[0]))
     # eta at the 4 Richardson points along each of U and V, all pairs' distinct
-    # points as one stacked base evaluation and no contact_structure: 8 rows for
-    # one pair, 16 for three pairs along 4 distinct vectors; and a pair's value does
-    # not depend on the others
-    assert seen[0][0] == [8] and seen[1][0] == [16]
+    # points as one stack and no contact_structure, with one base evaluation at their
+    # distinct x: 8 points at 5 x for one pair (the 4 along the vertical Ys[1] keep
+    # P's x), 16 points at 9 x for three pairs along 4 distinct vectors; and a pair's
+    # value does not depend on the others
+    assert seen[0][0] == [5] and seen[1][0] == [9]
     assert calls["contact_structure"] == 0
     assert seen[0][1] == seen[1][1]
     # the Gauss-formula connection: the 1 + 8m connection stencil as one stack,
@@ -394,14 +395,18 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
     deltas, Ys = sb.generators(P)
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
     expected = plain_deta(P, w, pairs)
-    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"))
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"),
+                             (orc, "_j_matrix"), (orc, "_metric_matrix"))
     rows = count_rows(monkeypatch)
     got = sb.deta_numeric(P, w, pairs)
     # 8 eta evaluations a pair at 16 distinct points: one stacked first-order
-    # evaluation of the base metric, each row checked there (no validate_at), and
-    # the weights on the array of chart t = g(y, y)/2 and of the points' t = r^2/2
-    assert calls == {"matrix": 0, "derivatives": 1, "validate_at": 0, "eval": 2}
-    assert rows == [16]
+    # evaluation of the base metric at their 13 distinct x (the 4 points along the
+    # vertical Ys[1] keep P's x), each row checked there (no validate_at), and the
+    # weights on the array of chart t = g(y, y)/2 and of the points' t = r^2/2; J and
+    # G are built once, on the whole stack
+    assert calls == {"matrix": 0, "derivatives": 1, "validate_at": 0, "eval": 2,
+                     "_j_matrix": 1, "_metric_matrix": 1}
+    assert rows == [13]
     assert np.array_equal(got, expected)
 
 
