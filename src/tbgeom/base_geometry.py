@@ -200,6 +200,29 @@ def _inverse(g, x):
         raise SingularMetricError(f"metric matrix singular at point {x}") from exc
 
 
+def _distinct(points):
+    """The distinct rows of an (n, k) stack, compared by their exact bytes, in order of
+    first appearance (so an error names the first bad row), and each row's index among them."""
+    rows = np.ascontiguousarray(points)
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return rows[first[order]], np.argsort(order)[index]
+
+
+def _readonly(out):
+    # the arrays of out (one, or a tuple) made read-only, so a stray write to an array
+    # kept by a stencil table or a tangent point raises instead of corrupting a later read
+    for a in out if isinstance(out, tuple) else (out,):
+        a.flags.writeable = False
+    return out
+
+
+def _vg(v, g):
+    # the row vector v g, on stacks of v and g; each row rounds as the 1-D v @ g
+    return (v[..., None, :] @ g)[..., 0, :]
+
+
 def _christoffel_core(dg):
     # core[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij
     *lead, a, b, c = range(dg.ndim)
@@ -218,9 +241,11 @@ def christoffel(metric, x):
 
 
 def _metric_and_christoffel(metric, x):
-    # (g(x), Gamma(x)) from one first-order jet evaluation, at a point or an (n, m) stack
-    g, dg = metric.derivatives(x, 1)
-    return g, _levi_civita(_inverse(g, x), dg)
+    # (g(x), Gamma(x)) from one first-order jet evaluation, at a point or at each row of
+    # an (n, m) stack, evaluated once at the stack's distinct x
+    xs, index = _distinct(x) if np.ndim(x) == 2 else (x, ...)
+    g, dg = metric.derivatives(xs, 1)
+    return g[index], _levi_civita(_inverse(g, xs), dg)[index]
 
 
 def base_jets(metric, x):
@@ -228,51 +253,55 @@ def base_jets(metric, x):
 
     The layouts are those of ``christoffel``, ``curvature`` and
     ``nabla_curvature``.  Gamma, dGamma[p, k, i, j] = d_p Gamma^k_ij and
-    d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).
+    d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).  At an (n, m) stack of
+    points each array gains a leading axis of n rows, from one evaluation at the
+    stack's distinct x, and each row equals the single call bit for bit.
     """
-    g, dg, d2g, d3g = metric.derivatives(x, 3)
-    ginv = _inverse(g, x)
+    xs, index = _distinct(x) if np.ndim(x) == 2 else (x, ...)
+    g, dg, d2g, d3g = metric.derivatives(xs, 3)
+    ginv = _inverse(g, xs)
     gamma = _levi_civita(ginv, dg)
     # core and its first two derivatives d_p core, d_p d_q core
     core, dcore, d2core = map(_christoffel_core, (dg, d2g, d3g))
-    dginv = -np.einsum("ka,pab,bl->pkl", ginv, dg, ginv)
+    dginv = -np.einsum("...ka,...pab,...bl->...pkl", ginv, dg, ginv)
     dgamma = 0.5 * (
-        np.einsum("pkl,ijl->pkij", dginv, core)
-        + np.einsum("kl,pijl->pkij", ginv, dcore)
+        np.einsum("...pkl,...ijl->...pkij", dginv, core)
+        + np.einsum("...kl,...pijl->...pkij", ginv, dcore)
     )
     d2ginv = -(
-        np.einsum("pka,qab,bl->pqkl", dginv, dg, ginv)
-        + np.einsum("ka,pqab,bl->pqkl", ginv, d2g, ginv)
-        + np.einsum("ka,qab,pbl->pqkl", ginv, dg, dginv)
+        np.einsum("...pka,...qab,...bl->...pqkl", dginv, dg, ginv)
+        + np.einsum("...ka,...pqab,...bl->...pqkl", ginv, d2g, ginv)
+        + np.einsum("...ka,...qab,...pbl->...pqkl", ginv, dg, dginv)
     )
     d2gamma = 0.5 * (
-        np.einsum("pqkl,ijl->pqkij", d2ginv, core)
-        + np.einsum("qkl,pijl->pqkij", dginv, dcore)
-        + np.einsum("pkl,qijl->pqkij", dginv, dcore)
-        + np.einsum("kl,pqijl->pqkij", ginv, d2core)
+        np.einsum("...pqkl,...ijl->...pqkij", d2ginv, core)
+        + np.einsum("...qkl,...pijl->...pqkij", dginv, dcore)
+        + np.einsum("...pkl,...qijl->...pqkij", dginv, dcore)
+        + np.einsum("...kl,...pqijl->...pqkij", ginv, d2core)
     )
     R = _curvature_from(gamma, dgamma)
     # dR[p, h, k, i, j] = d_p R^h_{kij}
-    dterm = d2gamma.transpose(0, 2, 4, 1, 3)  # d_p d_i G^h_jk -> (p, h, k, i, j)
-    dquad = np.einsum("phil,ljk->phkij", dgamma, gamma) + np.einsum(
-        "hil,pljk->phkij", gamma, dgamma
+    dterm = np.einsum("...pihjk->...phkij", d2gamma)  # d_p d_i G^h_jk
+    dquad = np.einsum("...phil,...ljk->...phkij", dgamma, gamma) + np.einsum(
+        "...hil,...pljk->...phkij", gamma, dgamma
     )
-    dR = dterm - dterm.transpose(0, 1, 2, 4, 3) + dquad - dquad.transpose(0, 1, 2, 4, 3)
+    dR = dterm - np.swapaxes(dterm, -1, -2) + dquad - np.swapaxes(dquad, -1, -2)
     NR = (
         dR
-        + np.einsum("hlp,pkij->lhkij", gamma, R)
-        - np.einsum("plk,hpij->lhkij", gamma, R)
-        - np.einsum("pli,hkpj->lhkij", gamma, R)
-        - np.einsum("plj,hkip->lhkij", gamma, R)
+        + np.einsum("...hlp,...pkij->...lhkij", gamma, R)
+        - np.einsum("...plk,...hpij->...lhkij", gamma, R)
+        - np.einsum("...pli,...hkpj->...lhkij", gamma, R)
+        - np.einsum("...plj,...hkip->...lhkij", gamma, R)
     )
-    return gamma, R, NR
+    return gamma[index], R[index], NR[index]
 
 
 def _curvature_from(gamma, dgamma):
-    # R[h, k, i, j] = d_i Gamma^h_jk - d_j Gamma^h_ik + G^h_il G^l_jk - G^h_jl G^l_ik
-    term = dgamma.transpose(1, 3, 0, 2)  # d_i G^h_jk -> (h, k, i, j)
-    quad = np.einsum("hil,ljk->hkij", gamma, gamma)
-    return term - term.transpose(0, 1, 3, 2) + quad - quad.transpose(0, 1, 3, 2)
+    # R[h, k, i, j] = d_i Gamma^h_jk - d_j Gamma^h_ik + G^h_il G^l_jk - G^h_jl G^l_ik,
+    # on any leading stack axes
+    term = np.einsum("...ihjk->...hkij", dgamma)  # d_i G^h_jk
+    quad = np.einsum("...hil,...ljk->...hkij", gamma, gamma)
+    return term - np.swapaxes(term, -1, -2) + quad - np.swapaxes(quad, -1, -2)
 
 
 def curvature(metric, x):
@@ -286,8 +315,8 @@ def nabla_curvature(metric, x):
 
 
 def lower_curvature(g, R):
-    """R_{hkij} = g_{hp} R^p_{kij}."""
-    return np.einsum("hp,pkij->hkij", g, R)
+    """R_{hkij} = g_{hp} R^p_{kij}, row by row on stacks."""
+    return np.einsum("...hp,...pkij->...hkij", g, R)
 
 
 def sectional(metric, x, X, Y):
@@ -296,37 +325,33 @@ def sectional(metric, x, X, Y):
 
 
 def _sectional(g, R, X, Y):
-    # sectional curvature of span(X, Y) from g and R at one point
+    # sectional curvature of span(X, Y) from g and R at one point, or row by row on stacks
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    rxyy = np.einsum("hkij,k,i,j->h", R, Y, X, Y)
-    num = float(rxyy @ g @ X)
-    nx = float(X @ g @ X)
-    ny = float(Y @ g @ Y)
-    xy = float(X @ g @ Y)
+    rxyy = np.einsum("...hkij,...k,...i,...j->...h", R, Y, X, Y)
+    num, nx, ny, xy = (np.vecdot(_vg(A, g), B) for A, B in ((rxyy, X), (X, X), (Y, Y), (X, Y)))
     den = nx * ny - xy * xy
-    if den <= 1e-14 * nx * ny:
+    if np.any(den <= 1e-14 * nx * ny):
         raise DegeneratePlaneError(f"degenerate plane span({X}, {Y}): Gram determinant {den}")
     return num / den
 
 
 def orthonormal_frame(g, first=None):
-    """g-orthonormal frame rows e_i, optionally with e_1 along ``first``."""
-    m = g.shape[0]
-    seeds = []
-    if first is not None:
-        seeds.append(np.asarray(first, dtype=float))
-    seeds.extend(np.eye(m))
-    frame = []
+    """g-orthonormal frame rows e_i, optionally with e_1 along ``first``; at an (n, m, m)
+    stack of g (and an (n, m) stack of ``first``) one frame per row, as the single call."""
+    m = g.shape[-1]
+    gs = np.reshape(g, (-1, m, m))
+    seeds = ([] if first is None else [np.reshape(first, (-1, m))]) + list(np.eye(m))
+    frame, size = np.zeros(gs.shape), np.zeros(len(gs), dtype=int)
     for s in seeds:
-        v = s.copy()
-        for e in frame:
-            v = v - (e @ g @ v) * e
-        norm2 = float(v @ g @ v)
-        if norm2 > 1e-20:
-            frame.append(v / np.sqrt(norm2))
-        if len(frame) == m:
-            break
-    if len(frame) != m:
+        v = np.broadcast_to(s, gs.shape[:-1])
+        for i in range(m):
+            e = frame[:, i]
+            v = np.where((i < size)[:, None], v - np.vecdot(_vg(e, gs), v)[:, None] * e, v)
+        norm2 = np.vecdot(_vg(v, gs), v)
+        new = np.flatnonzero((norm2 > 1e-20) & (size < m))
+        frame[new, size[new]] = v[new] / np.sqrt(norm2[new])[:, None]
+        size[new] += 1
+    if (size != m).any():
         raise GeometryError("failed to build an orthonormal frame")
-    return np.array(frame)
+    return frame.reshape(g.shape)

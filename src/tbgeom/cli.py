@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -47,17 +48,9 @@ class RunConfig:
     format: str = "both"
 
     def echo(self):
-        return {
-            "base": self.base,
-            "weights": self.weights,
-            "suites": list(self.suites),
-            "samples": self.samples,
-            "seed": self.seed,
-            "h": self.h,
-            "tolerances": dict(self.tolerances),
-            "chart_box": self.chart_box,
-            "fiber_range": list(self.fiber_range),
-        }
+        doc = {k: v for k, v in vars(self).items() if k not in ("out", "format")}
+        return dict(doc, suites=list(self.suites), tolerances=dict(self.tolerances),
+                    fiber_range=list(self.fiber_range))
 
 
 def load_config(doc) -> RunConfig:
@@ -76,24 +69,24 @@ def load_config(doc) -> RunConfig:
             )
     samples = _integer(doc, "samples", 20, 1)
     seed = _integer(doc, "seed", 0, 0)
-    h = _convert(doc, "h", 1e-4, float)
-    if not (0 < h < 1):
-        raise ConfigError("config.h: must lie in (0, 1)")
+    h = doc.get("h", 1e-4)
+    if type(h) not in (int, float) or not 0 < h < 1:
+        raise ConfigError(f"config.h: expected a number in (0, 1), got {h!r}")
     tolerances = doc.get("tolerances", {})
     if not isinstance(tolerances, dict):
         raise ConfigError("config.tolerances: expected an object")
     for name, tol in tolerances.items():
         if name not in SUITES:
             raise ConfigError(f"config.tolerances.{name}: unknown suite")
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool):
-            raise ConfigError(f"config.tolerances.{name}: expected a number, got {tol!r}")
+        if type(tol) not in (int, float) or not 0 < tol < math.inf:
+            raise ConfigError(f"config.tolerances.{name}: expected finite tol > 0, got {tol!r}")
     try:
         fiber_range = tuple(doc.get("fiber_range", (0.3, 1.5)))
-        valid = len(fiber_range) == 2 and 0 < fiber_range[0] < fiber_range[1]
+        valid = len(fiber_range) == 2 and 0 < fiber_range[0] < fiber_range[1] < math.inf
     except TypeError:
         valid = False
     if not valid:
-        raise ConfigError("config.fiber_range: expected 0 < lo < hi")
+        raise ConfigError("config.fiber_range: expected finite 0 < lo < hi")
     fmt = doc.get("format", "both")
     if fmt not in FORMATS:
         raise ConfigError(f"config.format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
@@ -123,14 +116,6 @@ def _integer(doc, name, default, low):
     return value
 
 
-def _convert(doc, name, default, kind):
-    # doc[name] (or the default) as a number of the given kind, else ConfigError
-    try:
-        return kind(doc.get(name, default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config.{name}: {exc}") from exc
-
-
 def _build_context(cfg: RunConfig) -> SuiteContext:
     # GeometryError and WeightDomainError are ValueErrors, as are bad numbers in a spec
     try:
@@ -146,8 +131,8 @@ def _build_context(cfg: RunConfig) -> SuiteContext:
             box = np.asarray(cfg.chart_box, dtype=float)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"config.chart_box: {exc}") from exc
-        if box.shape != (base.dim, 2):
-            raise ConfigError(f"config.chart_box: expected shape ({base.dim}, 2)")
+        if box.shape != (base.dim, 2) or not np.all(np.isfinite(box) & (box[:, :1] < box[:, 1:])):
+            raise ConfigError(f"config.chart_box: expected {base.dim} finite rows lo < hi")
     else:
         box = np.tile(np.array([-0.4, 0.4]), (base.dim, 1))
     return SuiteContext(

@@ -66,25 +66,12 @@ class InducedMetric:
         return _metric_matrix(y, g, gamma, gu, self.weights.eval(t))
 
 
-def _distinct(points):
-    """The distinct rows of an (n, k) stack, compared by their exact bytes, and the
-    index of each row among them."""
-    rows = np.ascontiguousarray(points)
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return rows[first], index
-
-
 def _chart_base(base, q):
     # y, g(x), Gamma(x), g y and t = g(y, y)/2 at q = (x, y) or at each row of an
     # (n, 2m) stack, with (g, Gamma) from one first-order jet evaluation at the distinct x
     q = np.asarray(q, dtype=float)
-    x, y = q[..., : base.dim], q[..., base.dim :]
-    if q.ndim == 1:
-        g, gamma = bg._metric_and_christoffel(base, x)
-    else:
-        xs, index = _distinct(x)
-        g, gamma = (a[index] for a in bg._metric_and_christoffel(base, xs))
+    y = q[..., base.dim :]
+    g, gamma = bg._metric_and_christoffel(base, q[..., : base.dim])
     t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
     return y, g, gamma, (g @ y[..., None])[..., 0], t
 
@@ -129,10 +116,9 @@ def _frame(gamma, y):
 
 
 def split_to_coord(U):
-    """Coordinate components of a split vector."""
-    P = U.at
-    M, _ = _frame(P.gamma, P.u)
-    return M @ np.concatenate([U.h, U.v])
+    """Coordinate components of a split vector, row by row on a stacked point."""
+    M, _ = _frame(U.at.gamma, U.at.u)
+    return (M @ np.concatenate([U.h, U.v], axis=-1)[..., None])[..., 0]
 
 
 def j_matrix(base, w, q):
@@ -233,14 +219,6 @@ def _stencil(q, vectors, h, richardson):
     return [q] + [p for v in vectors for s in steps for p in _pair(q, v, s)]
 
 
-def _readonly(out):
-    # the arrays of out (one, or a tuple) made read-only, so a stray write to an entry
-    # served by _once raises instead of corrupting a later lookup
-    for a in out if isinstance(out, tuple) else (out,):
-        a.flags.writeable = False
-    return out
-
-
 def _once(fun, points=()):
     """``fun(p)`` once per distinct point p, keyed on its exact bytes, with read-only
     arrays.  ``points`` are evaluated up front as one stack of their distinct rows, for a
@@ -248,14 +226,14 @@ def _once(fun, points=()):
     (a tuple of rows where ``fun`` returns a tuple)."""
     seen = {}
     if len(points):
-        qs = _distinct(np.array(points))[0]
-        out = _readonly(fun(qs))
+        qs = bg._distinct(np.array(points))[0]
+        out = bg._readonly(fun(qs))
         seen.update(zip((p.tobytes() for p in qs), zip(*out) if isinstance(out, tuple) else out))
 
     def once(p):
         key = p.tobytes()
         if key not in seen:
-            seen[key] = _readonly(fun(p))
+            seen[key] = bg._readonly(fun(p))
         return seen[key]
 
     return once
@@ -342,30 +320,30 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
 
 
 def lift_field(base, X, kind):
-    """Coordinate field of the horizontal or vertical lift of a constant X."""
+    """Coordinate field of the horizontal or vertical lift of a constant X, at a point
+    q or at each row of an (n, 2m) stack (X may then be one vector per row).  The
+    horizontal lift reads Gamma from one stacked first-order evaluation per call."""
     X = np.asarray(X, dtype=float)
     m = base.dim
-
-    if kind == "H":
-        christoffel = _once(lambda x: bg.christoffel(base, x))  # one Gamma per distinct x
-
-        def field(q):
-            return np.concatenate([X, -np.einsum("kij,j,i->k", christoffel(q[:m]), q[m:], X)])
-
-    elif kind == "V":
-
-        def field(q):
-            return np.concatenate([np.zeros(m), X])
-
-    else:
+    if kind not in ("H", "V"):
         raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
+
+    def field(q):
+        qs = np.reshape(q, (-1, 2 * m))
+        y, Xs = qs[:, m:], np.broadcast_to(X, qs[:, m:].shape)
+        parts = ([Xs, -np.einsum("...kij,...j,...i->...k", bg.christoffel(base, qs[:, :m]), y, Xs)]
+                 if kind == "H" else [np.zeros_like(y), Xs])
+        return np.concatenate(parts, axis=-1).reshape(np.shape(q))
+
     return field
 
 
 def fd_lift_connection(gamma, q, Ufield, Vfield, h=1e-4):
     """nabla_U V for coordinate vector fields, from the Christoffel symbols
-    ``gamma`` at q (for example ``fd_connection(im, q)``)."""
+    ``gamma`` at q (for example ``fd_connection(im, q)``); V, which must take a
+    stack of points, is evaluated on its stencil along U(q) as one stack."""
     q = np.asarray(q, dtype=float)
     U0 = Ufield(q)
-    dV = fd_directional(Vfield, q, U0, h=h)
-    return dV + np.einsum("kij,i,j->k", gamma, U0, Vfield(q))
+    V = _once(Vfield, _stencil(q, [U0], h, True))
+    dV = fd_directional(V, q, U0, h=h)
+    return dV + np.einsum("kij,i,j->k", gamma, U0, V(q))

@@ -205,12 +205,11 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
     base, m = P.base, P.base.dim
 
     def y_field(k):
-        def f(q):
-            g = base.matrix(q[:m])
-            y = q[m:]
-            out = np.zeros(2 * m)
-            out[m + k] = 1.0
-            out[m:] -= float((g @ y)[k]) * y
+        def f(q):  # at a point q or at each row of a stack
+            y, _, _, gy, _ = orc._chart_base(base, q)
+            out = np.zeros(np.shape(q))
+            out[..., m + k] = 1.0
+            out[..., m:] -= gy[..., k, None] * y
             return out
 
         return f
@@ -328,8 +327,10 @@ def k_contact_verdict(base, w, points, tol=1e-8):
     kc = 0.0
     sas = 0.0
     a = w.eval(0.5).a
-    for (x, u) in points:
-        P = sphere_point(base, x, u, r=1.0)
+    # one stacked point: the base jets at each distinct x once
+    stacked = tb.TangentPoint.stack([sphere_point(base, x, u, r=1.0) for x, u in points])
+    for i in range(len(points)):
+        P = stacked[i]
         S = contact_structure(P, w, rescaled=True)
 
         def gnorm(v):

@@ -19,6 +19,7 @@ from . import base_geometry as bg
 from . import oracle as orc
 from . import sphere_bundle as sb
 from . import tangent_bundle as tb
+from .jets import _pow
 from .weights import (
     WeightPair,
     almost_kahler_complete,
@@ -44,13 +45,7 @@ class Control:
         return self.value >= self.bound if self.require == "min" else self.value <= self.bound
 
     def as_dict(self):
-        return {
-            "name": self.name,
-            "value": self.value,
-            "bound": self.bound,
-            "require": self.require,
-            "ok": bool(self.ok),
-        }
+        return dict(vars(self), ok=bool(self.ok))
 
 
 @dataclass
@@ -127,24 +122,25 @@ class SuiteContext:
                 continue
         raise bg.ChartDomainError("chart box contains no admissible points")
 
-    def sample_point(self, rng, weights=None, base=None, t_range=None):
-        w = weights or self.weights
+    def _sample_unit(self, rng, base=None):
+        """x admissible for ``base`` (by default the context's), g there and a g-unit u;
+        ``[::2]`` of it is a point (x, u) of the unit tangent bundle."""
         base = base or self.base
         for _ in range(1000):
             x, g = self.sample_x(rng)
             try:
                 g = g if base is self.base else base.validate_at(x)
-                break
             except bg.GeometryError:
                 continue
-        else:
-            raise bg.ChartDomainError("chart box misses the override-base domain")
-        direction = rng.standard_normal(base.dim)
-        direction /= math.sqrt(direction @ g @ direction)
-        lo, hi = t_range if t_range else (None, None)
-        if lo is None:
-            rlo, rhi = self.fiber_range
-            lo, hi = 0.5 * rlo**2, 0.5 * rhi**2
+            u = rng.standard_normal(base.dim)
+            return x, g, u / math.sqrt(u @ g @ u)
+        raise bg.ChartDomainError("chart box misses the override-base domain")
+
+    def sample_point(self, rng, weights=None, base=None, t_range=None):
+        w = weights or self.weights
+        base = base or self.base
+        x, g, direction = self._sample_unit(rng, base)
+        lo, hi = t_range or (0.5 * self.fiber_range[0] ** 2, 0.5 * self.fiber_range[1] ** 2)
         dlo, dhi = w.t_domain
         lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
         hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
@@ -153,47 +149,36 @@ class SuiteContext:
         return tb.TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u))
 
 
-def _sphere_sample(ctx, rng, base=None):
-    base = base or ctx.base
-    x, g = ctx.sample_x(rng)
-    g = g if base is ctx.base else base.validate_at(x)
-    u = rng.standard_normal(base.dim)
-    u /= math.sqrt(u @ g @ u)
-    return x, u
-
-
 # ---------------------------------------------------------------- suites
 
 
 def _suite_base_checks(ctx, rng, res):
-    m = ctx.base.dim
-    for _ in range(ctx.samples):
-        x, g = ctx.sample_x(rng)
-        gam, R, NR = bg.base_jets(ctx.base, x)
-        low = bg.lower_curvature(g, R)
-        worst = np.max(np.abs(gam - gam.transpose(0, 2, 1)))
-        worst = max(worst, np.max(np.abs(R + R.transpose(0, 1, 3, 2))))
-        worst = max(worst, np.max(np.abs(low + low.transpose(1, 0, 2, 3))))
-        worst = max(worst, np.max(np.abs(low - low.transpose(2, 3, 0, 1))))
-        # first Bianchi: cyclic sum over (k, i, j)
-        bianchi = R + R.transpose(0, 3, 1, 2) + R.transpose(0, 2, 3, 1)
-        worst = max(worst, np.max(np.abs(bianchi)))
-        # second Bianchi: cyclic sum over (l, i, j)
-        b2 = NR + NR.transpose(4, 1, 2, 0, 3) + NR.transpose(3, 1, 2, 4, 0)
-        worst = max(worst, np.max(np.abs(b2)))
-        fd = orc.fd_connection(ctx.base, x, h=1e-5, richardson=False)
-        worst = max(worst, np.max(np.abs(gam - fd)))
-        res.residuals.append(float(worst))
-        if isinstance(ctx.base, bg.SpaceForm):
-            c = ctx.base.curvature
-            ident = c * (
-                np.einsum("jl,hi->hlij", g, np.eye(m))
-                - np.einsum("il,hj->hlij", g, np.eye(m))
-            )
-            res.residuals.append(float(np.max(np.abs(R - ident))))
-            X = rng.standard_normal(m)
-            Y = rng.standard_normal(m)
-            res.residuals.append(abs(bg._sectional(g, R, X, Y) - c))
+    base, m = ctx.base, ctx.base.dim
+    sf = isinstance(base, bg.SpaceForm)
+    # per sample: x, then on a space form the plane X, Y of its sectional check
+    draws = [(*ctx.sample_x(rng), *(rng.standard_normal((2, m)) if sf else ()))
+             for _ in range(ctx.samples)]
+    x, g, *XY = map(np.array, zip(*draws))
+    gam, R, NR = bg.base_jets(base, x)
+    low = bg.lower_curvature(g, R)
+    fd = np.array([orc.fd_connection(base, xk, h=1e-5, richardson=False) for xk in x])
+    terms = [
+        gam - np.swapaxes(gam, -1, -2),
+        R + np.swapaxes(R, -1, -2),
+        low + np.einsum("...hkij->...khij", low),
+        low - np.einsum("...hkij->...ijhk", low),
+        # first Bianchi: cyclic sum over (k, i, j); second: over (l, i, j)
+        R + np.einsum("...hkij->...hjki", R) + np.einsum("...hkij->...hijk", R),
+        NR + np.einsum("...ihkjl->...lhkij", NR) + np.einsum("...jhkli->...lhkij", NR),
+        gam - fd,
+    ]
+    rows = [np.max([np.abs(a).reshape(len(x), -1).max(axis=1) for a in terms], axis=0)]
+    if sf:
+        c, gd = base.curvature, np.einsum("...jl,hi->...hlij", g, np.eye(m))  # g_jl d^h_i
+        ident = c * (gd - np.swapaxes(gd, -1, -2))
+        rows.append(np.abs(R - ident).reshape(len(x), -1).max(axis=1))
+        rows.append(np.abs(bg._sectional(g, R, *XY) - c))
+    res.residuals.extend(map(float, np.ravel(rows, order="F")))
 
 
 def _forms(base, w, q, vecs, h):
@@ -306,61 +291,55 @@ def _suite_connection(ctx, rng, res):
             res.residuals.append(float(np.max(np.abs(closed - num))))
 
 
+_SLOT_CASES = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
+
+
 def _suite_curvature(ctx, rng, res):
-    base, w = ctx.base, ctx.weights
+    base, w, m = ctx.base, ctx.weights, ctx.base.dim
     im = orc.InducedMetric(base, w)
-    sym_worst = 0.0
-    for _ in range(max(1, ctx.samples // 4)):
-        P = ctx.sample_point(rng)
-        Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
-        X = rng.standard_normal(base.dim)
-        Y = rng.standard_normal(base.dim)
-        Z = rng.standard_normal(base.dim)
-        lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
-        for case in ["HHH", "HHV", "HVH", "HVV", "VVH", "VVV"]:
-            closed = orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
-            Uc, Vc, Wc = (lifts[k][n] for n, k in enumerate(case))
+    # per sample: the point, X, Y, Z, then (h, v) of the random split vectors U, V, W, S
+    pts, draws = zip(*[(ctx.sample_point(rng), rng.standard_normal((11, m)))
+                       for _ in range(max(1, ctx.samples // 4))])
+    P = tb.TangentPoint.stack(pts)
+    X, Y, Z, *hv = np.moveaxis(np.array(draws), 1, 0)
+    closed = [orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
+              for case in _SLOT_CASES]
+    lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
+    for i, q in enumerate(P.q):
+        Rhat = orc.fd_curvature(im, q, h=ctx.h)
+        for case, cl in zip(_SLOT_CASES, closed):
+            Uc, Vc, Wc = (lifts[k][n][i] for n, k in enumerate(case))
             num = np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)
-            res.residuals.append(float(np.max(np.abs(closed - num))))
-        # closed-form curvature symmetries + first Bianchi on random splits
-        U = tb.random_split_vector(P, rng)
-        V = tb.random_split_vector(P, rng)
-        W = tb.random_split_vector(P, rng)
-        S = tb.random_split_vector(P, rng)
+            res.residuals.append(float(np.max(np.abs(cl[i] - num))))
+    # closed-form curvature symmetries + first Bianchi on random splits
+    U, V, W, S = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
 
-        def riem(A, B, C, D):
-            return tb.bundle_metric(w, P, tb.bundle_curvature_general(w, base, P, A, B, C), D)
+    def gen(A, B, C):
+        return tb.bundle_curvature_general(w, base, P, A, B, C)
 
-        sym_worst = max(
-            sym_worst,
-            abs(riem(U, V, W, S) + riem(V, U, W, S)),
-            abs(riem(U, V, W, S) + riem(U, V, S, W)),
-            abs(riem(U, V, W, S) - riem(W, S, U, V)),
-        )
-        bsum = (
-            tb.bundle_curvature_general(w, base, P, U, V, W)
-            + tb.bundle_curvature_general(w, base, P, V, W, U)
-            + tb.bundle_curvature_general(w, base, P, W, U, V)
-        )
-        sym_worst = max(sym_worst, math.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum))))
-    res.controls.append(Control("curvature_symmetries", sym_worst, 1e-8, "max"))
+    def riem(A, B, C, D):
+        return tb.bundle_metric(w, P, gen(A, B, C), D)
+
+    r = riem(U, V, W, S)
+    bsum = gen(U, V, W) + gen(V, W, U) + gen(W, U, V)
+    sym = [abs(r + riem(V, U, W, S)), abs(r + riem(U, V, S, W)), abs(r - riem(W, S, U, V)),
+           np.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum)))]
+    res.controls.append(Control("curvature_symmetries", float(np.max(sym)), 1e-8, "max"))
 
 
 def _suite_flat_g1(ctx, rng, res):
-    base, w = ctx.base, ctx.weights
+    base, w, m = ctx.base, ctx.weights, ctx.base.dim
     im = orc.InducedMetric(base, w)
-    for k in range(ctx.samples):
-        P = ctx.sample_point(rng, t_range=(0.01, 3.0))
-        X = rng.standard_normal(base.dim)
-        Y = rng.standard_normal(base.dim)
-        Z = rng.standard_normal(base.dim)
-        worst = 0.0
-        for case in ["HHH", "HHV", "HVH", "HVV", "VVH", "VVV"]:
-            vec = tb.bundle_curvature(w, base, P, case, X, Y, Z)
-            worst = max(worst, float(np.max(np.abs(np.concatenate([vec.h, vec.v])))))
-        res.residuals.append(worst)
+    pts, draws = zip(*[(ctx.sample_point(rng, t_range=(0.01, 3.0)), rng.standard_normal((3, m)))
+                       for _ in range(ctx.samples)])
+    P = tb.TangentPoint.stack(pts)
+    X, Y, Z = np.moveaxis(np.array(draws), 1, 0)
+    closed = [tb.bundle_curvature(w, base, P, case, X, Y, Z) for case in _SLOT_CASES]
+    worst = np.max([np.abs(np.hstack([r.h, r.v])).max(axis=-1) for r in closed], axis=0)
+    for k, q in enumerate(P.q):
+        res.residuals.append(float(worst[k]))
         if k < max(2, ctx.samples // 10):
-            res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, P.q, h=ctx.h)))))
+            res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, q, h=ctx.h)))))
 
 
 def _suite_sectional(ctx, rng, res):
@@ -368,51 +347,51 @@ def _suite_sectional(ctx, rng, res):
     if not isinstance(base, bg.SpaceForm):
         res.error = "sectional display suite needs a space-form base"
         return
-    c = base.curvature
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng)
-        vals = P.values(w)
-        frame = bg.orthonormal_frame(P.gx, first=P.u)
-        X, Y = frame[0], frame[-1]
-        if base.dim > 2:
-            X, Y = frame[1], frame[2]
-        XH = tb.SplitVector.horizontal(X, P)
-        YH = tb.SplitVector.horizontal(Y, P)
-        YV = tb.SplitVector.vertical(Y, P)
-        gxu, gyu = float(X @ P.gu), float(Y @ P.gu)
-        disp = c - 0.75 * vals.a * c * c * (gxu**2 + gyu**2)
-        res.residuals.append(abs(tb.bundle_sectional(w, base, P, XH, YH) - disp))
-        khv = tb.bundle_sectional(w, base, P, XH, YV)
-        dispHV = vals.a**2 * c * c * gxu**2 / (4 * (vals.a + vals.b * gyu**2))
-        res.residuals.append(abs(khv - dispHV))
-        res.controls.append(Control("K(XH,YV) nonnegative", khv, -1e-12, "min"))
-        E = tb.adapted_basis(w, P)
-        for i in range(base.dim):
-            res.residuals.append(abs(tb.bundle_sectional(w, base, P, E[i], E[base.dim])))
-        # parallelogram-area displays against the Gram determinant
-        q_hh = tb.area_squared(w, P, XH, YH)
-        q_hv = tb.area_squared(w, P, XH, YV)
-        q_vv = tb.area_squared(w, P, tb.SplitVector.vertical(X, P), YV)
-        res.residuals.append(abs(q_hh - 1.0))
-        res.residuals.append(abs(q_hv - (vals.a + vals.b * gyu**2)))
-        res.residuals.append(
-            abs(q_vv - (vals.a**2 + vals.a * vals.b * (gxu**2 + gyu**2)))
-        )
+    c, m = base.curvature, base.dim
+    P = tb.TangentPoint.stack([ctx.sample_point(rng) for _ in range(ctx.samples)])
+    vals = P.values(w)
+    frame = bg.orthonormal_frame(P.gx, first=P.u)
+    X, Y = (frame[:, 1], frame[:, 2]) if m > 2 else (frame[:, 0], frame[:, -1])
+    XH, YH, YV = (tb.SplitVector.horizontal(X, P), tb.SplitVector.horizontal(Y, P),
+                  tb.SplitVector.vertical(Y, P))
+    gxu2, gyu2 = (_pow(np.vecdot(v, P.gu), 2) for v in (X, Y))
+    a, b = vals.a, vals.b
+    E = tb.adapted_basis(w, P)
+    # the m + 2 planes XH^YH, XH^YV and E_i^E_m (i < m) of each sample as rows of one stack
+    planes = [(XH, YH), (XH, YV)] + [(E[i], E[m]) for i in range(m)]
+    Q = P[np.repeat(np.arange(len(P.t)), len(planes))]
+
+    def on_q(side):  # one vector per row of Q: each sample's vectors, plane by plane
+        h, v = (np.stack([getattr(s, f) for s in side], axis=1).reshape(-1, m) for f in "hv")
+        return tb.SplitVector(h, v, Q)
+
+    K = tb.bundle_sectional(w, base, Q, *map(on_q, zip(*planes))).reshape(-1, len(planes))
+    disp = c - 0.75 * a * c * c * (gxu2 + gyu2)
+    disp_hv = _pow(a, 2) * c * c * gxu2 / (4 * (a + b * gyu2))
+    # parallelogram-area displays against the Gram determinant
+    q_hh = tb.area_squared(w, P, XH, YH)
+    q_hv = tb.area_squared(w, P, XH, YV)
+    q_vv = tb.area_squared(w, P, tb.SplitVector.vertical(X, P), YV)
+    rows = [abs(K[:, 0] - disp), abs(K[:, 1] - disp_hv), *abs(K[:, 2:].T), abs(q_hh - 1.0),
+            abs(q_hv - (a + b * gyu2)), abs(q_vv - (_pow(a, 2) + a * b * (gxu2 + gyu2)))]
+    res.residuals.extend(map(float, np.ravel(rows, order="F")))
+    res.controls.extend(Control("K(XH,YV) nonnegative", float(k), -1e-12, "min") for k in K[:, 1])
 
 
 def _suite_scalar(ctx, rng, res):
     base, w = ctx.base, ctx.weights
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng)
-        closed = tb.scalar_curvature(w, base, P, mode="closed")
-        basis = tb.scalar_curvature(w, base, P, mode="basis")
-        denom = max(1.0, abs(closed))
-        res.residuals.append(abs(closed - basis) / denom)
-        if isinstance(base, bg.SpaceForm):
-            sf_form = tb.scalar_curvature_space_form(w, base.curvature, base.dim, P)
-            res.controls.append(
-                Control("space_form_display", abs(sf_form - closed) / denom, 1e-9, "max")
-            )
+    P = tb.TangentPoint.stack([ctx.sample_point(rng) for _ in range(ctx.samples)])
+    closed = tb.scalar_curvature(w, base, P, mode="closed")
+    basis = tb.scalar_curvature(w, base, P, mode="basis")
+    denom = np.maximum(1.0, abs(closed))
+    res.residuals.extend(map(float, abs(closed - basis) / denom))
+    if isinstance(base, bg.SpaceForm):
+        sf_form = tb.scalar_curvature_space_form(w, base.curvature, base.dim, P)
+        res.controls.extend(Control("space_form_display", float(v), 1e-9, "max")
+                            for v in abs(sf_form - closed) / denom)
+
+
+_SPHERE_DRAWS = (3 * 3 + 2 * 2) * 2  # per sample: 3 pairs per structure, 2 per bundle
 
 
 def _suite_sphere_bundle(ctx, rng, res):
@@ -420,24 +399,25 @@ def _suite_sphere_bundle(ctx, rng, res):
     sas = named_family("sasaki")
     m = base.dim
     deta_worst = 0.0
-    for k in range(max(2, ctx.samples // 4)):
-        x, u = _sphere_sample(ctx, rng)
-        # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r)
-        for unit, ww, r in [(True, w, 1.0), (False, sas, 1.3)]:
-            P = sb.sphere_point(base, x, r * u, r=r)
+    # per sample: (x, u), then the normals of its checks below, in the order they read them
+    draws = [(*ctx._sample_unit(rng)[::2], iter(rng.standard_normal((_SPHERE_DRAWS, 2 * m))))
+             for _ in range(max(2, ctx.samples // 4))]
+    # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r) at each x,
+    # as rows of one stacked point
+    bundles = [(True, w, 1.0), (False, sas, 1.3)]
+    points = tb.TangentPoint.stack([sb.sphere_point(base, x, r * u, r=r)
+                                    for x, u, _ in draws for _, _, r in bundles])
+    for k, (*_, normals) in enumerate(draws):
+        for b, (unit, ww, r) in enumerate(bundles):
+            P = points[len(bundles) * k + b]
             for eps in ([-1, 1] if unit else [None]):
                 S = sb.contact_structure(P, ww, rescaled=False, epsilon=eps)
                 Pt = S.tangent_projector()
                 for _ in range(3):
-                    U = Pt @ rng.standard_normal(2 * m)
-                    V = Pt @ rng.standard_normal(2 * m)
-                    res.residuals.append(
-                        float(
-                            np.max(
-                                np.abs(S.phi @ (S.phi @ U) + U - float(S.eta @ U) * S.xi)
-                            )
-                        )
-                    )
+                    U = Pt @ next(normals)
+                    V = Pt @ next(normals)
+                    phi2 = S.phi @ (S.phi @ U) + U - float(S.eta @ U) * S.xi
+                    res.residuals.append(float(np.max(np.abs(phi2))))
                     res.residuals.append(abs(float(S.eta @ (S.phi @ U))))
                     lhs = float((S.phi @ U) @ S.G @ (S.phi @ V))
                     rhs = float(U @ S.G @ V) - float(S.eta @ U) * float(S.eta @ V)
@@ -463,10 +443,7 @@ def _suite_sphere_bundle(ctx, rng, res):
             # rescaled contact metric condition, numeric d(eta)
             S2 = sb.contact_structure(P, ww, rescaled=True)
             Pt2 = S2.tangent_projector()
-            pairs = [
-                (Pt2 @ rng.standard_normal(2 * m), Pt2 @ rng.standard_normal(2 * m))
-                for _ in range(2)
-            ]
+            pairs = [(Pt2 @ next(normals), Pt2 @ next(normals)) for _ in range(2)]
             dvals = sb.deta_numeric(P, ww, pairs, rescaled=True)
             for (U, V), dv in zip(pairs, dvals):
                 deta_worst = max(deta_worst, abs(dv - float(U @ S2.G @ (S2.phi @ V))))
@@ -476,7 +453,7 @@ def _suite_sphere_bundle(ctx, rng, res):
 def _suite_isometry(ctx, rng, res):
     base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    pts = [_sphere_sample(ctx, rng) for _ in range(max(2, ctx.samples // 5))]
+    pts = [ctx._sample_unit(rng)[::2] for _ in range(max(2, ctx.samples // 5))]
     good = sb.isometry_residuals(base, w4, pts, rng=rng)
     res.residuals.extend([good["metric"], good["phi"], good["xi"]])
     bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
@@ -485,7 +462,7 @@ def _suite_isometry(ctx, rng, res):
 
 def _suite_k_contact(ctx, rng, res):
     sf1 = bg.SpaceForm(1.0, ctx.base.dim)
-    pts = [_sphere_sample(ctx, rng, base=sf1) for _ in range(max(2, ctx.samples // 4))]
+    pts = [ctx._sample_unit(rng, sf1)[::2] for _ in range(max(2, ctx.samples // 4))]
     sas = named_family("sasaki")
     v = sb.k_contact_verdict(sf1, sas, pts)
     res.residuals.extend([v["k_contact_residual"], v["sasakian_residual"]])
@@ -493,12 +470,12 @@ def _suite_k_contact(ctx, rng, res):
     v2 = sb.k_contact_verdict(sf1, w2, pts)
     res.controls.append(Control("a2_not_k_contact", v2["k_contact_residual"], 1e-2, "min"))
     eu = bg.euclidean(ctx.base.dim)
-    pts_e = [_sphere_sample(ctx, rng, base=eu) for _ in range(2)]
+    pts_e = [ctx._sample_unit(rng, eu)[::2] for _ in range(2)]
     v3 = sb.k_contact_verdict(eu, sas, pts_e)
     res.controls.append(Control("flat_not_k_contact", v3["k_contact_residual"], 1e-2, "min"))
     res.controls.append(Control("phi_not_parallel", v3["sasakian_residual"], 1e-2, "min"))
     # config-provided pair: verdict must match the theorem's prediction
-    pts_c = [_sphere_sample(ctx, rng) for _ in range(2)]
+    pts_c = [ctx._sample_unit(rng)[::2] for _ in range(2)]
     vc = sb.k_contact_verdict(ctx.base, ctx.weights, pts_c)
     agree = vc["is_k_contact"] == vc["predicted_k_contact"]
     res.controls.append(Control("verdict_matches_theorem", 1.0 if agree else 0.0, 0.5, "min"))

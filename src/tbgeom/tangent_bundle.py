@@ -9,8 +9,8 @@ oracle (module ``oracle``) validates every one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -44,14 +44,9 @@ class BasePointMismatch(ValueError):
     pass
 
 
-def _readonly(arr):
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True)
 class TangentPoint:
-    """Point (x, u) of T(M) and what the closed forms read there.
+    """Point (x, u) of T(M) and what the closed forms read there, or a stack of them.
 
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
@@ -69,13 +64,33 @@ class TangentPoint:
     gx: np.ndarray = field(repr=False)
     t: float
 
+    @classmethod
+    def stack(cls, points):
+        """One point of n rows from n single points on one base: x, u and g_x gain a
+        leading axis and t is an array; the jets come from one evaluation at the distinct x."""
+        base = points[0].base
+        if any(p.base is not base for p in points):
+            raise BasePointMismatch("a stacked point lives on one base metric")
+        x, u, gx, t = (np.array([getattr(p, f) for p in points]) for f in ("x", "u", "gx", "t"))
+        return cls(base, x, u, gx, t)
+
+    def __getitem__(self, i):
+        """Row i of a stacked point, or the stacked point of the rows ``i`` (an index
+        array), reading the stack's jets and the weight values it holds."""
+        x, u, gx, t = self.x[i], self.u[i], self.gx[i], self.t[i]
+        row = TangentPoint(self.base, x, u, gx, t if np.ndim(t) else float(t))
+        row.__dict__["_jets"] = bg._readonly(tuple(a[i] for a in self._jets))
+        for key, (w, vals, d) in self._weights.items():
+            row._weights[key] = [w, _rows(vals, i), d and _rows(d, i)]
+        return row
+
     @cached_property
     def gu(self):
-        return _readonly(self.gx @ self.u)
+        return bg._readonly((self.gx @ self.u[..., None])[..., 0])
 
     @cached_property
     def q(self):
-        return _readonly(np.concatenate([self.x, self.u]))
+        return bg._readonly(np.concatenate([self.x, self.u], axis=-1))
 
     @property
     def r(self):
@@ -83,19 +98,11 @@ class TangentPoint:
 
     @cached_property
     def _jets(self):
-        return tuple(map(_readonly, bg.base_jets(self.base, self.x)))
+        return bg._readonly(bg.base_jets(self.base, self.x))
 
-    @property
-    def gamma(self):
-        return self._jets[0]
-
-    @property
-    def R(self):
-        return self._jets[1]
-
-    @property
-    def NR(self):
-        return self._jets[2]
+    gamma = property(lambda self: self._jets[0])
+    R = property(lambda self: self._jets[1])
+    NR = property(lambda self: self._jets[2])
 
     @cached_property
     def _weights(self):
@@ -118,11 +125,14 @@ class TangentPoint:
         return entry[2]
 
     def same_place(self, other):
-        return (
-            self.base is other.base
-            and np.max(np.abs(self.x - other.x)) <= 1e-14
-            and np.max(np.abs(self.u - other.u)) <= 1e-14
-        )
+        return self.base is other.base and all(
+            np.max(np.abs(a - b)) <= 1e-14 for a, b in ((self.x, other.x), (self.u, other.u)))
+
+
+def _rows(values, i):
+    # WeightValues or DerivedCoefficients of a stacked point at its rows i
+    return type(values)(*(_rows(f, i) if is_dataclass(f) else f[i]
+                          for f in (getattr(values, k.name) for k in fields(values))))
 
 
 def tangent_point(base, x, u):
@@ -182,14 +192,33 @@ def _dot(A, B):
     return np.vecdot(A, B)[..., None]
 
 
+def _aligned(P, X):
+    """For vectors X of P, one per row ((m,), or (n, m) at a stack of n) or k per row
+    ((k, m), or (n, k, m)): ``lift`` gives a stacked row's arrays (with ``core`` trailing
+    axes) an axis for its k vectors, and ``vg`` forms v g_x as a single point does."""
+    k = np.ndim(X) > P.x.ndim
+
+    def lift(a, core):
+        return np.expand_dims(a, np.ndim(a) - core) if k and P.x.ndim == 2 else a
+
+    def vg(v):
+        return v @ P.gx if k else bg._vg(v, P.gx)
+
+    return lift, vg
+
+
+def _scalar(out):
+    return float(out) if np.ndim(out) == 0 else out
+
+
 def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector):
     """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u), row by row on stacks."""
     vals = P.values(w)
     _check_same(U, V)
-    g, gu = P.gx, P.gu
+    lift, vg = _aligned(P, U.h)
+    gu, a, b = lift(P.gu, 1), lift(vals.a, 0), lift(vals.b, 0)
     dot = np.vecdot
-    out = dot(U.h @ g, V.h) + vals.a * dot(U.v @ g, V.v) + vals.b * dot(U.v, gu) * dot(V.v, gu)
-    return float(out) if out.ndim == 0 else out
+    return _scalar(dot(vg(U.h), V.h) + a * dot(vg(U.v), V.v) + b * dot(U.v, gu) * dot(V.v, gu))
 
 
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
@@ -221,12 +250,12 @@ def lee_form(w, P, U):
 
 def _rop(R, X, Y, Z):
     # R_{XY}Z with R[h, k, i, j] = R^h_{kij}, row by row on stacks
-    return np.einsum("hkij,...k,...i,...j->...h", R, Z, X, Y)
+    return np.einsum("...hkij,...k,...i,...j->...h", R, Z, X, Y)
 
 
 def _nrop(NR, Zdir, X, Y, W):
     # (nabla_Zdir R)_{XY} W, row by row on stacks
-    return np.einsum("lhkij,...l,...k,...i,...j->...h", NR, Zdir, W, X, Y)
+    return np.einsum("...lhkij,...l,...k,...i,...j->...h", NR, Zdir, W, X, Y)
 
 
 def nijenhuis(w, base, P, X, Y, slots):
@@ -293,19 +322,19 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     """Curvature tensor of the bundle metric on lift slots.
 
     ``case`` is one of HHH, HHV, HVH, HVV, VVH, VVV naming the slots of
-    R(X^., Y^.) Z^. in order, row by row when X, Y, Z are (n, m) stacks.
+    R(X^., Y^.) Z^. in order, row by row when X, Y, Z are stacks (see ``_aligned``).
     """
     check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     d = P.coeffs(w)
-    a, ap = d.values.a, d.values.ap
-    g, gu, u = P.gx, P.gu, P.u
-    R, NR = P.R, P.NR
-
-    def rop(Xv, Yv, Zv):
-        return _rop(R, Xv, Yv, Zv)
+    lift, vg = _aligned(P, X)
+    # the coefficients of P against its vectors
+    a, ap, L, M, F1, F2, F3 = (np.asarray(lift(c, 0))[..., None]
+                               for c in (d.values.a, d.values.ap, d.L, d.M, d.F1, d.F2, d.F3))
+    gu, u, R, NR = lift(P.gu, 1), lift(P.u, 1), lift(P.R, 4), lift(P.NR, 5)
+    rop = partial(_rop, R)
 
     if case == "HHH":
         h = (
@@ -323,8 +352,8 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         v = (
             rop(X, Y, Z)
             + (a / 4) * (rop(Y, rop(u, Z, X), u) - rop(X, rop(u, Z, Y), u))
-            + d.L * _dot(Z, gu) * rop(X, Y, u)
-            + d.M * _dot(rop(X, Y, u) @ g, Z) * u
+            + L * _dot(Z, gu) * rop(X, Y, u)
+            + M * _dot(vg(rop(X, Y, u)), Z) * u
         )
         h = (a / 2) * (_nrop(NR, X, u, Z, Y) - _nrop(NR, Y, u, Z, X))
         return SplitVector(h, v, P)
@@ -333,8 +362,8 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         v = 0.5 * (
             rop(X, Z, Y)
             - (a / 2) * rop(X, rop(u, Y, Z), u)
-            + d.L * _dot(Y, gu) * rop(X, Z, u)
-            + d.M * _dot(rop(X, Z, u) @ g, Y) * u
+            + L * _dot(Y, gu) * rop(X, Z, u)
+            + M * _dot(vg(rop(X, Z, u)), Y) * u
         )
         return SplitVector(h, v, P)
     if case == "HVV":
@@ -354,11 +383,11 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         return SplitVector.horizontal(h, P)
     if case == "VVV":
         gxu, gyu, gzu = _dot(X, gu), _dot(Y, gu), _dot(Z, gu)
-        gxz, gyz = _dot(X @ g, Z), _dot(Y @ g, Z)
+        gxz, gyz = _dot(vg(X), Z), _dot(vg(Y), Z)
         v = (
-            d.F1 * gzu * (gxu * Y - gyu * X)
-            + d.F2 * (gxz * Y - gyz * X)
-            + d.F3 * (gxz * gyu - gyz * gxu) * u
+            F1 * gzu * (gxu * Y - gyu * X)
+            + F2 * (gxz * Y - gyz * X)
+            + F3 * (gxz * gyu - gyz * gxu) * u
         )
         return SplitVector.vertical(v, P)
     raise ValueError(f"unknown curvature case {case!r}")
@@ -367,7 +396,9 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion.
 
-    The nonzero slot terms, all at P, are summed on their h and v arrays.
+    The nonzero slot terms, all at P, are summed on their h and v arrays.  On
+    stacks a term nonzero in some row is evaluated for every row; where its
+    slot vector is zero it adds exactly 0.0, which leaves each sum unchanged.
     """
     check_base(base, P)
     uh, uv, vh, vv, wh, wv = (np.any(a) for a in (U.h, U.v, V.h, V.v, W.h, W.v))
@@ -405,10 +436,10 @@ def _gram(w, P, U, V):
 def bundle_sectional(w, base, P, U, V):
     """Sectional curvature of span(U, V) on the bundle."""
     uu, vv, q = _gram(w, P, U, V)
-    if q <= 1e-14 * uu * vv:
+    if np.any(q <= 1e-14 * uu * vv):
         raise bg.DegeneratePlaneError(f"degenerate bundle plane (Gram {q})")
     ruvv = bundle_curvature_general(w, base, P, U, V, V)
-    return bundle_metric(w, P, ruvv, U) / q
+    return _scalar(bundle_metric(w, P, ruvv, U) / q)
 
 
 def adapted_basis(w, P):
@@ -416,20 +447,19 @@ def adapted_basis(w, P):
 
     Built from a g_x-orthonormal base frame with e_1 = u/|u|; the e_1
     vertical leg is scaled by 1/sqrt(a+2tb), the others by 1/sqrt(a).
+    At a stacked point each vector holds one row per point.
     """
     vals = P.values(w)
-    if P.t <= 0:
+    if np.any(P.t <= 0):
         raise bg.GeometryError("adapted basis needs a nonzero fiber vector")
-    frame = bg.orthonormal_frame(P.gx, first=P.u)
-    basis = [SplitVector.horizontal(e, P) for e in frame]
-    basis.append(SplitVector.vertical(frame[0] / np.sqrt(vals.vertical_norm_weight), P))
-    for e in frame[1:]:
-        basis.append(SplitVector.vertical(e / np.sqrt(vals.a), P))
-    return basis
+    frame = np.moveaxis(bg.orthonormal_frame(P.gx, first=P.u), -2, 0)
+    scales = np.sqrt([vals.vertical_norm_weight] + [vals.a] * (len(frame) - 1))
+    return [SplitVector.horizontal(e, P) for e in frame] + [
+        SplitVector.vertical(e / s[..., None], P) for e, s in zip(frame, scales)]
 
 
 def scalar_curvature(w, base, P, mode="closed"):
-    """Scalar curvature of the bundle metric at P.
+    """Scalar curvature of the bundle metric at P, or at each row of a stacked P.
 
     ``closed`` evaluates scal - (a/2) sum_{i<j} |R(e_i,e_j)u|^2
     + ((1-m)/a)(m F2 + 4t F3); the -a/2 coefficient is the
@@ -437,36 +467,35 @@ def scalar_curvature(w, base, P, mode="closed"):
     weight a).  ``basis`` sums g_A(R(E_a, E_b) E_b, E_a) in (a, b) order over
     the ordered pairs a != b of the adapted orthonormal basis, from four
     batched ``bundle_curvature`` calls (HHH, HVV, -HVH, VVV); both modes
-    agree with the coordinate oracle.
+    agree with the coordinate oracle.  Both sums add their terms in order.
     """
     check_base(base, P)
     m = base.dim
     d = P.coeffs(w)
     if mode == "basis":
         E = adapted_basis(w, P)
-        Eh, Ev = np.array([e.h for e in E]), np.array([e.v for e in E])
+        Eh, Ev = (np.stack([getattr(e, part) for e in E], axis=-2) for part in "hv")
         al, be = np.nonzero(~np.eye(2 * m, dtype=bool))
-        Rh, Rv = np.zeros((al.size, m)), np.zeros((al.size, m))
+        Ah, Av, Bh, Bv = Eh[..., al, :], Ev[..., al, :], Eh[..., be, :], Ev[..., be, :]
+        Rh, Rv = np.zeros(Ah.shape), np.zeros(Ah.shape)
         for case, rows, X, Y, Z, sign in (
-            ("HHH", (al < m) & (be < m), Eh[al], Eh[be], Eh[be], 1.0),
-            ("HVV", (al < m) & (be >= m), Eh[al], Ev[be], Ev[be], 1.0),
-            ("HVH", (al >= m) & (be < m), Eh[be], Ev[al], Eh[be], -1.0),
-            ("VVV", (al >= m) & (be >= m), Ev[al], Ev[be], Ev[be], 1.0),
+            ("HHH", (al < m) & (be < m), Ah, Bh, Bh, 1.0),
+            ("HVV", (al < m) & (be >= m), Ah, Bv, Bv, 1.0),
+            ("HVH", (al >= m) & (be < m), Bh, Av, Bh, -1.0),
+            ("VVV", (al >= m) & (be >= m), Av, Bv, Bv, 1.0),
         ):
-            r = bundle_curvature(w, base, P, case, X[rows], Y[rows], Z[rows])
-            Rh[rows], Rv[rows] = sign * r.h, sign * r.v
-        num = bundle_metric(w, P, SplitVector(Rh, Rv, P), SplitVector(Eh[al], Ev[al], P))
-        return float(np.cumsum(num)[-1])  # adds in (a, b) order, one pair at a time
-    a = d.values.a
+            r = bundle_curvature(w, base, P, case, *(A[..., rows, :] for A in (X, Y, Z)))
+            Rh[..., rows, :], Rv[..., rows, :] = sign * r.h, sign * r.v
+        num = bundle_metric(w, P, SplitVector(Rh, Rv, P), SplitVector(Ah, Av, P))
+        return _scalar(np.cumsum(num, axis=-1)[..., -1])  # one pair at a time, in (a, b) order
     R = P.R
-    scal = float(np.einsum("kj,kj->", np.linalg.inv(P.gx), np.einsum("ikij->kj", R)))
-    frame = bg.orthonormal_frame(P.gx)
-    acc = 0.0
-    for i in range(m):
-        for j in range(i + 1, m):
-            vec = _rop(R, frame[i], frame[j], P.u)
-            acc += float(vec @ P.gx @ vec)
-    return scal - 0.5 * a * acc + ((1 - m) / a) * (m * d.F2 + 4 * P.t * d.F3)
+    scal = np.einsum("...kj,...kj->...", np.linalg.inv(P.gx), np.einsum("...ikij->...kj", R))
+    frame = np.moveaxis(bg.orthonormal_frame(P.gx), -2, 0)
+    i, j = np.triu_indices(m, 1)  # the pairs i < j, in order
+    vec = _rop(R, frame[i], frame[j], P.u)
+    acc = np.cumsum(np.vecdot(bg._vg(vec, P.gx), vec), axis=0)[-1]
+    a = d.values.a
+    return _scalar(scal - 0.5 * a * acc + ((1 - m) / a) * (m * d.F2 + 4 * P.t * d.F3))
 
 
 def scalar_curvature_space_form(w, c, m, t):

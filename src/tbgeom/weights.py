@@ -75,6 +75,8 @@ class WeightPair:
                  params=None):
         if epsilon not in (-1, 1):
             raise WeightDomainError(f"epsilon must be +-1, got {epsilon}")
+        if not float(t_domain[0]) < float(t_domain[1]):
+            raise WeightDomainError(f"t_domain {tuple(t_domain)}: expected lo < hi")
         self.a = a
         self.b = b
         self.epsilon = int(epsilon)
@@ -455,12 +457,15 @@ def weights_from_spec(doc):
     or {"a": spec, "b": spec, "epsilon": ...} with spec one of
     {"poly": [c0, c1, ...]} or {"exp_poly": [c0, c1, ...]} (exp of the poly).
     """
+    if not isinstance(doc, dict):
+        raise WeightDomainError(f"invalid weights spec: expected an object, got {doc!r}")
+    eps = doc.get("epsilon")
+    if eps is not None and (type(eps) is not int or eps not in (-1, 1)):
+        raise WeightDomainError(f"epsilon: expected the integer -1 or +1, got {eps!r}")
     if "name" in doc:
         pair = named_family(doc["name"], **doc.get("params", {}))
-        eps = doc.get("epsilon")
-        if eps is not None and int(eps) != pair.epsilon:
-            pair = WeightPair(pair.a, pair.b, int(eps), pair.t_domain,
-                              pair.name, pair.params)
+        if eps is not None and eps != pair.epsilon:
+            pair = WeightPair(pair.a, pair.b, eps, pair.t_domain, pair.name, pair.params)
         return pair
 
     def build(spec):
@@ -477,4 +482,4 @@ def weights_from_spec(doc):
     except (KeyError, TypeError) as exc:
         raise WeightDomainError(f"invalid weights spec: {exc}") from exc
     lo, hi = doc.get("t_domain", (0.0, math.inf))
-    return WeightPair(a, b, int(doc.get("epsilon", -1)), (lo, hi), "custom")
+    return WeightPair(a, b, -1 if eps is None else eps, (lo, hi), "custom")

@@ -163,19 +163,20 @@ def test_bad_step_override_exits_2(tmp_path, capsys, h):
 
 
 def test_base_checks_evaluate_the_jets_once_per_sample(monkeypatch):
-    calls = []
+    rows = []
     derivatives = bg.ChartMetric.derivatives
 
-    def counted(self, *args):
-        calls.append(1)
-        return derivatives(self, *args)
+    def counted(self, x, *args):
+        rows.append(len(np.atleast_2d(x)))
+        return derivatives(self, x, *args)
 
     monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
     doc = base_cfg(base={"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
                    suites=["base_checks"], samples=4)
     rep = cli.run(cli.load_config(doc))
     assert rep["all_passed"]
-    assert len(calls) == 4
+    # one stacked evaluation holding one row per sample
+    assert rows == [4]
 
 
 def count_calls(monkeypatch, owner, name):
@@ -197,11 +198,19 @@ def sphere_context(samples):
 
 
 def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):
-    calls = count_calls(monkeypatch, WeightPair, "eval")
+    sizes = []
+    evaluate = WeightPair.eval
+
+    def counted(self, t):
+        sizes.append(np.size(t))
+        return evaluate(self, t)
+
+    monkeypatch.setattr(WeightPair, "eval", counted)
     ctx = sphere_context(4)
     res = run_suite("sectional", ctx)
     assert res.error is None and res.passed
-    assert len(calls) == ctx.samples
+    # one evaluation on the stack's t, one value per sample
+    assert sizes == [ctx.samples]
 
 
 def test_sample_point_validates_each_sampled_x_once_per_base(monkeypatch):
@@ -244,6 +253,18 @@ def test_unknown_report_format_exits_2(tmp_path, capsys):
     ("seed", -1),
     ("seed", 1.5),
     ("seed", False),
+    # eps is the JSON integer -1 or +1 in both weight-spec forms
+    ("weights", {"name": "cheeger_gromoll", "epsilon": 1.5}),
+    ("weights", {"name": "cheeger_gromoll", "epsilon": True}),
+    ("weights", {"a": {"poly": [1.0]}, "b": {"poly": [0.0]}, "epsilon": -1.9}),
+    # finite numbers, tolerances > 0 and intervals lo < hi
+    ("fiber_range", [0.3, math.inf]),  # JSON reads 1e400 as infinity
+    ("chart_box", [[-0.4, math.inf], [-0.4, 0.4]]),
+    ("chart_box", [[0.4, -0.4], [-0.4, 0.4]]),
+    ("tolerances", {"curvature": math.nan}),
+    ("tolerances", {"curvature": -1}),
+    ("h", "1e-4"),
+    ("weights", {"a": {"poly": [1.0]}, "b": {"poly": [0.0]}, "t_domain": [5, 1]}),
 ])
 def test_wrongly_typed_config_value_exits_2(tmp_path, capsys, field, value):
     cfg_path = tmp_path / "cfg.json"

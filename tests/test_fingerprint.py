@@ -2,11 +2,11 @@
 
 ``residual_fingerprint.json`` holds ``float.hex`` of each residual and
 control value of ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with
-``samples`` overridden to 4, and of one inline m = 3 document (``INLINE``):
-the stacked dOmega, Lee-form and d(eta) maps at m = 3.  A change that claims to keep the numbers
-bit-identical is checked here; a change that moves them on purpose
-regenerates the file and says why.  Regenerate it from the repository root
-with
+``samples`` overridden to 4, and of two inline m = 3 documents (``INLINE``):
+the stacked dOmega, Lee-form and d(eta) maps, and the closed-form suites.  A
+change that claims to keep the numbers bit-identical is checked here; a change
+that moves them on purpose regenerates the file and says why.  Regenerate it
+from the repository root with
 
     PYTHONPATH=src python3 tests/test_fingerprint.py
 """
@@ -26,6 +26,11 @@ INLINE = {
         "base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
         "weights": {"name": "cheeger_gromoll"},
         "suites": ["lck", "almost_kahler", "sphere_bundle"],
+    },
+    "cg_s3_closed": {
+        "base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
+        "weights": {"name": "cheeger_gromoll"},
+        "suites": ["base_checks", "curvature", "sectional", "scalar", "isometry", "k_contact"],
     },
 }
 CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)

@@ -432,7 +432,9 @@ def test_horizontal_lift_reads_one_christoffel_per_distinct_x(monkeypatch):
     def plain_h(p):
         return np.concatenate([Y, -np.einsum("kij,j,i->k", bg.christoffel(SF1, p[:2]), p[2:], Y)])
 
-    expected = orc.fd_lift_connection(gamma, q, orc.lift_field(SF1, X, "V"), plain_h)
+    # nabla_U V with V evaluated alone at each point, U = (0, X) the vertical lift
+    U0 = np.concatenate([np.zeros(2), X])
+    expected = orc.fd_directional(plain_h, q, U0) + np.einsum("kij,i,j->k", gamma, U0, plain_h(q))
     calls = count_calls(monkeypatch, bg, "christoffel")
     got = orc.fd_lift_connection(gamma, q, orc.lift_field(SF1, X, "V"), orc.lift_field(SF1, Y, "H"))
     # the field at q and at the four stencil points along the vertical (0, X) share x

@@ -1,11 +1,13 @@
 """Stacked base jets: every row of a stacked evaluation is its single call.
 
-``ChartMetric.derivatives``, ``base_geometry._metric_and_christoffel`` and
-``oracle.InducedMetric.matrix`` take an (n, m) stack of points (n, 2m for the
-induced metric) and evaluate it in one pass over stacked jets.  Each row must
-equal the single-point call byte for byte, with repeated points and rows
-that share x, and a bad row must raise the single call's error, naming its
-own point.
+``ChartMetric.derivatives``, ``base_geometry._metric_and_christoffel``,
+``base_geometry.base_jets`` and ``oracle.InducedMetric.matrix`` take an (n, m)
+stack of points (n, 2m for the induced metric) and evaluate it in one pass over
+stacked jets.  Each row must equal the single-point call byte for byte, with
+repeated points and rows that share x, and a bad row must raise the single
+call's error, naming its own point.  A stacked ``TangentPoint`` reads its jets
+from one such call, and every closed form a suite evaluates on it must equal
+the single-point call on each row.
 """
 
 import re
@@ -19,7 +21,9 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tbgeom import base_geometry as bg  # noqa: E402
 from tbgeom import oracle as orc  # noqa: E402
-from tbgeom.weights import named_family  # noqa: E402
+from tbgeom import tangent_bundle as tb  # noqa: E402
+from tbgeom.suites import SuiteContext, run_suite  # noqa: E402
+from tbgeom.weights import kahler_family, named_family  # noqa: E402
 
 DIAG_POLY3 = bg.diagonal_polynomial(
     3,
@@ -64,10 +68,13 @@ def test_stacked_rows_equal_single_calls_byte_for_byte(stack, w):
                 assert a[k].tobytes() == b.tobytes()
     g, gamma = bg._metric_and_christoffel(metric, x)
     G = orc.InducedMetric(metric, w).matrix(q)
+    jets = bg.base_jets(metric, x)
     for k, (xk, qk) in enumerate(zip(x, q)):
         gk, gammak = bg._metric_and_christoffel(metric, xk)
         assert g[k].tobytes() == gk.tobytes() and gamma[k].tobytes() == gammak.tobytes()
         assert G[k].tobytes() == orc.InducedMetric(metric, w).matrix(qk).tobytes()
+        for a, b in zip(jets, bg.base_jets(metric, xk)):  # Gamma, R and nabla R
+            assert a[k].tobytes() == b.tobytes()
 
 
 def named(x):
@@ -80,7 +87,7 @@ def test_a_stack_outside_the_chart_names_its_bad_row():
     sf = bg.SpaceForm(-1.0, 2)
     x = np.array([[0.1, 0.2], [0.3, -0.1], [2.5, 0.0], [3.0, 0.0]])
     for call in (lambda: sf.derivatives(x, 1), lambda: sf.derivatives(x, 3),
-                 lambda: bg._metric_and_christoffel(sf, x),
+                 lambda: bg._metric_and_christoffel(sf, x), lambda: bg.base_jets(sf, x),
                  lambda: orc.InducedMetric(sf, WEIGHTS[0]).matrix(np.hstack([x, x]))):
         with pytest.raises(bg.ChartDomainError, match=named(x[2])):
             call()
@@ -94,9 +101,94 @@ def test_a_singular_row_names_its_point():
     with pytest.raises(bg.SingularMetricError, match=named(x[2])):
         bg._metric_and_christoffel(base, x)
     with pytest.raises(bg.SingularMetricError, match=named(x[2])):
+        bg.base_jets(base, x)
+    with pytest.raises(bg.SingularMetricError, match=named(x[2])):
         orc.InducedMetric(base, WEIGHTS[0]).matrix(np.hstack([x, x]))
     # a negative x1 is invertible but indefinite: the per-row check names it
     x[2, 0] = -0.1
     g = base.derivatives(x, 1)[0]
     with pytest.raises(bg.SingularMetricError, match=named(x[2])):
         base._checked(g, x)
+
+
+def hexes(a):
+    # float.hex of every number in a (an array, or nested lists and tuples of them)
+    if isinstance(a, (list, tuple)):
+        return [h for b in a for h in hexes(b)]
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+def row(a, i):
+    # row i of every array in a (an array, or nested lists and tuples of them)
+    return [row(b, i) for b in a] if isinstance(a, (list, tuple)) else a[i]
+
+
+def closed_forms(w, base, P, X, Y, Z, U, V, W):
+    """Every closed form a suite evaluates on a stacked point; a split vector as (h, v)."""
+    cases = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
+    return {
+        "metric": tb.bundle_metric(w, P, U, V),
+        **{c: (lambda r: (r.h, r.v))(tb.bundle_curvature(w, base, P, c, X, Y, Z)) for c in cases},
+        "general": (lambda r: (r.h, r.v))(tb.bundle_curvature_general(w, base, P, U, V, W)),
+        "sectional": tb.bundle_sectional(w, base, P, U, V),
+        "area": tb.area_squared(w, P, U, V),
+        "basis": [(e.h, e.v) for e in tb.adapted_basis(w, P)],
+        "scal_closed": tb.scalar_curvature(w, base, P, mode="closed"),
+        "scal_basis": tb.scalar_curvature(w, base, P, mode="basis"),
+        "scal_space_form": tb.scalar_curvature_space_form(w, base.curvature, base.dim, P),
+        "coord": orc.split_to_coord(U),
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("w", [named_family("cheeger_gromoll"), kahler_family(1, 1.0, -0.5)],
+                         ids=["eps=-1", "eps=+1"])
+def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
+    base, rng = bg.SpaceForm(1.0, m), np.random.default_rng(10 * m + w.epsilon)
+    xs = rng.uniform(-0.4, 0.4, (3, m))
+    singles = []
+    for x in xs[[0, 1, 0, 2]]:  # two rows share x
+        d = rng.standard_normal(m)
+        u = np.sqrt(2 * rng.uniform(0.1, 0.8)) * d / np.sqrt(d @ base.matrix(x) @ d)
+        singles.append(tb.tangent_point(base, x, u))
+    P = tb.TangentPoint.stack(singles)
+    X, Y, Z, *hv = rng.standard_normal((9, len(singles), m))
+    U, V, W = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
+    stacked = closed_forms(w, base, P, X, Y, Z, U, V, W)
+    for i, Pi in enumerate(singles):
+        Ui, Vi, Wi = (tb.SplitVector(A.h[i], A.v[i], Pi) for A in (U, V, W))
+        single = closed_forms(w, base, Pi, X[i], Y[i], Z[i], Ui, Vi, Wi)
+        for name, want in single.items():
+            assert hexes(row(stacked[name], i)) == hexes(want), f"row {i}: {name}"
+    # rows read the stack's jets and weight values: no base-jet or weight evaluation
+    calls = []
+    monkeypatch.setattr(bg, "base_jets", lambda *a: calls.append(a))
+    monkeypatch.setattr(type(w), "eval", lambda *a: calls.append(a))
+    for i, Pi in enumerate(singles):
+        Pr = P[i]
+        assert isinstance(Pr.t, float) and Pr.t == Pi.t
+        assert hexes([Pr.gamma, Pr.R, Pr.NR]) == hexes([Pi.gamma, Pi.R, Pi.NR])
+        assert hexes(Pr.coeffs(w).F3) == hexes(Pi.coeffs(w).F3)
+    assert hexes(P[np.array([3, 0])].R) == hexes([singles[3].R, singles[0].R])
+    assert calls == []
+
+
+def test_a_stack_evaluates_the_jets_once_at_its_distinct_x(monkeypatch):
+    base = bg.SpaceForm(1.0, 3)
+    x = np.array([[0.1, 0.2, -0.3], [0.3, 0.0, 0.1], [0.1, 0.2, -0.3]])
+    rows = []
+    derivatives = bg.ChartMetric.derivatives
+
+    def counted(self, xs, order):
+        rows.append((len(xs), order))
+        return derivatives(self, xs, order)
+
+    monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
+    bg.base_jets(base, x)
+    assert rows == [(2, 3)]
+    # the sphere-bundle suite: the unit and Sasaki points at each sample x, one stack
+    del rows[:]
+    ctx = SuiteContext(base=base, weights=named_family("cheeger_gromoll"), samples=8, seed=3,
+                       h=1e-4, chart_box=np.tile([-0.4, 0.4], (3, 1)), fiber_range=(0.3, 1.5))
+    assert run_suite("sphere_bundle", ctx).passed
+    assert [r for r in rows if r[1] == 3] == [(2, 3)]
