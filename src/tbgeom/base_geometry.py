@@ -223,6 +223,11 @@ def _vg(v, g):
     return (v[..., None, :] @ g)[..., 0, :]
 
 
+def _gv(g, v):
+    # the column vector g v, on stacks of g and v; each row rounds as the 1-D g @ v
+    return (g @ v[..., None])[..., 0]
+
+
 def _christoffel_core(dg):
     # core[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij
     *lead, a, b, c = range(dg.ndim)

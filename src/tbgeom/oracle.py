@@ -84,9 +84,10 @@ def _chart_point(base, w, q):
     return (*chart, derived_coeffs(w, t))
 
 
-def _per_row(f):
+def _per_row(f, axes=2):
     # a scalar coefficient, or one per stack row, broadcast against the rows' matrices
-    return np.asarray(f)[..., None, None]
+    # (or against arrays with another number of trailing ``axes``)
+    return np.reshape(f, np.shape(f) + (1,) * axes)
 
 
 def _metric_matrix(y, g, gamma, gu, vals):

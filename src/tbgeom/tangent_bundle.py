@@ -8,7 +8,6 @@ oracle (module ``oracle``) validates every one of them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import cached_property, partial
 
@@ -94,7 +93,7 @@ class TangentPoint:
 
     @property
     def r(self):
-        return math.sqrt(2.0 * self.t)
+        return _scalar(np.sqrt(2.0 * self.t))
 
     @cached_property
     def _jets(self):

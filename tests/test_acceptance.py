@@ -334,6 +334,11 @@ def test_criterion_09_isometry():
                   f"r=1 control residual {worst_ctrl:.2f} >= 0.1")
 
 
+def unit_points(base, pts):
+    # the unit-bundle points (x, u) as one stacked point
+    return tb.TangentPoint.stack([sb.sphere_point(base, x, u, r=1.0) for x, u in pts])
+
+
 def test_criterion_10_k_contact():
     rng = np.random.default_rng(110)
     sf1 = bg.SpaceForm(1.0, 2)
@@ -343,12 +348,12 @@ def test_criterion_10_k_contact():
         g = sf1.matrix(x)
         u = rng.standard_normal(2)
         pts.append((x, u / np.sqrt(u @ g @ u)))
-    v = sb.k_contact_verdict(sf1, SAS, pts)
+    v = sb.k_contact_verdict(SAS, unit_points(sf1, pts))
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")
-    v2 = sb.k_contact_verdict(sf1, w2, pts[:6])
+    v2 = sb.k_contact_verdict(w2, unit_points(sf1, pts[:6]))
     eu = bg.euclidean(2)
     pts_e = [(x, u / np.linalg.norm(u)) for (x, u) in pts[:6]]
-    v3 = sb.k_contact_verdict(eu, SAS, pts_e)
+    v3 = sb.k_contact_verdict(SAS, unit_points(eu, pts_e))
     ok = (
         v["k_contact_residual"] <= 1e-8
         and v["sasakian_residual"] <= 1e-8

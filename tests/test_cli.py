@@ -11,6 +11,9 @@ import pytest
 
 from tbgeom import base_geometry as bg
 from tbgeom import cli
+from tbgeom import oracle as orc
+from tbgeom import sphere_bundle as sb
+from tbgeom import suites
 from tbgeom import tangent_bundle as tb
 from tbgeom.suites import Control, SuiteContext, SuiteResult, run_suite
 from tbgeom.weights import WeightPair, named_family
@@ -298,6 +301,29 @@ def test_non_finite_control_fails_its_suite():
             control = Control("c", value, bound, require)
             assert not control.ok
             assert not SuiteResult("x", "a", 1e-6, residuals=[1e-12], controls=[control]).passed
+
+
+@pytest.mark.parametrize("suite,owner,name", [
+    ("sphere_bundle", sb, "deta_numeric"),
+    ("oracle_cross", orc, "fd_curvature"),
+    ("kahler", suites, "kahler_system_residuals"),
+])
+def test_a_nan_after_a_finite_value_fails_its_suite(monkeypatch, suite, owner, name):
+    # a suite's maximum over its samples must keep a NaN that follows finite values
+    original, calls = getattr(owner, name), []
+
+    def nan_after_the_first_call(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append(name)
+        return out if len(calls) == 1 else np.full(np.shape(out), np.nan)
+
+    monkeypatch.setattr(owner, name, nan_after_the_first_call)
+    ctx = SuiteContext(base=bg.SpaceForm(1.0, 2), weights=named_family("cheeger_gromoll"),
+                       samples=2, seed=3, h=1e-4, chart_box=np.tile([-0.4, 0.4], (2, 1)),
+                       fiber_range=(0.3, 1.5))
+    res = run_suite(suite, ctx)
+    assert len(calls) >= 2 and res.error is None
+    assert not res.passed
 
 
 def test_list_suites_catalogue():

@@ -8,6 +8,7 @@ import tbgeom.base_geometry as bg
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
+from tbgeom.suites import SuiteContext, run_suite
 from tbgeom.weights import WeightPair, named_family
 
 EU2 = bg.euclidean(2)
@@ -22,6 +23,11 @@ def unit_point(base, x, direction, r=1.0):
     d = np.asarray(direction, float)
     d = d / np.sqrt(d @ g @ d)
     return sb.sphere_point(base, x, r * d, r=r)
+
+
+def unit_points(base, pts):
+    # the unit-bundle points (x, u) as one stacked point
+    return tb.TangentPoint.stack([sb.sphere_point(base, x, u, r=1.0) for x, u in pts])
 
 
 def test_sphere_point_radius_check():
@@ -290,7 +296,7 @@ def test_k_contact_verdicts():
         g = SF1.matrix(x)
         u = rng.standard_normal(2)
         pts.append((x, u / np.sqrt(u @ g @ u)))
-    v = sb.k_contact_verdict(SF1, SAS, pts)
+    v = sb.k_contact_verdict(SAS, unit_points(SF1, pts))
     assert v["is_k_contact"] and v["is_sasakian"] and v["predicted_k_contact"]
     assert v["k_contact_residual"] <= 1e-8 and v["sasakian_residual"] <= 1e-8
     # curvature 4 base with a = 1/4: the theorem's positive branch again
@@ -301,15 +307,15 @@ def test_k_contact_verdicts():
         g = sf4.matrix(x)
         uu = u / np.sqrt(u @ g @ u)
         pts4.append((x, uu))
-    v4 = sb.k_contact_verdict(sf4, w14, pts4)
+    v4 = sb.k_contact_verdict(w14, unit_points(sf4, pts4))
     assert v4["is_sasakian"] and v4["predicted_k_contact"]
     # negative branches
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")
-    v2 = sb.k_contact_verdict(SF1, w2, pts)
+    v2 = sb.k_contact_verdict(w2, unit_points(SF1, pts))
     assert not v2["is_k_contact"] and not v2["predicted_k_contact"]
     assert v2["k_contact_residual"] >= 1e-2
     ue = np.array([1.0, 0.0])
-    ve = sb.k_contact_verdict(EU2, SAS, [(np.zeros(2), ue)])
+    ve = sb.k_contact_verdict(SAS, unit_points(EU2, [(np.zeros(2), ue)]))
     assert not ve["is_k_contact"]
     assert ve["k_contact_residual"] >= 1e-2
     assert ve["sasakian_residual"] >= 1e-2  # phi is never parallel
@@ -444,3 +450,21 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r
     assert J.tobytes() == orc.j_matrix(base, w_eps, P.q).tobytes()
     assert np.array_equal(S.normal, sb.unit_normal(P, w_eps))
     assert S.xi.tobytes() == (-J @ S.normal).tobytes()
+
+
+def test_k_contact_suite_shares_one_jet_evaluation_between_its_curvature_1_verdicts(monkeypatch):
+    calls = []
+    base_jets = bg.base_jets
+
+    def counted(metric, x):
+        calls.append((metric, len(x)))
+        return base_jets(metric, x)
+
+    monkeypatch.setattr(bg, "base_jets", counted)
+    ctx = SuiteContext(base=bg.SpaceForm(0.5, 3), weights=CG, samples=16, seed=3, h=1e-4,
+                       chart_box=np.tile([-0.4, 0.4], (3, 1)), fiber_range=(0.3, 1.5))
+    assert run_suite("k_contact", ctx).passed
+    # the 4 curvature-1 points (the Sasaki and the a = 2 verdicts), then the 2 flat
+    # points and the 2 points of the configured base
+    assert [n for _, n in calls] == [4, 2, 2]
+    assert calls[0][0].curvature == 1.0 and calls[2][0] is ctx.base

@@ -6,8 +6,9 @@ stack of points (n, 2m for the induced metric) and evaluate it in one pass over
 stacked jets.  Each row must equal the single-point call byte for byte, with
 repeated points and rows that share x, and a bad row must raise the single
 call's error, naming its own point.  A stacked ``TangentPoint`` reads its jets
-from one such call, and every closed form a suite evaluates on it must equal
-the single-point call on each row.
+from one such call, and every closed form a suite evaluates on it, on the
+tangent bundle or on a sphere bundle, must equal the single-point call on each
+row.
 """
 
 import re
@@ -21,6 +22,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from tbgeom import base_geometry as bg  # noqa: E402
 from tbgeom import oracle as orc  # noqa: E402
+from tbgeom import sphere_bundle as sb  # noqa: E402
 from tbgeom import tangent_bundle as tb  # noqa: E402
 from tbgeom.suites import SuiteContext, run_suite  # noqa: E402
 from tbgeom.weights import kahler_family, named_family  # noqa: E402
@@ -171,6 +173,34 @@ def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
         assert hexes(Pr.coeffs(w).F3) == hexes(Pi.coeffs(w).F3)
     assert hexes(P[np.array([3, 0])].R) == hexes([singles[3].R, singles[0].R])
     assert calls == []
+
+
+def sphere_forms(P, w):
+    """Every sphere-bundle function a suite evaluates on a stacked point."""
+    out = {"r": P.r, "generators": sb.generators(P), "unit_normal": sb.unit_normal(P, w),
+           "induced_metric": sb.induced_metric(P, w),
+           "k_contact and sasakian": sb._residual_vectors(P, w)}
+    for eps in (-1, 1):
+        for rescaled in (False, True):
+            S = sb.contact_structure(P, w, rescaled=rescaled, epsilon=eps)
+            out[f"contact_structure eps={eps} rescaled={rescaled}"] = [
+                S.phi, S.xi, S.eta, S.G, S.normal, S.tangent_projector()]
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("w,r", [(named_family("cheeger_gromoll"), 1.0),
+                                 (named_family("sasaki"), 1.3)], ids=["unit", "sasaki_r"])
+def test_a_stacked_sphere_point_equals_its_single_points_row_by_row(m, w, r):
+    base, rng = bg.SpaceForm(1.0, m), np.random.default_rng(20 * m + int(10 * r))
+    singles = []
+    for x in rng.uniform(-0.4, 0.4, (3, m))[[0, 1, 0, 2]]:  # two rows share x
+        d = rng.standard_normal(m)
+        singles.append(sb.sphere_point(base, x, r * d / np.sqrt(d @ base.matrix(x) @ d), r=r))
+    stacked = sphere_forms(tb.TangentPoint.stack(singles), w)
+    for i, Pi in enumerate(singles):
+        for name, want in sphere_forms(Pi, w).items():
+            assert hexes(row(stacked[name], i)) == hexes(want), f"row {i}: {name}"
 
 
 def test_a_stack_evaluates_the_jets_once_at_its_distinct_x(monkeypatch):
