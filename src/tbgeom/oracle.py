@@ -177,12 +177,10 @@ def _lee_covector(y, g, gamma, gu, d):
 
 
 def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
-    """(om ^ Om)(v1, v2, v3) in the 1/3-normalized convention."""
-    return (
-        float(om_vec @ v1) * float(v2 @ Om_mat @ v3)
-        + float(om_vec @ v2) * float(v3 @ Om_mat @ v1)
-        + float(om_vec @ v3) * float(v1 @ Om_mat @ v2)
-    ) / 3.0
+    """(om ^ Om)(v1, v2, v3) in the 1/3-normalized convention, row by row on stacks."""
+    om = [np.vecdot(om_vec, v) for v in (v1, v2, v3)]
+    Om = [np.vecdot(bg._vg(a, Om_mat), b) for a, b in ((v2, v3), (v3, v1), (v1, v2))]
+    return (om[0] * Om[0] + om[1] * Om[1] + om[2] * Om[2]) / 3.0
 
 
 def _pair(q, v, h):
@@ -192,9 +190,10 @@ def _pair(q, v, h):
 
 
 def _central(fun, q, v, h):
-    """Central quotient (fun(q + h v) - fun(q - h v)) / 2h along v."""
+    """Central quotient (fun(q + h v) - fun(q - h v)) / 2h along v, at a point q or
+    row by row on an (n, k) stack (v one direction, or one per row)."""
     up, down = _pair(q, v, h)
-    if h <= 0 or ((up == q).all() and v.any()):
+    if h <= 0 or (np.all(up == q, axis=-1) & np.any(v, axis=-1)).any():
         raise ValueError(f"differencing step {h} underflows at {q}")
     return (fun(up) - fun(down)) / (2 * h)
 
@@ -209,64 +208,81 @@ def _derivative(fun, q, v, h, richardson):
 
 
 def _partials(fun, q, h, richardson):
-    """Coordinate partials stacked on a leading axis: out[k] = d_k fun(q)."""
-    return np.array([_derivative(fun, q, e, h, richardson) for e in np.eye(q.size)])
+    """Coordinate partials on an axis of their own: out[k] = d_k fun(q) at a point q,
+    out[i, k] = d_k fun(q_i) on an (n, k) stack."""
+    parts = [_derivative(fun, q, e, h, richardson) for e in np.eye(q.shape[-1])]
+    return np.stack(parts, axis=q.ndim - 1)
 
 
 def _stencil(q, vectors, h, richardson):
     """q and every point ``_derivative`` evaluates around it along each of ``vectors``
-    (``_partials``: the coordinate axes), built as ``_central`` builds them."""
+    (``_partials``: the coordinate axes), built as ``_central`` builds them; at an
+    (n, k) stack each entry is a stack, and a vector may hold one direction per row."""
     steps = (h, h / 2) if richardson else (h,)
     return [q] + [p for v in vectors for s in steps for p in _pair(q, v, s)]
 
 
 def _once(fun, points=()):
     """``fun(p)`` once per distinct point p, keyed on its exact bytes, with read-only
-    arrays.  ``points`` are evaluated up front as one stack of their distinct rows, for a
-    ``fun`` that takes a point or an (n, k) stack; their entries are its read-only rows
-    (a tuple of rows where ``fun`` returns a tuple)."""
+    arrays; at an (n, k) stack of points the rows are served as one stack.  ``points``
+    (points, or stacks of them) are evaluated up front as one stack of their distinct
+    rows, for a ``fun`` that takes a point or an (n, k) stack; their entries are its
+    read-only rows (a tuple of rows where ``fun`` returns a tuple)."""
     seen = {}
     if len(points):
-        qs = bg._distinct(np.array(points))[0]
+        qs = np.asarray(points)
+        qs = bg._distinct(qs.reshape(-1, qs.shape[-1]))[0]
         out = bg._readonly(fun(qs))
         seen.update(zip((p.tobytes() for p in qs), zip(*out) if isinstance(out, tuple) else out))
 
-    def once(p):
+    def row(p):
         key = p.tobytes()
         if key not in seen:
             seen[key] = bg._readonly(fun(p))
         return seen[key]
+
+    # not recursive: a closure that calls itself is a reference cycle, which would keep
+    # the table alive until the garbage collector runs instead of until the call returns
+    def once(p):
+        if p.ndim == 1:
+            return row(p)
+        rows = [row(r) for r in p]
+        return tuple(map(np.stack, zip(*rows))) if isinstance(rows[0], tuple) else np.stack(rows)
 
     return once
 
 
 class _CallView:
     """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and, for
-    an ``InducedMetric``, the call's ``stencil`` evaluated up front as one stack (so
-    (g(x), Gamma(x)) once per distinct x).  Made on entry to ``fd_connection`` /
-    ``fd_curvature``, reused by nested calls, dropped on return."""
+    an ``InducedMetric``, the call's ``stencil`` (of every row of a stacked call)
+    evaluated up front as one stack (so (g(x), Gamma(x)) once per distinct x).  Made
+    on entry to ``fd_connection`` / ``fd_curvature``, reused by nested calls, dropped
+    on return."""
 
     def __init__(self, metric, stencil):
         self.matrix = _once(metric.matrix, stencil if isinstance(metric, InducedMetric) else ())
 
 
 def fd_connection(metric, q, h=1e-4, richardson=True):
-    """Finite-difference Christoffel symbols of any metric with ``matrix(q)``."""
+    """Finite-difference Christoffel symbols of any metric with ``matrix(q)``, at q or
+    at each row of an (n, k) stack (a leading axis of n rows, each equal to the call
+    at its point bit for bit)."""
     q = np.asarray(q, dtype=float)
     if not isinstance(metric, _CallView):
-        metric = _CallView(metric, _stencil(q, np.eye(q.size), h, richardson))
+        metric = _CallView(metric, _stencil(q, np.eye(q.shape[-1]), h, richardson))
     G = metric.matrix(q)
-    cond = np.linalg.cond(G)
-    if cond > 1e8:
-        warnings.warn(f"metric conditioning {cond:.2e} at {q}")
+    for cond, p in zip(np.atleast_1d(np.linalg.cond(G)), np.reshape(q, (-1, q.shape[-1]))):
+        if cond > 1e8:
+            warnings.warn(f"metric conditioning {cond:.2e} at {p}")
     dG = _partials(metric.matrix, q, h, richardson)
     return bg._levi_civita(np.linalg.inv(G), dG)
 
 
 def fd_curvature(metric, q, h=1e-4, richardson=True):
-    """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing)."""
+    """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing),
+    at q or at each row of an (n, k) stack, from one stencil table for all rows."""
     q = np.asarray(q, dtype=float)
-    axes = np.eye(q.size)
+    axes = np.eye(q.shape[-1])
     stencil = [p for s in _stencil(q, axes, h, richardson)
                for p in _stencil(s, axes, h, richardson)]
     view = _CallView(metric, stencil)
@@ -304,10 +320,11 @@ def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
 
 
 def fd_nijenhuis(base, w, q, U, V, h=1e-5):
-    """Numeric Nijenhuis tensor of J on coordinate-extended constant fields."""
+    """Numeric Nijenhuis tensor of J on coordinate-extended constant fields, at q or at
+    each row of an (n, 2m) stack (with U and V one vector per row)."""
     q, U, V = (np.asarray(a, dtype=float) for a in (q, U, V))
     J0 = j_matrix(base, w, q)
-    JU, JV = J0 @ U, J0 @ V
+    JU, JV = bg._gv(J0, U), bg._gv(J0, V)
     # J at the 16 points the four directional derivatives step to, as one stack
     J = _once(lambda p: _j_matrix(*_chart_point(base, w, p)),
               _stencil(q, [JU, JV, U, V], h, True)[1:])
@@ -317,13 +334,15 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     dJ_V = fd_directional(J, q, V, h=h)
     # N = [JU,JV] - J[JU,V] - J[U,JV]  (constant fields, [U,V] = 0), with
     # [JU,JV] = (D_{JU} J)V - (D_{JV} J)U, [JU,V] = -(D_V J)U, [U,JV] = (D_U J)V
-    return dJ_JU @ V - dJ_JV @ U + J0 @ (dJ_V @ U) - J0 @ (dJ_U @ V)
+    gv = bg._gv
+    return gv(dJ_JU, V) - gv(dJ_JV, U) + gv(J0, gv(dJ_V, U)) - gv(J0, gv(dJ_U, V))
 
 
 def lift_field(base, X, kind):
     """Coordinate field of the horizontal or vertical lift of a constant X, at a point
-    q or at each row of an (n, 2m) stack (X may then be one vector per row).  The
-    horizontal lift reads Gamma from one stacked first-order evaluation per call."""
+    q or at each row of a stack of points (..., n, 2m); X may be one vector per row
+    (n, m), the same at every position of the leading axes.  The horizontal lift reads
+    Gamma from one stacked first-order evaluation per call."""
     X = np.asarray(X, dtype=float)
     m = base.dim
     if kind not in ("H", "V"):
@@ -331,7 +350,7 @@ def lift_field(base, X, kind):
 
     def field(q):
         qs = np.reshape(q, (-1, 2 * m))
-        y, Xs = qs[:, m:], np.broadcast_to(X, qs[:, m:].shape)
+        y, Xs = qs[:, m:], np.broadcast_to(X, np.shape(q)[:-1] + (m,)).reshape(-1, m)
         parts = ([Xs, -np.einsum("...kij,...j,...i->...k", bg.christoffel(base, qs[:, :m]), y, Xs)]
                  if kind == "H" else [np.zeros_like(y), Xs])
         return np.concatenate(parts, axis=-1).reshape(np.shape(q))
@@ -339,12 +358,13 @@ def lift_field(base, X, kind):
     return field
 
 
-def fd_lift_connection(gamma, q, Ufield, Vfield, h=1e-4):
-    """nabla_U V for coordinate vector fields, from the Christoffel symbols
-    ``gamma`` at q (for example ``fd_connection(im, q)``); V, which must take a
-    stack of points, is evaluated on its stencil along U(q) as one stack."""
-    q = np.asarray(q, dtype=float)
-    U0 = Ufield(q)
-    V = _once(Vfield, _stencil(q, [U0], h, True))
-    dV = fd_directional(V, q, U0, h=h)
-    return dV + np.einsum("kij,i,j->k", gamma, U0, V(q))
+def fd_lift_connection(gamma, q, U, Vfield, h=1e-4):
+    """nabla_U V at q, or at each row of an (n, 2m) stack, for the coordinate vector U
+    at q and a coordinate vector field V, from the Christoffel symbols ``gamma`` at q
+    (for example ``fd_connection(im, q)``).  V, which must take a stack of points, is
+    evaluated on the stencil along U of every row as one stack."""
+    q, U = (np.asarray(a, dtype=float) for a in (q, U))
+    stencil = _stencil(q, [U], h, True)
+    V = dict(zip((p.tobytes() for p in stencil), Vfield(np.stack(stencil))))
+    dV = fd_directional(lambda p: V[p.tobytes()], q, U, h=h)
+    return dV + np.einsum("...kij,...i,...j->...k", gamma, U, V[q.tobytes()])

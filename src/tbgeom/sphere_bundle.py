@@ -235,7 +235,7 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
     U, V = field(case[0], i), field(case[1], j)
     # one view of the ambient metric: its stencil stack holds G at P.q for the normal
     ambient = orc._CallView(orc.InducedMetric(base, w), orc._stencil(P.q, np.eye(2 * m), h, True))
-    amb = orc.fd_lift_connection(orc.fd_connection(ambient, P.q, h), P.q, U, V, h)
+    amb = orc.fd_lift_connection(orc.fd_connection(ambient, P.q, h), P.q, U(P.q), V, h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
     dg = base.derivatives(P.x, 1)[1]
     dt = np.concatenate([0.5 * np.einsum("kij,i,j->k", dg, P.u, P.u), P.gu])

@@ -20,6 +20,7 @@ from . import oracle as orc
 from . import sphere_bundle as sb
 from . import tangent_bundle as tb
 from .jets import _pow
+from .tangent_bundle import _rop
 from .weights import (
     WeightPair,
     almost_kahler_complete,
@@ -90,10 +91,12 @@ class SuiteResult:
 
 
 def _log_histogram(residuals):
+    # counts of log10 |r| over [-16, 0] in decades, the ends clipped into the outer
+    # bins; a non-finite residual counts in the top bin, so the counts sum to n_samples
     edges = list(range(-16, 1))
     if not residuals:
         return [0] * (len(edges) - 1), edges
-    logs = [math.log10(max(abs(r), 1e-300)) for r in residuals]
+    logs = [math.log10(max(abs(r), 1e-300)) if math.isfinite(r) else 0.0 for r in residuals]
     counts, _ = np.histogram(np.clip(logs, -16, 0), bins=edges)
     return counts.tolist(), edges
 
@@ -161,7 +164,7 @@ def _suite_base_checks(ctx, rng, res):
     x, g, *XY = map(np.array, zip(*draws))
     gam, R, NR = bg.base_jets(base, x)
     low = bg.lower_curvature(g, R)
-    fd = np.array([orc.fd_connection(base, xk, h=1e-5, richardson=False) for xk in x])
+    fd = orc.fd_connection(base, x, h=1e-5, richardson=False)
     terms = [
         gam - np.swapaxes(gam, -1, -2),
         R + np.swapaxes(R, -1, -2),
@@ -183,7 +186,7 @@ def _suite_base_checks(ctx, rng, res):
 
 def _forms(base, w, q, vecs, h):
     # Omega and the Lee covector of w at q and at each point of the exterior-derivative
-    # stencil along vecs, from one chart evaluation of them all
+    # stencil along vecs, from one chart evaluation of them all (of every row of a stack)
     def forms(qs):
         chart = orc._chart_point(base, w, qs)
         return orc._omega_matrix(*chart), orc._lee_covector(*chart)
@@ -192,58 +195,55 @@ def _forms(base, w, q, vecs, h):
 
 
 def _domega(forms, q, vecs, h):
-    """Numeric dOmega(v1, v2, v3) at q of the fundamental form served by ``forms``."""
+    """Numeric dOmega(v1, v2, v3) at q, or at each row of a stack, of the fundamental
+    form served by ``forms``."""
 
     def omega_form(p, v1, v2):
-        return float(v1 @ forms(p)[0] @ v2)
+        return np.vecdot(bg._vg(v1, forms(p)[0]), v2)
 
     return orc.fd_exterior_derivative(omega_form, q, vecs, h=h)
 
 
 def _lck_terms(base, w, q, vecs, h):
-    """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, from
-    one chart evaluation of q and the dOmega stencil (the d(lee) stencil is part of it)."""
+    """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, or at each
+    row of a stack, from one chart evaluation of q and the dOmega stencil (the d(lee)
+    stencil is part of it)."""
     forms = _forms(base, w, q, vecs, h)
 
     def lee_1form(p, v):
-        return float(forms(p)[1] @ v)
+        return np.vecdot(forms(p)[1], v)
 
     Om, lee = forms(q)
     dlee = orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h)
     return _domega(forms, q, vecs, h), orc.wedge_1_2(lee, Om, *vecs), dlee
 
 
+def _draw(ctx, rng, n, shape, **point):
+    """n samples, each a point of ``sample_point(rng, **point)`` and then a block of
+    normals of ``shape``: the stacked point, and the blocks' rows as one leading axis."""
+    pts, draws = zip(*[(ctx.sample_point(rng, **point), rng.standard_normal(shape))
+                       for _ in range(n)])
+    return tb.TangentPoint.stack(pts), np.moveaxis(np.array(draws), 1, 0)
+
+
 def _suite_lck(ctx, rng, res):
-    base, w = ctx.base, ctx.weights
-    n2 = 2 * base.dim
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng)
-        vecs = [rng.standard_normal(n2) for _ in range(3)]
-        dom, wed, dlee = _lck_terms(base, w, P.q, vecs, ctx.h)
-        res.residuals.append(abs(dom - wed))
-        res.residuals.append(abs(dlee))
+    P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * ctx.base.dim))
+    dom, wed, dlee = _lck_terms(ctx.base, ctx.weights, P.q, vecs, ctx.h)
+    res.residuals.extend(map(float, np.ravel([abs(dom - wed), abs(dlee)], order="F")))
 
 
 def _suite_almost_kahler(ctx, rng, res):
-    base = ctx.base
+    base, m = ctx.base, ctx.base.dim
     pair = almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1, name="ak(1+t)")
     cg = named_family("cheeger_gromoll")
-    n2 = 2 * base.dim
-    vh = np.concatenate([np.eye(base.dim)[0], np.zeros(base.dim)])
-    v1 = np.concatenate([np.zeros(base.dim), np.eye(base.dim)[0]])
-    v2 = np.concatenate([np.zeros(base.dim), np.eye(base.dim)[-1]])
-    cg_domega = []
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng, weights=pair)
-        vecs = [rng.standard_normal(n2) for _ in range(3)]
-        forms = _forms(base, pair, P.q, vecs, ctx.h)
-        res.residuals.append(abs(_domega(forms, P.q, vecs, ctx.h)))
-        res.residuals.append(abs(P.coeffs(pair).lee_coef))
-        forms = _forms(base, cg, P.q, [vh, v1, v2], ctx.h)
-        cg_domega.append(abs(_domega(forms, P.q, [vh, v1, v2], ctx.h)))
+    P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * m), weights=pair)
+    dom = _domega(_forms(base, pair, P.q, vecs, ctx.h), P.q, vecs, ctx.h)
+    res.residuals.extend(map(float, np.ravel([abs(dom), abs(P.coeffs(pair).lee_coef)], order="F")))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
-    res.controls.append(Control("cg_not_almost_kahler", float(np.max(cg_domega)), 1e-2, "min"))
+    vh, v1, v2 = np.eye(2 * m)[[0, m, 2 * m - 1]]
+    cg_domega = _domega(_forms(base, cg, P.q, [vh, v1, v2], ctx.h), P.q, [vh, v1, v2], ctx.h)
+    res.controls.append(Control("cg_not_almost_kahler", float(np.max(abs(cg_domega))), 1e-2, "min"))
 
 
 def _suite_kahler(ctx, rng, res):
@@ -254,41 +254,36 @@ def _suite_kahler(ctx, rng, res):
     c, kappa = -1.0, 2.0
     base = bg.SpaceForm(c, 2)
     pair = kahler_family(2, c, kappa)
-    n2 = 4
-    eqs, dom = [], []  # per sample, their maxima the controls
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng, weights=pair, base=base)
-        U = rng.standard_normal(n2)
-        V = rng.standard_normal(n2)
-        nij = orc.fd_nijenhuis(base, pair, P.q, U, V)
-        res.residuals.append(float(np.max(np.abs(nij))))
-        eqs.append(kahler_system_residuals(pair, P.t, c))
-        vecs = [rng.standard_normal(n2) for _ in range(3)]
-        dom_k, wed, dlee = _lck_terms(base, pair, P.q, vecs, ctx.h)
-        res.residuals.append(abs(dom_k - wed))
-        res.residuals.append(abs(dlee))
-        dom.append(abs(dom_k))
-    r13, r14 = np.max(np.abs(eqs), axis=0)
+    # per sample: the point, U and V of the Nijenhuis tensor, then v1, v2, v3
+    P, (U, V, *vecs) = _draw(ctx, rng, ctx.samples, (5, 4), weights=pair, base=base)
+    nij = np.max(np.abs(orc.fd_nijenhuis(base, pair, P.q, U, V)), axis=-1)
+    dom, wed, dlee = _lck_terms(base, pair, P.q, vecs, ctx.h)
+    res.residuals.extend(map(float, np.ravel([nij, abs(dom - wed), abs(dlee)], order="F")))
+    r13, r14 = np.max(np.abs(kahler_system_residuals(pair, P.t, c)), axis=-1)
     res.controls.append(Control("eq13_residual", float(r13), 1e-10, "max"))
     res.controls.append(Control("eq14_residual", float(r14), 1e-10, "max"))
-    res.controls.append(Control("not_closed", float(np.max(dom)), 1e-2, "min"))
+    res.controls.append(Control("not_closed", float(np.max(abs(dom))), 1e-2, "min"))
+
+
+def _lift_connections(w, P, X, Y, cases, h):
+    """Per case, the largest |closed - FD| component of nabla on the lifts of X and Y at
+    each row of P: the closed form against the lift fields differenced on the oracle
+    connection, from one ``fd_connection`` call and one evaluation of X^H and X^V at P."""
+    base = P.base
+    gamma = orc.fd_connection(orc.InducedMetric(base, w), P.q, h=h)
+    U = {k: orc.lift_field(base, X, k)(P.q) for k in dict.fromkeys(c[0] for c in cases)}
+    out = []
+    for case in cases:
+        closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
+        num = orc.fd_lift_connection(gamma, P.q, U[case[0]], orc.lift_field(base, Y, case[1]), h=h)
+        out.append(np.max(np.abs(closed - num), axis=-1))
+    return out
 
 
 def _suite_connection(ctx, rng, res):
-    base, w = ctx.base, ctx.weights
-    im = orc.InducedMetric(base, w)
-    for _ in range(ctx.samples):
-        P = ctx.sample_point(rng)
-        X = rng.standard_normal(base.dim)
-        Y = rng.standard_normal(base.dim)
-        gamma = orc.fd_connection(im, P.q, h=ctx.h)
-        lifts = {k: (orc.lift_field(base, X, k), orc.lift_field(base, Y, k)) for k in "HV"}
-        for case in ("HH", "HV", "VH", "VV"):
-            closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
-            num = orc.fd_lift_connection(
-                gamma, P.q, lifts[case[0]][0], lifts[case[1]][1], h=ctx.h
-            )
-            res.residuals.append(float(np.max(np.abs(closed - num))))
+    P, (X, Y) = _draw(ctx, rng, ctx.samples, (2, ctx.base.dim))
+    cols = _lift_connections(ctx.weights, P, X, Y, ("HH", "HV", "VH", "VV"), ctx.h)
+    res.residuals.extend(map(float, np.ravel(cols, order="F")))
 
 
 _SLOT_CASES = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
@@ -298,19 +293,16 @@ def _suite_curvature(ctx, rng, res):
     base, w, m = ctx.base, ctx.weights, ctx.base.dim
     im = orc.InducedMetric(base, w)
     # per sample: the point, X, Y, Z, then (h, v) of the random split vectors U, V, W, S
-    pts, draws = zip(*[(ctx.sample_point(rng), rng.standard_normal((11, m)))
-                       for _ in range(max(1, ctx.samples // 4))])
-    P = tb.TangentPoint.stack(pts)
-    X, Y, Z, *hv = np.moveaxis(np.array(draws), 1, 0)
+    P, (X, Y, Z, *hv) = _draw(ctx, rng, max(1, ctx.samples // 4), (11, m))
     closed = [orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
               for case in _SLOT_CASES]
     lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
-    for i, q in enumerate(P.q):
-        Rhat = orc.fd_curvature(im, q, h=ctx.h)
-        for case, cl in zip(_SLOT_CASES, closed):
-            Uc, Vc, Wc = (lifts[k][n][i] for n, k in enumerate(case))
-            num = np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)
-            res.residuals.append(float(np.max(np.abs(cl[i] - num))))
+    Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
+    cols = []
+    for case, cl in zip(_SLOT_CASES, closed):
+        Uc, Vc, Wc = (lifts[k][n] for n, k in enumerate(case))
+        cols.append(np.max(np.abs(cl - _rop(Rhat, Uc, Vc, Wc)), axis=-1))
+    res.residuals.extend(map(float, np.ravel(cols, order="F")))
     # closed-form curvature symmetries + first Bianchi on random splits
     U, V, W, S = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
 
@@ -330,16 +322,13 @@ def _suite_curvature(ctx, rng, res):
 def _suite_flat_g1(ctx, rng, res):
     base, w, m = ctx.base, ctx.weights, ctx.base.dim
     im = orc.InducedMetric(base, w)
-    pts, draws = zip(*[(ctx.sample_point(rng, t_range=(0.01, 3.0)), rng.standard_normal((3, m)))
-                       for _ in range(ctx.samples)])
-    P = tb.TangentPoint.stack(pts)
-    X, Y, Z = np.moveaxis(np.array(draws), 1, 0)
+    P, (X, Y, Z) = _draw(ctx, rng, ctx.samples, (3, m), t_range=(0.01, 3.0))
     closed = [tb.bundle_curvature(w, base, P, case, X, Y, Z) for case in _SLOT_CASES]
     worst = np.max([np.abs(np.hstack([r.h, r.v])).max(axis=-1) for r in closed], axis=0)
-    for k, q in enumerate(P.q):
-        res.residuals.append(float(worst[k]))
-        if k < max(2, ctx.samples // 10):
-            res.residuals.append(float(np.max(np.abs(orc.fd_curvature(im, q, h=ctx.h)))))
+    k = min(ctx.samples, max(2, ctx.samples // 10))  # the samples the oracle checks too
+    fd = np.abs(orc.fd_curvature(im, P.q[:k], h=ctx.h)).reshape(k, -1).max(axis=1)
+    # per sample its closed-form maximum, then on the first k samples the oracle's
+    res.residuals.extend(map(float, [*np.ravel([worst[:k], fd], order="F"), *worst[k:]]))
 
 
 def _suite_sectional(ctx, rng, res):
@@ -487,36 +476,28 @@ def _suite_k_contact(ctx, rng, res):
 
 
 def _suite_oracle_cross(ctx, rng, res):
-    base, w = ctx.base, ctx.weights
+    base, w, m = ctx.base, ctx.weights, ctx.base.dim
     im = orc.InducedMetric(base, w)
     parts = {"connection": 1e-5, "curvature": 1e-4, "sectional": 1e-4, "scalar": 1e-4}
-    worst = {name: [] for name in parts}  # per sample, their maxima the residuals
-    for _ in range(max(2, ctx.samples // 4)):
-        P = ctx.sample_point(rng)
-        X = rng.standard_normal(base.dim)
-        Y = rng.standard_normal(base.dim)
-        closed = orc.split_to_coord(tb.bundle_connection(w, base, P, "HV", X, Y))
-        gamma = orc.fd_connection(im, P.q, h=ctx.h)
-        num = orc.fd_lift_connection(
-            gamma, P.q, orc.lift_field(base, X, "H"), orc.lift_field(base, Y, "V"), h=ctx.h
-        )
-        worst["connection"].append(float(np.max(np.abs(closed - num))))
-        Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
-        G = im.matrix(P.q)
-        U = tb.random_split_vector(P, rng)
-        V = tb.random_split_vector(P, rng)
-        Wv = tb.random_split_vector(P, rng)
-        cl = orc.split_to_coord(tb.bundle_curvature_general(w, base, P, U, V, Wv))
-        Uc, Vc, Wc = (orc.split_to_coord(z) for z in (U, V, Wv))
-        nm = np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)
-        worst["curvature"].append(float(np.max(np.abs(cl - nm))))
-        k_closed = tb.bundle_sectional(w, base, P, U, V)
-        num_k = float(np.einsum("hkij,k,i,j->h", Rhat, Vc, Uc, Vc) @ G @ Uc)
-        den_k = float((Uc @ G @ Uc) * (Vc @ G @ Vc) - (Uc @ G @ Vc) ** 2)
-        worst["sectional"].append(abs(k_closed - num_k / den_k))
-        ric = np.einsum("ikij->kj", Rhat)
-        scal_num = float(np.einsum("kj,kj->", np.linalg.inv(G), ric))
-        worst["scalar"].append(abs(tb.scalar_curvature(w, base, P) - scal_num))
+    # per sample: the point, X and Y, then (h, v) of the random split vectors U, V, W
+    P, (X, Y, *hv) = _draw(ctx, rng, max(2, ctx.samples // 4), (8, m))
+    worst = {"connection": _lift_connections(w, P, X, Y, ("HV",), ctx.h)[0]}
+    Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
+    G = im.matrix(P.q)
+    U, V, Wv = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
+    cl = orc.split_to_coord(tb.bundle_curvature_general(w, base, P, U, V, Wv))
+    Uc, Vc, Wc = (orc.split_to_coord(z) for z in (U, V, Wv))
+    worst["curvature"] = np.max(np.abs(cl - _rop(Rhat, Uc, Vc, Wc)), axis=-1)
+    k_closed = tb.bundle_sectional(w, base, P, U, V)
+
+    def g(A, B):
+        return np.vecdot(bg._vg(A, G), B)
+
+    num_k = g(_rop(Rhat, Uc, Vc, Vc), Uc)
+    worst["sectional"] = abs(k_closed - num_k / (g(Uc, Uc) * g(Vc, Vc) - g(Uc, Vc) ** 2))
+    ric = np.einsum("...ikij->...kj", Rhat)
+    scal_num = np.einsum("...kj,...kj->...", np.linalg.inv(G), ric)
+    worst["scalar"] = abs(tb.scalar_curvature(w, base, P) - scal_num)
     for name, t0 in parts.items():
         top = float(np.max(worst[name]))
         res.residuals.append(top / t0)

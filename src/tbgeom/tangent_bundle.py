@@ -289,30 +289,25 @@ def bundle_connection(w, base, P, case, X, Y):
 
     ``case`` selects the slot pattern: "HH" is nabla_{X^H} Y^H, "HV" is
     nabla_{X^H} Y^V, "VH" nabla_{X^V} Y^H, "VV" nabla_{X^V} Y^V; X and Y are
-    constant-coefficient base fields at the chart point.
+    constant-coefficient base fields at the chart point, one per row of a stacked P.
     """
     check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     d = P.coeffs(w)
-    a = d.values.a
-    gu, R = P.gu, P.R
+    a, L, M, N = (np.asarray(c)[..., None] for c in (d.values.a, d.L, d.M, d.N))
+    gu, R, u = P.gu, P.R, P.u
     if case in ("HH", "HV"):
-        nab = np.einsum("kij,i,j->k", P.gamma, X, Y)
+        nab = np.einsum("...kij,...i,...j->...k", P.gamma, X, Y)
     if case == "HH":
-        return SplitVector(nab, -0.5 * _rop(R, X, Y, P.u), P)
+        return SplitVector(nab, -0.5 * _rop(R, X, Y, u), P)
     if case == "HV":
-        return SplitVector(0.5 * a * _rop(R, P.u, Y, X), nab, P)
+        return SplitVector(0.5 * a * _rop(R, u, Y, X), nab, P)
     if case == "VH":
-        return SplitVector.horizontal(0.5 * a * _rop(R, P.u, X, Y), P)
+        return SplitVector.horizontal(0.5 * a * _rop(R, u, X, Y), P)
     if case == "VV":
-        gxu = float(X @ gu)
-        gyu = float(Y @ gu)
-        vec = (
-            d.L * (gxu * Y + gyu * X)
-            + d.M * float(X @ P.gx @ Y) * P.u
-            + d.N * gxu * gyu * P.u
-        )
+        gxu, gyu = _dot(X, gu), _dot(Y, gu)
+        vec = L * (gxu * Y + gyu * X) + M * _dot(bg._vg(X, P.gx), Y) * u + N * gxu * gyu * u
         return SplitVector.vertical(vec, P)
     raise ValueError(f"unknown connection case {case!r}")
 

@@ -208,7 +208,7 @@ def test_criterion_06_connection_curvature_oracle():
         num = orc.fd_lift_connection(
             orc.fd_connection(im, q),
             q,
-            orc.lift_field(base, X, case[0]),
+            orc.lift_field(base, X, case[0])(q),
             orc.lift_field(base, Y, case[1]),
         )
         worst_conn = max(worst_conn, float(np.max(np.abs(closed - num))))

@@ -4,7 +4,9 @@
 (``LAYER_SPANS``, ``SPHERE_ENTRY`` and the names in the ``TOTALS``
 predicates).  A tbgeom function renamed or made private would leave its
 metric at zero without an error, so each of those names must be a span name
-that ``bench/tracer.py`` gives.  Both files are read, not changed.
+that ``bench/tracer.py`` gives.  The probes of ``--trace 1`` (per-call timings
+and the traced ``fd_curvature`` counts) must run on the current API.  Both
+files are read, not changed.
 """
 
 import ast
@@ -54,3 +56,24 @@ def test_every_span_name_the_benchmark_reads_is_traced():
     assert all(read.values())
     traced = traced_names()
     assert {k: sorted(names - traced) for k, names in read.items()} == dict.fromkeys(read, [])
+
+
+def test_the_trace_probes_run_once(monkeypatch):
+    child = load("child")
+
+    def one_call(fn, *args, **kwargs):
+        fn()
+        return 0.0
+
+    monkeypatch.setattr(child, "per_call_us", one_call)
+    timings = child.layer_timings()
+    assert timings and set(timings.values()) == {0.0}
+    tracer = load("tracer").Tracer()
+    tracer.install()
+    try:
+        counts = child.probe_counts(tracer)
+    finally:
+        tracer.uninstall()
+    assert sorted(counts) == sorted(f"oracle.fd_curvature.{k}.{m}" for k in
+                                    ("metric_evals", "christoffel_calls") for m in ("m2", "m3"))
+    assert counts["oracle.fd_curvature.metric_evals.m2"] > 0

@@ -194,6 +194,61 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def connection_context(samples):
+    return SuiteContext(base=bg.SpaceForm(1.0, 2), weights=named_family("cheeger_gromoll"),
+                        samples=samples, seed=3, h=1e-4, chart_box=np.tile([-0.4, 0.4], (2, 1)),
+                        fiber_range=(0.3, 1.5))
+
+
+def test_connection_suite_evaluates_one_stencil_table(monkeypatch):
+    rows = []
+    matrix = orc.InducedMetric.matrix
+
+    def counted(self, q):
+        rows.append(len(np.atleast_2d(q)))
+        return matrix(self, q)
+
+    monkeypatch.setattr(orc.InducedMetric, "matrix", counted)
+    ctx = connection_context(5)
+    assert run_suite("connection", ctx).passed
+    # one metric evaluation on the distinct points of every sample's stencil: the
+    # centre and 4 points along each of the 2m axes, as many rows as one call per
+    # sample evaluated in all
+    assert rows == [ctx.samples * (1 + 4 * 4)]
+
+
+def test_connection_suite_reads_gamma_once_per_horizontal_lift(monkeypatch):
+    rows = []
+    christoffel = bg.christoffel
+
+    def counted(metric, x):
+        rows.append(len(x))
+        return christoffel(metric, x)
+
+    monkeypatch.setattr(bg, "christoffel", counted)
+    ctx = connection_context(5)
+    assert run_suite("connection", ctx).passed
+    # X^H at the samples' points, once for the HH and HV cases, then Y^H on the
+    # 5-point stencil of every sample in the HH and the VH case
+    n = ctx.samples
+    assert rows == [n, 5 * n, 5 * n]
+
+
+def test_lck_suite_makes_one_chart_evaluation(monkeypatch):
+    sizes = []
+    derived = orc.derived_coeffs
+
+    def counted(w, t):
+        sizes.append(np.size(t))
+        return derived(w, t)
+
+    monkeypatch.setattr(orc, "derived_coeffs", counted)
+    ctx = connection_context(5)
+    assert run_suite("lck", ctx).passed
+    # the samples' points and the 12 points of each dOmega stencil, as one stack
+    assert sizes == [ctx.samples * 13]
+
+
 def sphere_context(samples):
     return SuiteContext(base=bg.SpaceForm(1.0, 3), weights=named_family("cheeger_gromoll"),
                         samples=samples, seed=3, h=1e-4, chart_box=np.tile([-0.4, 0.4], (3, 1)),
@@ -295,12 +350,24 @@ def test_non_finite_residual_fails_its_suite(residuals):
     assert SuiteResult("x", "a", 1e-6, residuals=[1e-12, 1e-9]).passed
 
 
+def test_histogram_counts_every_residual_non_finite_ones_in_the_top_bin():
+    rep = SuiteResult("x", "a", 1e-5, residuals=[1e-7, math.nan, 2.0, -math.inf]).as_dict()
+    counts = rep["histogram"]["counts"]
+    assert sum(counts) == rep["n_samples"] == 4
+    # 1e-7 in [-7, -6); 2.0 clipped to 0, and the NaN and -inf with it, in the top bin
+    assert counts[9] == 1 and counts[-1] == 3
+
+
 def test_non_finite_control_fails_its_suite():
     for require, bound in (("min", 1e-2), ("max", 1e-2)):
         for value in (math.nan, math.inf):
             control = Control("c", value, bound, require)
             assert not control.ok
             assert not SuiteResult("x", "a", 1e-6, residuals=[1e-12], controls=[control]).passed
+
+
+# where one call covers several samples, the axis of its output that runs over them
+SAMPLE_AXIS = {"fd_curvature": 0, "kahler_system_residuals": -1}
 
 
 @pytest.mark.parametrize("suite,owner,name", [
@@ -310,19 +377,26 @@ def test_non_finite_control_fails_its_suite():
 ])
 def test_a_nan_after_a_finite_value_fails_its_suite(monkeypatch, suite, owner, name):
     # a suite's maximum over its samples must keep a NaN that follows finite values
-    original, calls = getattr(owner, name), []
+    original, samples = getattr(owner, name), []
 
-    def nan_after_the_first_call(*args, **kwargs):
-        out = original(*args, **kwargs)
-        calls.append(name)
-        return out if len(calls) == 1 else np.full(np.shape(out), np.nan)
+    def nan_after_the_first_sample(*args, **kwargs):
+        out = np.array(original(*args, **kwargs), dtype=float)
+        axis = SAMPLE_AXIS.get(name)
+        if axis is None:  # one sample per call: NaN from the second call on
+            if samples:
+                out[...] = np.nan
+            samples.append(1)
+        else:  # every sample after the first
+            np.moveaxis(out, axis, 0)[1:] = np.nan
+            samples.append(out.shape[axis])
+        return out
 
-    monkeypatch.setattr(owner, name, nan_after_the_first_call)
+    monkeypatch.setattr(owner, name, nan_after_the_first_sample)
     ctx = SuiteContext(base=bg.SpaceForm(1.0, 2), weights=named_family("cheeger_gromoll"),
                        samples=2, seed=3, h=1e-4, chart_box=np.tile([-0.4, 0.4], (2, 1)),
                        fiber_range=(0.3, 1.5))
     res = run_suite(suite, ctx)
-    assert len(calls) >= 2 and res.error is None
+    assert sum(samples) >= 2 and res.error is None
     assert not res.passed
 
 

@@ -91,7 +91,8 @@ def test_fd_connection_symmetry_and_closed_form_agreement():
     P = tb.tangent_point(SF1, q[:2], q[2:])
     X, Y = rng.standard_normal(2), rng.standard_normal(2)
     closed = orc.split_to_coord(tb.bundle_connection(CG, SF1, P, "HH", X, Y))
-    num = orc.fd_lift_connection(gam, q, orc.lift_field(SF1, X, "H"), orc.lift_field(SF1, Y, "H"))
+    U = orc.lift_field(SF1, X, "H")(q)
+    num = orc.fd_lift_connection(gam, q, U, orc.lift_field(SF1, Y, "H"))
     assert np.max(np.abs(closed - num)) <= 1e-5
 
 
@@ -436,7 +437,8 @@ def test_horizontal_lift_reads_one_christoffel_per_distinct_x(monkeypatch):
     U0 = np.concatenate([np.zeros(2), X])
     expected = orc.fd_directional(plain_h, q, U0) + np.einsum("kij,i,j->k", gamma, U0, plain_h(q))
     calls = count_calls(monkeypatch, bg, "christoffel")
-    got = orc.fd_lift_connection(gamma, q, orc.lift_field(SF1, X, "V"), orc.lift_field(SF1, Y, "H"))
+    U = orc.lift_field(SF1, X, "V")(q)
+    got = orc.fd_lift_connection(gamma, q, U, orc.lift_field(SF1, Y, "H"))
     # the field at q and at the four stencil points along the vertical (0, X) share x
     assert len(calls) == 1
     assert got.tobytes() == expected.tobytes()
@@ -502,16 +504,17 @@ def test_connection_suite_makes_one_fd_connection_call_per_sample(monkeypatch):
     calls = []
     fd_connection = orc.fd_connection
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return fd_connection(*args, **kwargs)
+    def counted(metric, q, *args, **kwargs):
+        calls.append(np.shape(q))
+        return fd_connection(metric, q, *args, **kwargs)
 
     monkeypatch.setattr(orc, "fd_connection", counted)
     ctx = SuiteContext(base=SF1, weights=CG, samples=3, seed=0, h=1e-4,
                        chart_box=np.tile([-0.4, 0.4], (2, 1)), fiber_range=(0.3, 1.5))
     res = run_suite("connection", ctx)
     assert res.error is None and res.passed
-    assert len(calls) == ctx.samples
+    # one call on the stack of the samples' points, one row per sample
+    assert calls == [(ctx.samples, 4)]
 
 
 @pytest.mark.parametrize("fn", [orc.j_matrix, orc.omega_matrix, orc.lee_covector])

@@ -8,7 +8,8 @@ repeated points and rows that share x, and a bad row must raise the single
 call's error, naming its own point.  A stacked ``TangentPoint`` reads its jets
 from one such call, and every closed form a suite evaluates on it, on the
 tangent bundle or on a sphere bundle, must equal the single-point call on each
-row.
+row.  So must the oracle on a stack of points (one stencil table for all rows),
+and a single point keeps the unstacked shape.
 """
 
 import re
@@ -24,7 +25,7 @@ from tbgeom import base_geometry as bg  # noqa: E402
 from tbgeom import oracle as orc  # noqa: E402
 from tbgeom import sphere_bundle as sb  # noqa: E402
 from tbgeom import tangent_bundle as tb  # noqa: E402
-from tbgeom.suites import SuiteContext, run_suite  # noqa: E402
+from tbgeom.suites import SuiteContext, _lck_terms, run_suite  # noqa: E402
 from tbgeom.weights import kahler_family, named_family  # noqa: E402
 
 DIAG_POLY3 = bg.diagonal_polynomial(
@@ -131,6 +132,8 @@ def closed_forms(w, base, P, X, Y, Z, U, V, W):
     return {
         "metric": tb.bundle_metric(w, P, U, V),
         **{c: (lambda r: (r.h, r.v))(tb.bundle_curvature(w, base, P, c, X, Y, Z)) for c in cases},
+        **{c: (lambda r: (r.h, r.v))(tb.bundle_connection(w, base, P, c, X, Y))
+           for c in ("HH", "HV", "VH", "VV")},
         "general": (lambda r: (r.h, r.v))(tb.bundle_curvature_general(w, base, P, U, V, W)),
         "sectional": tb.bundle_sectional(w, base, P, U, V),
         "area": tb.area_squared(w, P, U, V),
@@ -222,3 +225,45 @@ def test_a_stack_evaluates_the_jets_once_at_its_distinct_x(monkeypatch):
                        h=1e-4, chart_box=np.tile([-0.4, 0.4], (3, 1)), fiber_range=(0.3, 1.5))
     assert run_suite("sphere_bundle", ctx).passed
     assert [r for r in rows if r[1] == 3] == [(2, 3)]
+
+
+def shared_x_points(base, rng, radius=(0.1, 0.8)):
+    """Four single points (x, u) of ``base``, two of them over one x."""
+    points = []
+    for x in rng.uniform(-0.4, 0.4, (3, base.dim))[[0, 1, 0, 2]]:
+        d = rng.standard_normal(base.dim)
+        u = np.sqrt(2 * rng.uniform(*radius)) * d / np.sqrt(d @ base.matrix(x) @ d)
+        points.append(tb.tangent_point(base, x, u))
+    return points
+
+
+def stacked_oracle(base, w, q, X, Y, U, V, vecs):
+    """Every oracle quantity a suite evaluates on a stack of points q (or at one point)."""
+    im = orc.InducedMetric(base, w)
+    m = base.dim
+    gamma = orc.fd_connection(im, q)
+    out = {"fd_connection": gamma,
+           "fd_connection(base)": orc.fd_connection(base, q[..., :m], h=1e-5, richardson=False),
+           "fd_curvature": orc.fd_curvature(im, q),
+           "fd_nijenhuis": orc.fd_nijenhuis(base, w, q, U, V)}
+    for case in ("HH", "HV", "VH", "VV"):
+        U0 = orc.lift_field(base, X, case[0])(q)
+        out[f"fd_lift_connection {case}"] = orc.fd_lift_connection(
+            gamma, q, U0, orc.lift_field(base, Y, case[1]))
+    out["lck_terms"] = _lck_terms(base, w, q, vecs, 1e-4)
+    return out
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_a_stacked_oracle_call_equals_its_single_calls(m):
+    base, w, rng = bg.SpaceForm(1.0, m), named_family("cheeger_gromoll"), np.random.default_rng(m)
+    q = np.array([P.q for P in shared_x_points(base, rng)])  # rows 0 and 2 share x
+    X, Y = rng.standard_normal((2, len(q), m))
+    U, V, *vecs = rng.standard_normal((5, len(q), 2 * m))
+    stacked = stacked_oracle(base, w, q, X, Y, U, V, vecs)
+    for i in range(len(q)):
+        single = stacked_oracle(base, w, q[i], X[i], Y[i], U[i], V[i], [v[i] for v in vecs])
+        for name, want in single.items():
+            # a single point keeps the unstacked shape; each row equals its call
+            assert np.shape(row(stacked[name], i)) == np.shape(want), name
+            assert hexes(row(stacked[name], i)) == hexes(want), f"row {i}: {name}"
