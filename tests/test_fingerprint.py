@@ -2,8 +2,9 @@
 
 ``residual_fingerprint.json`` holds ``float.hex`` of each residual and
 control value of ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with
-``samples`` overridden to 4, and of two inline m = 3 documents (``INLINE``):
-the stacked dOmega, Lee-form and d(eta) maps, and the closed-form suites.  A
+``samples`` overridden to 4, and of the inline documents (``INLINE``): two at
+m = 3 (the stacked dOmega, Lee-form and d(eta) maps, and the closed-form
+suites) and one over an m = 2 ``diagonal_polynomial`` base.  A
 change that claims to keep the numbers bit-identical is checked here; a change
 that moves them on purpose regenerates the file and says why.  Regenerate it
 from the repository root with
@@ -31,6 +32,17 @@ INLINE = {
         "base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
         "weights": {"name": "cheeger_gromoll"},
         "suites": ["base_checks", "curvature", "sectional", "scalar", "isometry", "k_contact"],
+    },
+    # the one base kind that is not a space form; positive definite on the default box
+    "cg_poly2": {
+        "base": {"kind": "diagonal_polynomial", "dim": 2, "params": {"entries": [
+            [{"c": 1.0, "powers": [0, 0]}, {"c": 0.3, "powers": [1, 0]},
+             {"c": 0.5, "powers": [0, 2]}],
+            [{"c": 1.0, "powers": [0, 0]}, {"c": 1.0, "powers": [2, 0]},
+             {"c": 0.2, "powers": [1, 1]}],
+        ]}},
+        "weights": {"name": "cheeger_gromoll"},
+        "suites": ["base_checks", "connection", "curvature", "lck"],
     },
 }
 CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)
