@@ -63,22 +63,27 @@ class ChartMetric:
 
     def check_domain(self, x):
         """x as a float array, checked to be a point of the chart, or each row of an
-        (n, m) stack to be one; an error names the first point outside."""
+        (n, m) stack to be one, by one call of ``domain`` (which takes a point or a
+        stack and returns one verdict per row); an error names the first point outside."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != (self.dim,) or x.ndim > 2:
             raise ChartDomainError(f"point shape {x.shape} != ({self.dim},) or (n, {self.dim})")
         if self.domain is not None:
-            for p in x if x.ndim == 2 else (x,):
-                if not self.domain(p):
-                    raise ChartDomainError(f"{self.name}: point {p} outside chart domain")
+            inside = np.ravel(self.domain(x))
+            if not inside.all():
+                p = np.reshape(x, (-1, self.dim))[inside.argmin()]
+                raise ChartDomainError(f"{self.name}: point {p} outside chart domain")
         return x
 
     def matrix(self, x):
+        """Components g_ij at x, or at each row of an (n, m) stack from one evaluation
+        of ``components`` on the stack's columns, each row equal to the single call."""
         x = self.check_domain(x)
-        rows = self.components(list(x))
-        g = np.array(
-            [[e.v if isinstance(e, Jet) else float(e) for e in row] for row in rows]
-        )
+        rows = self.components(list(np.moveaxis(x, -1, 0)))
+        g = np.zeros(x.shape[:-1] + (self.dim, self.dim))
+        for i, row in enumerate(rows):
+            for j, e in enumerate(row):
+                g[..., i, j] = e.v if isinstance(e, Jet) else e
         return g
 
     def derivatives(self, x, order=3):
@@ -136,7 +141,7 @@ class SpaceForm(ChartMetric):
             ]
 
         def domain(x):
-            return 1.0 + (c / 4.0) * float(np.dot(x, x)) > 0.0
+            return 1.0 + (c / 4.0) * np.vecdot(x, x) > 0.0
 
         super().__init__(dim, components, domain=domain, name=f"space_form(c={c})")
         self.curvature = c
@@ -212,7 +217,7 @@ def _distinct(points):
 
 def _readonly(out):
     # the arrays of out (one, or a tuple) made read-only, so a stray write to an array
-    # kept by a stencil table or a tangent point raises instead of corrupting a later read
+    # a tangent point keeps raises instead of corrupting a later read
     for a in out if isinstance(out, tuple) else (out,):
         a.flags.writeable = False
     return out

@@ -5,17 +5,19 @@ bundle metric is realized as an explicit 2m x 2m component matrix and all
 derived objects (connection, curvature, exterior derivatives, Nijenhuis
 tensor) are obtained by central finite differences with one Richardson
 extrapolation step.  This module is the only place that differences on a
-chart: every derivative goes through ``_central``, and the connection and
-curvature of any metric with ``matrix(q)`` (the induced metric or a base
-``ChartMetric``) through ``fd_connection`` and ``fd_curvature``, which
-evaluate each distinct stencil point once per call.
-For an ``InducedMetric`` the call's whole stencil goes to ``matrix`` as one
-stack of distinct points, whose rows equal single calls bit for bit; the
-stack's distinct base points x are evaluated as one stack of first-order
-jets (``ChartMetric.derivatives`` on an (n, m) stack).  Stencils of other
-maps are built by ``_stencil`` along given directions, with the points
-``_central`` steps to, and ``_once(fun, points)`` evaluates a map at their
-distinct points as one stack and serves each point's row by its exact bytes.
+chart, and every derivative follows one pattern: ``_stencil`` lays out the
+call's stencil as one array (q, then the points stepped to along each
+direction, on axis 0), ``_evaluate`` runs the map once on the array's
+distinct rows and lays the values out as the points are, and ``_quotients``
+differences the values by their position in the stencil.  ``fd_connection``
+is the metric on the coordinate stencil, differenced into the Levi-Civita
+symbols; ``fd_curvature`` is the same rule applied to the connection on the
+outer stencil, with the metric of all inner stencils evaluated as one stack.
+The metric is any object with ``matrix(q)`` on a stack of points: the
+induced metric, whose stack's distinct base points x are evaluated as one
+stack of first-order jets, or a base ``ChartMetric``.  The public callables
+(``fd_directional``, ``fd_exterior_derivative``) evaluate their function at
+each stencil point, a point or a stack, and feed the same quotient rule.
 ``_chart_point`` takes a point q or an (n, 2m) stack: one stacked base
 evaluation at the distinct x, as in ``InducedMetric.matrix``, and one weight
 evaluation on the array of t; J, Omega and the Lee form act on its stack axes.
@@ -183,120 +185,97 @@ def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
     return (om[0] * Om[0] + om[1] * Om[1] + om[2] * Om[2]) / 3.0
 
 
-def _pair(q, v, h):
-    # the two points q + h v and q - h v of a central quotient
-    step = h * v
-    return q + step, q - step
-
-
-def _central(fun, q, v, h):
-    """Central quotient (fun(q + h v) - fun(q - h v)) / 2h along v, at a point q or
-    row by row on an (n, k) stack (v one direction, or one per row)."""
-    up, down = _pair(q, v, h)
-    if h <= 0 or (np.all(up == q, axis=-1) & np.any(v, axis=-1)).any():
-        raise ValueError(f"differencing step {h} underflows at {q}")
-    return (fun(up) - fun(down)) / (2 * h)
-
-
-def _derivative(fun, q, v, h, richardson):
-    """Derivative along v: the central quotient, Richardson-extrapolated once
-    as (4 D(h/2) - D(h)) / 3 unless ``richardson`` is false."""
-    d1 = _central(fun, q, v, h)
-    if not richardson:
-        return d1
-    return (4.0 * _central(fun, q, v, h / 2) - d1) / 3.0
-
-
-def _partials(fun, q, h, richardson):
-    """Coordinate partials on an axis of their own: out[k] = d_k fun(q) at a point q,
-    out[i, k] = d_k fun(q_i) on an (n, k) stack."""
-    parts = [_derivative(fun, q, e, h, richardson) for e in np.eye(q.shape[-1])]
-    return np.stack(parts, axis=q.ndim - 1)
-
-
-def _stencil(q, vectors, h, richardson):
-    """q and every point ``_derivative`` evaluates around it along each of ``vectors``
-    (``_partials``: the coordinate axes), built as ``_central`` builds them; at an
-    (n, k) stack each entry is a stack, and a vector may hold one direction per row."""
+def _stencil(q, vectors, h, richardson=True):
+    """q and every point the quotient rule steps to along each of ``vectors``, as one
+    array with the stencil on axis 0: q, then per direction q + s v and q - s v at
+    s = h and (with ``richardson``) s = h/2.  q may be a point or a stack of them, and
+    a direction may be one vector or one per row; a step that does not move q raises."""
     steps = (h, h / 2) if richardson else (h,)
-    return [q] + [p for v in vectors for s in steps for p in _pair(q, v, s)]
+    points = [q]
+    for v in vectors:
+        for s in steps:
+            up, down = q + s * v, q - s * v
+            if s <= 0 or (np.all(up == q, axis=-1) & np.any(v, axis=-1)).any():
+                raise ValueError(f"differencing step {s} underflows at {q}")
+            points += [up, down]
+    return np.stack(np.broadcast_arrays(*points))
 
 
-def _once(fun, points=()):
-    """``fun(p)`` once per distinct point p, keyed on its exact bytes, with read-only
-    arrays; at an (n, k) stack of points the rows are served as one stack.  ``points``
-    (points, or stacks of them) are evaluated up front as one stack of their distinct
-    rows, for a ``fun`` that takes a point or an (n, k) stack; their entries are its
-    read-only rows (a tuple of rows where ``fun`` returns a tuple)."""
-    seen = {}
-    if len(points):
-        qs = np.asarray(points)
-        qs = bg._distinct(qs.reshape(-1, qs.shape[-1]))[0]
-        out = bg._readonly(fun(qs))
-        seen.update(zip((p.tobytes() for p in qs), zip(*out) if isinstance(out, tuple) else out))
-
-    def row(p):
-        key = p.tobytes()
-        if key not in seen:
-            seen[key] = bg._readonly(fun(p))
-        return seen[key]
-
-    # not recursive: a closure that calls itself is a reference cycle, which would keep
-    # the table alive until the garbage collector runs instead of until the call returns
-    def once(p):
-        if p.ndim == 1:
-            return row(p)
-        rows = [row(r) for r in p]
-        return tuple(map(np.stack, zip(*rows))) if isinstance(rows[0], tuple) else np.stack(rows)
-
-    return once
+def _evaluate(fun, points):
+    """``fun`` at every point of an array of points, evaluated once as one stack of their
+    distinct rows and laid out as the points are (a tuple where ``fun`` returns one)."""
+    rows, index = bg._distinct(points.reshape(-1, points.shape[-1]))
+    out = fun(rows)
+    lead = points.shape[:-1]
+    if isinstance(out, tuple):
+        return tuple(a[index].reshape(lead + a.shape[1:]) for a in out)
+    return out[index].reshape(lead + out.shape[1:])
 
 
-class _CallView:
-    """One oracle call's view of a metric: ``matrix(q)`` once per distinct q and, for
-    an ``InducedMetric``, the call's ``stencil`` (of every row of a stacked call)
-    evaluated up front as one stack (so (g(x), Gamma(x)) once per distinct x).  Made
-    on entry to ``fd_connection`` / ``fd_curvature``, reused by nested calls, dropped
-    on return."""
+def _quotients(values, h, richardson=True):
+    """The derivative along each direction of a stencil, on axis 0, from the values at
+    the points it steps to (``_stencil`` without q, on axis 0): the central quotient
+    (f(q + s v) - f(q - s v)) / 2s, Richardson-extrapolated once as (4 D(h/2) - D(h)) / 3
+    unless ``richardson`` is false."""
+    values = np.asarray(values)
+    steps = np.array((h, h / 2) if richardson else (h,))
+    pairs = values.reshape((-1, len(steps), 2) + values.shape[1:])
+    d = (pairs[:, :, 0] - pairs[:, :, 1]) / (2 * steps).reshape((-1,) + (1,) * (values.ndim - 1))
+    return (4.0 * d[:, 1] - d[:, 0]) / 3.0 if richardson else d[:, 0]
 
-    def __init__(self, metric, stencil):
-        self.matrix = _once(metric.matrix, stencil if isinstance(metric, InducedMetric) else ())
+
+def _connection(G, points, h, richardson):
+    # Christoffel symbols at ``points`` (a point, or any stack) from the metric components
+    # G on the coordinate stencil of each, the stencil on axis 0
+    for cond, p in zip(np.ravel(np.linalg.cond(G[0])), np.reshape(points, (-1, points.shape[-1]))):
+        if cond > 1e8:
+            warnings.warn(f"metric conditioning {cond:.2e} at {p}")
+    dG = np.moveaxis(_quotients(G[1:], h, richardson), 0, -3)
+    return bg._levi_civita(np.linalg.inv(G[0]), dG)
+
+
+def _metric_and_connection(metric, q, h, richardson=True):
+    # the components at q and ``fd_connection``, from one evaluation of the coordinate stencil
+    q = np.asarray(q, dtype=float)
+    G = _evaluate(metric.matrix, _stencil(q, np.eye(q.shape[-1]), h, richardson))
+    return G[0], _connection(G, q, h, richardson)
 
 
 def fd_connection(metric, q, h=1e-4, richardson=True):
     """Finite-difference Christoffel symbols of any metric with ``matrix(q)``, at q or
     at each row of an (n, k) stack (a leading axis of n rows, each equal to the call
-    at its point bit for bit)."""
-    q = np.asarray(q, dtype=float)
-    if not isinstance(metric, _CallView):
-        metric = _CallView(metric, _stencil(q, np.eye(q.shape[-1]), h, richardson))
-    G = metric.matrix(q)
-    for cond, p in zip(np.atleast_1d(np.linalg.cond(G)), np.reshape(q, (-1, q.shape[-1]))):
-        if cond > 1e8:
-            warnings.warn(f"metric conditioning {cond:.2e} at {p}")
-    dG = _partials(metric.matrix, q, h, richardson)
-    return bg._levi_civita(np.linalg.inv(G), dG)
+    at its point bit for bit), from one ``matrix`` call on the stencil's distinct points."""
+    return _metric_and_connection(metric, q, h, richardson)[1]
 
 
 def fd_curvature(metric, q, h=1e-4, richardson=True):
     """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing),
-    at q or at each row of an (n, k) stack, from one stencil table for all rows."""
+    at q or at each row of an (n, k) stack: the connection at each point of the coordinate
+    stencil of q, from one ``matrix`` call on the distinct points of all their stencils."""
     q = np.asarray(q, dtype=float)
     axes = np.eye(q.shape[-1])
-    stencil = [p for s in _stencil(q, axes, h, richardson)
-               for p in _stencil(s, axes, h, richardson)]
-    view = _CallView(metric, stencil)
-
-    def conn(p):
-        return fd_connection(view, p, h=h, richardson=richardson)
-
-    return bg._curvature_from(conn(q), _partials(conn, q, h, richardson))
+    outer = _stencil(q, axes, h, richardson)
+    G = _evaluate(metric.matrix, _stencil(outer, axes, h, richardson))
+    gamma = _connection(G, outer, h, richardson)
+    dgamma = np.moveaxis(_quotients(gamma[1:], h, richardson), 0, -4)
+    return bg._curvature_from(gamma[0], dgamma)
 
 
 def fd_directional(fun, q, v, h=1e-4, richardson=True):
-    """Directional derivative of a scalar- or array-valued function."""
+    """Directional derivative of a scalar- or array-valued function, evaluated at each
+    point the quotient rule steps to (a point, or a stack where q is one)."""
     q = np.asarray(q, dtype=float)
-    return _derivative(fun, q, np.asarray(v, dtype=float), h, richardson)
+    points = _stencil(q, [np.asarray(v, dtype=float)], h, richardson)[1:]
+    return _quotients([fun(p) for p in points], h, richardson)[0]
+
+
+def _alternating(along, vectors):
+    # the 1/(k+1)-normalized exterior derivative from along(i, rest): the derivative
+    # along vectors[i] of the form on the other vectors
+    vectors, total = list(vectors), 0.0
+    for i in range(len(vectors)):
+        total += (-1.0) ** i * along(i, vectors[:i] + vectors[i + 1 :])
+    return total / len(vectors)
 
 
 def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
@@ -307,16 +286,29 @@ def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
     """
     q = np.asarray(q, dtype=float)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
-    k1 = len(vectors)
-    total = 0.0
-    for i, vi in enumerate(vectors):
-        rest = vectors[:i] + vectors[i + 1 :]
 
-        def slot(p, _rest=rest):
-            return form(p, *_rest)
+    def along(i, rest):
+        return fd_directional(lambda p: form(p, *rest), q, vectors[i], h=h, richardson=richardson)
 
-        total += (-1.0) ** i * fd_directional(slot, q, vi, h=h, richardson=richardson)
-    return total / k1
+    return _alternating(along, vectors)
+
+
+def _stencil_values(fun, q, vectors, h):
+    """``fun`` (a map of a stack of points) at q, as entry 0, and at the points of the
+    exterior-derivative stencil along ``vectors``, evaluated once at their distinct rows;
+    ``_exterior`` reads the rest by position."""
+    return _evaluate(fun, _stencil(q, vectors, h))
+
+
+def _exterior(values, form, vectors, h):
+    """``fd_exterior_derivative`` of the k-form ``form(value, v_1, .., v_k)`` of a map's
+    values, from the values of ``_stencil_values`` along a list of vectors that begins
+    with ``vectors``; each form value is taken before the quotient, as there."""
+
+    def along(i, rest):
+        return _quotients(form(values[1 + 4 * i : 5 + 4 * i], *rest), h)[0]
+
+    return _alternating(along, vectors)
 
 
 def fd_nijenhuis(base, w, q, U, V, h=1e-5):
@@ -326,12 +318,9 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     J0 = j_matrix(base, w, q)
     JU, JV = bg._gv(J0, U), bg._gv(J0, V)
     # J at the 16 points the four directional derivatives step to, as one stack
-    J = _once(lambda p: _j_matrix(*_chart_point(base, w, p)),
-              _stencil(q, [JU, JV, U, V], h, True)[1:])
-    dJ_JU = fd_directional(J, q, JU, h=h)
-    dJ_JV = fd_directional(J, q, JV, h=h)
-    dJ_U = fd_directional(J, q, U, h=h)
-    dJ_V = fd_directional(J, q, V, h=h)
+    stencil = _stencil(q, [JU, JV, U, V], h)[1:]
+    J = _evaluate(lambda p: _j_matrix(*_chart_point(base, w, p)), stencil)
+    dJ_JU, dJ_JV, dJ_U, dJ_V = _quotients(J, h)
     # N = [JU,JV] - J[JU,V] - J[U,JV]  (constant fields, [U,V] = 0), with
     # [JU,JV] = (D_{JU} J)V - (D_{JV} J)U, [JU,V] = -(D_V J)U, [U,JV] = (D_U J)V
     gv = bg._gv
@@ -364,7 +353,5 @@ def fd_lift_connection(gamma, q, U, Vfield, h=1e-4):
     (for example ``fd_connection(im, q)``).  V, which must take a stack of points, is
     evaluated on the stencil along U of every row as one stack."""
     q, U = (np.asarray(a, dtype=float) for a in (q, U))
-    stencil = _stencil(q, [U], h, True)
-    V = dict(zip((p.tobytes() for p in stencil), Vfield(np.stack(stencil))))
-    dV = fd_directional(lambda p: V[p.tobytes()], q, U, h=h)
-    return dV + np.einsum("...kij,...i,...j->...k", gamma, U, V[q.tobytes()])
+    V = Vfield(_stencil(q, [U], h))
+    return _quotients(V[1:], h)[0] + np.einsum("...kij,...i,...j->...k", gamma, U, V[0])

@@ -47,19 +47,24 @@ _KCONTACT_TOL = 1e-8  # largest K-contact / Sasakian residual of a positive verd
 
 
 def sphere_point(base, x, u, r=None):
-    """Point of the radius-r sphere bundle: a TangentPoint with t = r^2/2.
+    """Point of the radius-r sphere bundle: a TangentPoint with t = r^2/2, or a stacked
+    one at (n, m) stacks of x and u (r one radius, or one per row), with the base
+    metric validated once on the stack.
 
-    ``r`` defaults to |u|; a given ``r`` must match |u| to 1e-12 in r^2.
+    ``r`` defaults to |u|; a given ``r`` must match |u| to 1e-12 in r^2 at every row.
     """
     x = np.asarray(x, dtype=float)
     u = np.asarray(u, dtype=float)
     gx = base.validate_at(x)
-    norm2 = float(u @ gx @ u)
+    norm2 = np.vecdot(bg._vg(u, gx), u)
     if r is None:
-        r = float(np.sqrt(norm2))
-    elif abs(norm2 - r * r) > 1e-12:
-        raise bg.GeometryError(f"|g(u,u) - r^2| = {abs(norm2 - r*r)} > 1e-12")
-    return tb.TangentPoint(base, x, u, gx, 0.5 * float(r) ** 2)
+        r = np.sqrt(norm2)
+    else:
+        r = np.broadcast_to(np.asarray(r, dtype=float), norm2.shape)
+        off = np.abs(norm2 - r * r)
+        if (off > 1e-12).any():
+            raise bg.GeometryError(f"|g(u,u) - r^2| = {off.max()} > 1e-12")
+    return tb.TangentPoint(base, x, u, gx, 0.5 * _pow(tb._scalar(r), 2))
 
 
 def _outer(a, b):
@@ -166,10 +171,10 @@ def isometry_residuals(base, w, points, r=None, rng=None):
     r_used = float(np.sqrt(a)) if r is None else float(r)
     m = base.dim
 
+    x, u = (np.array(a, dtype=float) for a in zip(*points))
+
     def structure(ww, rr):  # the rescaled structure of the radius-rr bundle over the points
-        P = tb.TangentPoint.stack([sphere_point(base, x, rr * np.asarray(u), r=rr)
-                                   for x, u in points])
-        return contact_structure(P, ww, rescaled=True)
+        return contact_structure(sphere_point(base, x, rr * u, r=rr), ww, rescaled=True)
 
     S_A, S_r = structure(w, 1.0), structure(_SASAKI, r_used)
     dF = np.concatenate([np.ones(m), r_used * np.ones(m)])  # the diagonal of the differential
@@ -233,22 +238,24 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
         return orc.lift_field(base, np.eye(m)[k], "H") if kind == "d" else y_field(k)
 
     U, V = field(case[0], i), field(case[1], j)
-    # one view of the ambient metric: its stencil stack holds G at P.q for the normal
-    ambient = orc._CallView(orc.InducedMetric(base, w), orc._stencil(P.q, np.eye(2 * m), h, True))
-    amb = orc.fd_lift_connection(orc.fd_connection(ambient, P.q, h), P.q, U(P.q), V, h)
+    # the ambient metric on the connection stencil, whose row at P also gives G for the normal
+    G, gamma = orc._metric_and_connection(orc.InducedMetric(base, w), P.q, h)
+    amb = orc.fd_lift_connection(gamma, P.q, U(P.q), V, h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
     dg = base.derivatives(P.x, 1)[1]
     dt = np.concatenate([0.5 * np.einsum("kij,i,j->k", dg, P.u, P.u), P.gu])
-    N = np.linalg.solve(ambient.matrix(P.q), dt)
+    N = np.linalg.solve(G, dt)
     return amb - N * (dt @ amb) / (dt @ N)
 
 
 def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     """Numeric d(eta) on tangent vectors (1/2-convention), by pullback: eta is
-    extended off the bundle as the eta of the radius-|y| bundle through each point,
-    evaluated at the call's 8 stencil points per pair as one stack."""
-    vectors = [[np.asarray(v, dtype=float) for v in pair] for pair in vectors]
-    stencil = orc._stencil(P.q, [v for pair in vectors for v in pair], h, True)[1:]
+    extended off the bundle as the eta of the radius-|y| bundle through each point.
+    ``vectors`` is a list of pairs (U, V), one list per row of a stacked P; eta is
+    evaluated at every pair's stencil points (of every row) as one stack."""
+    vectors = np.asarray(vectors, dtype=float)
+    # the pairs on axis 0, each U and V one vector per row of P
+    U, V = (np.moveaxis(vectors[..., k, :], -2, 0) for k in (0, 1))
     base = P.base
 
     def extended_eta(qs):
@@ -260,12 +267,8 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
         t = 0.5 * _pow(np.sqrt(2.0 * chart[-1].values.t), 2)
         return _structure(chart, w, t, w.eval(t), rescaled).eta
 
-    eta = orc._once(extended_eta, stencil)
-
-    def form(q, v):
-        return float(eta(q) @ v)
-
-    return np.array([orc.fd_exterior_derivative(form, P.q, [U, V], h=h) for U, V in vectors])
+    eta = orc._stencil_values(extended_eta, P.q, [U, V], h)
+    return np.moveaxis(orc._exterior(eta, np.vecdot, [U, V], h), 0, -1)
 
 
 def _residual_vectors(P, w):

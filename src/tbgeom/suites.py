@@ -185,37 +185,32 @@ def _suite_base_checks(ctx, rng, res):
 
 
 def _forms(base, w, q, vecs, h):
-    # Omega and the Lee covector of w at q and at each point of the exterior-derivative
-    # stencil along vecs, from one chart evaluation of them all (of every row of a stack)
+    # Omega and the Lee covector of w at q and on the exterior-derivative stencil along
+    # vecs (of every row of a stack), from one chart evaluation of them all
     def forms(qs):
         chart = orc._chart_point(base, w, qs)
         return orc._omega_matrix(*chart), orc._lee_covector(*chart)
 
-    return orc._once(forms, orc._stencil(q, vecs, h, True))
+    return orc._stencil_values(forms, q, vecs, h)
 
 
-def _domega(forms, q, vecs, h):
-    """Numeric dOmega(v1, v2, v3) at q, or at each row of a stack, of the fundamental
-    form served by ``forms``."""
+def _domega(Om, vecs, h):
+    """Numeric dOmega(v1, v2, v3) at q, or at each row of a stack, from the fundamental
+    form on the stencil of ``_forms``."""
 
-    def omega_form(p, v1, v2):
-        return np.vecdot(bg._vg(v1, forms(p)[0]), v2)
+    def omega_form(Om, v1, v2):
+        return np.vecdot(bg._vg(v1, Om), v2)
 
-    return orc.fd_exterior_derivative(omega_form, q, vecs, h=h)
+    return orc._exterior(Om, omega_form, vecs, h)
 
 
 def _lck_terms(base, w, q, vecs, h):
     """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, or at each
     row of a stack, from one chart evaluation of q and the dOmega stencil (the d(lee)
     stencil is part of it)."""
-    forms = _forms(base, w, q, vecs, h)
-
-    def lee_1form(p, v):
-        return np.vecdot(forms(p)[1], v)
-
-    Om, lee = forms(q)
-    dlee = orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h)
-    return _domega(forms, q, vecs, h), orc.wedge_1_2(lee, Om, *vecs), dlee
+    Om, lee = _forms(base, w, q, vecs, h)
+    dlee = orc._exterior(lee, np.vecdot, vecs[:2], h)
+    return _domega(Om, vecs, h), orc.wedge_1_2(lee[0], Om[0], *vecs), dlee
 
 
 def _draw(ctx, rng, n, shape, **point):
@@ -237,12 +232,12 @@ def _suite_almost_kahler(ctx, rng, res):
     pair = almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1, name="ak(1+t)")
     cg = named_family("cheeger_gromoll")
     P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * m), weights=pair)
-    dom = _domega(_forms(base, pair, P.q, vecs, ctx.h), P.q, vecs, ctx.h)
+    dom = _domega(_forms(base, pair, P.q, vecs, ctx.h)[0], vecs, ctx.h)
     res.residuals.extend(map(float, np.ravel([abs(dom), abs(P.coeffs(pair).lee_coef)], order="F")))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     vh, v1, v2 = np.eye(2 * m)[[0, m, 2 * m - 1]]
-    cg_domega = _domega(_forms(base, cg, P.q, [vh, v1, v2], ctx.h), P.q, [vh, v1, v2], ctx.h)
+    cg_domega = _domega(_forms(base, cg, P.q, [vh, v1, v2], ctx.h)[0], [vh, v1, v2], ctx.h)
     res.controls.append(Control("cg_not_almost_kahler", float(np.max(abs(cg_domega))), 1e-2, "min"))
 
 
@@ -385,7 +380,8 @@ _SPHERE_DRAWS = (3 * 3 + 2 * 2) * 2  # per sample: 3 pairs per structure, 2 per 
 
 def _unit_points(base, draws):
     # the unit-bundle points (x, u) of _sample_unit draws on ``base`` as one stacked point
-    return tb.TangentPoint.stack([sb.sphere_point(base, x, u, r=1.0) for x, _, u in draws])
+    x, _, u = map(np.array, zip(*draws))
+    return sb.sphere_point(base, x, u, r=1.0)
 
 
 def _suite_sphere_bundle(ctx, rng, res):
@@ -406,8 +402,10 @@ def _suite_sphere_bundle(ctx, rng, res):
     # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r) at each x,
     # as rows of one stacked point; each bundle's rows are one stack of all samples
     bundles = [(True, w, 1.0), (False, sas, 1.3)]
-    points = tb.TangentPoint.stack([sb.sphere_point(base, x, r * u, r=r)
-                                    for x, u, _ in draws for _, _, r in bundles])
+    x, u, _ = map(np.array, zip(*draws))
+    radii = np.array([r for *_, r in bundles])
+    points = sb.sphere_point(base, np.repeat(x, len(bundles), axis=0),
+                             (radii[:, None] * u[:, None]).reshape(-1, m), r=np.tile(radii, n))
     cols, deta = [], []  # residuals of all samples, (n, k) each, in each sample's order
     for b, (unit, ww, r) in enumerate(bundles):
         P = points[np.arange(b, len(points.t), len(bundles))]
@@ -438,9 +436,8 @@ def _suite_sphere_bundle(ctx, rng, res):
         # rescaled contact metric condition, numeric d(eta)
         S = sb.contact_structure(P, ww, rescaled=True)
         U, V = tangent_pairs(S, 2)
-        dvals = [sb.deta_numeric(P[k], ww, list(zip(U[k], V[k])), rescaled=True) for k in range(n)]
-        deta.append(abs(np.array(dvals) - np.vecdot(bg._vg(U, S.G[:, None]),
-                                                    bg._gv(S.phi[:, None], V))))
+        dvals = sb.deta_numeric(P, ww, np.stack([U, V], axis=2), rescaled=True)
+        deta.append(abs(dvals - np.vecdot(bg._vg(U, S.G[:, None]), bg._gv(S.phi[:, None], V))))
     res.residuals.extend(map(float, np.hstack([np.reshape(c, (n, -1)) for c in cols]).ravel()))
     res.controls.append(Control("contact_metric_condition", float(np.max(deta)), 1e-8, "max"))
 

@@ -180,6 +180,28 @@ def test_chart_domain_violation_is_hard_error():
     sf = bg.SpaceForm(-4.0, 2)  # domain |x|^2 < 1
     with pytest.raises(bg.ChartDomainError):
         sf.matrix([1.5, 0.0])
+    # a stack is tested by one call of the domain predicate, and the error names its
+    # first point outside
+    calls = []
+    domain = sf.domain
+    sf.domain = lambda x: calls.append(np.shape(x)) or domain(x)
+    stack = np.array([[0.1, 0.2], [0.0, 1.5], [2.0, 0.0]])
+    with pytest.raises(bg.ChartDomainError, match=r"point \[0\.  1\.5\] outside"):
+        sf.matrix(stack)
+    assert calls == [(3, 2)]
+    assert sf.check_domain(stack[:1]).shape == (1, 2)
+
+
+@pytest.mark.parametrize("metric", [*ORDER_METRICS, DIAG_POLY],
+                         ids=lambda mt: f"{mt.name}-{mt.dim}")
+def test_matrix_on_a_stack_equals_each_single_call_bit_for_bit(metric):
+    x = np.random.default_rng(metric.dim).uniform(-0.4, 0.4, (9, metric.dim))
+    x[1] = x[0]  # a repeated point
+    g = metric.matrix(x)
+    assert g.shape == (9, metric.dim, metric.dim)
+    for xi, gi in zip(x, g):
+        assert [v.hex() for v in gi.ravel().tolist()] == [
+            v.hex() for v in metric.matrix(xi).ravel().tolist()]
 
 
 def test_singular_metric_error_names_point():

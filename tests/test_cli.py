@@ -255,6 +255,28 @@ def sphere_context(samples):
                         fiber_range=(0.3, 1.5))
 
 
+def test_sphere_bundle_suite_builds_its_points_once_and_calls_deta_once_per_bundle(monkeypatch):
+    shapes = []
+    deta_numeric = sb.deta_numeric
+
+    def counted(P, w, vectors, *args, **kwargs):
+        shapes.append((np.shape(P.t), np.shape(vectors)))
+        return deta_numeric(P, w, vectors, *args, **kwargs)
+
+    monkeypatch.setattr(sb, "deta_numeric", counted)
+    ctx = sphere_context(12)
+    sphere_point = sb.sphere_point
+    points = []
+    monkeypatch.setattr(sb, "sphere_point", lambda *a, **k: points.append(1) or sphere_point(*a, **k))
+    res = run_suite("sphere_bundle", ctx)
+    assert res.error is None and res.passed
+    # both bundles' points in one stacked sphere point; then one d(eta) call per bundle
+    # on its stacked point, with the 2 pairs of each of its n = 3 rows
+    n = ctx.samples // 4
+    assert points == [1]
+    assert shapes == [((n,), (n, 2, 2, 6))] * 2
+
+
 def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):
     sizes = []
     evaluate = WeightPair.eval
@@ -367,7 +389,7 @@ def test_non_finite_control_fails_its_suite():
 
 
 # where one call covers several samples, the axis of its output that runs over them
-SAMPLE_AXIS = {"fd_curvature": 0, "kahler_system_residuals": -1}
+SAMPLE_AXIS = {"fd_curvature": 0, "deta_numeric": 0, "kahler_system_residuals": -1}
 
 
 @pytest.mark.parametrize("suite,owner,name", [

@@ -244,13 +244,14 @@ def test_lee_covector_solves_lck_identity():
 
 def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
     calls = []
-    central = orc._central
+    quotients = orc._quotients
 
-    def counted(*args):
-        calls.append(1)
-        return central(*args)
+    def counted(values, h, richardson=True):
+        out = quotients(values, h, richardson)
+        calls.append(len(out))  # the directions it differences along
+        return out
 
-    monkeypatch.setattr(orc, "_central", counted)
+    monkeypatch.setattr(orc, "_quotients", counted)
     q = np.array([0.25, -0.1, 0.6, 0.4])
     U, V, W = np.eye(4)[0], np.eye(4)[3], np.array([0.3, -0.2, 0.5, 0.1])
 
@@ -260,20 +261,35 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
     P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
     deltas, Ys = sb.generators(P)
-    # (path, central quotients it takes: two per Richardson derivative)
+    # (path, directions of each call of the one quotient rule)
     paths = {
-        "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), 2 * 2),
-        "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), 3 * 2),
-        "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), 4 * 2),
-        # Richardson connection on the 4-dim chart, one Richardson field derivative
-        "t1_connection_fd": (lambda: sb.t1_connection_fd(P, CG, "dY", 0, 1), 4 * 2 + 2),
+        "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), [2]),
+        "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), [1] * 3),
+        "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), [4]),
+        # the connection on the 4-dim chart, then one field derivative
+        "t1_connection_fd": (lambda: sb.t1_connection_fd(P, CG, "dY", 0, 1), [4, 1]),
         # eta(V) along U and eta(U) along V
-        "deta_numeric": (lambda: sb.deta_numeric(P, CG, [(deltas[0], Ys[1])]), 2 * 2),
+        "deta_numeric": (lambda: sb.deta_numeric(P, CG, [(deltas[0], Ys[1])]), [1, 1]),
+        # the connection at each point of the outer stencil, then its partials
+        "fd_curvature": (lambda: orc.fd_curvature(orc.InducedMetric(SF1, CG), q), [4, 4]),
     }
-    for name, (path, n_central) in paths.items():
+    for name, (path, directions) in paths.items():
         calls.clear()
         path()
-        assert len(calls) == n_central, name
+        assert calls == directions, name
+
+
+def test_a_step_that_does_not_move_the_point_raises():
+    im = orc.InducedMetric(SF1, CG)
+    q = np.array([0.15, -0.2, 0.5, 0.6])
+    for h in (0.0, -1e-4):
+        with pytest.raises(ValueError, match="underflows"):
+            orc.fd_connection(im, q, h=h)
+    # a step below the spacing of the floats at a coordinate leaves it where it was
+    with pytest.raises(ValueError, match="underflows"):
+        orc.fd_directional(lambda p: p, np.array([1e20, 0.0]), [1.0, 0.0])
+    with pytest.raises(ValueError, match="underflows"):
+        orc.fd_curvature(SF1, np.array([[0.1, 0.2], [0.3, 1e17]]))
 
 
 # the probe points of the benchmark's per-layer counts (bench/child.py)
@@ -404,8 +420,8 @@ def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
 
     im = orc.InducedMetric(SF1, CG)
     q = np.array([0.15, -0.2, 0.5, 0.6])
-    # the unbatched quotients, every point evaluated alone where it is used
-    expected = bg._levi_civita(np.linalg.inv(im.matrix(q)), orc._partials(im.matrix, q, 1e-4, True))
+    # the public quotients, every point evaluated alone where it is used
+    expected = bg._levi_civita(np.linalg.inv(im.matrix(q)), plain_partials(im.matrix, q))
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted)
     got = orc.fd_connection(im, q)
     # the centre and four points along each of the 2m coordinates
@@ -471,12 +487,17 @@ def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
     assert got.tobytes() == expected.tobytes()
 
 
+def plain_partials(fun, q, h=1e-4):
+    # d_k fun(q) on axis 0, each from the public directional derivative
+    return np.stack([orc.fd_directional(fun, q, e, h=h) for e in np.eye(len(q))])
+
+
 def _plain_fd_curvature(im, q, h=1e-4):
     # the nested stencil with no memo: every point evaluated where it is used
     def conn(p):
-        return bg._levi_civita(np.linalg.inv(im.matrix(p)), orc._partials(im.matrix, p, h, True))
+        return bg._levi_civita(np.linalg.inv(im.matrix(p)), plain_partials(im.matrix, p, h))
 
-    return bg._curvature_from(conn(q), orc._partials(conn, q, h, True))
+    return bg._curvature_from(conn(q), plain_partials(conn, q, h))
 
 
 @pytest.mark.parametrize("base,w,q", [
@@ -487,17 +508,6 @@ def test_fd_curvature_is_bit_identical_to_the_uncached_stencil(base, w, q):
     im = orc.InducedMetric(base, w)
     q = np.array(q)
     assert np.array_equal(orc.fd_curvature(im, q), _plain_fd_curvature(im, q))
-
-
-def test_call_view_hands_out_read_only_arrays():
-    q = np.array([0.15, -0.2, 0.5, 0.6])
-    view = orc._CallView(orc.InducedMetric(SF1, CG), [q])
-    # a row of the stacked stencil, and a point outside it evaluated on first read
-    for p in (q, q + 0.01):
-        G = view.matrix(p)
-        assert view.matrix(p.copy()) is G
-        with pytest.raises(ValueError):
-            G[0, 0] = 0.0
 
 
 def test_connection_suite_makes_one_fd_connection_call_per_sample(monkeypatch):

@@ -37,6 +37,26 @@ def test_sphere_point_radius_check():
     assert P.r == pytest.approx(1.0)
 
 
+def test_sphere_point_on_a_stack_checks_every_row_with_one_validation(monkeypatch):
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-0.4, 0.4, (4, 2))
+    u = np.array([unit_point(SF1, xi, rng.standard_normal(2)).u for xi in x])
+    singles = [sb.sphere_point(SF1, xi, 1.3 * ui, r=1.3) for xi, ui in zip(x, u)]
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
+    for r in (1.3, np.full(4, 1.3), None):
+        calls.update(validate_at=0)
+        P = sb.sphere_point(SF1, x, 1.3 * u, r=r)
+        assert calls["validate_at"] == 1
+        for i, Pi in enumerate(singles):
+            for f in ("x", "u", "gx"):
+                assert getattr(P, f)[i].tobytes() == getattr(Pi, f).tobytes()
+            if r is not None:
+                assert P.t[i].hex() == Pi.t.hex()
+    # the radius is checked at every row; a wrong one anywhere raises
+    with pytest.raises(bg.GeometryError, match="r\\^2"):
+        sb.sphere_point(SF1, x, 1.3 * u, r=[1.3, 1.3, 1.2, 1.3])
+
+
 def test_sphere_point_is_a_tangent_point_with_the_given_radius():
     rng = np.random.default_rng(5)
     for r in (1.3, 1.0, None):
@@ -414,6 +434,17 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
                      "_j_matrix": 1, "_metric_matrix": 1}
     assert rows == [13]
     assert np.array_equal(got, expected)
+    # a 2-row stacked point with one pair list per row: one evaluation for both rows,
+    # each row equal to the single call bit for bit
+    Q = unit_point(SF3, [0.2, 0.1, -0.1], [0.3, -0.5, 0.6], r=r)
+    dQ, YQ = sb.generators(Q)
+    both = [pairs, [(dQ[1], YQ[0]), (YQ[2], dQ[0])]]
+    singles = [got, sb.deta_numeric(Q, w, both[1])]
+    rows.clear()
+    stacked = sb.deta_numeric(tb.TangentPoint.stack([P, Q]), w, both)
+    assert len(rows) == 1 and stacked.shape == (2, 2)
+    for one, many in zip(singles, stacked):
+        assert [v.hex() for v in many.tolist()] == [v.hex() for v in one.tolist()]
 
 
 def test_deta_numeric_raises_on_an_indefinite_stencil():
