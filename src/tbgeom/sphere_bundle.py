@@ -199,53 +199,53 @@ def t1_connection(P, w, case, i, j):
 
     ``case`` in {"dd", "Yd", "dY", "YY"} selects nabla_{delta_i} delta_j,
     nabla_{Y_i} delta_j, nabla_{delta_i} Y_j, nabla_{Y_i} Y_j; returns
-    ambient coordinate components of the result.
+    ambient coordinate components of the result.  At a stacked P, ``case``, ``i``
+    and ``j`` may be one per row; each row equals the call at its point bit for bit.
     """
-    a = P.values(w).a
-    gamma, R = P.gamma, P.R
+    if not np.isin(case, cases := ("dd", "Yd", "dY", "YY")).all():
+        raise ValueError(f"unknown case {case!r}")
+    at, a = ((np.arange(len(P.t)),) if np.ndim(P.t) else ()), orc._per_row(P.values(w).a, 1)
     deltas, Ys = generators(P)
-    y, gu = P.u, P.gu
-    if case == "dd":
-        R0ij = np.einsum("klij,l->kij", R, y)  # R^k_{0ij}
-        return gamma[:, i, j] @ deltas - 0.5 * R0ij[:, i, j] @ Ys
-    if case == "Yd":
-        Rj0i = np.einsum("kjli,l->kji", R, y)  # R^k_{j0i}
-        return (a / 2) * Rj0i[:, j, i] @ deltas
-    if case == "dY":
-        Ri0j = np.einsum("kjli,l->kji", R, y)
-        return gamma[:, i, j] @ Ys + (a / 2) * Ri0j[:, i, j] @ deltas
-    if case == "YY":
-        return -float(gu[j]) * Ys[i]
-    raise ValueError(f"unknown case {case!r}")
+    # Gamma^k_{ij} delta_k, Gamma^k_{ij} Y_k (rounded as the strided 1-D gamma[:, i, j] @
+    # deltas), R^k_{0ij} and R^k_{i0j} at every (i, j), k last; [(*at, i, j)] picks each row's
+    gam = np.moveaxis(P.gamma, -3, -1)
+    gd, gY = (bg._vg(gam, A[..., None, None, :, :]) for A in (deltas, Ys))
+    R0, Ri0 = (np.moveaxis(np.einsum(s, P.R, P.u), -3, -1)
+               for s in ("...klij,...l->...kij", "...kjli,...l->...kji"))
+    out = [gd[(*at, i, j)] - bg._vg(0.5 * R0[(*at, i, j)], Ys),  # in the order of cases
+           bg._vg((a / 2) * Ri0[(*at, j, i)], deltas),
+           gY[(*at, i, j)] + bg._vg((a / 2) * Ri0[(*at, i, j)], deltas),
+           -orc._per_row(P.gu[(*at, j)], 1) * Ys[(*at, i)]]
+    return np.select([orc._per_row(np.equal(case, c), 1) for c in cases], out)
 
 
 def t1_connection_fd(P, w, case, i, j, h=1e-4):
     """Finite-difference counterpart of t1_connection by the Gauss formula: the
-    tangential part of the ambient oracle connection on the generator fields."""
-    base, m = P.base, P.base.dim
+    tangential part of the ambient oracle connection on the generator fields.  At a
+    stacked P, ``case``, ``i`` and ``j`` may be one per row: one connection stencil
+    of all rows, each row equal to the call at its point bit for bit."""
+    base, m, at = P.base, P.base.dim, ((np.arange(len(P.t)),) if np.ndim(P.t) else ())
 
-    def y_field(k):
-        def f(q):  # at a point q or at each row of a stack
-            y, _, _, gy, _ = orc._chart_base(base, q)
-            out = np.zeros(np.shape(q))
-            out[..., m + k] = 1.0
-            out[..., m:] -= gy[..., k, None] * y
-            return out
+    def field(delta, k):  # at q or a stack of points: delta_k where ``delta``, else Y_k
+        H = orc.lift_field(base, np.eye(m)[k], "H")
+
+        def f(q):
+            y, _, _, gy, _ = orc._chart_base(base, np.reshape(q, (-1, 2 * m)))
+            y, gy = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (y, gy))
+            Y = np.eye(m)[k] - orc._per_row(gy[(..., *at, k)], 1) * y
+            return np.where(orc._per_row(delta, 1), H(q), np.concatenate([np.zeros_like(y), Y], -1))
 
         return f
 
-    def field(kind, k):
-        return orc.lift_field(base, np.eye(m)[k], "H") if kind == "d" else y_field(k)
-
-    U, V = field(case[0], i), field(case[1], j)
+    U, V = field(np.isin(case, ("dd", "dY")), i), field(np.isin(case, ("dd", "Yd")), j)
     # the ambient metric on the connection stencil, whose row at P also gives G for the normal
     G, gamma = orc._metric_and_connection(orc.InducedMetric(base, w), P.q, h)
     amb = orc.fd_lift_connection(gamma, P.q, U(P.q), V, h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
     dg = base.derivatives(P.x, 1)[1]
-    dt = np.concatenate([0.5 * np.einsum("kij,i,j->k", dg, P.u, P.u), P.gu])
-    N = np.linalg.solve(G, dt)
-    return amb - N * (dt @ amb) / (dt @ N)
+    dt = np.concatenate([0.5 * np.einsum("...kij,...i,...j->...k", dg, P.u, P.u), P.gu], -1)
+    N = np.linalg.solve(G, dt[..., None])[..., 0]
+    return amb - N * orc._per_row(np.vecdot(dt, amb), 1) / orc._per_row(np.vecdot(dt, N), 1)
 
 
 def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):

@@ -10,6 +10,7 @@ tolerance and every control stays above its bound.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -111,8 +112,32 @@ class SuiteContext:
     chart_box: np.ndarray
     fiber_range: tuple
 
+    _stacks = None  # while ``drawn`` runs: the x drawn so far, then the g stacks
+
     def rng(self, suite_index):
         return np.random.default_rng([self.seed, suite_index])
+
+    def drawn(self, rng, n, one):
+        """n results of one(), the x they draw validated as one stack per base: a first run
+        takes each x as admissible (the draws depend on g only through rejection); a second
+        from the same rng state reads g from the stacks, or checks x by x if one is not."""
+        state, self._stacks = rng.bit_generator.state, []
+        try:
+            [one() for _ in range(n)]
+            xs, self._stacks = self._stacks, None
+            with contextlib.suppress(bg.GeometryError):
+                self._stacks = {b: iter(b.validate_at(np.array([x for c, x in xs if c is b])))
+                                for b in dict.fromkeys(b for b, _ in xs)}
+            rng.bit_generator.state = state
+            return [one() for _ in range(n)]
+        finally:
+            self._stacks = None
+
+    def _validated(self, base, x):  # g of base at x, alone or in a run of ``drawn``
+        if isinstance(self._stacks, list):  # the first run: recorded, taken as admissible
+            self._stacks.append((base, x))
+            return np.eye(base.dim)
+        return base.validate_at(x) if self._stacks is None else next(self._stacks[base])
 
     def sample_x(self, rng):
         """An admissible x in the chart box and the base metric validated there."""
@@ -120,7 +145,7 @@ class SuiteContext:
         for _ in range(1000):
             x = lo + (hi - lo) * rng.random(self.base.dim)
             try:
-                return x, self.base.validate_at(x)
+                return x, self._validated(self.base, x)
             except bg.GeometryError:
                 continue
         raise bg.ChartDomainError("chart box contains no admissible points")
@@ -132,7 +157,7 @@ class SuiteContext:
         for _ in range(1000):
             x, g = self.sample_x(rng)
             try:
-                g = g if base is self.base else base.validate_at(x)
+                g = g if base is self.base else self._validated(base, x)
             except bg.GeometryError:
                 continue
             u = rng.standard_normal(base.dim)
@@ -159,8 +184,8 @@ def _suite_base_checks(ctx, rng, res):
     base, m = ctx.base, ctx.base.dim
     sf = isinstance(base, bg.SpaceForm)
     # per sample: x, then on a space form the plane X, Y of its sectional check
-    draws = [(*ctx.sample_x(rng), *(rng.standard_normal((2, m)) if sf else ()))
-             for _ in range(ctx.samples)]
+    draws = ctx.drawn(rng, ctx.samples, lambda: (*ctx.sample_x(rng),
+                                                 *(rng.standard_normal((2, m)) if sf else ())))
     x, g, *XY = map(np.array, zip(*draws))
     gam, R, NR = bg.base_jets(base, x)
     low = bg.lower_curvature(g, R)
@@ -216,8 +241,8 @@ def _lck_terms(base, w, q, vecs, h):
 def _draw(ctx, rng, n, shape, **point):
     """n samples, each a point of ``sample_point(rng, **point)`` and then a block of
     normals of ``shape``: the stacked point, and the blocks' rows as one leading axis."""
-    pts, draws = zip(*[(ctx.sample_point(rng, **point), rng.standard_normal(shape))
-                       for _ in range(n)])
+    pts, draws = zip(*ctx.drawn(rng, n, lambda: (ctx.sample_point(rng, **point),
+                                                 rng.standard_normal(shape))))
     return tb.TangentPoint.stack(pts), np.moveaxis(np.array(draws), 1, 0)
 
 
@@ -332,7 +357,7 @@ def _suite_sectional(ctx, rng, res):
         res.error = "sectional display suite needs a space-form base"
         return
     c, m = base.curvature, base.dim
-    P = tb.TangentPoint.stack([ctx.sample_point(rng) for _ in range(ctx.samples)])
+    P = tb.TangentPoint.stack(ctx.drawn(rng, ctx.samples, lambda: ctx.sample_point(rng)))
     vals = P.values(w)
     frame = bg.orthonormal_frame(P.gx, first=P.u)
     X, Y = (frame[:, 1], frame[:, 2]) if m > 2 else (frame[:, 0], frame[:, -1])
@@ -341,30 +366,29 @@ def _suite_sectional(ctx, rng, res):
     gxu2, gyu2 = (_pow(np.vecdot(v, P.gu), 2) for v in (X, Y))
     a, b = vals.a, vals.b
     E = tb.adapted_basis(w, P)
-    # the m + 2 planes XH^YH, XH^YV and E_i^E_m (i < m) of each sample as rows of one stack
+    # the planes XH^YH, XH^YV, E_i^E_m (i < m) on a leading axis; Q, P's views, broadcasts
     planes = [(XH, YH), (XH, YV)] + [(E[i], E[m]) for i in range(m)]
-    Q = P[np.repeat(np.arange(len(P.t)), len(planes))]
+    Q = P[np.newaxis]
 
-    def on_q(side):  # one vector per row of Q: each sample's vectors, plane by plane
-        h, v = (np.stack([getattr(s, f) for s in side], axis=1).reshape(-1, m) for f in "hv")
-        return tb.SplitVector(h, v, Q)
+    def on_q(side):  # each plane's vectors at the rows of P, one plane per position
+        return tb.SplitVector(*(np.stack([getattr(s, f) for s in side]) for f in "hv"), Q)
 
-    K = tb.bundle_sectional(w, base, Q, *map(on_q, zip(*planes))).reshape(-1, len(planes))
+    K = tb.bundle_sectional(w, base, Q, *map(on_q, zip(*planes)))
     disp = c - 0.75 * a * c * c * (gxu2 + gyu2)
     disp_hv = _pow(a, 2) * c * c * gxu2 / (4 * (a + b * gyu2))
     # parallelogram-area displays against the Gram determinant
     q_hh = tb.area_squared(w, P, XH, YH)
     q_hv = tb.area_squared(w, P, XH, YV)
     q_vv = tb.area_squared(w, P, tb.SplitVector.vertical(X, P), YV)
-    rows = [abs(K[:, 0] - disp), abs(K[:, 1] - disp_hv), *abs(K[:, 2:].T), abs(q_hh - 1.0),
+    rows = [abs(K[0] - disp), abs(K[1] - disp_hv), *abs(K[2:]), abs(q_hh - 1.0),
             abs(q_hv - (a + b * gyu2)), abs(q_vv - (_pow(a, 2) + a * b * (gxu2 + gyu2)))]
     res.residuals.extend(map(float, np.ravel(rows, order="F")))
-    res.controls.extend(Control("K(XH,YV) nonnegative", float(k), -1e-12, "min") for k in K[:, 1])
+    res.controls.extend(Control("K(XH,YV) nonnegative", float(k), -1e-12, "min") for k in K[1])
 
 
 def _suite_scalar(ctx, rng, res):
     base, w = ctx.base, ctx.weights
-    P = tb.TangentPoint.stack([ctx.sample_point(rng) for _ in range(ctx.samples)])
+    P = tb.TangentPoint.stack(ctx.drawn(rng, ctx.samples, lambda: ctx.sample_point(rng)))
     closed = tb.scalar_curvature(w, base, P, mode="closed")
     basis = tb.scalar_curvature(w, base, P, mode="basis")
     denom = np.maximum(1.0, abs(closed))
@@ -378,18 +402,12 @@ def _suite_scalar(ctx, rng, res):
 _SPHERE_DRAWS = (3 * 3 + 2 * 2) * 2  # per sample: 3 pairs per structure, 2 per bundle
 
 
-def _unit_points(base, draws):
-    # the unit-bundle points (x, u) of _sample_unit draws on ``base`` as one stacked point
-    x, _, u = map(np.array, zip(*draws))
-    return sb.sphere_point(base, x, u, r=1.0)
-
-
 def _suite_sphere_bundle(ctx, rng, res):
     base, w, m = ctx.base, ctx.weights, ctx.base.dim
     sas = named_family("sasaki")
     # per sample: (x, u), then the normals of its checks below, in the order they read them
-    draws = [(*ctx._sample_unit(rng)[::2], rng.standard_normal((_SPHERE_DRAWS, 2 * m)))
-             for _ in range(max(2, ctx.samples // 4))]
+    draws = ctx.drawn(rng, max(2, ctx.samples // 4), lambda: (
+        *ctx._sample_unit(rng)[::2], rng.standard_normal((_SPHERE_DRAWS, 2 * m))))
     n = len(draws)
     pairs = iter(np.moveaxis(np.reshape([d[2] for d in draws], (n, -1, 2, 2 * m)), 1, 0))
 
@@ -430,9 +448,9 @@ def _suite_sphere_bundle(ctx, rng, res):
         cols += [abs(bg._vg(P.u, verts)).max(-1),
                  abs(np.linalg.matrix_rank(verts, tol=1e-10) - (m - 1))]
         if unit:  # the unit-bundle connection on one generator case per sample
-            t1 = [(P[k], w, ("dd", "Yd", "dY", "YY")[k % 4], k % m, (k // 4) % m) for k in range(n)]
-            cols.append(np.array([np.max(np.abs(sb.t1_connection(*a) - sb.t1_connection_fd(*a)))
-                                  for a in t1]))
+            k = np.arange(n)
+            t1 = (P, w, np.array(("dd", "Yd", "dY", "YY"))[k % 4], k % m, (k // 4) % m)
+            cols.append(np.max(np.abs(sb.t1_connection(*t1) - sb.t1_connection_fd(*t1)), axis=-1))
         # rescaled contact metric condition, numeric d(eta)
         S = sb.contact_structure(P, ww, rescaled=True)
         U, V = tangent_pairs(S, 2)
@@ -445,7 +463,7 @@ def _suite_sphere_bundle(ctx, rng, res):
 def _suite_isometry(ctx, rng, res):
     base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    pts = [ctx._sample_unit(rng)[::2] for _ in range(max(2, ctx.samples // 5))]
+    pts = ctx.drawn(rng, max(2, ctx.samples // 5), lambda: ctx._sample_unit(rng)[::2])
     good = sb.isometry_residuals(base, w4, pts, rng=rng)
     res.residuals.extend([good["metric"], good["phi"], good["xi"]])
     bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
@@ -454,19 +472,20 @@ def _suite_isometry(ctx, rng, res):
 
 def _suite_k_contact(ctx, rng, res):
     sf1, eu = bg.SpaceForm(1.0, ctx.base.dim), bg.euclidean(ctx.base.dim)
-    # the curvature-1 points, one stack for both verdicts on them
-    P = _unit_points(sf1, [ctx._sample_unit(rng, sf1) for _ in range(max(2, ctx.samples // 4))])
+    bases, counts = (sf1, eu, ctx.base), (max(2, ctx.samples // 4), 2, 2)  # a unit stack each
+    [draws] = ctx.drawn(rng, 1, lambda: [[ctx._sample_unit(rng, b)[::2] for _ in range(k)]
+                                         for b, k in zip(bases, counts)])
+    P, Pe, Pc = (sb.sphere_point(b, *map(np.array, zip(*d)), r=1.0) for b, d in zip(bases, draws))
     sas = named_family("sasaki")
     v = sb.k_contact_verdict(sas, P)
     res.residuals.extend([v["k_contact_residual"], v["sasakian_residual"]])
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")
     v2 = sb.k_contact_verdict(w2, P)
     res.controls.append(Control("a2_not_k_contact", v2["k_contact_residual"], 1e-2, "min"))
-    v3 = sb.k_contact_verdict(sas, _unit_points(eu, [ctx._sample_unit(rng, eu) for _ in range(2)]))
+    v3 = sb.k_contact_verdict(sas, Pe)
     res.controls.append(Control("flat_not_k_contact", v3["k_contact_residual"], 1e-2, "min"))
     res.controls.append(Control("phi_not_parallel", v3["sasakian_residual"], 1e-2, "min"))
     # config-provided pair: verdict must match the theorem's prediction
-    Pc = _unit_points(ctx.base, [ctx._sample_unit(rng) for _ in range(2)])
     vc = sb.k_contact_verdict(ctx.weights, Pc)
     agree = vc["is_k_contact"] == vc["predicted_k_contact"]
     res.controls.append(Control("verdict_matches_theorem", 1.0 if agree else 0.0, 0.5, "min"))

@@ -310,6 +310,100 @@ def test_sample_point_validates_each_sampled_x_once_per_base(monkeypatch):
     assert len(calls) >= 2 and len(calls) % 2 == 0
 
 
+def box_context(base, box):
+    return SuiteContext(base=base, weights=named_family("sasaki"), samples=6, seed=5, h=1e-4,
+                        chart_box=np.asarray(box, dtype=float), fiber_range=(0.3, 1.5))
+
+
+def hexed(draws):
+    # every number of a draw block (nested tuples and lists of arrays) as float.hex
+    if isinstance(draws, (tuple, list)):
+        return [hexed(d) for d in draws]
+    return [float(v).hex() for v in np.ravel(draws)]
+
+
+# (base, chart box, whether some x of each block is inadmissible): c = -1 is admissible
+# only at |x| < 2, the polynomial metric only at x0 > -1
+BOXES = {
+    "admissible": (bg.SpaceForm(-1.0, 2), [[-1.0, 1.0], [-1.0, 1.0]], False),
+    "space_form": (bg.SpaceForm(-1.0, 2), [[-2.5, 2.5], [-2.5, 2.5]], True),
+    "diagonal_polynomial": (bg.diagonal_polynomial(2, [[{"c": 1.0, "powers": [0, 0]},
+                                                        {"c": 1.0, "powers": [1, 0]}],
+                                                       [{"c": 1.0, "powers": [0, 0]}]]),
+                            [[-2.0, 1.0], [-1.0, 1.0]], True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BOXES))
+def test_drawn_blocks_draw_as_one_by_one(monkeypatch, kind):
+    base, box, rejects = BOXES[kind]
+    ctx = box_context(base, box)
+    sf1 = bg.SpaceForm(1.0, 2)
+
+    def block(rng):  # the draws of every sampler entry point, an override base among them
+        return ([ctx.sample_x(rng) for _ in range(4)], [ctx.sample_point(rng) for _ in range(4)],
+                [ctx._sample_unit(rng, sf1) for _ in range(4)])
+
+    rng_alone = ctx.rng(0)
+    alone = [block(rng_alone) for _ in range(3)]
+    calls = count_calls(monkeypatch, bg.ChartMetric, "validate_at")
+    rng = ctx.rng(0)
+    for want in alone:
+        [(xs, pts, units)] = ctx.drawn(rng, 1, lambda: block(rng))
+        assert hexed(xs) == hexed(want[0]) and hexed(units) == hexed(want[2])
+        assert hexed([(P.x, P.u, P.gx, P.t) for P in pts]) == hexed(
+            [(P.x, P.u, P.gx, P.t) for P in want[1]])
+    assert rng.bit_generator.state == rng_alone.bit_generator.state
+    # one stacked validation per base and block; where a stack holds an inadmissible x,
+    # its block is drawn again validating each of its 16 or more x alone
+    assert len(calls) >= 3 * 16 if rejects else len(calls) == 3 * 2
+
+
+def test_drawn_block_on_a_box_with_no_admissible_point_raises():
+    base, _, _ = BOXES["space_form"]
+    ctx = box_context(base, [[2.5, 3.0], [2.5, 3.0]])
+    rng = ctx.rng(0)
+    with pytest.raises(bg.ChartDomainError, match="no admissible points"):
+        ctx.drawn(rng, 3, lambda: ctx.sample_point(rng))
+    assert run_suite("scalar", ctx).error.startswith("ChartDomainError")
+
+
+def test_closed_m3_validates_each_suites_draws_once_per_base(monkeypatch):
+    # the seed-7 closed_m3 benchmark run: the x a suite draws are checked as one stack
+    # per base, not once each (sphere_point's own validations of its stacks not counted)
+    calls, inside = {}, []
+    validate_at, drawn = bg.ChartMetric.validate_at, SuiteContext.drawn
+
+    def counted(self, x):
+        if inside:
+            calls.setdefault(inside[-1], []).append((self.name, len(x)))
+        return validate_at(self, x)
+
+    def marked(self, rng, n, one):
+        inside.append(name)
+        try:
+            return drawn(self, rng, n, one)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(bg.ChartMetric, "validate_at", counted)
+    monkeypatch.setattr(SuiteContext, "drawn", marked)
+    cfg = cli.load_config({"base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
+                           "weights": {"name": "sasaki"}, "samples": 80, "seed": 7,
+                           "suites": ["base_checks", "sectional", "scalar", "sphere_bundle",
+                                      "isometry", "k_contact"]})
+    ctx = cli._build_context(cfg)
+    for name in cfg.suites:
+        assert run_suite(name, ctx).passed, name
+    s3, flat = "space_form(c=1.0)", "space_form(c=0.0)"
+    assert calls == {
+        "base_checks": [(s3, 80)], "sectional": [(s3, 80)], "scalar": [(s3, 80)],
+        "sphere_bundle": [(s3, 20)], "isometry": [(s3, 16)],
+        # the config base at every x, then the curvature-1 and the flat override bases
+        "k_contact": [(s3, 24), (s3, 20), (flat, 2)],
+    }
+
+
 def test_unknown_report_format_exits_2(tmp_path, capsys):
     with pytest.raises(cli.ConfigError, match="config.format"):
         cli.load_config(base_cfg(format="xml"))

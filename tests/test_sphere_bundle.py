@@ -308,6 +308,22 @@ def test_t1_connection_matches_hypersurface_oracle(case):
                 assert np.max(np.abs(closed - num)) <= 1e-9
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_t1_connection_rows_of_a_stack_equal_single_calls(m):
+    # every case with i = j and i != j, one per row of one stacked point
+    rng = np.random.default_rng(8)
+    base, w = bg.SpaceForm(0.5, m), CG
+    rows = [(c, i, j) for c in ("dd", "Yd", "dY", "YY")
+            for i, j in ((0, 0), (0, m - 1), (m - 1, 0))]
+    singles = [unit_point(base, rng.uniform(-0.4, 0.4, m), rng.standard_normal(m)) for _ in rows]
+    P = unit_points(base, [(Q.x, Q.u) for Q in singles])
+    case, i, j = (np.array(a) for a in zip(*rows))
+    for f in (sb.t1_connection, sb.t1_connection_fd):
+        stacked = f(P, w, case, i, j)
+        for k, (Q, args) in enumerate(zip(singles, rows)):
+            assert [v.hex() for v in stacked[k]] == [v.hex() for v in f(Q, w, *args)], (f, args)
+
+
 def test_k_contact_verdicts():
     rng = np.random.default_rng(6)
     pts = []
