@@ -19,7 +19,6 @@ from .base_geometry import (
     euclidean,
     metric_from_spec,
     nabla_curvature,
-    sectional,
 )
 from .weights import (
     DerivedCoefficients,

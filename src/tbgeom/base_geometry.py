@@ -25,7 +25,6 @@ __all__ = [
     "base_jets",
     "curvature",
     "nabla_curvature",
-    "sectional",
     "lower_curvature",
     "orthonormal_frame",
 ]
@@ -327,11 +326,6 @@ def nabla_curvature(metric, x):
 def lower_curvature(g, R):
     """R_{hkij} = g_{hp} R^p_{kij}, row by row on stacks."""
     return np.einsum("...hp,...pkij->...hkij", g, R)
-
-
-def sectional(metric, x, X, Y):
-    """Sectional curvature of span(X, Y) at x."""
-    return _sectional(metric.matrix(x), curvature(metric, x), X, Y)
 
 
 def _sectional(g, R, X, Y):

@@ -175,11 +175,11 @@ def write_report(report, out_path, fmt):
             wr = csv.writer(fh)
             wr.writerow(["suite", "sample_index", "residual", "tolerance", "pass"])
             for suite in report["suites"]:
-                for i, r in enumerate(suite["residuals"]):
+                for i, r in zip(suite["sample_indices"], suite["residuals"]):
                     wr.writerow(
                         [
                             suite["name"],
-                            i,
+                            "" if i is None else i,
                             f"{r:.17g}",
                             f"{suite['tolerance']:.17g}",
                             int(r <= suite["tolerance"]),

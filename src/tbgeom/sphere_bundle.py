@@ -32,7 +32,6 @@ __all__ = [
     "ContactStructure",
     "generators",
     "induced_metric",
-    "unit_normal",
     "contact_structure",
     "isometry_residuals",
     "t1_connection",
@@ -94,11 +93,6 @@ def induced_metric(P, w):
     g, gu = P.gx, P.gu
     G_vv = orc._per_row(P.values(w).a) * (g - _outer(gu, gu) / orc._per_row(_pow(P.r, 2)))
     return g.copy(), np.zeros(g.shape), G_vv
-
-
-def unit_normal(P, w):
-    """The unit normal of the bundle at P in the ambient metric of w."""
-    return _normal(P.u, P.r, P.values(w))
 
 
 def _normal(y, r, vals):

@@ -1,8 +1,9 @@
 """Named verification suites executed by the batch runner.
 
 Each suite draws deterministic samples, evaluates one family of closed
-forms against its independent check, and appends residuals and controls
-to the result that ``run_suite`` made from its ``SUITES`` entry.  Negative
+forms against its independent check, appends controls to the result that
+``run_suite`` made from its ``SUITES`` entry and returns its residuals as
+named columns, which ``run_suite`` lays out sample by sample.  Negative
 controls (configurations that must exhibit a LARGE residual for the suite
 to pass) are first-class: a suite passes only if its residuals stay below
 tolerance and every control stays above its bound.
@@ -59,6 +60,7 @@ class SuiteResult:
     controls: list = field(default_factory=list)
     error: str | None = None
     seed: list = field(default_factory=list)
+    sample_indices: list = field(default_factory=list)  # each residual's sample, or None
 
     @property
     def max_residual(self):
@@ -86,7 +88,7 @@ class SuiteResult:
             "histogram": {"log10_edges": hist_edges, "counts": hist_counts},
             "controls": [c.as_dict() for c in self.controls],
             "seed": list(self.seed),
-            "sample_indices": list(range(len(self.residuals))),
+            "sample_indices": list(self.sample_indices),
             "error": self.error,
         }
 
@@ -200,13 +202,13 @@ def _suite_base_checks(ctx, rng, res):
         NR + np.einsum("...ihkjl->...lhkij", NR) + np.einsum("...jhkli->...lhkij", NR),
         gam - fd,
     ]
-    rows = [np.max([np.abs(a).reshape(len(x), -1).max(axis=1) for a in terms], axis=0)]
+    cols = {"identities": np.max([np.abs(a).reshape(len(x), -1).max(1) for a in terms], 0)}
     if sf:
         c, gd = base.curvature, np.einsum("...jl,hi->...hlij", g, np.eye(m))  # g_jl d^h_i
         ident = c * (gd - np.swapaxes(gd, -1, -2))
-        rows.append(np.abs(R - ident).reshape(len(x), -1).max(axis=1))
-        rows.append(np.abs(bg._sectional(g, R, *XY) - c))
-    res.residuals.extend(map(float, np.ravel(rows, order="F")))
+        cols["space_form"] = np.abs(R - ident).reshape(len(x), -1).max(axis=1)
+        cols["sectional"] = np.abs(bg._sectional(g, R, *XY) - c)
+    return cols
 
 
 def _forms(base, w, q, vecs, h):
@@ -249,7 +251,7 @@ def _draw(ctx, rng, n, shape, **point):
 def _suite_lck(ctx, rng, res):
     P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * ctx.base.dim))
     dom, wed, dlee = _lck_terms(ctx.base, ctx.weights, P.q, vecs, ctx.h)
-    res.residuals.extend(map(float, np.ravel([abs(dom - wed), abs(dlee)], order="F")))
+    return {"domega_lee": abs(dom - wed), "dlee": abs(dlee)}
 
 
 def _suite_almost_kahler(ctx, rng, res):
@@ -258,12 +260,12 @@ def _suite_almost_kahler(ctx, rng, res):
     cg = named_family("cheeger_gromoll")
     P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * m), weights=pair)
     dom = _domega(_forms(base, pair, P.q, vecs, ctx.h)[0], vecs, ctx.h)
-    res.residuals.extend(map(float, np.ravel([abs(dom), abs(P.coeffs(pair).lee_coef)], order="F")))
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     vh, v1, v2 = np.eye(2 * m)[[0, m, 2 * m - 1]]
     cg_domega = _domega(_forms(base, cg, P.q, [vh, v1, v2], ctx.h)[0], [vh, v1, v2], ctx.h)
     res.controls.append(Control("cg_not_almost_kahler", float(np.max(abs(cg_domega))), 1e-2, "min"))
+    return {"domega": abs(dom), "lee_coef": abs(P.coeffs(pair).lee_coef)}
 
 
 def _suite_kahler(ctx, rng, res):
@@ -278,11 +280,11 @@ def _suite_kahler(ctx, rng, res):
     P, (U, V, *vecs) = _draw(ctx, rng, ctx.samples, (5, 4), weights=pair, base=base)
     nij = np.max(np.abs(orc.fd_nijenhuis(base, pair, P.q, U, V)), axis=-1)
     dom, wed, dlee = _lck_terms(base, pair, P.q, vecs, ctx.h)
-    res.residuals.extend(map(float, np.ravel([nij, abs(dom - wed), abs(dlee)], order="F")))
     r13, r14 = np.max(np.abs(kahler_system_residuals(pair, P.t, c)), axis=-1)
     res.controls.append(Control("eq13_residual", float(r13), 1e-10, "max"))
     res.controls.append(Control("eq14_residual", float(r14), 1e-10, "max"))
     res.controls.append(Control("not_closed", float(np.max(abs(dom))), 1e-2, "min"))
+    return {"nijenhuis": nij, "domega_lee": abs(dom - wed), "dlee": abs(dlee)}
 
 
 def _lift_connections(w, P, X, Y, cases, h):
@@ -302,8 +304,8 @@ def _lift_connections(w, P, X, Y, cases, h):
 
 def _suite_connection(ctx, rng, res):
     P, (X, Y) = _draw(ctx, rng, ctx.samples, (2, ctx.base.dim))
-    cols = _lift_connections(ctx.weights, P, X, Y, ("HH", "HV", "VH", "VV"), ctx.h)
-    res.residuals.extend(map(float, np.ravel(cols, order="F")))
+    cases = ("HH", "HV", "VH", "VV")
+    return dict(zip(cases, _lift_connections(ctx.weights, P, X, Y, cases, ctx.h)))
 
 
 _SLOT_CASES = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
@@ -318,11 +320,10 @@ def _suite_curvature(ctx, rng, res):
               for case in _SLOT_CASES]
     lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
     Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
-    cols = []
+    cols = {}
     for case, cl in zip(_SLOT_CASES, closed):
         Uc, Vc, Wc = (lifts[k][n] for n, k in enumerate(case))
-        cols.append(np.max(np.abs(cl - _rop(Rhat, Uc, Vc, Wc)), axis=-1))
-    res.residuals.extend(map(float, np.ravel(cols, order="F")))
+        cols[case] = np.max(np.abs(cl - _rop(Rhat, Uc, Vc, Wc)), axis=-1)
     # closed-form curvature symmetries + first Bianchi on random splits
     U, V, W, S = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
 
@@ -337,6 +338,7 @@ def _suite_curvature(ctx, rng, res):
     sym = [abs(r + riem(V, U, W, S)), abs(r + riem(U, V, S, W)), abs(r - riem(W, S, U, V)),
            np.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum)))]
     res.controls.append(Control("curvature_symmetries", float(np.max(sym)), 1e-8, "max"))
+    return cols
 
 
 def _suite_flat_g1(ctx, rng, res):
@@ -347,15 +349,14 @@ def _suite_flat_g1(ctx, rng, res):
     worst = np.max([np.abs(np.hstack([r.h, r.v])).max(axis=-1) for r in closed], axis=0)
     k = min(ctx.samples, max(2, ctx.samples // 10))  # the samples the oracle checks too
     fd = np.abs(orc.fd_curvature(im, P.q[:k], h=ctx.h)).reshape(k, -1).max(axis=1)
-    # per sample its closed-form maximum, then on the first k samples the oracle's
-    res.residuals.extend(map(float, [*np.ravel([worst[:k], fd], order="F"), *worst[k:]]))
+    return {"closed": worst, "oracle": fd}
 
 
 def _suite_sectional(ctx, rng, res):
     base, w = ctx.base, ctx.weights
     if not isinstance(base, bg.SpaceForm):
         res.error = "sectional display suite needs a space-form base"
-        return
+        return {}
     c, m = base.curvature, base.dim
     P = tb.TangentPoint.stack(ctx.drawn(rng, ctx.samples, lambda: ctx.sample_point(rng)))
     vals = P.values(w)
@@ -380,10 +381,11 @@ def _suite_sectional(ctx, rng, res):
     q_hh = tb.area_squared(w, P, XH, YH)
     q_hv = tb.area_squared(w, P, XH, YV)
     q_vv = tb.area_squared(w, P, tb.SplitVector.vertical(X, P), YV)
-    rows = [abs(K[0] - disp), abs(K[1] - disp_hv), *abs(K[2:]), abs(q_hh - 1.0),
-            abs(q_hv - (a + b * gyu2)), abs(q_vv - (_pow(a, 2) + a * b * (gxu2 + gyu2)))]
-    res.residuals.extend(map(float, np.ravel(rows, order="F")))
     res.controls.extend(Control("K(XH,YV) nonnegative", float(k), -1e-12, "min") for k in K[1])
+    return {"K(XH,YH)": abs(K[0] - disp), "K(XH,YV)": abs(K[1] - disp_hv),
+            "K(E_i,E_m)": abs(K[2:]).T, "area(XH,YH)": abs(q_hh - 1.0),
+            "area(XH,YV)": abs(q_hv - (a + b * gyu2)),
+            "area(XV,YV)": abs(q_vv - (_pow(a, 2) + a * b * (gxu2 + gyu2)))}
 
 
 def _suite_scalar(ctx, rng, res):
@@ -392,11 +394,11 @@ def _suite_scalar(ctx, rng, res):
     closed = tb.scalar_curvature(w, base, P, mode="closed")
     basis = tb.scalar_curvature(w, base, P, mode="basis")
     denom = np.maximum(1.0, abs(closed))
-    res.residuals.extend(map(float, abs(closed - basis) / denom))
     if isinstance(base, bg.SpaceForm):
         sf_form = tb.scalar_curvature_space_form(w, base.curvature, base.dim, P)
         res.controls.extend(Control("space_form_display", float(v), 1e-9, "max")
                             for v in abs(sf_form - closed) / denom)
+    return {"closed_basis": abs(closed - basis) / denom}
 
 
 _SPHERE_DRAWS = (3 * 3 + 2 * 2) * 2  # per sample: 3 pairs per structure, 2 per bundle
@@ -424,9 +426,10 @@ def _suite_sphere_bundle(ctx, rng, res):
     radii = np.array([r for *_, r in bundles])
     points = sb.sphere_point(base, np.repeat(x, len(bundles), axis=0),
                              (radii[:, None] * u[:, None]).reshape(-1, m), r=np.tile(radii, n))
-    cols, deta = [], []  # residuals of all samples, (n, k) each, in each sample's order
+    cols, deta = {}, []
     for b, (unit, ww, r) in enumerate(bundles):
         P = points[np.arange(b, len(points.t), len(bundles))]
+        tag = f"{ww.name} r={r}"
         for eps in ([-1, 1] if unit else [None]):
             S = sb.contact_structure(P, ww, rescaled=False, epsilon=eps)
             phi, eta, G = S.phi[:, None], S.eta[:, None], S.G[:, None]
@@ -435,29 +438,31 @@ def _suite_sphere_bundle(ctx, rng, res):
             phi2 = bg._gv(phi, phiU) + U - etaU[..., None] * S.xi[:, None]
             lhs = np.vecdot(bg._vg(phiU, G), bg._gv(phi, V))
             rhs = np.vecdot(bg._vg(U, G), V) - etaU * np.vecdot(eta, V)
-            cols += [np.stack([abs(phi2).max(-1), abs(np.vecdot(eta, phiU)), abs(lhs - rhs)], -1),
-                     abs(bg._gv(S.phi, S.xi)).max(-1), abs(np.vecdot(S.eta, S.xi) - 1.0)]
+            cols[f"{tag} eps={eps} phi^2, eta(phi), G(phi, phi)"] = np.stack(
+                [abs(phi2).max(-1), abs(np.vecdot(eta, phiU)), abs(lhs - rhs)], -1)
+            cols[f"{tag} eps={eps} phi(xi), eta(xi)"] = np.stack(
+                [abs(bg._gv(S.phi, S.xi)).max(-1), abs(np.vecdot(S.eta, S.xi) - 1.0)], -1)
         # induced metric displays vs ambient restriction
         G_dd, G_dv, G_vv = sb.induced_metric(P, ww)
         amb = orc.InducedMetric(base, ww).matrix(P.q)
         deltas, verts = sb.generators(P)
         dT, vT = np.swapaxes(deltas, -1, -2), np.swapaxes(verts, -1, -2)
-        cols += [abs(A).max(axis=(-2, -1)) for A in
-                 (deltas @ amb @ dT - G_dd, deltas @ amb @ vT - G_dv, verts @ amb @ vT - G_vv)]
+        cols[f"{tag} G_dd, G_dv, G_vv"] = np.stack([abs(A).max(axis=(-2, -1)) for A in (
+            deltas @ amb @ dT - G_dd, deltas @ amb @ vT - G_dv, verts @ amb @ vT - G_vv)], -1)
         # the vertical generators satisfy u^i vert_i = 0 and have rank m-1
-        cols += [abs(bg._vg(P.u, verts)).max(-1),
-                 abs(np.linalg.matrix_rank(verts, tol=1e-10) - (m - 1))]
+        cols[f"{tag} u.vert"] = abs(bg._vg(P.u, verts)).max(-1)
+        cols[f"{tag} rank"] = abs(np.linalg.matrix_rank(verts, tol=1e-10) - (m - 1))
         if unit:  # the unit-bundle connection on one generator case per sample
             k = np.arange(n)
             t1 = (P, w, np.array(("dd", "Yd", "dY", "YY"))[k % 4], k % m, (k // 4) % m)
-            cols.append(np.max(np.abs(sb.t1_connection(*t1) - sb.t1_connection_fd(*t1)), axis=-1))
+            cols["t1_connection"] = abs(sb.t1_connection(*t1) - sb.t1_connection_fd(*t1)).max(-1)
         # rescaled contact metric condition, numeric d(eta)
         S = sb.contact_structure(P, ww, rescaled=True)
         U, V = tangent_pairs(S, 2)
         dvals = sb.deta_numeric(P, ww, np.stack([U, V], axis=2), rescaled=True)
         deta.append(abs(dvals - np.vecdot(bg._vg(U, S.G[:, None]), bg._gv(S.phi[:, None], V))))
-    res.residuals.extend(map(float, np.hstack([np.reshape(c, (n, -1)) for c in cols]).ravel()))
     res.controls.append(Control("contact_metric_condition", float(np.max(deta)), 1e-8, "max"))
+    return cols
 
 
 def _suite_isometry(ctx, rng, res):
@@ -465,9 +470,9 @@ def _suite_isometry(ctx, rng, res):
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
     pts = ctx.drawn(rng, max(2, ctx.samples // 5), lambda: ctx._sample_unit(rng)[::2])
     good = sb.isometry_residuals(base, w4, pts, rng=rng)
-    res.residuals.extend([good["metric"], good["phi"], good["xi"]])
     bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
+    return {k: good[k] for k in ("metric", "phi", "xi")}
 
 
 def _suite_k_contact(ctx, rng, res):
@@ -478,7 +483,6 @@ def _suite_k_contact(ctx, rng, res):
     P, Pe, Pc = (sb.sphere_point(b, *map(np.array, zip(*d)), r=1.0) for b, d in zip(bases, draws))
     sas = named_family("sasaki")
     v = sb.k_contact_verdict(sas, P)
-    res.residuals.extend([v["k_contact_residual"], v["sasakian_residual"]])
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")
     v2 = sb.k_contact_verdict(w2, P)
     res.controls.append(Control("a2_not_k_contact", v2["k_contact_residual"], 1e-2, "min"))
@@ -489,6 +493,7 @@ def _suite_k_contact(ctx, rng, res):
     vc = sb.k_contact_verdict(ctx.weights, Pc)
     agree = vc["is_k_contact"] == vc["predicted_k_contact"]
     res.controls.append(Control("verdict_matches_theorem", 1.0 if agree else 0.0, 0.5, "min"))
+    return {k: v[k] for k in ("k_contact_residual", "sasakian_residual")}
 
 
 def _suite_oracle_cross(ctx, rng, res):
@@ -514,10 +519,9 @@ def _suite_oracle_cross(ctx, rng, res):
     ric = np.einsum("...ikij->...kj", Rhat)
     scal_num = np.einsum("...kj,...kj->...", np.linalg.inv(G), ric)
     worst["scalar"] = abs(tb.scalar_curvature(w, base, P) - scal_num)
-    for name, t0 in parts.items():
-        top = float(np.max(worst[name]))
-        res.residuals.append(top / t0)
-        res.controls.append(Control(f"{name}_residual", top, t0, "max"))
+    res.controls.extend(Control(f"{k}_residual", float(np.max(worst[k])), t0, "max")
+                        for k, t0 in parts.items())
+    return {c.name: c.value / c.bound for c in res.controls}  # each as a share of its bound
 
 
 SUITES = {
@@ -539,6 +543,21 @@ SUITES = {
 SUITE_ORDER = list(SUITES)
 
 
+def _flatten(columns):
+    """A suite's residual columns as one list, and each residual's sample.  A column is
+    an (n,) or (n, k) array over the first n samples, or a suite-level scalar (sample
+    None); per sample come the entries of every column that has it, in column order,
+    and the scalars last."""
+    arrays = [np.asarray(c, dtype=float) for c in columns.values()]
+    rows = [a.reshape(len(a), -1) for a in arrays if a.ndim]
+    scalars = [float(a) for a in arrays if not a.ndim]
+    samples = np.concatenate([np.repeat(np.arange(len(r)), r.shape[1]) for r in rows]
+                             + [np.zeros(0, int)])
+    order = np.argsort(samples, kind="stable")
+    values = np.concatenate([r.ravel() for r in rows] + [np.zeros(0)])[order]
+    return values.tolist() + scalars, samples[order].tolist() + [None] * len(scalars)
+
+
 def run_suite(name, ctx, tolerance=None):
     fn, anchor, default_tol = SUITES[name]
     tol = default_tol if tolerance is None else float(tolerance)
@@ -546,7 +565,7 @@ def run_suite(name, ctx, tolerance=None):
     rng = ctx.rng(idx)
     res = SuiteResult(name, anchor, tol, seed=[ctx.seed, idx])
     try:
-        fn(ctx, rng, res)
+        res.residuals, res.sample_indices = _flatten(fn(ctx, rng, res))
     except Exception as exc:  # domain violations etc: report, keep running
         res = SuiteResult(name, anchor, tol, error=f"{type(exc).__name__}: {exc}",
                           seed=[ctx.seed, idx])

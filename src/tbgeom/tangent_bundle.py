@@ -35,7 +35,6 @@ __all__ = [
     "adapted_basis",
     "scalar_curvature",
     "scalar_curvature_space_form",
-    "random_split_vector",
 ]
 
 
@@ -229,11 +228,6 @@ def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVecto
     new_v = U.h / sa - d.A_coef * float(U.h @ gu) * P.u
     new_h = -sa * U.v + d.B_coef * float(U.v @ gu) * P.u
     return SplitVector(new_h, new_v, P)
-
-
-def random_split_vector(P, rng, scale=1.0):
-    m = P.base.dim
-    return SplitVector(scale * rng.standard_normal(m), scale * rng.standard_normal(m), P)
 
 
 def kahler_form(w, P, U, V):

@@ -224,8 +224,10 @@ def kahler_system_residuals(pair: WeightPair, t, c):
     return r1, r2
 
 
-def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None,
-                           n_check=1000):
+_CLOSURE_CHECKS = 1000  # the t on [lo, min(hi, 10)] at which the closure sign is checked
+
+
+def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None):
     """Complete a weight a(t) to a pair whose fundamental 2-form is closed.
 
     The closure condition fixes b = a' (1 + t a'/(2a)); it is solvable with
@@ -243,20 +245,14 @@ def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None,
         return apt * (1 + t * apt / (2 * a(t)))
 
     pair = WeightPair(a, b, epsilon, t_domain, name or "almost_kahler_complete")
-    lo, hi = pair.t_domain
-    hi = min(hi, 10.0)
-    lo = max(lo, 0.0)
-    for t in np.linspace(lo + 1e-9, hi - 1e-9, n_check):
-        w = pair.eval(t)  # also enforces a > 0 and a + 2tb > 0
-        s = w.a + t * w.ap
-        if epsilon == -1 and s <= 0:
-            raise WeightDomainError(
-                f"t*a(t) not increasing at t={t}: closure needs a + t a' > 0 for eps=-1"
-            )
-        if epsilon == +1 and s >= 0:
-            raise WeightDomainError(
-                f"t*a(t) not decreasing at t={t}: closure needs a + t a' < 0 for eps=+1"
-            )
+    lo, hi = max(pair.t_domain[0], 0.0), min(pair.t_domain[1], 10.0)
+    t = np.linspace(lo + 1e-9, hi - 1e-9, _CLOSURE_CHECKS)
+    w = pair.eval(t)  # also enforces a > 0 and a + 2tb > 0
+    bad = _first(pair.epsilon * (w.a + t * w.ap) >= 0, t)
+    if bad:
+        trend, sign = ("increasing", ">") if pair.epsilon == -1 else ("decreasing", "<")
+        raise WeightDomainError(f"t*a(t) not {trend} at t={bad[0]}: "
+                                f"closure needs a + t a' {sign} 0 for eps={pair.epsilon:+d}")
     return pair
 
 

@@ -28,7 +28,7 @@ from tbgeom.weights import (
     named_family,
     weights_from_spec,
 )
-from weight_sampling import sample_domain
+from sampling import random_split_vector, sample_domain
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -222,7 +222,7 @@ def test_criterion_06_connection_curvature_oracle():
             worst_curv,
             float(np.max(np.abs(cl - np.einsum("hkij,k,i,j->h", Rhat, Wc, Uc, Vc)))),
         )
-        U, V, W, S = (tb.random_split_vector(P, rng) for _ in range(4))
+        U, V, W, S = (random_split_vector(P, rng) for _ in range(4))
 
         def riem(A, B, C, D):
             return tb.bundle_metric(CG, P, tb.bundle_curvature_general(CG, base, P, A, B, C), D)

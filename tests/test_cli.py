@@ -141,6 +141,35 @@ def test_report_files_and_exit_codes(tmp_path):
     assert cli.main(["verify", "--config", str(failing)]) == 1
 
 
+def test_every_residual_names_its_sample(tmp_path):
+    n = 8
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(
+        weights={"name": "g1"}, samples=n, out=str(tmp_path / "report"),
+        suites=["connection", "flat_g1", "sphere_bundle", "oracle_cross"])))
+    assert cli.main(["verify", "--config", str(cfg_path), "--format", "both"]) == 0
+    rep = json.loads((tmp_path / "report.json").read_text())
+    got = {s["name"]: s["sample_indices"] for s in rep["suites"]}
+    for s in rep["suites"]:
+        assert len(s["sample_indices"]) == len(s["residuals"]) == s["n_samples"], s["name"]
+    # four lift cases per sample
+    assert got["connection"] == np.repeat(np.arange(n), 4).tolist()
+    # the closed form and the oracle on each of the first k samples, then the closed form
+    k = max(2, n // 10)
+    assert got["flat_g1"] == [*np.repeat(np.arange(k), 2), *range(k, n)]
+    # the same checks on every sample of the bundle
+    bundle = got["sphere_bundle"]
+    width = len(bundle) // max(2, n // 4)
+    assert width > 1 and bundle == np.repeat(np.arange(max(2, n // 4)), width).tolist()
+    # one suite-level maximum per check: no sample
+    assert got["oracle_cross"] == [None] * 4
+    with open(tmp_path / "report.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    for s in rep["suites"]:
+        column = [r["sample_index"] for r in rows if r["suite"] == s["name"]]
+        assert column == ["" if i is None else str(i) for i in s["sample_indices"]], s["name"]
+
+
 def test_cli_overrides(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_cfg()))

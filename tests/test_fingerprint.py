@@ -1,12 +1,13 @@
 """Every residual and control of the shipped configs, pinned to the last bit.
 
 ``residual_fingerprint.json`` holds ``float.hex`` of each residual and
-control value of ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with
-``samples`` overridden to 4, and of the inline documents (``INLINE``): two at
-m = 3 (the stacked dOmega, Lee-form and d(eta) maps, and the closed-form
-suites) and one over an m = 2 ``diagonal_polynomial`` base.  A
-change that claims to keep the numbers bit-identical is checked here; a change
-that moves them on purpose regenerates the file and says why.  Regenerate it
+control value, and each residual's sample, of
+``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with ``samples``
+overridden to 4, and of the inline documents (``INLINE``): two at m = 3 (the
+stacked dOmega, Lee-form and d(eta) maps, and the closed-form suites) and one
+over an m = 2 ``diagonal_polynomial`` base.  A change that claims to keep the
+numbers bit-identical is checked here; a change that moves them on purpose
+regenerates the file and says why.  Regenerate it
 from the repository root with
 
     PYTHONPATH=src python3 tests/test_fingerprint.py
@@ -49,13 +50,15 @@ CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)
 
 
 def fingerprint(name):
-    """Per suite: its error, residuals and controls, each number as float.hex."""
+    """Per suite: its error, its residuals and controls (each number as float.hex),
+    and each residual's sample."""
     doc = INLINE.get(name) or json.loads((ROOT / "configs" / f"{name}.json").read_text())
     doc = dict(doc, samples=SAMPLES, out=None)
     return {
         s["name"]: {
             "error": s["error"],
             "residuals": [float(r).hex() for r in s["residuals"]],
+            "sample_indices": s["sample_indices"],
             "controls": [[c["name"], float(c["value"]).hex()] for c in s["controls"]],
         }
         for s in run(load_config(doc))["suites"]
@@ -66,12 +69,12 @@ def first_difference(got, pinned):
     """Where one suite's fingerprint first departs from the pinned one, in words."""
     if got["error"] != pinned["error"]:
         return f"error {got['error']!r}, pinned {pinned['error']!r}"
-    for kind in ("residuals", "controls"):
+    for kind in ("residuals", "sample_indices", "controls"):
         for i, (a, b) in enumerate(zip(got[kind], pinned[kind])):
-            if a != b and kind == "residuals":
-                return f"residual {i}: {a}, pinned {b}"
-            if a != b:
+            if a != b and kind == "controls":
                 return f"control {i}: {a[0]} = {a[1]}, pinned {b[0]} = {b[1]}"
+            if a != b:
+                return f"{kind}[{i}]: {a}, pinned {b}"
         if len(got[kind]) != len(pinned[kind]):
             return f"{len(got[kind])} {kind}, pinned {len(pinned[kind])}"
     return f"fields {sorted(got)}, pinned {sorted(pinned)}"

@@ -93,7 +93,7 @@ def test_generators_rank_and_tangency():
             assert np.linalg.matrix_rank(verts, tol=1e-10) == P.base.dim - 1
             # tangency: the constraint gradient annihilates all generators
             amb = orc.InducedMetric(SF1, w).matrix(P.q)
-            N = sb.unit_normal(P, w)
+            N = sb._normal(P.u, P.r, P.values(w))
             for row in np.vstack([deltas, verts]):
                 assert abs(row @ amb @ N) <= 1e-12
 
@@ -495,7 +495,7 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r
     [J] = seen
     assert S.G.tobytes() == orc.InducedMetric(base, w_eps).matrix(P.q).tobytes()
     assert J.tobytes() == orc.j_matrix(base, w_eps, P.q).tobytes()
-    assert np.array_equal(S.normal, sb.unit_normal(P, w_eps))
+    assert np.array_equal(S.normal, sb._normal(P.u, P.r, P.values(w_eps)))
     assert S.xi.tobytes() == (-J @ S.normal).tobytes()
 
 

@@ -180,7 +180,8 @@ def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
 
 def sphere_forms(P, w):
     """Every sphere-bundle function a suite evaluates on a stacked point."""
-    out = {"r": P.r, "generators": sb.generators(P), "unit_normal": sb.unit_normal(P, w),
+    out = {"r": P.r, "generators": sb.generators(P),
+           "_normal": sb._normal(P.u, P.r, P.values(w)),
            "induced_metric": sb.induced_metric(P, w),
            "k_contact and sasakian": sb._residual_vectors(P, w)}
     for eps in (-1, 1):

@@ -9,7 +9,7 @@ import pytest
 
 from tbgeom import weights as wt
 from tbgeom.jets import Jet
-from weight_sampling import sample_domain
+from sampling import sample_domain
 
 
 def fd(f, t, h=1e-6):
