@@ -1,17 +1,17 @@
 """Named verification suites executed by the batch runner.
 
-Each suite draws deterministic samples, evaluates one family of closed
-forms against its independent check, appends controls to the result that
-``run_suite`` made from its ``SUITES`` entry and returns its residuals as
-named columns, which ``run_suite`` lays out sample by sample.  Negative
-controls (configurations that must exhibit a LARGE residual for the suite
-to pass) are first-class: a suite passes only if its residuals stay below
-tolerance and every control stays above its bound.
+Each suite draws its deterministic samples as stacks (``SuiteContext.draw``),
+evaluates one family of closed forms on them against its independent check,
+appends controls to the result that ``run_suite`` made from its ``SUITES``
+entry and returns its residuals as named columns, which ``run_suite`` lays
+out sample by sample.  Negative controls (configurations that must exhibit
+a LARGE residual for the suite to pass) are first-class: a suite passes
+only if its residuals stay below tolerance and every control stays above
+its bound.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 
@@ -114,69 +114,44 @@ class SuiteContext:
     chart_box: np.ndarray
     fiber_range: tuple
 
-    _stacks = None  # while ``drawn`` runs: the x drawn so far, then the g stacks
-
     def rng(self, suite_index):
         return np.random.default_rng([self.seed, suite_index])
 
-    def drawn(self, rng, n, one):
-        """n results of one(), the x they draw validated as one stack per base: a first run
-        takes each x as admissible (the draws depend on g only through rejection); a second
-        from the same rng state reads g from the stacks, or checks x by x if one is not."""
-        state, self._stacks = rng.bit_generator.state, []
-        try:
-            [one() for _ in range(n)]
-            xs, self._stacks = self._stacks, None
-            with contextlib.suppress(bg.GeometryError):
-                self._stacks = {b: iter(b.validate_at(np.array([x for c, x in xs if c is b])))
-                                for b in dict.fromkeys(b for b, _ in xs)}
-            rng.bit_generator.state = state
-            return [one() for _ in range(n)]
-        finally:
-            self._stacks = None
+    def draw(self, rng, n, block, base=None):
+        """n samples, each an x of the chart box and then the numbers of ``block()`` (a
+        tuple): the (n, m) stack of x, the metric g of ``base`` (by default the context's)
+        there, and the blocks' columns, each entry of the tuple stacked over the samples.
 
-    def _validated(self, base, x):  # g of base at x, alone or in a run of ``drawn``
-        if isinstance(self._stacks, list):  # the first run: recorded, taken as admissible
-            self._stacks.append((base, x))
-            return np.eye(base.dim)
-        return base.validate_at(x) if self._stacks is None else next(self._stacks[base])
-
-    def sample_x(self, rng):
-        """An admissible x in the chart box and the base metric validated there."""
+        Every x must be admissible for the context's base and ``base``.  One pass takes
+        each x as admissible and validates them as one stack per base; only if a stack
+        holds an inadmissible x are the samples drawn again from the same rng state,
+        each x checked alone and an inadmissible one redrawn.
+        """
+        base = base or self.base
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
-        for _ in range(1000):
-            x = lo + (hi - lo) * rng.random(self.base.dim)
-            try:
-                return x, self._validated(self.base, x)
-            except bg.GeometryError:
-                continue
-        raise bg.ChartDomainError("chart box contains no admissible points")
 
-    def _sample_unit(self, rng, base=None):
-        """x admissible for ``base`` (by default the context's), g there and a g-unit u;
-        ``[::2]`` of it is a point (x, u) of the unit tangent bundle."""
-        base = base or self.base
-        for _ in range(1000):
-            x, g = self.sample_x(rng)
-            try:
-                g = g if base is self.base else self._validated(base, x)
-            except bg.GeometryError:
-                continue
-            u = rng.standard_normal(base.dim)
-            return x, g, u / math.sqrt(u @ g @ u)
-        raise bg.ChartDomainError("chart box misses the override-base domain")
+        def g_at(x):  # g of base at x (or a stack of x), admissible for both bases
+            g = self.base.validate_at(x)
+            return g if base is self.base else base.validate_at(x)
 
-    def sample_point(self, rng, weights=None, base=None, t_range=None):
-        w = weights or self.weights
-        base = base or self.base
-        x, g, direction = self._sample_unit(rng, base)
-        lo, hi = t_range or (0.5 * self.fiber_range[0] ** 2, 0.5 * self.fiber_range[1] ** 2)
-        dlo, dhi = w.t_domain
-        lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
-        hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
-        t = lo + (hi - lo) * rng.random()
-        u = math.sqrt(2.0 * t) * direction
-        return tb.TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u))
+        def sample(check):  # an x that ``check`` takes, its g, then the sample's block
+            for _ in range(1000):
+                x = lo + (hi - lo) * rng.random(self.base.dim)
+                try:
+                    g = check(x)
+                except bg.GeometryError:
+                    continue
+                return x, g, block()
+            raise bg.ChartDomainError("chart box contains no admissible points")
+
+        state = rng.bit_generator.state
+        x, _, blocks = zip(*[sample(lambda x: None) for _ in range(n)])
+        try:
+            g = g_at(np.array(x))
+        except bg.GeometryError:
+            rng.bit_generator.state = state
+            x, g, blocks = zip(*[sample(g_at) for _ in range(n)])
+        return np.array(x), np.array(g), [np.array(c) for c in zip(*blocks)]
 
 
 # ---------------------------------------------------------------- suites
@@ -186,9 +161,8 @@ def _suite_base_checks(ctx, rng, res):
     base, m = ctx.base, ctx.base.dim
     sf = isinstance(base, bg.SpaceForm)
     # per sample: x, then on a space form the plane X, Y of its sectional check
-    draws = ctx.drawn(rng, ctx.samples, lambda: (*ctx.sample_x(rng),
-                                                 *(rng.standard_normal((2, m)) if sf else ())))
-    x, g, *XY = map(np.array, zip(*draws))
+    x, g, XY = ctx.draw(rng, ctx.samples,
+                        lambda: tuple(rng.standard_normal((2, m)) if sf else ()))
     gam, R, NR = bg.base_jets(base, x)
     low = bg.lower_curvature(g, R)
     fd = orc.fd_connection(base, x, h=1e-5, richardson=False)
@@ -240,12 +214,36 @@ def _lck_terms(base, w, q, vecs, h):
     return _domega(Om, vecs, h), orc.wedge_1_2(lee[0], Om[0], *vecs), dlee
 
 
-def _draw(ctx, rng, n, shape, **point):
-    """n samples, each a point of ``sample_point(rng, **point)`` and then a block of
-    normals of ``shape``: the stacked point, and the blocks' rows as one leading axis."""
-    pts, draws = zip(*ctx.drawn(rng, n, lambda: (ctx.sample_point(rng, **point),
-                                                 rng.standard_normal(shape))))
-    return tb.TangentPoint.stack(pts), np.moveaxis(np.array(draws), 1, 0)
+def _unit(v, g):  # each row of v scaled to g-unit length
+    return v / np.sqrt(np.vecdot(bg._vg(v, g), v))[:, None]
+
+
+def _units(ctx, rng, n, shape=(0,), base=None):
+    """n samples, each a point (x, u) of the unit tangent bundle of ``base`` (by default
+    the context's) and then a block of normals of ``shape`` (by default none): the x, the
+    g-unit u and the blocks, each stacked over the samples."""
+    base = base or ctx.base
+    x, g, (direction, vecs) = ctx.draw(rng, n, lambda: (
+        rng.standard_normal(base.dim), rng.standard_normal(shape)), base)
+    return x, _unit(direction, g), vecs
+
+
+def _draw(ctx, rng, n, shape=(0,), weights=None, base=None, t_range=None):
+    """n samples, each a point of T(M) over ``base`` (by default the context's) and then
+    a block of normals of ``shape`` (by default none): the stacked point, and the blocks'
+    rows as one leading axis.  A point is an x of the chart box and a g-unit direction
+    there, scaled to an energy t drawn uniformly from ``t_range`` (by default that of the
+    fiber range) inside the domain of ``weights`` (by default the context's)."""
+    w, base = weights or ctx.weights, base or ctx.base
+    x, g, (direction, s, vecs) = ctx.draw(rng, n, lambda: (
+        rng.standard_normal(base.dim), rng.random(), rng.standard_normal(shape)), base)
+    lo, hi = t_range or (0.5 * ctx.fiber_range[0] ** 2, 0.5 * ctx.fiber_range[1] ** 2)
+    dlo, dhi = w.t_domain
+    lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
+    hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
+    u = np.sqrt(2.0 * (lo + (hi - lo) * s))[:, None] * _unit(direction, g)
+    P = tb.TangentPoint(base, x, u, g, 0.5 * np.vecdot(bg._vg(u, g), u))
+    return P, np.moveaxis(vecs, 1, 0)
 
 
 def _suite_lck(ctx, rng, res):
@@ -273,6 +271,9 @@ def _suite_kahler(ctx, rng, res):
     # the case-2 pairs are integrable and lcK: the residuals are the
     # Nijenhuis tensor, dOmega - lee ^ Omega and d(lee), and the fundamental
     # form must stay visibly non-closed.
+    if ctx.base.dim != 2:  # its x are drawn from the config's chart box
+        res.error = f"kahler suite checks its own m = 2 base, not one of m = {ctx.base.dim}"
+        return {}
     c, kappa = -1.0, 2.0
     base = bg.SpaceForm(c, 2)
     pair = kahler_family(2, c, kappa)
@@ -358,7 +359,7 @@ def _suite_sectional(ctx, rng, res):
         res.error = "sectional display suite needs a space-form base"
         return {}
     c, m = base.curvature, base.dim
-    P = tb.TangentPoint.stack(ctx.drawn(rng, ctx.samples, lambda: ctx.sample_point(rng)))
+    P, _ = _draw(ctx, rng, ctx.samples)
     vals = P.values(w)
     frame = bg.orthonormal_frame(P.gx, first=P.u)
     X, Y = (frame[:, 1], frame[:, 2]) if m > 2 else (frame[:, 0], frame[:, -1])
@@ -367,14 +368,13 @@ def _suite_sectional(ctx, rng, res):
     gxu2, gyu2 = (_pow(np.vecdot(v, P.gu), 2) for v in (X, Y))
     a, b = vals.a, vals.b
     E = tb.adapted_basis(w, P)
-    # the planes XH^YH, XH^YV, E_i^E_m (i < m) on a leading axis; Q, P's views, broadcasts
+    # the planes XH^YH, XH^YV, E_i^E_m (i < m) on a leading axis that broadcasts against P
     planes = [(XH, YH), (XH, YV)] + [(E[i], E[m]) for i in range(m)]
-    Q = P[np.newaxis]
 
-    def on_q(side):  # each plane's vectors at the rows of P, one plane per position
-        return tb.SplitVector(*(np.stack([getattr(s, f) for s in side]) for f in "hv"), Q)
+    def stacked(side):  # each plane's vectors at the rows of P, one plane per position
+        return tb.SplitVector(*(np.stack([getattr(s, f) for s in side]) for f in "hv"), P)
 
-    K = tb.bundle_sectional(w, base, Q, *map(on_q, zip(*planes)))
+    K = tb.bundle_sectional(w, base, P, *map(stacked, zip(*planes)))
     disp = c - 0.75 * a * c * c * (gxu2 + gyu2)
     disp_hv = _pow(a, 2) * c * c * gxu2 / (4 * (a + b * gyu2))
     # parallelogram-area displays against the Gram determinant
@@ -390,7 +390,7 @@ def _suite_sectional(ctx, rng, res):
 
 def _suite_scalar(ctx, rng, res):
     base, w = ctx.base, ctx.weights
-    P = tb.TangentPoint.stack(ctx.drawn(rng, ctx.samples, lambda: ctx.sample_point(rng)))
+    P, _ = _draw(ctx, rng, ctx.samples)
     closed = tb.scalar_curvature(w, base, P, mode="closed")
     basis = tb.scalar_curvature(w, base, P, mode="basis")
     denom = np.maximum(1.0, abs(closed))
@@ -408,10 +408,9 @@ def _suite_sphere_bundle(ctx, rng, res):
     base, w, m = ctx.base, ctx.weights, ctx.base.dim
     sas = named_family("sasaki")
     # per sample: (x, u), then the normals of its checks below, in the order they read them
-    draws = ctx.drawn(rng, max(2, ctx.samples // 4), lambda: (
-        *ctx._sample_unit(rng)[::2], rng.standard_normal((_SPHERE_DRAWS, 2 * m))))
-    n = len(draws)
-    pairs = iter(np.moveaxis(np.reshape([d[2] for d in draws], (n, -1, 2, 2 * m)), 1, 0))
+    x, u, normals = _units(ctx, rng, max(2, ctx.samples // 4), (_SPHERE_DRAWS, 2 * m))
+    n = len(x)
+    pairs = iter(np.moveaxis(normals.reshape(n, -1, 2, 2 * m), 1, 0))
 
     def tangent_pairs(S, k):
         # the next k normal pairs of every sample projected by S: U and V of shape (n, k, 2m)
@@ -422,7 +421,6 @@ def _suite_sphere_bundle(ctx, rng, res):
     # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r) at each x,
     # as rows of one stacked point; each bundle's rows are one stack of all samples
     bundles = [(True, w, 1.0), (False, sas, 1.3)]
-    x, u, _ = map(np.array, zip(*draws))
     radii = np.array([r for *_, r in bundles])
     points = sb.sphere_point(base, np.repeat(x, len(bundles), axis=0),
                              (radii[:, None] * u[:, None]).reshape(-1, m), r=np.tile(radii, n))
@@ -468,7 +466,7 @@ def _suite_sphere_bundle(ctx, rng, res):
 def _suite_isometry(ctx, rng, res):
     base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    pts = ctx.drawn(rng, max(2, ctx.samples // 5), lambda: ctx._sample_unit(rng)[::2])
+    pts = list(zip(*_units(ctx, rng, max(2, ctx.samples // 5))[:2]))
     good = sb.isometry_residuals(base, w4, pts, rng=rng)
     bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
@@ -478,9 +476,8 @@ def _suite_isometry(ctx, rng, res):
 def _suite_k_contact(ctx, rng, res):
     sf1, eu = bg.SpaceForm(1.0, ctx.base.dim), bg.euclidean(ctx.base.dim)
     bases, counts = (sf1, eu, ctx.base), (max(2, ctx.samples // 4), 2, 2)  # a unit stack each
-    [draws] = ctx.drawn(rng, 1, lambda: [[ctx._sample_unit(rng, b)[::2] for _ in range(k)]
-                                         for b, k in zip(bases, counts)])
-    P, Pe, Pc = (sb.sphere_point(b, *map(np.array, zip(*d)), r=1.0) for b, d in zip(bases, draws))
+    P, Pe, Pc = (sb.sphere_point(b, *_units(ctx, rng, k, base=b)[:2], r=1.0)
+                 for b, k in zip(bases, counts))
     sas = named_family("sasaki")
     v = sb.k_contact_verdict(sas, P)
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")

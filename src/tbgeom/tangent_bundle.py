@@ -143,7 +143,11 @@ def tangent_point(base, x, u):
 
 @dataclass(frozen=True)
 class SplitVector:
-    """Tangent vector of T(M), or an (n, m) stack: h horizontal, v vertical parts."""
+    """Tangent vector of T(M), or an (n, m) stack: h horizontal, v vertical parts.
+
+    k vectors at each point are a leading axis, (k, m) or (k, n, m), that broadcasts
+    against the arrays of the point.
+    """
 
     h: np.ndarray
     v: np.ndarray
@@ -190,21 +194,6 @@ def _dot(A, B):
     return np.vecdot(A, B)[..., None]
 
 
-def _aligned(P, X):
-    """For vectors X of P, one per row ((m,), or (n, m) at a stack of n) or k per row
-    ((k, m), or (n, k, m)): ``lift`` gives a stacked row's arrays (with ``core`` trailing
-    axes) an axis for its k vectors, and ``vg`` forms v g_x as a single point does."""
-    k = np.ndim(X) > P.x.ndim
-
-    def lift(a, core):
-        return np.expand_dims(a, np.ndim(a) - core) if k and P.x.ndim == 2 else a
-
-    def vg(v):
-        return v @ P.gx if k else bg._vg(v, P.gx)
-
-    return lift, vg
-
-
 def _scalar(out):
     return float(out) if np.ndim(out) == 0 else out
 
@@ -213,10 +202,9 @@ def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector
     """g(U_h, V_h) + a g(U_v, V_v) + b g(U_v, u) g(V_v, u), row by row on stacks."""
     vals = P.values(w)
     _check_same(U, V)
-    lift, vg = _aligned(P, U.h)
-    gu, a, b = lift(P.gu, 1), lift(vals.a, 0), lift(vals.b, 0)
-    dot = np.vecdot
-    return _scalar(dot(vg(U.h), V.h) + a * dot(vg(U.v), V.v) + b * dot(U.v, gu) * dot(V.v, gu))
+    gx, gu, a, b, dot = P.gx, P.gu, vals.a, vals.b, np.vecdot
+    return _scalar(dot(bg._vg(U.h, gx), V.h) + a * dot(bg._vg(U.v, gx), V.v)
+                   + b * dot(U.v, gu) * dot(V.v, gu))
 
 
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
@@ -310,19 +298,18 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     """Curvature tensor of the bundle metric on lift slots.
 
     ``case`` is one of HHH, HHV, HVH, HVV, VVH, VVV naming the slots of
-    R(X^., Y^.) Z^. in order, row by row when X, Y, Z are stacks (see ``_aligned``).
+    R(X^., Y^.) Z^. in order, row by row when X, Y, Z are stacks (see ``SplitVector``).
     """
     check_base(base, P)
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     d = P.coeffs(w)
-    lift, vg = _aligned(P, X)
     # the coefficients of P against its vectors
-    a, ap, L, M, F1, F2, F3 = (np.asarray(lift(c, 0))[..., None]
+    a, ap, L, M, F1, F2, F3 = (np.asarray(c)[..., None]
                                for c in (d.values.a, d.values.ap, d.L, d.M, d.F1, d.F2, d.F3))
-    gu, u, R, NR = lift(P.gu, 1), lift(P.u, 1), lift(P.R, 4), lift(P.NR, 5)
-    rop = partial(_rop, R)
+    gu, u, NR = P.gu, P.u, P.NR
+    rop, vg = partial(_rop, P.R), partial(bg._vg, g=P.gx)
 
     if case == "HHH":
         h = (
@@ -462,9 +449,9 @@ def scalar_curvature(w, base, P, mode="closed"):
     d = P.coeffs(w)
     if mode == "basis":
         E = adapted_basis(w, P)
-        Eh, Ev = (np.stack([getattr(e, part) for e in E], axis=-2) for part in "hv")
+        Eh, Ev = (np.stack([getattr(e, part) for e in E]) for part in "hv")
         al, be = np.nonzero(~np.eye(2 * m, dtype=bool))
-        Ah, Av, Bh, Bv = Eh[..., al, :], Ev[..., al, :], Eh[..., be, :], Ev[..., be, :]
+        Ah, Av, Bh, Bv = Eh[al], Ev[al], Eh[be], Ev[be]
         Rh, Rv = np.zeros(Ah.shape), np.zeros(Ah.shape)
         for case, rows, X, Y, Z, sign in (
             ("HHH", (al < m) & (be < m), Ah, Bh, Bh, 1.0),
@@ -472,10 +459,10 @@ def scalar_curvature(w, base, P, mode="closed"):
             ("HVH", (al >= m) & (be < m), Bh, Av, Bh, -1.0),
             ("VVV", (al >= m) & (be >= m), Av, Bv, Bv, 1.0),
         ):
-            r = bundle_curvature(w, base, P, case, *(A[..., rows, :] for A in (X, Y, Z)))
-            Rh[..., rows, :], Rv[..., rows, :] = sign * r.h, sign * r.v
+            r = bundle_curvature(w, base, P, case, *(A[rows] for A in (X, Y, Z)))
+            Rh[rows], Rv[rows] = sign * r.h, sign * r.v
         num = bundle_metric(w, P, SplitVector(Rh, Rv, P), SplitVector(Ah, Av, P))
-        return _scalar(np.cumsum(num, axis=-1)[..., -1])  # one pair at a time, in (a, b) order
+        return _scalar(np.cumsum(num, axis=0)[-1])  # one pair at a time, in (a, b) order
     R = P.R
     scal = np.einsum("...kj,...kj->...", np.linalg.inv(P.gx), np.einsum("...ikij->...kj", R))
     frame = np.moveaxis(bg.orthonormal_frame(P.gx), -2, 0)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sampling
 
 from tbgeom import base_geometry as bg
 from tbgeom import cli
@@ -322,21 +323,30 @@ def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):
     assert sizes == [ctx.samples]
 
 
-def test_sample_point_validates_each_sampled_x_once_per_base(monkeypatch):
+def validate_at_shapes(monkeypatch):
+    # the shape of the x of every ChartMetric.validate_at call, in call order
+    shapes, validate_at = [], bg.ChartMetric.validate_at
+    monkeypatch.setattr(bg.ChartMetric, "validate_at",
+                        lambda self, x: shapes.append(np.shape(x)) or validate_at(self, x))
+    return shapes
+
+
+def test_draw_redraws_an_x_inadmissible_for_an_override_base(monkeypatch):
     ctx = sphere_context(4)
-    calls = count_calls(monkeypatch, bg.ChartMetric, "validate_at")
+    calls = validate_at_shapes(monkeypatch)
     rng = ctx.rng(0)
-    got = [ctx.sample_point(rng) for _ in range(3)]
-    assert len(calls) == 3
-    for P in got:
-        Q = tb.tangent_point(ctx.base, P.x, P.u)
-        assert P.t == Q.t and P.gx.tobytes() == Q.gx.tobytes()
-    # an override base is checked too, and a point outside its domain is redrawn
+    P, _ = suites._draw(ctx, rng, 3)
+    assert calls == [(3, 3)]  # one stack, and g and t as a single point has them
+    Q = tb.TangentPoint.stack([tb.tangent_point(ctx.base, x, u) for x, u in zip(P.x, P.u)])
+    assert P.t.tobytes() == Q.t.tobytes() and P.gx.tobytes() == Q.gx.tobytes()
+    # an override base is checked too, and a point outside its domain is redrawn: its
+    # stack fails after the context base's, and each x is then checked alone on both
     del calls[:]
     small = bg.SpaceForm(-30.0, 3)
-    P = ctx.sample_point(rng, base=small)
-    assert P.base is small and float(P.x @ P.x) < 4 / 30
-    assert len(calls) >= 2 and len(calls) % 2 == 0
+    P, _ = suites._draw(ctx, rng, 8, base=small)
+    assert P.base is small and np.all(np.vecdot(P.x, P.x) < 4 / 30)
+    assert calls[:2] == [(8, 3)] * 2 and set(calls[2:]) == {(3,)}
+    assert len(calls[2:]) >= 2 * 8 and len(calls[2:]) % 2 == 0
 
 
 def box_context(base, box):
@@ -344,14 +354,12 @@ def box_context(base, box):
                         chart_box=np.asarray(box, dtype=float), fiber_range=(0.3, 1.5))
 
 
-def hexed(draws):
-    # every number of a draw block (nested tuples and lists of arrays) as float.hex
-    if isinstance(draws, (tuple, list)):
-        return [hexed(d) for d in draws]
-    return [float(v).hex() for v in np.ravel(draws)]
+def hexed(*arrays):
+    # every number of the arrays as float.hex, array by array
+    return [[float(v).hex() for v in np.ravel(a)] for a in arrays]
 
 
-# (base, chart box, whether some x of each block is inadmissible): c = -1 is admissible
+# (base, chart box, whether some x of the box is inadmissible): c = -1 is admissible
 # only at |x| < 2, the polynomial metric only at x0 > -1
 BOXES = {
     "admissible": (bg.SpaceForm(-1.0, 2), [[-1.0, 1.0], [-1.0, 1.0]], False),
@@ -364,59 +372,80 @@ BOXES = {
 
 
 @pytest.mark.parametrize("kind", sorted(BOXES))
-def test_drawn_blocks_draw_as_one_by_one(monkeypatch, kind):
+def test_draws_equal_the_one_by_one_sampler(monkeypatch, kind):
     base, box, rejects = BOXES[kind]
     ctx = box_context(base, box)
-    sf1 = bg.SpaceForm(1.0, 2)
+    sf1, n = bg.SpaceForm(1.0, 2), 4
 
-    def block(rng):  # the draws of every sampler entry point, an override base among them
-        return ([ctx.sample_x(rng) for _ in range(4)], [ctx.sample_point(rng) for _ in range(4)],
-                [ctx._sample_unit(rng, sf1) for _ in range(4)])
+    def one_by_one(rng):  # x and a block; points of T(M) and a block; units on an override base
+        return ([sampling.admissible_x(ctx, rng) + (rng.standard_normal(3),) for _ in range(n)],
+                [(sampling.tangent_point(ctx, rng), rng.standard_normal((2, 2))) for _ in range(n)],
+                [sampling.unit_point(ctx, rng, sf1) for _ in range(n)])
 
     rng_alone = ctx.rng(0)
-    alone = [block(rng_alone) for _ in range(3)]
-    calls = count_calls(monkeypatch, bg.ChartMetric, "validate_at")
+    alone = [one_by_one(rng_alone) for _ in range(3)]
+    calls = validate_at_shapes(monkeypatch)
     rng = ctx.rng(0)
-    for want in alone:
-        [(xs, pts, units)] = ctx.drawn(rng, 1, lambda: block(rng))
-        assert hexed(xs) == hexed(want[0]) and hexed(units) == hexed(want[2])
-        assert hexed([(P.x, P.u, P.gx, P.t) for P in pts]) == hexed(
-            [(P.x, P.u, P.gx, P.t) for P in want[1]])
+    for xs, points, units in alone:  # the same samples drawn on stacks
+        x, g, (z,) = ctx.draw(rng, n, lambda: (rng.standard_normal(3),))
+        assert hexed(x, g, z) == hexed(*zip(*xs))
+        P, vecs = suites._draw(ctx, rng, n, (2, 2))
+        assert hexed(P.x, P.u, P.gx, P.t, np.moveaxis(vecs, 0, 1)) == hexed(
+            *([getattr(Q, f) for Q, _ in points] for f in ("x", "u", "gx", "t")),
+            [v for _, v in points])
+        x, g, (d,) = ctx.draw(rng, n, lambda: (rng.standard_normal(2),), sf1)
+        assert hexed(x, g, suites._unit(d, g)) == hexed(*zip(*units))
     assert rng.bit_generator.state == rng_alone.bit_generator.state
-    # one stacked validation per base and block; where a stack holds an inadmissible x,
-    # its block is drawn again validating each of its 16 or more x alone
-    assert len(calls) >= 3 * 16 if rejects else len(calls) == 3 * 2
+    # one stack per base and draw; where a stack holds an inadmissible x, its draw is
+    # made again checking each x alone
+    assert any(len(c) == 1 for c in calls) == rejects
+    assert rejects or calls == [(n, 2)] * 3 * 4
 
 
-def test_drawn_block_on_a_box_with_no_admissible_point_raises():
+def test_draw_runs_each_block_once_on_an_admissible_box():
+    base, box, _ = BOXES["admissible"]
+    ctx = box_context(base, box)
+    rng, runs = ctx.rng(0), []
+    x, g, (z,) = ctx.draw(rng, 5, lambda: runs.append(1) or (rng.standard_normal(3),))
+    assert len(runs) == 5 and x.shape == (5, 2) and g.shape == (5, 2, 2) and z.shape == (5, 3)
+
+
+def test_draw_on_a_box_with_no_admissible_point_raises():
     base, _, _ = BOXES["space_form"]
     ctx = box_context(base, [[2.5, 3.0], [2.5, 3.0]])
     rng = ctx.rng(0)
     with pytest.raises(bg.ChartDomainError, match="no admissible points"):
-        ctx.drawn(rng, 3, lambda: ctx.sample_point(rng))
+        ctx.draw(rng, 3, lambda: ())
     assert run_suite("scalar", ctx).error.startswith("ChartDomainError")
 
 
-def test_closed_m3_validates_each_suites_draws_once_per_base(monkeypatch):
-    # the seed-7 closed_m3 benchmark run: the x a suite draws are checked as one stack
-    # per base, not once each (sphere_point's own validations of its stacks not counted)
+def test_kahler_suite_on_an_m3_base_names_the_dimension():
+    # the suite checks its own m = 2 base, so x drawn from an m = 3 box cannot serve it
+    res = run_suite("kahler", sphere_context(4))
+    assert not res.passed and res.residuals == []
+    assert res.error == "kahler suite checks its own m = 2 base, not one of m = 3"
+
+
+def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
+    # the seed-7 closed_m3 benchmark run: the x of each draw are checked as one stack per
+    # base, not once each (sphere_point's own validations of its stacks not counted)
     calls, inside = {}, []
-    validate_at, drawn = bg.ChartMetric.validate_at, SuiteContext.drawn
+    validate_at, draw = bg.ChartMetric.validate_at, SuiteContext.draw
 
     def counted(self, x):
         if inside:
-            calls.setdefault(inside[-1], []).append((self.name, len(x)))
+            inside[-1].append((self.name, len(x)))
         return validate_at(self, x)
 
-    def marked(self, rng, n, one):
-        inside.append(name)
+    def marked(self, rng, n, block, base=None):
+        inside.append([])
         try:
-            return drawn(self, rng, n, one)
+            return draw(self, rng, n, block, base)
         finally:
-            inside.pop()
+            calls.setdefault(name, []).append(inside.pop())
 
     monkeypatch.setattr(bg.ChartMetric, "validate_at", counted)
-    monkeypatch.setattr(SuiteContext, "drawn", marked)
+    monkeypatch.setattr(SuiteContext, "draw", marked)
     cfg = cli.load_config({"base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
                            "weights": {"name": "sasaki"}, "samples": 80, "seed": 7,
                            "suites": ["base_checks", "sectional", "scalar", "sphere_bundle",
@@ -426,10 +455,10 @@ def test_closed_m3_validates_each_suites_draws_once_per_base(monkeypatch):
         assert run_suite(name, ctx).passed, name
     s3, flat = "space_form(c=1.0)", "space_form(c=0.0)"
     assert calls == {
-        "base_checks": [(s3, 80)], "sectional": [(s3, 80)], "scalar": [(s3, 80)],
-        "sphere_bundle": [(s3, 20)], "isometry": [(s3, 16)],
-        # the config base at every x, then the curvature-1 and the flat override bases
-        "k_contact": [(s3, 24), (s3, 20), (flat, 2)],
+        "base_checks": [[(s3, 80)]], "sectional": [[(s3, 80)]], "scalar": [[(s3, 80)]],
+        "sphere_bundle": [[(s3, 20)]], "isometry": [[(s3, 16)]],
+        # a draw per unit stack: the config base, then the curvature-1 or the flat override
+        "k_contact": [[(s3, 20), (s3, 20)], [(s3, 2), (flat, 2)], [(s3, 2)]],
     }
 
 

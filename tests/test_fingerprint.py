@@ -4,11 +4,12 @@
 control value, and each residual's sample, of
 ``configs/{g1_flat,cg_sphere,kahler_case2}.json`` run with ``samples``
 overridden to 4, and of the inline documents (``INLINE``): two at m = 3 (the
-stacked dOmega, Lee-form and d(eta) maps, and the closed-form suites) and one
-over an m = 2 ``diagonal_polynomial`` base.  A change that claims to keep the
-numbers bit-identical is checked here; a change that moves them on purpose
-regenerates the file and says why.  Regenerate it
-from the repository root with
+stacked dOmega, Lee-form and d(eta) maps, and the closed-form suites), one
+over an m = 2 ``diagonal_polynomial`` base, and one whose chart box holds
+inadmissible points, so that the sampler's x-by-x redraw is pinned too.  A
+change that claims to keep the numbers bit-identical is checked here; a
+change that moves them on purpose regenerates the file and says why.
+Regenerate it from the repository root with
 
     PYTHONPATH=src python3 tests/test_fingerprint.py
 """
@@ -44,6 +45,16 @@ INLINE = {
         ]}},
         "weights": {"name": "cheeger_gromoll"},
         "suites": ["base_checks", "connection", "curvature", "lck"],
+    },
+    # c = -1 is admissible only at |x| < 2, so the box holds inadmissible points and
+    # the sampler redraws them x by x; flat_g1 is left out, as it fails off a flat base
+    "cg_h2_box": {
+        "base": {"kind": "space_form", "dim": 2, "params": {"curvature": -1.0}},
+        "weights": {"name": "cheeger_gromoll"},
+        "chart_box": [[-2.2, 2.2], [-2.2, 2.2]],
+        "suites": ["base_checks", "lck", "almost_kahler", "kahler", "connection", "curvature",
+                   "sectional", "scalar", "sphere_bundle", "isometry", "k_contact",
+                   "oracle_cross"],
     },
 }
 CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)
