@@ -262,46 +262,54 @@ def base_jets(metric, x):
 
     The layouts are those of ``christoffel``, ``curvature`` and
     ``nabla_curvature``.  Gamma, dGamma[p, k, i, j] = d_p Gamma^k_ij and
-    d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).  At an (n, m) stack of
-    points each array gains a leading axis of n rows, from one evaluation at the
-    stack's distinct x, and each row equals the single call bit for bit.
+    d2Gamma[p, q, k, i, j] come from (g, dg, d2g, d3g).  Past Gamma and R each
+    contraction sums one index as one batched matrix product on reshaped or
+    transposed views, the same products at a point as at each row of a stack.  At
+    an (n, m) stack of points each array gains a leading axis of n rows, from one
+    evaluation at the stack's distinct x, and each row equals the single call bit
+    for bit.
     """
     xs, index = _distinct(x) if np.ndim(x) == 2 else (x, ...)
     g, dg, d2g, d3g = metric.derivatives(xs, 3)
+    m, lead = g.shape[-1], g.shape[:-2]
+    five = (m,) * 5
+
+    def mat(T, *core):  # T with its core axes regrouped as ``core``
+        return T.reshape(lead + core)
+
+    def l_first(t, at):  # a product t laid out as [h, k, i, j] around l at axis ``at``
+        return np.moveaxis(mat(t, *five), at, -5)
+
     ginv = _inverse(g, xs)
     gamma = _levi_civita(ginv, dg)
-    # core and its first two derivatives d_p core, d_p d_q core
-    core, dcore, d2core = map(_christoffel_core, (dg, d2g, d3g))
-    dginv = -np.einsum("...ka,...pab,...bl->...pkl", ginv, dg, ginv)
-    dgamma = 0.5 * (
-        np.einsum("...pkl,...ijl->...pkij", dginv, core)
-        + np.einsum("...kl,...pijl->...pkij", ginv, dcore)
-    )
-    d2ginv = -(
-        np.einsum("...pka,...qab,...bl->...pqkl", dginv, dg, ginv)
-        + np.einsum("...ka,...pqab,...bl->...pqkl", ginv, d2g, ginv)
-        + np.einsum("...ka,...qab,...pbl->...pqkl", ginv, dg, dginv)
-    )
-    d2gamma = 0.5 * (
-        np.einsum("...pqkl,...ijl->...pqkij", d2ginv, core)
-        + np.einsum("...qkl,...pijl->...pqkij", dginv, dcore)
-        + np.einsum("...pkl,...qijl->...pqkij", dginv, dcore)
-        + np.einsum("...kl,...pqijl->...pqkij", ginv, d2core)
-    )
+    # core and its first two derivatives d_p core, d_p d_q core, the last index l as rows:
+    # coreT[l, (i j)], dcoreT[p, l, (i j)], d2coreT[p, q, l, (i j)]
+    coreT, dcoreT, d2coreT = (np.swapaxes(c.reshape(c.shape[:-3] + (m * m, m)), -1, -2)
+                              for c in map(_christoffel_core, (dg, d2g, d3g)))
+    G, G2 = ginv[..., None, :, :], ginv[..., None, None, :, :]  # g^-1 at each p, each (p, q)
+    dginv = -(G @ dg @ G)
+    dgamma = 0.5 * (mat(mat(dginv, m * m, m) @ coreT, m, m, m, m) + mat(G @ dcoreT, m, m, m, m))
+    dginv_p, dg_q = dginv[..., :, None, :, :], dg[..., None, :, :, :]
+    d2ginv = -(dginv_p @ dg_q @ G2 + G2 @ d2g @ G2 + G2 @ dg_q @ dginv_p)
+    # dginv[q, k, l] dcore[p, i, j, l] at [p, q, k, i, j]; its (q, p) transpose is the other
+    cross = mat(mat(dginv, 1, m * m, m) @ dcoreT, *five)
+    d2gamma = 0.5 * (mat(mat(d2ginv, m ** 3, m) @ coreT, *five) + cross
+                     + np.swapaxes(cross, -5, -4) + mat(G2 @ d2coreT, *five))
     R = _curvature_from(gamma, dgamma)
-    # dR[p, h, k, i, j] = d_p R^h_{kij}
-    dterm = np.einsum("...pihjk->...phkij", d2gamma)  # d_p d_i G^h_jk
-    dquad = np.einsum("...phil,...ljk->...phkij", dgamma, gamma) + np.einsum(
-        "...hil,...pljk->...phkij", gamma, dgamma
-    )
+    # dR[p, h, k, i, j] = d_p R^h_{kij}, from d2Gamma[p, i, h, j, k] = d_p d_i G^h_jk and
+    # the quadratic terms dG^h_il G^l_jk + G^h_il dG^l_jk, summed at [p, h, i, j, k]
+    *_, p, i, h, j, k = range(d2gamma.ndim)
+    dterm = d2gamma.transpose(*_, p, h, k, i, j)
+    dquad = np.moveaxis(mat(mat(dgamma, m ** 3, m) @ mat(gamma, m, m * m), *five)
+                        + mat(mat(gamma, 1, m * m, m) @ mat(dgamma, m, m, m * m), *five),
+                        -1, -3)
     dR = dterm - np.swapaxes(dterm, -1, -2) + dquad - np.swapaxes(dquad, -1, -2)
-    NR = (
-        dR
-        + np.einsum("...hlp,...pkij->...lhkij", gamma, R)
-        - np.einsum("...plk,...hpij->...lhkij", gamma, R)
-        - np.einsum("...pli,...hkpj->...lhkij", gamma, R)
-        - np.einsum("...plj,...hkip->...lhkij", gamma, R)
-    )
+    # the Gamma terms of nabla R[l, h, k, i, j], each one product summing p, added one at
+    # a time so that few (n, m^5) arrays are held at once
+    gT = np.swapaxes(mat(gamma, m, m * m), -1, -2)[..., None, :, :]  # [(l k), p]
+    NR = (dR + l_first(mat(gamma, m * m, m) @ mat(R, m, m ** 3), -4)
+          - l_first(gT @ mat(R, m, m, m * m), -4) - l_first(gT @ mat(R, m * m, m, m), -3)
+          - l_first(mat(R, m ** 3, m) @ mat(gamma, m, m * m), -2))
     return gamma[index], R[index], NR[index]
 
 

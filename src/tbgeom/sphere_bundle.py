@@ -48,13 +48,17 @@ _KCONTACT_TOL = 1e-8  # largest K-contact / Sasakian residual of a positive verd
 def sphere_point(base, x, u, r=None):
     """Point of the radius-r sphere bundle: a TangentPoint with t = r^2/2, or a stacked
     one at (n, m) stacks of x and u (r one radius, or one per row), with the base
-    metric validated once on the stack.
+    metric validated once at the stack's distinct x.
 
     ``r`` defaults to |u|; a given ``r`` must match |u| to 1e-12 in r^2 at every row.
     """
     x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    gx = base.validate_at(x)
+    xs, index = bg._distinct(x) if x.ndim == 2 else (x, ...)
+    return _on_sphere(base, x, np.asarray(u, dtype=float), base.validate_at(xs)[index], r)
+
+
+def _on_sphere(base, x, u, gx, r):
+    # sphere_point at x and u where g_x is known
     norm2 = np.vecdot(bg._vg(u, gx), u)
     if r is None:
         r = np.sqrt(norm2)
@@ -153,39 +157,41 @@ def _structure(chart, w, t, vals, rescaled):
     return ContactStructure(phi, xi, eta, G, N, rescaled)
 
 
-def isometry_residuals(base, w, points, r=None, rng=None):
-    """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle.
+def isometry_residuals(base, w, x, u, radii=(None,), rng=None):
+    """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle at (n, m)
+    stacks of x and g-unit u: one dict per radius r of ``radii`` (None for sqrt(a(1/2))).
 
-    Compares the pulled-back rescaled sphere-bundle structure with the
-    rescaled unit-bundle structure at _ISOMETRY_PAIRS random tangent pairs
-    per point; all residuals vanish exactly when r = sqrt(a(1/2)).
+    Compares the pulled-back rescaled sphere-bundle structure with the rescaled
+    unit-bundle structure, built once for all radii, at _ISOMETRY_PAIRS random
+    tangent pairs per point, drawn radius by radius; all residuals vanish exactly
+    when r = sqrt(a(1/2)).
     """
     rng = rng or np.random.default_rng(0)
     a = w.eval(0.5).a
-    r_used = float(np.sqrt(a)) if r is None else float(r)
     m = base.dim
+    P = sphere_point(base, x, u, r=1.0)
+    S_A = contact_structure(P, w, rescaled=True)
+    G_A = S_A.G[:, None]
+    out = []
+    for r in radii:
+        r = float(np.sqrt(a)) if r is None else float(r)
+        S_r = contact_structure(_on_sphere(base, P.x, r * P.u, P.gx, r), _SASAKI, rescaled=True)
+        dF = np.concatenate([np.ones(m), r * np.ones(m)])  # the diagonal of the differential
+        G_r = S_r.G[:, None]
+        # the pairs of each point, drawn U, V, U, V, ..., made G_A-unit tangent vectors
+        UV = bg._gv(S_A.tangent_projector()[:, None],
+                    rng.standard_normal((len(P.x), 2 * _ISOMETRY_PAIRS, 2 * m)))
+        UV = UV / np.sqrt(np.vecdot(bg._vg(UV, G_A), UV))[..., None]
+        U, V = UV[:, 0::2], UV[:, 1::2]
 
-    x, u = (np.array(a, dtype=float) for a in zip(*points))
+        def rnorm(v):
+            return np.sqrt(np.maximum(np.vecdot(bg._vg(v, G_r), v), 0.0))
 
-    def structure(ww, rr):  # the rescaled structure of the radius-rr bundle over the points
-        return contact_structure(sphere_point(base, x, rr * u, r=rr), ww, rescaled=True)
-
-    S_A, S_r = structure(w, 1.0), structure(_SASAKI, r_used)
-    dF = np.concatenate([np.ones(m), r_used * np.ones(m)])  # the diagonal of the differential
-    G_A, G_r = S_A.G[:, None], S_r.G[:, None]
-    # the pairs of each point, drawn U, V, U, V, ..., made G_A-unit tangent vectors
-    UV = bg._gv(S_A.tangent_projector()[:, None],
-                rng.standard_normal((len(points), 2 * _ISOMETRY_PAIRS, 2 * m)))
-    UV = UV / np.sqrt(np.vecdot(bg._vg(UV, G_A), UV))[..., None]
-    U, V = UV[:, 0::2], UV[:, 1::2]
-
-    def rnorm(v):
-        return np.sqrt(np.maximum(np.vecdot(bg._vg(v, G_r), v), 0.0))
-
-    metric = np.vecdot(bg._vg(dF * U, G_r), dF * V) - np.vecdot(bg._vg(U, G_A), V)
-    phi = dF * bg._gv(S_A.phi[:, None], U) - bg._gv(S_r.phi[:, None], dF * U)
-    return {"metric": float(np.max(np.abs(metric))), "phi": float(np.max(rnorm(phi))),
-            "xi": float(np.max(rnorm((dF * S_A.xi - S_r.xi)[:, None]))), "r": r_used}
+        metric = np.vecdot(bg._vg(dF * U, G_r), dF * V) - np.vecdot(bg._vg(U, G_A), V)
+        phi = dF * bg._gv(S_A.phi[:, None], U) - bg._gv(S_r.phi[:, None], dF * U)
+        out.append({"metric": float(np.max(np.abs(metric))), "phi": float(np.max(rnorm(phi))),
+                    "xi": float(np.max(rnorm((dF * S_A.xi - S_r.xi)[:, None]))), "r": r})
+    return out
 
 
 def t1_connection(P, w, case, i, j):

@@ -466,16 +466,18 @@ def _suite_sphere_bundle(ctx, rng, res):
 def _suite_isometry(ctx, rng, res):
     base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    pts = list(zip(*_units(ctx, rng, max(2, ctx.samples // 5))[:2]))
-    good = sb.isometry_residuals(base, w4, pts, rng=rng)
-    bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
+    x, u, _ = _units(ctx, rng, max(2, ctx.samples // 5))
+    good, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
     return {k: good[k] for k in ("metric", "phi", "xi")}
 
 
 def _suite_k_contact(ctx, rng, res):
-    sf1, eu = bg.SpaceForm(1.0, ctx.base.dim), bg.euclidean(ctx.base.dim)
-    bases, counts = (sf1, eu, ctx.base), (max(2, ctx.samples // 4), 2, 2)  # a unit stack each
+    base, m = ctx.base, ctx.base.dim
+    # the curvature-1 space form: the config base itself where it is that metric
+    c1 = isinstance(base, bg.SpaceForm) and base.curvature == 1.0
+    sf1, eu = base if c1 else bg.SpaceForm(1.0, m), bg.euclidean(m)
+    bases, counts = (sf1, eu, base), (max(2, ctx.samples // 4), 2, 2)  # a unit stack each
     P, Pe, Pc = (sb.sphere_point(b, *_units(ctx, rng, k, base=b)[:2], r=1.0)
                  for b, k in zip(bases, counts))
     sas = named_family("sasaki")

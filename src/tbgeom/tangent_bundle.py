@@ -49,7 +49,9 @@ class TangentPoint:
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
     then kept (read-only); the last three come from one evaluation of the
-    base metric jets.  So are the weights: ``values(w)`` is w.eval(t),
+    base metric jets.  So is ``Ru``, R and nabla R with u in one slot, which
+    the closed forms read for every term that has u as an argument of R.  So
+    are the weights: ``values(w)`` is w.eval(t),
     evaluated once per weight pair (matched by identity), and ``coeffs(w)``
     the derived coefficients built from those same values.  A sphere-bundle
     point is a TangentPoint whose radius r = sqrt(2t) was given, not
@@ -101,6 +103,21 @@ class TangentPoint:
     gamma = property(lambda self: self._jets[0])
     R = property(lambda self: self._jets[1])
     NR = property(lambda self: self._jets[2])
+
+    @cached_property
+    def Ru(self):
+        """R(., .)u [h, i, j], R(u, .). [h, j, k], (nabla_. R)(., .)u [h, l, i, j] and
+        (nabla_. R)(u, .). [h, l, j, k]: u summed into one slot of R or nabla R, h first and
+        the other slots in the order of the arguments of R(X, Y)Z and (nabla_W R)(X, Y)Z."""
+        lead, m, u = self.R.shape[:-4], self.base.dim, self.u[..., None, None, :]
+
+        def on_u(T, k):  # u, a row vector, on core axis k of T
+            return (u @ T.reshape(lead + (m ** k, m, -1))).reshape(T.shape[:-1])
+
+        return bg._readonly(tuple(
+            np.ascontiguousarray(np.moveaxis(on_u(T, k), src, dst)) for T, k, src, dst in (
+                (self.R, 1, (), ()), (self.R, 2, -1, -2),
+                (self.NR, 2, -4, -3), (self.NR, 3, (-4, -2), (-3, -1)))))
 
     @cached_property
     def _weights(self):
@@ -234,9 +251,14 @@ def _rop(R, X, Y, Z):
     return np.einsum("...hkij,...k,...i,...j->...h", R, Z, X, Y)
 
 
-def _nrop(NR, Zdir, X, Y, W):
-    # (nabla_Zdir R)_{XY} W, row by row on stacks
-    return np.einsum("...lhkij,...l,...k,...i,...j->...h", NR, Zdir, W, X, Y)
+def _on(T, *vecs):
+    # T[..., h, a, b, ...] vecs[0]^a vecs[1]^b ..., T having one core axis after h per
+    # vector: one matrix-vector product per vector, the last first, row by row on stacks
+    m = T.shape[-1]
+    T = T.reshape(T.shape[:T.ndim - len(vecs) - 1] + (-1,))
+    for v in reversed(vecs):
+        T = bg._gv(T.reshape(T.shape[:-1] + (-1, m)), v)
+    return T
 
 
 def nijenhuis(w, base, P, X, Y, slots):
@@ -249,17 +271,17 @@ def nijenhuis(w, base, P, X, Y, slots):
     a, ap = vals.a, vals.ap
     sa = np.sqrt(a)
     gu = P.gu
-    R = P.R
+    ru = partial(_on, P.Ru[0])  # R(X, Y)u
     gxu = float(X @ gu)
     gyu = float(Y @ gu)
     if slots == "HH":
-        vec = _hh_coef(vals, w.epsilon) * (gxu * Y - gyu * X) + _rop(R, X, Y, P.u)
+        vec = _hh_coef(vals, w.epsilon) * (gxu * Y - gyu * X) + ru(X, Y)
         return SplitVector.vertical(vec, P)
     if slots == "VV":
         # g(X,u) restored on the R_{Yu}u term by antisymmetry of N
         vec = (
-            -a * _rop(R, X, Y, P.u)
-            + sa * d.B_coef * (gyu * _rop(R, X, P.u, P.u) - gxu * _rop(R, Y, P.u, P.u))
+            -a * ru(X, Y)
+            + sa * d.B_coef * (gyu * ru(X, P.u) - gxu * ru(Y, P.u))
             - (1 / sa) * (ap / (2 * sa) + d.B_coef) * (gyu * X - gxu * Y)
         )
         return SplitVector.vertical(vec, P)
@@ -278,15 +300,16 @@ def bundle_connection(w, base, P, case, X, Y):
     Y = np.asarray(Y, dtype=float)
     d = P.coeffs(w)
     a, L, M, N = (np.asarray(c)[..., None] for c in (d.values.a, d.L, d.M, d.N))
-    gu, R, u = P.gu, P.R, P.u
+    gu, u = P.gu, P.u
+    ru, ur = (partial(_on, T) for T in P.Ru[:2])  # R(X, Y)u and R(u, Y)Z
     if case in ("HH", "HV"):
-        nab = np.einsum("...kij,...i,...j->...k", P.gamma, X, Y)
+        nab = _on(P.gamma, X, Y)
     if case == "HH":
-        return SplitVector(nab, -0.5 * _rop(R, X, Y, u), P)
+        return SplitVector(nab, -0.5 * ru(X, Y), P)
     if case == "HV":
-        return SplitVector(0.5 * a * _rop(R, u, Y, X), nab, P)
+        return SplitVector(0.5 * a * ur(Y, X), nab, P)
     if case == "VH":
-        return SplitVector.horizontal(0.5 * a * _rop(R, u, X, Y), P)
+        return SplitVector.horizontal(0.5 * a * ur(X, Y), P)
     if case == "VV":
         gxu, gyu = _dot(X, gu), _dot(Y, gu)
         vec = L * (gxu * Y + gyu * X) + M * _dot(bg._vg(X, P.gx), Y) * u + N * gxu * gyu * u
@@ -308,52 +331,50 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     # the coefficients of P against its vectors
     a, ap, L, M, F1, F2, F3 = (np.asarray(c)[..., None]
                                for c in (d.values.a, d.values.ap, d.L, d.M, d.F1, d.F2, d.F3))
-    gu, u, NR = P.gu, P.u, P.NR
+    gu, u = P.gu, P.u
     rop, vg = partial(_rop, P.R), partial(bg._vg, g=P.gx)
+    # R(X, Y)u, R(u, Y)Z, (nabla_W R)(X, Y)u and (nabla_W R)(u, Y)Z, as functions of W, X, Y, Z
+    ru, ur, nru, nur = (partial(_on, T) for T in P.Ru)
 
     if case == "HHH":
-        h = (
-            rop(X, Y, Z)
-            + (a / 4)
-            * (
-                rop(u, rop(X, Z, u), Y)
-                - rop(u, rop(Y, Z, u), X)
-                + 2 * rop(u, rop(X, Y, u), Z)
-            )
-        )
-        v = 0.5 * _nrop(NR, Z, X, Y, u)
+        h = rop(X, Y, Z) + (a / 4) * (
+            ur(ru(X, Z), Y) - ur(ru(Y, Z), X) + 2 * ur(ru(X, Y), Z))
+        v = 0.5 * nru(Z, X, Y)
         return SplitVector(h, v, P)
     if case == "HHV":
+        rxy = ru(X, Y)
         v = (
             rop(X, Y, Z)
-            + (a / 4) * (rop(Y, rop(u, Z, X), u) - rop(X, rop(u, Z, Y), u))
-            + L * _dot(Z, gu) * rop(X, Y, u)
-            + M * _dot(vg(rop(X, Y, u)), Z) * u
+            + (a / 4) * (ru(Y, ur(Z, X)) - ru(X, ur(Z, Y)))
+            + L * _dot(Z, gu) * rxy
+            + M * _dot(vg(rxy), Z) * u
         )
-        h = (a / 2) * (_nrop(NR, X, u, Z, Y) - _nrop(NR, Y, u, Z, X))
+        h = (a / 2) * (nur(X, Z, Y) - nur(Y, Z, X))
         return SplitVector(h, v, P)
     if case == "HVH":
-        h = (a / 2) * _nrop(NR, X, u, Y, Z)
+        h = (a / 2) * nur(X, Y, Z)
+        rxz = ru(X, Z)
         v = 0.5 * (
             rop(X, Z, Y)
-            - (a / 2) * rop(X, rop(u, Y, Z), u)
-            + L * _dot(Y, gu) * rop(X, Z, u)
-            + M * _dot(vg(rop(X, Z, u)), Y) * u
+            - (a / 2) * ru(X, ur(Y, Z))
+            + L * _dot(Y, gu) * rxz
+            + M * _dot(vg(rxz), Y) * u
         )
         return SplitVector(h, v, P)
     if case == "HVV":
+        uzx = ur(Z, X)
         h = (
             -(a / 2) * rop(Y, Z, X)
-            - (a * a / 4) * rop(u, Y, rop(u, Z, X))
-            + (ap / 4)
-            * (_dot(Z, gu) * rop(u, Y, X) - _dot(Y, gu) * rop(u, Z, X))
+            - (a * a / 4) * ur(Y, uzx)
+            + (ap / 4) * (_dot(Z, gu) * ur(Y, X) - _dot(Y, gu) * uzx)
         )
         return SplitVector.horizontal(h, P)
     if case == "VVH":
+        uyz, uxz = ur(Y, Z), ur(X, Z)
         h = (
             a * rop(X, Y, Z)
-            + (ap / 2) * (_dot(X, gu) * rop(u, Y, Z) - _dot(Y, gu) * rop(u, X, Z))
-            + (a * a / 4) * (rop(u, X, rop(u, Y, Z)) - rop(u, Y, rop(u, X, Z)))
+            + (ap / 2) * (_dot(X, gu) * uyz - _dot(Y, gu) * uxz)
+            + (a * a / 4) * (ur(X, uyz) - ur(Y, uxz))
         )
         return SplitVector.horizontal(h, P)
     if case == "VVV":
@@ -467,7 +488,7 @@ def scalar_curvature(w, base, P, mode="closed"):
     scal = np.einsum("...kj,...kj->...", np.linalg.inv(P.gx), np.einsum("...ikij->...kj", R))
     frame = np.moveaxis(bg.orthonormal_frame(P.gx), -2, 0)
     i, j = np.triu_indices(m, 1)  # the pairs i < j, in order
-    vec = _rop(R, frame[i], frame[j], P.u)
+    vec = _on(P.Ru[0], frame[i], frame[j])
     acc = np.cumsum(np.vecdot(bg._vg(vec, P.gx), vec), axis=0)[-1]
     a = d.values.a
     return _scalar(scal - 0.5 * a * acc + ((1 - m) / a) * (m * d.F2 + 4 * P.t * d.F3))

@@ -1,8 +1,13 @@
-"""Random draws shared by the tests: t inside a weight pair's domain, split vectors, and
-the one-by-one rejection sampler that ``SuiteContext.draw`` must reproduce."""
+"""Random draws and reference kernels shared by the tests: t inside a weight pair's domain,
+split vectors, the one-by-one rejection sampler that ``SuiteContext.draw`` must reproduce,
+and the einsum forms of the base jets and of the bundle curvature's slot cases that the
+matrix-product kernels of ``base_geometry`` and ``tangent_bundle`` must agree with."""
 
 import math
 
+import numpy as np
+
+from tbgeom import base_geometry as bg
 from tbgeom.base_geometry import ChartDomainError, GeometryError
 from tbgeom.tangent_bundle import SplitVector, TangentPoint
 
@@ -56,3 +61,96 @@ def tangent_point(ctx, rng, weights=None, base=None, t_range=None):
     t = lo + (hi - lo) * rng.random()
     u = math.sqrt(2.0 * t) * direction
     return TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u))
+
+
+def reference_base_jets(metric, x):
+    """(Gamma, R, nabla R) at x, or at each row of an (n, m) stack, with every contraction
+    one ``np.einsum`` over the full index set, as written out from the definitions."""
+    xs, index = bg._distinct(x) if np.ndim(x) == 2 else (x, ...)
+    g, dg, d2g, d3g = metric.derivatives(xs, 3)
+    ginv = bg._inverse(g, xs)
+    gamma = bg._levi_civita(ginv, dg)
+    core, dcore, d2core = map(bg._christoffel_core, (dg, d2g, d3g))
+    dginv = -np.einsum("...ka,...pab,...bl->...pkl", ginv, dg, ginv)
+    dgamma = 0.5 * (
+        np.einsum("...pkl,...ijl->...pkij", dginv, core)
+        + np.einsum("...kl,...pijl->...pkij", ginv, dcore)
+    )
+    d2ginv = -(
+        np.einsum("...pka,...qab,...bl->...pqkl", dginv, dg, ginv)
+        + np.einsum("...ka,...pqab,...bl->...pqkl", ginv, d2g, ginv)
+        + np.einsum("...ka,...qab,...pbl->...pqkl", ginv, dg, dginv)
+    )
+    d2gamma = 0.5 * (
+        np.einsum("...pqkl,...ijl->...pqkij", d2ginv, core)
+        + np.einsum("...qkl,...pijl->...pqkij", dginv, dcore)
+        + np.einsum("...pkl,...qijl->...pqkij", dginv, dcore)
+        + np.einsum("...kl,...pqijl->...pqkij", ginv, d2core)
+    )
+    R = bg._curvature_from(gamma, dgamma)
+    dterm = np.einsum("...pihjk->...phkij", d2gamma)
+    dquad = np.einsum("...phil,...ljk->...phkij", dgamma, gamma) + np.einsum(
+        "...hil,...pljk->...phkij", gamma, dgamma
+    )
+    dR = dterm - np.swapaxes(dterm, -1, -2) + dquad - np.swapaxes(dquad, -1, -2)
+    NR = (
+        dR
+        + np.einsum("...hlp,...pkij->...lhkij", gamma, R)
+        - np.einsum("...plk,...hpij->...lhkij", gamma, R)
+        - np.einsum("...pli,...hkpj->...lhkij", gamma, R)
+        - np.einsum("...plj,...hkip->...lhkij", gamma, R)
+    )
+    return gamma[index], R[index], NR[index]
+
+
+def _rop(R, X, Y, Z):
+    # R(X, Y)Z
+    return np.einsum("...hkij,...k,...i,...j->...h", R, Z, X, Y)
+
+
+def _nrop(NR, W, X, Y, Z):
+    # (nabla_W R)(X, Y)Z
+    return np.einsum("...lhkij,...l,...k,...i,...j->...h", NR, W, Z, X, Y)
+
+
+def reference_bundle_curvature(w, P, case, X, Y, Z):
+    """(h, v) of the bundle curvature's slot case at P, every R and nabla R term one einsum
+    over the full tensor, u in its slot as one more vector."""
+    d = P.coeffs(w)
+    a, ap, L, M, F1, F2, F3 = (np.asarray(c)[..., None]
+                               for c in (d.values.a, d.values.ap, d.L, d.M, d.F1, d.F2, d.F3))
+    R, NR, gu, u = P.R, P.NR, P.gu, P.u
+
+    def rop(A, B, C):
+        return _rop(R, A, B, C)
+
+    def dot(A, B):
+        return np.vecdot(A, B)[..., None]
+
+    def gx(A, B):
+        return dot(bg._vg(A, P.gx), B)
+
+    zero = np.zeros(np.broadcast_shapes(np.shape(X), np.shape(u)))
+    if case == "HHH":
+        return (rop(X, Y, Z) + (a / 4) * (rop(u, rop(X, Z, u), Y) - rop(u, rop(Y, Z, u), X)
+                                          + 2 * rop(u, rop(X, Y, u), Z)),
+                0.5 * _nrop(NR, Z, X, Y, u))
+    if case == "HHV":
+        return ((a / 2) * (_nrop(NR, X, u, Z, Y) - _nrop(NR, Y, u, Z, X)),
+                rop(X, Y, Z) + (a / 4) * (rop(Y, rop(u, Z, X), u) - rop(X, rop(u, Z, Y), u))
+                + L * dot(Z, gu) * rop(X, Y, u) + M * gx(rop(X, Y, u), Z) * u)
+    if case == "HVH":
+        return ((a / 2) * _nrop(NR, X, u, Y, Z),
+                0.5 * (rop(X, Z, Y) - (a / 2) * rop(X, rop(u, Y, Z), u)
+                       + L * dot(Y, gu) * rop(X, Z, u) + M * gx(rop(X, Z, u), Y) * u))
+    if case == "HVV":
+        return (-(a / 2) * rop(Y, Z, X) - (a * a / 4) * rop(u, Y, rop(u, Z, X))
+                + (ap / 4) * (dot(Z, gu) * rop(u, Y, X) - dot(Y, gu) * rop(u, Z, X)), zero)
+    if case == "VVH":
+        return (a * rop(X, Y, Z) + (ap / 2) * (dot(X, gu) * rop(u, Y, Z) - dot(Y, gu) * rop(u, X, Z))
+                + (a * a / 4) * (rop(u, X, rop(u, Y, Z)) - rop(u, Y, rop(u, X, Z))), zero)
+    if case == "VVV":
+        gxu, gyu, gzu, gxz, gyz = dot(X, gu), dot(Y, gu), dot(Z, gu), gx(X, Z), gx(Y, Z)
+        return zero, (F1 * gzu * (gxu * Y - gyu * X) + F2 * (gxz * Y - gyz * X)
+                      + F3 * (gxz * gyu - gyz * gxu) * u)
+    raise ValueError(case)

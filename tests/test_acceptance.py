@@ -325,9 +325,9 @@ def test_criterion_09_isometry():
             g = base.matrix(x)
             u = rng.standard_normal(2)
             pts.append((x, u / np.sqrt(u @ g @ u)))
-        good = sb.isometry_residuals(base, w4, pts, rng=rng)
+        x, u = map(np.array, zip(*pts))
+        good, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
         worst = max(worst, good["metric"], good["phi"], good["xi"])
-        bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
         worst_ctrl = min(worst_ctrl, bad["metric"])
     ok = worst <= 1e-10 and worst_ctrl >= 0.1
     report(9, ok, f"r=2 pullback/phi/xi residuals {worst:.2e} (tol 1e-10); "

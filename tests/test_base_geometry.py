@@ -4,6 +4,8 @@ import pytest
 from tbgeom import base_geometry as bg
 from tbgeom import oracle as orc
 
+from sampling import reference_base_jets
+
 EUCLID2 = bg.euclidean(2)
 DIAG_POLY = bg.diagonal_polynomial(
     2,
@@ -236,3 +238,16 @@ def test_metric_from_spec_roundtrip():
     assert dp.matrix([0.2, 0.0])[1, 1] == pytest.approx(1.04)
     with pytest.raises(bg.GeometryError):
         bg.metric_from_spec({"dim": 2, "kind": "nope"})
+
+
+@pytest.mark.parametrize("metric", [DIAG_POLY, DIAG_POLY3], ids=["m2", "m3"])
+def test_base_jets_agree_with_the_einsum_reference(metric):
+    # the matrix-product kernels sum in another order than the full-index einsum forms
+    rng = np.random.default_rng(metric.dim)
+    x = rng.uniform(-0.6, 0.6, (5, metric.dim))
+    for at in (x, x[0]):
+        got, want = bg.base_jets(metric, at), reference_base_jets(metric, at)
+        assert np.abs(want[2]).max() > 0.1  # nabla R does not vanish on this base
+        for name, a, b in zip(("Gamma", "R", "nabla R"), got, want):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-13 * np.maximum(1.0, np.abs(b))), name

@@ -428,21 +428,20 @@ def test_kahler_suite_on_an_m3_base_names_the_dimension():
 
 def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
     # the seed-7 closed_m3 benchmark run: the x of each draw are checked as one stack per
-    # base, not once each (sphere_point's own validations of its stacks not counted)
+    # base, not once each, and a sphere point built on them checks its distinct x once
     calls, inside = {}, []
     validate_at, draw = bg.ChartMetric.validate_at, SuiteContext.draw
 
     def counted(self, x):
-        if inside:
-            inside[-1].append((self.name, len(x)))
+        calls[name].append(("draw" if inside else "point", self.name, len(x)))
         return validate_at(self, x)
 
     def marked(self, rng, n, block, base=None):
-        inside.append([])
+        inside.append(1)
         try:
             return draw(self, rng, n, block, base)
         finally:
-            calls.setdefault(name, []).append(inside.pop())
+            inside.pop()
 
     monkeypatch.setattr(bg.ChartMetric, "validate_at", counted)
     monkeypatch.setattr(SuiteContext, "draw", marked)
@@ -452,13 +451,19 @@ def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
                                       "isometry", "k_contact"]})
     ctx = cli._build_context(cfg)
     for name in cfg.suites:
+        calls[name] = []
         assert run_suite(name, ctx).passed, name
-    s3, flat = "space_form(c=1.0)", "space_form(c=0.0)"
+    s3, flat = ("draw", "space_form(c=1.0)"), ("draw", "space_form(c=0.0)")
+    p3, pflat = ("point", "space_form(c=1.0)"), ("point", "space_form(c=0.0)")
     assert calls == {
-        "base_checks": [[(s3, 80)]], "sectional": [[(s3, 80)]], "scalar": [[(s3, 80)]],
-        "sphere_bundle": [[(s3, 20)]], "isometry": [[(s3, 16)]],
-        # a draw per unit stack: the config base, then the curvature-1 or the flat override
-        "k_contact": [[(s3, 20), (s3, 20)], [(s3, 2), (flat, 2)], [(s3, 2)]],
+        "base_checks": [(*s3, 80)], "sectional": [(*s3, 80)], "scalar": [(*s3, 80)],
+        # the two bundles' 40 rows hold the 20 drawn x
+        "sphere_bundle": [(*s3, 20), (*p3, 20)],
+        # one unit point for both radii
+        "isometry": [(*s3, 16), (*p3, 16)],
+        # per unit stack a draw and its sphere point: the curvature-1 stack on the config
+        # base (the same space form), then the flat override's draw, then the config base
+        "k_contact": [(*s3, 20), (*p3, 20), (*s3, 2), (*flat, 2), (*pflat, 2), (*s3, 2), (*p3, 2)],
     }
 
 

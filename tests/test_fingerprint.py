@@ -12,9 +12,18 @@ change that moves them on purpose regenerates the file and says why.
 Regenerate it from the repository root with
 
     PYTHONPATH=src python3 tests/test_fingerprint.py
+
+and before that, to see what would move, compare without writing anything:
+
+    PYTHONPATH=src python3 tests/test_fingerprint.py --compare
+
+which prints, per document and suite, how many pinned numbers moved, the largest
+|new - pinned| as a share of the suite's tolerance, and whether the errors, the
+sample indices and the control names are the pinned ones.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,20 +69,26 @@ INLINE = {
 CONFIGS = ("g1_flat", "cg_sphere", "kahler_case2", *INLINE)
 
 
-def fingerprint(name):
-    """Per suite: its error, its residuals and controls (each number as float.hex),
-    and each residual's sample."""
+def report_suites(name):
+    """The suites of the report of document ``name`` at SAMPLES samples."""
     doc = INLINE.get(name) or json.loads((ROOT / "configs" / f"{name}.json").read_text())
-    doc = dict(doc, samples=SAMPLES, out=None)
+    return run(load_config(dict(doc, samples=SAMPLES, out=None)))["suites"]
+
+
+def pins(s):
+    """One suite's fingerprint: its error, its residuals and controls (each number as
+    float.hex), and each residual's sample."""
     return {
-        s["name"]: {
-            "error": s["error"],
-            "residuals": [float(r).hex() for r in s["residuals"]],
-            "sample_indices": s["sample_indices"],
-            "controls": [[c["name"], float(c["value"]).hex()] for c in s["controls"]],
-        }
-        for s in run(load_config(doc))["suites"]
+        "error": s["error"],
+        "residuals": [float(r).hex() for r in s["residuals"]],
+        "sample_indices": s["sample_indices"],
+        "controls": [[c["name"], float(c["value"]).hex()] for c in s["controls"]],
     }
+
+
+def fingerprint(name):
+    """Per suite of document ``name``: its fingerprint."""
+    return {s["name"]: pins(s) for s in report_suites(name)}
 
 
 def first_difference(got, pinned):
@@ -99,6 +114,31 @@ def test_residuals_and_controls_match_the_pinned_bits(name):
         assert got[suite] == want, f"{name} / {suite}: {first_difference(got[suite], want)}"
 
 
+def compare():
+    """Per document and suite, one line: the pinned numbers that moved, the largest move
+    as a share of the suite's tolerance, and whether the rest is the pinned fingerprint."""
+    pinned = json.loads(PINNED.read_text())
+    for name in CONFIGS:
+        for s in report_suites(name):
+            got, want = pins(s), pinned.get(name, {}).get(s["name"])
+            if want is None:
+                print(f"{name} / {s['name']}: not pinned")
+                continue
+            pairs = list(zip(got["residuals"], want["residuals"]))
+            pairs += [(a[1], b[1]) for a, b in zip(got["controls"], want["controls"])]
+            moves = [abs(float.fromhex(a) - float.fromhex(b)) for a, b in pairs if a != b]
+            same = (got["error"] == want["error"]
+                    and got["sample_indices"] == want["sample_indices"]
+                    and [c[0] for c in got["controls"]] == [c[0] for c in want["controls"]])
+            worst = max(moves, default=0.0) / s["tolerance"]
+            print(f"{name} / {s['name']}: {len(moves)} of {len(pairs)} pins moved, "
+                  f"max |new - pinned| / tolerance {worst:.2e}; errors, sample indices "
+                  f"and control names {'identical' if same else 'DIFFER'}")
+
+
 if __name__ == "__main__":
-    PINNED.write_text(json.dumps({n: fingerprint(n) for n in CONFIGS}, indent=1) + "\n")
-    print(f"wrote {PINNED}")
+    if sys.argv[1:] == ["--compare"]:
+        compare()
+    else:
+        PINNED.write_text(json.dumps({n: fingerprint(n) for n in CONFIGS}, indent=1) + "\n")
+        print(f"wrote {PINNED}")

@@ -243,9 +243,9 @@ def test_rescaled_contact_metric_condition():
 
 
 def test_isometry_identity_at_unit_weight():
-    pts = [( np.array([0.1, 0.2]), None)]
-    g = EU2.matrix(pts[0][0]); u = np.array([0.6, 0.7]); u /= np.sqrt(u @ g @ u)
-    res = sb.isometry_residuals(EU2, SAS, [(pts[0][0], u)])
+    x = np.array([0.1, 0.2])
+    g = EU2.matrix(x); u = np.array([0.6, 0.7]); u /= np.sqrt(u @ g @ u)
+    (res,) = sb.isometry_residuals(EU2, SAS, x[None], u[None])
     assert res["r"] == 1.0
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-14
 
@@ -260,11 +260,24 @@ def test_isometry_a4(base):
         g = base.matrix(x)
         u = rng.standard_normal(2)
         pts.append((x, u / np.sqrt(u @ g @ u)))
-    res = sb.isometry_residuals(base, w4, pts, rng=rng)
+    x, u = map(np.array, zip(*pts))
+    res, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
     assert res["r"] == pytest.approx(2.0)
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-12
-    bad = sb.isometry_residuals(base, w4, pts, r=1.0, rng=rng)
     assert bad["metric"] >= 0.1
+
+
+def test_isometry_residuals_validate_once_for_all_radii(monkeypatch):
+    rng = np.random.default_rng(6)
+    w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
+    x = rng.uniform(-0.3, 0.3, (3, 2))
+    u = np.array([unit_point(SF1, xi, rng.standard_normal(2)).u for xi in x])
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
+    both = sb.isometry_residuals(SF1, w4, x, u, radii=(None, 1.0), rng=np.random.default_rng(3))
+    assert calls["validate_at"] == 1
+    # the same numbers as one call per radius drawing from the same rng in turn
+    rng = np.random.default_rng(3)
+    assert both == [sb.isometry_residuals(SF1, w4, x, u, radii=(r,), rng=rng)[0] for r in (None, 1.0)]
 
 
 def test_t1_connection_flat_base():

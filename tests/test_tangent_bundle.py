@@ -17,7 +17,7 @@ from tbgeom.weights import (
     named_family,
 )
 
-from sampling import random_split_vector
+from sampling import random_split_vector, reference_bundle_curvature
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -269,6 +269,35 @@ def test_curvature_g1_flat_and_sasaki_flat():
             Rv = tb.bundle_curvature(pair, EU2, P, case, X, Y, Z)
             tol = 1e-9 if pair is G1 else 1e-8
             assert np.max(np.abs(np.concatenate([Rv.h, Rv.v]))) <= tol
+
+
+POLY2 = bg.diagonal_polynomial(2, [[{"c": 1.0, "powers": [0, 0]}],
+                                   [{"c": 1.0, "powers": [0, 0]}, {"c": 1.0, "powers": [2, 0]}]])
+POLY3 = bg.diagonal_polynomial(3, [
+    [{"c": 1.0, "powers": [0, 0, 0]}, {"c": 0.5, "powers": [0, 2, 0]}],
+    [{"c": 2.0, "powers": [0, 0, 0]}, {"c": -0.3, "powers": [1, 0, 1]}],
+    [{"c": 1.0, "powers": [0, 0, 0]}, {"c": 0.2, "powers": [3, 1, 0]}],
+])
+
+
+@pytest.mark.parametrize("base", [POLY2, POLY3], ids=["m2", "m3"])
+@pytest.mark.parametrize("layout", ["point", "stack", "k vectors"])
+def test_curvature_slot_cases_agree_with_the_einsum_reference(base, layout):
+    # u read from the point's Ru tensors, not contracted as one more vector of R and nabla R
+    m, rng = base.dim, np.random.default_rng(base.dim)
+    x = rng.uniform(-0.5, 0.5, (4, m))
+    u, g = 0.9 * rng.standard_normal((4, m)), base.validate_at(x)
+    P = tb.TangentPoint(base, x, u, g, 0.5 * np.vecdot(bg._vg(u, g), u))
+    shape = {"point": (m,), "stack": (4, m), "k vectors": (3, 4, m)}[layout]
+    if layout == "point":
+        P = P[1]
+    assert np.abs(P.NR).max() > 0.1  # nabla R does not vanish on this base
+    X, Y, Z = rng.standard_normal((3, *shape))
+    for case in ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV"):
+        got = tb.bundle_curvature(CG, base, P, case, X, Y, Z)
+        for part, want in zip((got.h, got.v), reference_bundle_curvature(CG, P, case, X, Y, Z)):
+            assert part.shape == want.shape
+            assert np.all(np.abs(part - want) <= 1e-13 * np.maximum(1.0, np.abs(want))), case
 
 
 def test_curvature_symmetries_and_bianchi():
