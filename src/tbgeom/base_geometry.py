@@ -232,6 +232,17 @@ def _gv(g, v):
     return (g @ v[..., None])[..., 0]
 
 
+def _on(T, *vecs):
+    # T[..., h, a, b, ...] vecs[0]^a vecs[1]^b ..., T having one core axis after h per
+    # vector (R(X, Y)Z is _on(R, Z, X, Y)): one matrix-vector product per vector, the last
+    # first, row by row on stacks
+    m = T.shape[-1]
+    T = T.reshape(T.shape[:T.ndim - len(vecs) - 1] + (-1,))
+    for v in reversed(vecs):
+        T = _gv(T.reshape(T.shape[:-1] + (-1, m)), v)
+    return T
+
+
 def _christoffel_core(dg):
     # core[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij from dg[..., l, i, j] = d_l g_ij
     *lead, a, b, c = range(dg.ndim)
@@ -338,9 +349,8 @@ def lower_curvature(g, R):
 
 def _sectional(g, R, X, Y):
     # sectional curvature of span(X, Y) from g and R at one point, or row by row on stacks
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    rxyy = np.einsum("...hkij,...k,...i,...j->...h", R, Y, X, Y)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    rxyy = _on(R, Y, X, Y)
     num, nx, ny, xy = (np.vecdot(_vg(A, g), B) for A, B in ((rxyy, X), (X, X), (Y, Y), (X, Y)))
     den = nx * ny - xy * xy
     if np.any(den <= 1e-14 * nx * ny):

@@ -3,16 +3,17 @@
 Everything here is ground truth for the adapted-frame closed forms: the
 bundle metric is realized as an explicit 2m x 2m component matrix and all
 derived objects (connection, curvature, exterior derivatives, Nijenhuis
-tensor) are obtained by central finite differences with one Richardson
-extrapolation step.  This module is the only place that differences on a
-chart, and every derivative follows one pattern: ``_stencil`` lays out the
-call's stencil as one array (q, then the points stepped to along each
-direction, on axis 0), ``_evaluate`` runs the map once on the array's
-distinct rows and lays the values out as the points are, and ``_quotients``
-differences the values by their position in the stencil.  ``fd_connection``
-is the metric on the coordinate stencil, differenced into the Levi-Civita
-symbols; ``fd_curvature`` is the same rule applied to the connection on the
-outer stencil, with the metric of all inner stencils evaluated as one stack.
+tensor) are obtained by one quotient rule: central differences at the steps
+h and h/2, combined by one Richardson extrapolation step.  This module is the
+only place that differences on a chart, and every derivative follows one
+pattern: ``_stencil`` lays out the call's stencil as one array (q, then the
+points stepped to along each direction, on axis 0), ``_evaluate`` runs the
+map once on the array's distinct rows and lays the values out as the points
+are, and ``_quotients`` differences the values by their position in the
+stencil.  ``fd_connection`` is the metric on the coordinate stencil,
+differenced into the Levi-Civita symbols; ``fd_curvature`` is the same rule
+applied to the connection on the outer stencil, with the metric of all inner
+stencils evaluated as one stack.
 The metric is any object with ``matrix(q)`` on a stack of points: the
 induced metric, whose stack's distinct base points x are evaluated as one
 stack of first-order jets, or a base ``ChartMetric``.  The public callables
@@ -20,7 +21,9 @@ stack of first-order jets, or a base ``ChartMetric``.  The public callables
 each stencil point, a point or a stack, and feed the same quotient rule.
 ``_chart_point`` takes a point q or an (n, 2m) stack: one stacked base
 evaluation at the distinct x, as in ``InducedMetric.matrix``, and one weight
-evaluation on the array of t; J, Omega and the Lee form act on its stack axes.
+evaluation on the array of t.  The chart reads Gamma only through the
+connection map Gamma^k_ij y^j, which a chart point holds in place of Gamma;
+the metric, the frame change, J, Omega and the Lee form act on its stack axes.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -64,22 +67,22 @@ class InducedMetric:
     def matrix(self, q):
         """Components at q = (x, y), or at each row of an (n, 2m) stack of points;
         (g, Gamma) at the stack's distinct x come from one stacked jet evaluation."""
-        y, g, gamma, gu, t = _chart_base(self.base, q)
-        return _metric_matrix(y, g, gamma, gu, self.weights.eval(t))
+        y, g, gy, gu, t = _chart_base(self.base, q)
+        return _metric_matrix(y, g, gy, gu, self.weights.eval(t))
 
 
 def _chart_base(base, q):
-    # y, g(x), Gamma(x), g y and t = g(y, y)/2 at q = (x, y) or at each row of an
-    # (n, 2m) stack, with (g, Gamma) from one first-order jet evaluation at the distinct x
+    # y, g(x), gy[k, i] = Gamma^k_ij y^j, g y and t = g(y, y)/2 at q = (x, y) or at each row
+    # of an (n, 2m) stack, with (g, Gamma) from one first-order jet evaluation at the distinct x
     q = np.asarray(q, dtype=float)
     y = q[..., base.dim :]
     g, gamma = bg._metric_and_christoffel(base, q[..., : base.dim])
     t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
-    return y, g, gamma, (g @ y[..., None])[..., 0], t
+    return y, g, np.einsum("...kij,...j->...ki", gamma, y), (g @ y[..., None])[..., 0], t
 
 
 def _chart_point(base, w, q):
-    """y, g(x), Gamma(x), g y and the derived coefficients of w at q = (x, y), or each
+    """y, g(x), Gamma(x) y, g y and the derived coefficients of w at q = (x, y), or each
     stacked over the rows of an (n, 2m) stack with the weights evaluated once on the
     array of t; every row equals the single call bit for bit."""
     *chart, t = _chart_base(base, q)
@@ -92,10 +95,9 @@ def _per_row(f, axes=2):
     return np.reshape(f, np.shape(f) + (1,) * axes)
 
 
-def _metric_matrix(y, g, gamma, gu, vals):
+def _metric_matrix(y, g, gy, gu, vals):
     # components at (x, y) from its chart data and the weights at t = g(y, y)/2, on any stack axes
     m = y.shape[-1]
-    gy = np.einsum("...kij,...j->...ki", gamma, y)  # gy[k, i] = Gamma^k_{ij} y^j
     V = _per_row(vals.a) * g + _per_row(vals.b) * (gu[..., :, None] * gu[..., None, :])
     gyTV = np.swapaxes(gy, -1, -2) @ V
     G = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
@@ -106,12 +108,11 @@ def _metric_matrix(y, g, gamma, gu, vals):
     return G
 
 
-def _frame(gamma, y):
+def _frame(gy):
     # frame change M, columns = coordinate components of (delta_i, d/dy^i), and M^-1,
-    # on any stack axes
-    m = y.shape[-1]
-    gy = np.einsum("...kij,...j->...ki", gamma, y)
-    eye = np.broadcast_to(np.eye(2 * m), y.shape[:-1] + (2 * m, 2 * m))
+    # from the connection map gy[k, i] = Gamma^k_ij y^j, on any stack axes
+    m = gy.shape[-1]
+    eye = np.broadcast_to(np.eye(2 * m), gy.shape[:-2] + (2 * m, 2 * m))
     M, Minv = eye.copy(), eye.copy()
     M[..., m:, :m] = -gy
     Minv[..., m:, :m] = gy
@@ -120,7 +121,7 @@ def _frame(gamma, y):
 
 def split_to_coord(U):
     """Coordinate components of a split vector, row by row on a stacked point."""
-    M, _ = _frame(U.at.gamma, U.at.u)
+    M, _ = _frame(U.at.gamma_u)
     return (M @ np.concatenate([U.h, U.v], axis=-1)[..., None])[..., 0]
 
 
@@ -138,14 +139,14 @@ def _j_blocks(y, gu, d):
     return -sa * np.eye(m) + _per_row(d.B_coef) * yu, np.eye(m) / sa - _per_row(d.A_coef) * yu
 
 
-def _j_matrix(y, g, gamma, gu, d):
+def _j_matrix(y, g, gy, gu, d):
     # j_matrix from the data of a chart point or a stack of them (g is not read)
     m = y.shape[-1]
     JVH, JHV = _j_blocks(y, gu, d)
     Jad = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
     Jad[..., m:, :m] = JHV
     Jad[..., :m, m:] = JVH
-    M, Minv = _frame(gamma, y)
+    M, Minv = _frame(gy)
     return M @ Jad @ Minv
 
 
@@ -155,7 +156,7 @@ def omega_matrix(base, w, q):
     return _omega_matrix(*_chart_point(base, w, q))
 
 
-def _omega_matrix(y, g, gamma, gu, d):
+def _omega_matrix(y, g, gy, gu, d):
     m = y.shape[-1]
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
@@ -163,7 +164,7 @@ def _omega_matrix(y, g, gamma, gu, d):
     Om = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
     Om[..., :m, m:] = OmHV
     Om[..., m:, :m] = -np.swapaxes(OmHV, -1, -2)
-    _, Minv = _frame(gamma, y)
+    _, Minv = _frame(gy)
     return np.swapaxes(Minv, -1, -2) @ Om @ Minv
 
 
@@ -172,9 +173,9 @@ def lee_covector(base, w, q):
     return _lee_covector(*_chart_point(base, w, q))
 
 
-def _lee_covector(y, g, gamma, gu, d):
+def _lee_covector(y, g, gy, gu, d):
     om_ad = np.concatenate([np.zeros_like(gu), np.asarray(d.lee_coef)[..., None] * gu], axis=-1)
-    _, Minv = _frame(gamma, y)
+    _, Minv = _frame(gy)
     return (np.swapaxes(Minv, -1, -2) @ om_ad[..., None])[..., 0]
 
 
@@ -185,15 +186,14 @@ def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
     return (om[0] * Om[0] + om[1] * Om[1] + om[2] * Om[2]) / 3.0
 
 
-def _stencil(q, vectors, h, richardson=True):
+def _stencil(q, vectors, h):
     """q and every point the quotient rule steps to along each of ``vectors``, as one
     array with the stencil on axis 0: q, then per direction q + s v and q - s v at
-    s = h and (with ``richardson``) s = h/2.  q may be a point or a stack of them, and
-    a direction may be one vector or one per row; a step that does not move q raises."""
-    steps = (h, h / 2) if richardson else (h,)
+    s = h and s = h/2.  q may be a point or a stack of them, and a direction may be
+    one vector or one per row; a step that does not move q raises."""
     points = [q]
     for v in vectors:
-        for s in steps:
+        for s in (h, h / 2):
             up, down = q + s * v, q - s * v
             if s <= 0 or (np.all(up == q, axis=-1) & np.any(v, axis=-1)).any():
                 raise ValueError(f"differencing step {s} underflows at {q}")
@@ -212,61 +212,58 @@ def _evaluate(fun, points):
     return out[index].reshape(lead + out.shape[1:])
 
 
-def _quotients(values, h, richardson=True):
+def _quotients(values, h):
     """The derivative along each direction of a stencil, on axis 0, from the values at
-    the points it steps to (``_stencil`` without q, on axis 0): the central quotient
-    (f(q + s v) - f(q - s v)) / 2s, Richardson-extrapolated once as (4 D(h/2) - D(h)) / 3
-    unless ``richardson`` is false."""
-    values = np.asarray(values)
-    steps = np.array((h, h / 2) if richardson else (h,))
-    pairs = values.reshape((-1, len(steps), 2) + values.shape[1:])
-    d = (pairs[:, :, 0] - pairs[:, :, 1]) / (2 * steps).reshape((-1,) + (1,) * (values.ndim - 1))
-    return (4.0 * d[:, 1] - d[:, 0]) / 3.0 if richardson else d[:, 0]
+    the points it steps to (``_stencil`` without q, on axis 0): the central quotients
+    D(s) = (f(q + s v) - f(q - s v)) / 2s at s = h and h/2, Richardson-extrapolated once
+    as (4 D(h/2) - D(h)) / 3, which is fourth order in h."""
+    f = np.reshape(values, (-1, 4) + np.shape(values)[1:])  # f(q ± h v), then f(q ± h v / 2)
+    return (4.0 * ((f[:, 2] - f[:, 3]) / h) - (f[:, 0] - f[:, 1]) / (2 * h)) / 3.0
 
 
-def _connection(G, points, h, richardson):
+def _connection(G, points, h):
     # Christoffel symbols at ``points`` (a point, or any stack) from the metric components
     # G on the coordinate stencil of each, the stencil on axis 0
     for cond, p in zip(np.ravel(np.linalg.cond(G[0])), np.reshape(points, (-1, points.shape[-1]))):
         if cond > 1e8:
             warnings.warn(f"metric conditioning {cond:.2e} at {p}")
-    dG = np.moveaxis(_quotients(G[1:], h, richardson), 0, -3)
+    dG = np.moveaxis(_quotients(G[1:], h), 0, -3)
     return bg._levi_civita(np.linalg.inv(G[0]), dG)
 
 
-def _metric_and_connection(metric, q, h, richardson=True):
+def _metric_and_connection(metric, q, h):
     # the components at q and ``fd_connection``, from one evaluation of the coordinate stencil
     q = np.asarray(q, dtype=float)
-    G = _evaluate(metric.matrix, _stencil(q, np.eye(q.shape[-1]), h, richardson))
-    return G[0], _connection(G, q, h, richardson)
+    G = _evaluate(metric.matrix, _stencil(q, np.eye(q.shape[-1]), h))
+    return G[0], _connection(G, q, h)
 
 
-def fd_connection(metric, q, h=1e-4, richardson=True):
+def fd_connection(metric, q, h=1e-4):
     """Finite-difference Christoffel symbols of any metric with ``matrix(q)``, at q or
     at each row of an (n, k) stack (a leading axis of n rows, each equal to the call
     at its point bit for bit), from one ``matrix`` call on the stencil's distinct points."""
-    return _metric_and_connection(metric, q, h, richardson)[1]
+    return _metric_and_connection(metric, q, h)[1]
 
 
-def fd_curvature(metric, q, h=1e-4, richardson=True):
+def fd_curvature(metric, q, h=1e-4):
     """Finite-difference curvature of any metric with ``matrix(q)`` (nested differencing),
     at q or at each row of an (n, k) stack: the connection at each point of the coordinate
     stencil of q, from one ``matrix`` call on the distinct points of all their stencils."""
     q = np.asarray(q, dtype=float)
     axes = np.eye(q.shape[-1])
-    outer = _stencil(q, axes, h, richardson)
-    G = _evaluate(metric.matrix, _stencil(outer, axes, h, richardson))
-    gamma = _connection(G, outer, h, richardson)
-    dgamma = np.moveaxis(_quotients(gamma[1:], h, richardson), 0, -4)
+    outer = _stencil(q, axes, h)
+    G = _evaluate(metric.matrix, _stencil(outer, axes, h))
+    gamma = _connection(G, outer, h)
+    dgamma = np.moveaxis(_quotients(gamma[1:], h), 0, -4)
     return bg._curvature_from(gamma[0], dgamma)
 
 
-def fd_directional(fun, q, v, h=1e-4, richardson=True):
+def fd_directional(fun, q, v, h=1e-4):
     """Directional derivative of a scalar- or array-valued function, evaluated at each
     point the quotient rule steps to (a point, or a stack where q is one)."""
     q = np.asarray(q, dtype=float)
-    points = _stencil(q, [np.asarray(v, dtype=float)], h, richardson)[1:]
-    return _quotients([fun(p) for p in points], h, richardson)[0]
+    points = _stencil(q, [np.asarray(v, dtype=float)], h)[1:]
+    return _quotients([fun(p) for p in points], h)[0]
 
 
 def _alternating(along, vectors):
@@ -278,7 +275,7 @@ def _alternating(along, vectors):
     return total / len(vectors)
 
 
-def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
+def fd_exterior_derivative(form, q, vectors, h=1e-4):
     """Numeric exterior derivative on constant coordinate-extended vectors.
 
     ``form(q, v_1, .., v_k)`` evaluates the k-form; the result follows the
@@ -288,7 +285,7 @@ def fd_exterior_derivative(form, q, vectors, h=1e-4, richardson=True):
     vectors = [np.asarray(v, dtype=float) for v in vectors]
 
     def along(i, rest):
-        return fd_directional(lambda p: form(p, *rest), q, vectors[i], h=h, richardson=richardson)
+        return fd_directional(lambda p: form(p, *rest), q, vectors[i], h=h)
 
     return _alternating(along, vectors)
 

@@ -81,7 +81,7 @@ def generators(P: tb.TangentPoint):
     Returns (deltas, verts): two (m, 2m) arrays of row vectors, (n, m, 2m) at a
     stack.  The verticals satisfy u^i vert_i = 0 and span an (m-1)-dimensional space.
     """
-    gy = np.einsum("...kij,...j->...ki", P.gamma, P.u)
+    gy = P.gamma_u
     eye = np.broadcast_to(np.eye(P.base.dim), gy.shape)
     deltas = np.concatenate([eye, -np.swapaxes(gy, -1, -2)], axis=-1)
     verts = eye - orc._per_row(1.0 / _pow(P.r, 2)) * _outer(P.gu, P.u)
@@ -142,11 +142,11 @@ def _structure(chart, w, t, vals, rescaled):
     # the construction of contact_structure from a chart point's data (or a stack's) under
     # w and the weights ``vals`` at the bundle's t: G and J at the chart point, and the
     # normal and the rescaling at t, on the radius sqrt(2t) as P.r
-    y, g, gamma, gu, d = chart
+    y, g, gy, gu, d = chart
     r = tb._scalar(np.sqrt(2.0 * t))
     N = _normal(y, r, vals)
-    G = orc._metric_matrix(y, g, gamma, gu, d.values)
-    J = orc._j_matrix(y, g, gamma, gu, d)
+    G = orc._metric_matrix(y, g, gy, gu, d.values)
+    J = orc._j_matrix(y, g, gy, gu, d)
     phi = (np.eye(N.shape[-1]) - _outer(N, bg._gv(G, N))) @ J
     eta = bg._gv(np.swapaxes(J, -1, -2) @ G, N)
     xi = bg._gv(-J, N)
@@ -210,8 +210,7 @@ def t1_connection(P, w, case, i, j):
     # deltas), R^k_{0ij} and R^k_{i0j} at every (i, j), k last; [(*at, i, j)] picks each row's
     gam = np.moveaxis(P.gamma, -3, -1)
     gd, gY = (bg._vg(gam, A[..., None, None, :, :]) for A in (deltas, Ys))
-    R0, Ri0 = (np.moveaxis(np.einsum(s, P.R, P.u), -3, -1)
-               for s in ("...klij,...l->...kij", "...kjli,...l->...kji"))
+    R0, Ri0 = np.moveaxis(P.Ru[0], -3, -1), np.swapaxes(P.Ru[1], -3, -1)
     out = [gd[(*at, i, j)] - bg._vg(0.5 * R0[(*at, i, j)], Ys),  # in the order of cases
            bg._vg((a / 2) * Ri0[(*at, j, i)], deltas),
            gY[(*at, i, j)] + bg._vg((a / 2) * Ri0[(*at, i, j)], deltas),
@@ -230,9 +229,9 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
         H = orc.lift_field(base, np.eye(m)[k], "H")
 
         def f(q):
-            y, _, _, gy, _ = orc._chart_base(base, np.reshape(q, (-1, 2 * m)))
-            y, gy = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (y, gy))
-            Y = np.eye(m)[k] - orc._per_row(gy[(..., *at, k)], 1) * y
+            y, _, _, gu, _ = orc._chart_base(base, np.reshape(q, (-1, 2 * m)))
+            y, gu = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (y, gu))
+            Y = np.eye(m)[k] - orc._per_row(gu[(..., *at, k)], 1) * y
             return np.where(orc._per_row(delta, 1), H(q), np.concatenate([np.zeros_like(y), Y], -1))
 
         return f
@@ -283,9 +282,8 @@ def _residual_vectors(P, w):
     deltas, Ys = generators(P)
     xi0 = bg._vg(y, deltas)[..., None, None, :]  # y^k delta_k
     dd, YY, Yi = deltas[..., None, None, :, :], Ys[..., None, None, :, :], Ys[..., :, None, :]
-    R0i0 = np.swapaxes(np.einsum("...klij,...l,...j->...ki", P.R, y, y), -1, -2)[..., None, :]
-    R_i0j = np.moveaxis(np.einsum("...kilj,...l->...kij", P.R, y), -3, -1)  # R^k_{i0j}
-    R_0ij = np.moveaxis(np.einsum("...klij,...l->...kij", P.R, y), -3, -1)  # R^k_{0ij}
+    R0i0 = np.swapaxes(bg._gv(P.Ru[0], y[..., None, :]), -1, -2)[..., None, :]  # R^k_{0i0}
+    R_0ij, R_i0j = np.moveaxis(P.Ru[0], -3, -1), np.swapaxes(P.Ru[1], -3, -1)  # [i, j, k]
     R_j0i = np.swapaxes(R_i0j, -3, -2)  # R^k_{j0i}
     gu_i, gu_j, y_k = gu[..., :, None, None], gu[..., None, :, None], y[..., None, None, :]
     e_ik = np.eye(m)[:, None, :]  # d^k_i

@@ -49,8 +49,9 @@ class TangentPoint:
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
     then kept (read-only); the last three come from one evaluation of the
-    base metric jets.  So is ``Ru``, R and nabla R with u in one slot, which
-    the closed forms read for every term that has u as an argument of R.  So
+    base metric jets.  So are the connection map ``gamma_u``, Gamma(., u), and
+    ``Ru``, R and nabla R with u in one slot: every term that has u as an
+    argument of Gamma or R reads them.  So
     are the weights: ``values(w)`` is w.eval(t),
     evaluated once per weight pair (matched by identity), and ``coeffs(w)``
     the derived coefficients built from those same values.  A sphere-bundle
@@ -103,6 +104,11 @@ class TangentPoint:
     gamma = property(lambda self: self._jets[0])
     R = property(lambda self: self._jets[1])
     NR = property(lambda self: self._jets[2])
+
+    @cached_property
+    def gamma_u(self):
+        """The connection map Gamma^k_ij u^j [k, i], the chart's Gamma y at y = u."""
+        return bg._readonly(np.einsum("...kij,...j->...ki", self.gamma, self.u))
 
     @cached_property
     def Ru(self):
@@ -246,32 +252,16 @@ def lee_form(w, P, U):
     return d.lee_coef * float(U.v @ P.gu)
 
 
-def _rop(R, X, Y, Z):
-    # R_{XY}Z with R[h, k, i, j] = R^h_{kij}, row by row on stacks
-    return np.einsum("...hkij,...k,...i,...j->...h", R, Z, X, Y)
-
-
-def _on(T, *vecs):
-    # T[..., h, a, b, ...] vecs[0]^a vecs[1]^b ..., T having one core axis after h per
-    # vector: one matrix-vector product per vector, the last first, row by row on stacks
-    m = T.shape[-1]
-    T = T.reshape(T.shape[:T.ndim - len(vecs) - 1] + (-1,))
-    for v in reversed(vecs):
-        T = bg._gv(T.reshape(T.shape[:-1] + (-1, m)), v)
-    return T
-
-
 def nijenhuis(w, base, P, X, Y, slots):
     """Closed-form integrability tensor on pure horizontal or vertical slots."""
     check_base(base, P)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     d = P.coeffs(w)
     vals = d.values
     a, ap = vals.a, vals.ap
     sa = np.sqrt(a)
     gu = P.gu
-    ru = partial(_on, P.Ru[0])  # R(X, Y)u
+    ru = partial(bg._on, P.Ru[0])  # R(X, Y)u
     gxu = float(X @ gu)
     gyu = float(Y @ gu)
     if slots == "HH":
@@ -296,14 +286,13 @@ def bundle_connection(w, base, P, case, X, Y):
     constant-coefficient base fields at the chart point, one per row of a stacked P.
     """
     check_base(base, P)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     d = P.coeffs(w)
     a, L, M, N = (np.asarray(c)[..., None] for c in (d.values.a, d.L, d.M, d.N))
     gu, u = P.gu, P.u
-    ru, ur = (partial(_on, T) for T in P.Ru[:2])  # R(X, Y)u and R(u, Y)Z
+    ru, ur = (partial(bg._on, T) for T in P.Ru[:2])  # R(X, Y)u and R(u, Y)Z
     if case in ("HH", "HV"):
-        nab = _on(P.gamma, X, Y)
+        nab = bg._on(P.gamma, X, Y)
     if case == "HH":
         return SplitVector(nab, -0.5 * ru(X, Y), P)
     if case == "HV":
@@ -324,27 +313,25 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     R(X^., Y^.) Z^. in order, row by row when X, Y, Z are stacks (see ``SplitVector``).
     """
     check_base(base, P)
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    Z = np.asarray(Z, dtype=float)
+    X, Y, Z = (np.asarray(a, dtype=float) for a in (X, Y, Z))
     d = P.coeffs(w)
     # the coefficients of P against its vectors
     a, ap, L, M, F1, F2, F3 = (np.asarray(c)[..., None]
                                for c in (d.values.a, d.values.ap, d.L, d.M, d.F1, d.F2, d.F3))
     gu, u = P.gu, P.u
-    rop, vg = partial(_rop, P.R), partial(bg._vg, g=P.gx)
+    R, on, vg = P.R, bg._on, partial(bg._vg, g=P.gx)  # R(X, Y)Z is on(R, Z, X, Y)
     # R(X, Y)u, R(u, Y)Z, (nabla_W R)(X, Y)u and (nabla_W R)(u, Y)Z, as functions of W, X, Y, Z
-    ru, ur, nru, nur = (partial(_on, T) for T in P.Ru)
+    ru, ur, nru, nur = (partial(on, T) for T in P.Ru)
 
     if case == "HHH":
-        h = rop(X, Y, Z) + (a / 4) * (
+        h = on(R, Z, X, Y) + (a / 4) * (
             ur(ru(X, Z), Y) - ur(ru(Y, Z), X) + 2 * ur(ru(X, Y), Z))
         v = 0.5 * nru(Z, X, Y)
         return SplitVector(h, v, P)
     if case == "HHV":
         rxy = ru(X, Y)
         v = (
-            rop(X, Y, Z)
+            on(R, Z, X, Y)
             + (a / 4) * (ru(Y, ur(Z, X)) - ru(X, ur(Z, Y)))
             + L * _dot(Z, gu) * rxy
             + M * _dot(vg(rxy), Z) * u
@@ -355,7 +342,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
         h = (a / 2) * nur(X, Y, Z)
         rxz = ru(X, Z)
         v = 0.5 * (
-            rop(X, Z, Y)
+            on(R, Y, X, Z)
             - (a / 2) * ru(X, ur(Y, Z))
             + L * _dot(Y, gu) * rxz
             + M * _dot(vg(rxz), Y) * u
@@ -364,7 +351,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     if case == "HVV":
         uzx = ur(Z, X)
         h = (
-            -(a / 2) * rop(Y, Z, X)
+            -(a / 2) * on(R, X, Y, Z)
             - (a * a / 4) * ur(Y, uzx)
             + (ap / 4) * (_dot(Z, gu) * ur(Y, X) - _dot(Y, gu) * uzx)
         )
@@ -372,7 +359,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     if case == "VVH":
         uyz, uxz = ur(Y, Z), ur(X, Z)
         h = (
-            a * rop(X, Y, Z)
+            a * on(R, Z, X, Y)
             + (ap / 2) * (_dot(X, gu) * uyz - _dot(Y, gu) * uxz)
             + (a * a / 4) * (ur(X, uyz) - ur(Y, uxz))
         )
@@ -488,7 +475,7 @@ def scalar_curvature(w, base, P, mode="closed"):
     scal = np.einsum("...kj,...kj->...", np.linalg.inv(P.gx), np.einsum("...ikij->...kj", R))
     frame = np.moveaxis(bg.orthonormal_frame(P.gx), -2, 0)
     i, j = np.triu_indices(m, 1)  # the pairs i < j, in order
-    vec = _on(P.Ru[0], frame[i], frame[j])
+    vec = bg._on(P.Ru[0], frame[i], frame[j])
     acc = np.cumsum(np.vecdot(bg._vg(vec, P.gx), vec), axis=0)[-1]
     a = d.values.a
     return _scalar(scal - 0.5 * a * acc + ((1 - m) / a) * (m * d.F2 + 4 * P.t * d.F3))

@@ -41,8 +41,22 @@ def test_christoffel_spaceform_origin_vanishes():
 def test_christoffel_matches_finite_differences():
     sf = bg.SpaceForm(1.0, 2)
     x = np.array([0.3, 0.4])
-    diff = bg.christoffel(sf, x) - orc.fd_connection(sf, x, h=1e-5, richardson=False)
+    diff = bg.christoffel(sf, x) - orc.fd_connection(sf, x, h=1e-5)
     assert np.max(np.abs(diff)) <= 1e-8
+
+
+def test_christoffel_and_oracle_match_the_exact_conformal_connection():
+    # g = exp(2 phi) delta with phi = -log(1 + c |x|^2 / 4): Gamma^k_ij = d_ik d_j phi +
+    # d_jk d_i phi - d_ij d_k phi, here near the edge |x| < 2 of the c = -1 chart
+    c, x = -1.0, np.array([1.4, 1.42])
+    assert np.linalg.norm(x) >= 1.99
+    dphi, e = -(c * x / 2) / (1 + c * (x @ x) / 4), np.eye(2)
+    exact = (e.T[:, :, None] * dphi[None, None, :] + e[:, None, :] * dphi[None, :, None]
+             - e[None, :, :] * dphi[:, None, None])
+    assert np.max(np.abs(exact)) > 100
+    sf = bg.SpaceForm(c, 2)
+    assert np.max(np.abs(bg.christoffel(sf, x) - exact)) <= 1e-10
+    assert np.max(np.abs(orc.fd_connection(sf, x, h=1e-5) - exact)) <= 1e-6
 
 
 def test_christoffel_symmetric_lower_indices():
@@ -146,10 +160,10 @@ def test_second_bianchi():
     assert np.max(np.abs(cyc)) <= 1e-9
 
 
-def test_curvature_matches_pure_central_differences():
+def test_curvature_matches_nested_finite_differences():
     sf = bg.SpaceForm(1.0, 2)
     x = np.array([0.25, -0.15])
-    diff = bg.curvature(sf, x) - orc.fd_curvature(sf, x, h=1e-5, richardson=False)
+    diff = bg.curvature(sf, x) - orc.fd_curvature(sf, x)
     assert np.max(np.abs(diff)) <= 1e-6
 
 

@@ -100,6 +100,27 @@ def test_kahler_suites_check_the_verified_conditions():
     assert max(controls["eq13_residual"], controls["eq14_residual"]) <= 1e-10
 
 
+def test_kahler_not_closed_control_reads_at_least_four_points():
+    # at one sample the control rested on one draw, and at seed 5 that draw's |dOmega| was
+    # under the 1e-2 floor although the case-2 form is not closed
+    doc = json.loads((CONFIGS / "kahler_case2.json").read_text())
+    doc.update(suites=["kahler"], samples=1, seed=5, out=None)
+    suite = cli.run(cli.load_config(doc))["suites"][0]
+    assert suite["passed"], suite["controls"]
+    assert sorted(set(suite["sample_indices"])) == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_base_checks_pass_near_the_edge_of_the_hyperbolic_chart(seed):
+    # c = -1 is admissible at |x| < 2; at |x| ~ 1.99 |Gamma| reaches 5e2, and the plain
+    # central quotient at h = 1e-5 missed the correct closed form by up to 2.5e-2
+    doc = {"base": {"kind": "space_form", "dim": 2, "params": {"curvature": -1.0}},
+           "weights": {"name": "cheeger_gromoll"}, "chart_box": [[-2.2, 2.2], [-2.2, 2.2]],
+           "suites": ["base_checks"], "samples": 20, "seed": seed, "out": None}
+    suite = cli.run(cli.load_config(doc))["suites"][0]
+    assert suite["passed"], max(suite["residuals"])
+
+
 def test_determinism_bit_identical():
     cfg = cli.load_config(base_cfg(suites=["connection", "scalar"], samples=6))
     strip = lambda rep: json.dumps(

@@ -244,7 +244,7 @@ def stacked_oracle(base, w, q, X, Y, U, V, vecs):
     m = base.dim
     gamma = orc.fd_connection(im, q)
     out = {"fd_connection": gamma,
-           "fd_connection(base)": orc.fd_connection(base, q[..., :m], h=1e-5, richardson=False),
+           "fd_connection(base)": orc.fd_connection(base, q[..., :m], h=1e-5),
            "fd_curvature": orc.fd_curvature(im, q),
            "fd_nijenhuis": orc.fd_nijenhuis(base, w, q, U, V)}
     for case in ("HH", "HV", "VH", "VV"):
