@@ -232,6 +232,12 @@ def _gv(g, v):
     return (g @ v[..., None])[..., 0]
 
 
+def _per_row(f, axes=2):
+    # a scalar coefficient, or one per stack row, broadcast against the rows' matrices
+    # (or against arrays with another number of trailing ``axes``)
+    return np.reshape(f, np.shape(f) + (1,) * axes)
+
+
 def _on(T, *vecs):
     # T[..., h, a, b, ...] vecs[0]^a vecs[1]^b ..., T having one core axis after h per
     # vector (R(X, Y)Z is _on(R, Z, X, Y)): one matrix-vector product per vector, the last

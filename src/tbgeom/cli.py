@@ -23,7 +23,7 @@ from .base_geometry import metric_from_spec
 from .suites import SUITE_ORDER, SUITES, SuiteContext, run_suite
 from .weights import weights_from_spec
 
-__all__ = ["RunConfig", "ConfigError", "load_config", "run", "list_suites", "main"]
+__all__ = ["RunConfig", "ConfigError", "load_config", "run", "write_report", "list_suites", "main"]
 
 SCHEMA_VERSION = 1
 FORMATS = ("json", "csv", "both")

@@ -19,11 +19,14 @@ induced metric, whose stack's distinct base points x are evaluated as one
 stack of first-order jets, or a base ``ChartMetric``.  The public callables
 (``fd_directional``, ``fd_exterior_derivative``) evaluate their function at
 each stencil point, a point or a stack, and feed the same quotient rule.
-``_chart_point`` takes a point q or an (n, 2m) stack: one stacked base
-evaluation at the distinct x, as in ``InducedMetric.matrix``, and one weight
-evaluation on the array of t.  The chart reads Gamma only through the
-connection map Gamma^k_ij y^j, which a chart point holds in place of Gamma;
-the metric, the frame change, J, Omega and the Lee form act on its stack axes.
+``_chart_point`` takes a point q or an (n, 2m) stack and returns a
+``TangentPoint`` at (x, y): g and Gamma at the distinct x from one stacked
+first-order jet evaluation (Gamma is set on the point, which never evaluates
+the third-order jets) and t = g(y, y)/2, with the weights evaluated once, on
+first use, on the array of t.  The metric, the frame change, J, Omega, the Lee
+form and the horizontal lift read the point by field name (``u``, ``gx``,
+``gamma_u``, ``gu``, ``values(w)``, ``coeffs(w)``) and act on its stack axes;
+J's adapted-frame blocks are the closed forms' own, ``tangent_bundle._j_blocks``.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -38,7 +41,8 @@ import warnings
 import numpy as np
 
 from . import base_geometry as bg
-from .weights import WeightPair, derived_coeffs
+from . import tangent_bundle as tb
+from .weights import WeightPair
 
 __all__ = [
     "InducedMetric",
@@ -65,47 +69,29 @@ class InducedMetric:
         self.weights = weights
 
     def matrix(self, q):
-        """Components at q = (x, y), or at each row of an (n, 2m) stack of points;
-        (g, Gamma) at the stack's distinct x come from one stacked jet evaluation."""
-        y, g, gy, gu, t = _chart_base(self.base, q)
-        return _metric_matrix(y, g, gy, gu, self.weights.eval(t))
+        """Components at q = (x, y), or at each row of an (n, 2m) stack of points, from
+        one chart point of them all."""
+        return _metric_matrix(_chart_point(self.base, q), self.weights)
 
 
-def _chart_base(base, q):
-    # y, g(x), gy[k, i] = Gamma^k_ij y^j, g y and t = g(y, y)/2 at q = (x, y) or at each row
-    # of an (n, 2m) stack, with (g, Gamma) from one first-order jet evaluation at the distinct x
+def _chart_point(base, q):
+    """The TangentPoint at q = (x, y), with u = y, or the stacked one at the rows of an
+    (n, 2m) stack: g and Gamma at the distinct x from one first-order jet evaluation,
+    and t = g(y, y)/2; every row equals the single call bit for bit."""
     q = np.asarray(q, dtype=float)
-    y = q[..., base.dim :]
-    g, gamma = bg._metric_and_christoffel(base, q[..., : base.dim])
-    t = 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0]
-    return y, g, np.einsum("...kij,...j->...ki", gamma, y), (g @ y[..., None])[..., 0], t
+    x, y = q[..., : base.dim], q[..., base.dim :]
+    g, gamma = bg._metric_and_christoffel(base, x)
+    P = tb.TangentPoint(base, x, y, g, 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0])
+    P.__dict__["gamma"] = bg._readonly(gamma)
+    return P
 
 
-def _chart_point(base, w, q):
-    """y, g(x), Gamma(x) y, g y and the derived coefficients of w at q = (x, y), or each
-    stacked over the rows of an (n, 2m) stack with the weights evaluated once on the
-    array of t; every row equals the single call bit for bit."""
-    *chart, t = _chart_base(base, q)
-    return (*chart, derived_coeffs(w, t))
-
-
-def _per_row(f, axes=2):
-    # a scalar coefficient, or one per stack row, broadcast against the rows' matrices
-    # (or against arrays with another number of trailing ``axes``)
-    return np.reshape(f, np.shape(f) + (1,) * axes)
-
-
-def _metric_matrix(y, g, gy, gu, vals):
-    # components at (x, y) from its chart data and the weights at t = g(y, y)/2, on any stack axes
-    m = y.shape[-1]
-    V = _per_row(vals.a) * g + _per_row(vals.b) * (gu[..., :, None] * gu[..., None, :])
+def _metric_matrix(P, w):
+    # components at the chart point P, or at each row of a stacked one, under w
+    vals, g, gy, gu = P.values(w), P.gx, P.gamma_u, P.gu
+    V = bg._per_row(vals.a) * g + bg._per_row(vals.b) * (gu[..., :, None] * gu[..., None, :])
     gyTV = np.swapaxes(gy, -1, -2) @ V
-    G = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
-    G[..., :m, :m] = g + gyTV @ gy
-    G[..., :m, m:] = gyTV
-    G[..., m:, :m] = V @ gy
-    G[..., m:, m:] = V
-    return G
+    return np.block([[g + gyTV @ gy, gyTV], [V @ gy, V]])
 
 
 def _frame(gy):
@@ -128,55 +114,42 @@ def split_to_coord(U):
 def j_matrix(base, w, q):
     """Coordinate matrix of the almost complex structure at q = (x, y), or at each
     row of an (n, 2m) stack."""
-    return _j_matrix(*_chart_point(base, w, q))
+    return _j_matrix(_chart_point(base, q), w)
 
 
-def _j_blocks(y, gu, d):
-    # the adapted-frame blocks of J, vertical -> horizontal and back, on any stack axes
-    m = y.shape[-1]
-    sa = np.sqrt(_per_row(d.values.a))
-    yu = y[..., :, None] * gu[..., None, :]  # the outer product y gu^T
-    return -sa * np.eye(m) + _per_row(d.B_coef) * yu, np.eye(m) / sa - _per_row(d.A_coef) * yu
-
-
-def _j_matrix(y, g, gy, gu, d):
-    # j_matrix from the data of a chart point or a stack of them (g is not read)
-    m = y.shape[-1]
-    JVH, JHV = _j_blocks(y, gu, d)
-    Jad = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
-    Jad[..., m:, :m] = JHV
-    Jad[..., :m, m:] = JVH
-    M, Minv = _frame(gy)
-    return M @ Jad @ Minv
+def _j_matrix(P, w):
+    # j_matrix at the chart point P, or at each row of a stacked one
+    JVH, JHV = tb._j_blocks(P, w)
+    zero = np.zeros(JVH.shape)
+    M, Minv = _frame(P.gamma_u)
+    return M @ np.block([[zero, JVH], [JHV, zero]]) @ Minv
 
 
 def omega_matrix(base, w, q):
     """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b), at q or at
     each row of a stack."""
-    return _omega_matrix(*_chart_point(base, w, q))
+    return _omega_matrix(_chart_point(base, q), w)
 
 
-def _omega_matrix(y, g, gy, gu, d):
-    m = y.shape[-1]
+def _omega_matrix(P, w):
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
-    OmHV = g @ _j_blocks(y, gu, d)[0]
-    Om = np.zeros(y.shape[:-1] + (2 * m, 2 * m))
-    Om[..., :m, m:] = OmHV
-    Om[..., m:, :m] = -np.swapaxes(OmHV, -1, -2)
-    _, Minv = _frame(gy)
+    OmHV = P.gx @ tb._j_blocks(P, w)[0]
+    zero = np.zeros(OmHV.shape)
+    Om = np.block([[zero, OmHV], [-np.swapaxes(OmHV, -1, -2), zero]])
+    _, Minv = _frame(P.gamma_u)
     return np.swapaxes(Minv, -1, -2) @ Om @ Minv
 
 
 def lee_covector(base, w, q):
     """Coordinate components of the Lee form at q, or at each row of a stack."""
-    return _lee_covector(*_chart_point(base, w, q))
+    return _lee_covector(_chart_point(base, q), w)
 
 
-def _lee_covector(y, g, gy, gu, d):
-    om_ad = np.concatenate([np.zeros_like(gu), np.asarray(d.lee_coef)[..., None] * gu], axis=-1)
-    _, Minv = _frame(gy)
-    return (np.swapaxes(Minv, -1, -2) @ om_ad[..., None])[..., 0]
+def _lee_covector(P, w):
+    lee = bg._per_row(P.coeffs(w).lee_coef, 1) * P.gu
+    _, Minv = _frame(P.gamma_u)
+    return bg._gv(np.swapaxes(Minv, -1, -2), np.concatenate([np.zeros_like(lee), lee], axis=-1))
 
 
 def wedge_1_2(om_vec, Om_mat, v1, v2, v3):
@@ -316,7 +289,7 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     JU, JV = bg._gv(J0, U), bg._gv(J0, V)
     # J at the 16 points the four directional derivatives step to, as one stack
     stencil = _stencil(q, [JU, JV, U, V], h)[1:]
-    J = _evaluate(lambda p: _j_matrix(*_chart_point(base, w, p)), stencil)
+    J = _evaluate(lambda p: j_matrix(base, w, p), stencil)
     dJ_JU, dJ_JV, dJ_U, dJ_V = _quotients(J, h)
     # N = [JU,JV] - J[JU,V] - J[U,JV]  (constant fields, [U,V] = 0), with
     # [JU,JV] = (D_{JU} J)V - (D_{JV} J)U, [JU,V] = -(D_V J)U, [U,JV] = (D_U J)V
@@ -327,8 +300,8 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
 def lift_field(base, X, kind):
     """Coordinate field of the horizontal or vertical lift of a constant X, at a point
     q or at each row of a stack of points (..., n, 2m); X may be one vector per row
-    (n, m), the same at every position of the leading axes.  The horizontal lift reads
-    Gamma from one stacked first-order evaluation per call."""
+    (n, m), the same at every position of the leading axes.  The horizontal lift
+    (X, -Gamma(X, y)) reads the connection map of one chart point per call."""
     X = np.asarray(X, dtype=float)
     m = base.dim
     if kind not in ("H", "V"):
@@ -336,9 +309,9 @@ def lift_field(base, X, kind):
 
     def field(q):
         qs = np.reshape(q, (-1, 2 * m))
-        y, Xs = qs[:, m:], np.broadcast_to(X, np.shape(q)[:-1] + (m,)).reshape(-1, m)
-        parts = ([Xs, -np.einsum("...kij,...j,...i->...k", bg.christoffel(base, qs[:, :m]), y, Xs)]
-                 if kind == "H" else [np.zeros_like(y), Xs])
+        Xs = np.broadcast_to(X, np.shape(q)[:-1] + (m,)).reshape(-1, m)
+        parts = ([Xs, -bg._gv(_chart_point(base, qs).gamma_u, Xs)]
+                 if kind == "H" else [np.zeros(Xs.shape), Xs])
         return np.concatenate(parts, axis=-1).reshape(np.shape(q))
 
     return field

@@ -8,11 +8,11 @@ tangent sphere bundle of radius r is (Sasaki, r).  P may be a stacked point
 (``TangentPoint.stack`` of sphere points): the functions then act row by row,
 each row equal to the call at P[i] bit for bit, and the verdicts take maxima
 over the rows.  There is one contact construction, ``_structure``: G and J
-from a chart point's data, the normal and the rescaling to a contact metric
-structure (c = 2 r sqrt(a(r^2/2))) from the weights at the bundle's t, and phi,
-xi, eta by tangent/normal projection of J; ``contact_structure`` applies it at
-P and ``deta_numeric`` on its stencil.  The displayed component formulas are
-test targets, not the implementation.
+at an oracle chart point (a TangentPoint at (x, y)), the normal and the
+rescaling to a contact metric structure (c = 2 r sqrt(a(r^2/2))) from the
+weights at the bundle's t, and phi, xi, eta by tangent/normal projection of J;
+``contact_structure`` applies it at P and ``deta_numeric`` on its stencil.  The
+displayed component formulas are test targets, not the implementation.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def generators(P: tb.TangentPoint):
     gy = P.gamma_u
     eye = np.broadcast_to(np.eye(P.base.dim), gy.shape)
     deltas = np.concatenate([eye, -np.swapaxes(gy, -1, -2)], axis=-1)
-    verts = eye - orc._per_row(1.0 / _pow(P.r, 2)) * _outer(P.gu, P.u)
+    verts = eye - bg._per_row(1.0 / _pow(P.r, 2)) * _outer(P.gu, P.u)
     return deltas, np.concatenate([np.zeros(gy.shape), verts], axis=-1)
 
 
@@ -95,14 +95,14 @@ def induced_metric(P, w):
     blocks (cross-checked in the verification suites).
     """
     g, gu = P.gx, P.gu
-    G_vv = orc._per_row(P.values(w).a) * (g - _outer(gu, gu) / orc._per_row(_pow(P.r, 2)))
+    G_vv = bg._per_row(P.values(w).a) * (g - _outer(gu, gu) / bg._per_row(_pow(P.r, 2)))
     return g.copy(), np.zeros(g.shape), G_vv
 
 
 def _normal(y, r, vals):
     # the unit normal (0, y)/|(0, y)| of the radius-r bundle, with the weights at t = r^2/2
     norm2 = vals.a * _pow(r, 2) + vals.b * _pow(r, 4)
-    return np.concatenate([np.zeros_like(y), y], axis=-1) / orc._per_row(np.sqrt(norm2), 1)
+    return np.concatenate([np.zeros_like(y), y], axis=-1) / bg._per_row(np.sqrt(norm2), 1)
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,7 @@ class ContactStructure:
     def tangent_projector(self):
         N, GN = self.normal, bg._gv(self.G, self.normal)
         scale = np.vecdot(bg._vg(N, self.G), N)
-        return np.eye(N.shape[-1]) - _outer(N, GN) / orc._per_row(scale)
+        return np.eye(N.shape[-1]) - _outer(N, GN) / bg._per_row(scale)
 
 
 def contact_structure(P, w, rescaled=False, epsilon=None):
@@ -135,25 +135,24 @@ def contact_structure(P, w, rescaled=False, epsilon=None):
     vals = P.values(w)
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
-    return _structure(orc._chart_point(P.base, w, P.q), w, P.t, vals, rescaled)
+    return _structure(orc._chart_point(P.base, P.q), w, P.t, vals, rescaled)
 
 
-def _structure(chart, w, t, vals, rescaled):
-    # the construction of contact_structure from a chart point's data (or a stack's) under
-    # w and the weights ``vals`` at the bundle's t: G and J at the chart point, and the
-    # normal and the rescaling at t, on the radius sqrt(2t) as P.r
-    y, g, gy, gu, d = chart
+def _structure(C, w, t, vals, rescaled):
+    # the construction of contact_structure at the chart point C (or a stacked one) under
+    # w and the weights ``vals`` at the bundle's t: G and J at C, and the normal and the
+    # rescaling at t, on the radius sqrt(2t) as P.r
     r = tb._scalar(np.sqrt(2.0 * t))
-    N = _normal(y, r, vals)
-    G = orc._metric_matrix(y, g, gy, gu, d.values)
-    J = orc._j_matrix(y, g, gy, gu, d)
+    N = _normal(C.u, r, vals)
+    G = orc._metric_matrix(C, w)
+    J = orc._j_matrix(C, w)
     phi = (np.eye(N.shape[-1]) - _outer(N, bg._gv(G, N))) @ J
     eta = bg._gv(np.swapaxes(J, -1, -2) @ G, N)
     xi = bg._gv(-J, N)
     if rescaled:
         eps, c = w.epsilon, 2 * r * np.sqrt(vals.a)
-        xi, eta = orc._per_row(-eps * c, 1) * xi, orc._per_row(-eps / c, 1) * eta
-        G = G / orc._per_row(4 * _pow(r, 2) * vals.a)
+        xi, eta = bg._per_row(-eps * c, 1) * xi, bg._per_row(-eps / c, 1) * eta
+        G = G / bg._per_row(4 * _pow(r, 2) * vals.a)
     return ContactStructure(phi, xi, eta, G, N, rescaled)
 
 
@@ -204,7 +203,7 @@ def t1_connection(P, w, case, i, j):
     """
     if not np.isin(case, cases := ("dd", "Yd", "dY", "YY")).all():
         raise ValueError(f"unknown case {case!r}")
-    at, a = ((np.arange(len(P.t)),) if np.ndim(P.t) else ()), orc._per_row(P.values(w).a, 1)
+    at, a = ((np.arange(len(P.t)),) if np.ndim(P.t) else ()), bg._per_row(P.values(w).a, 1)
     deltas, Ys = generators(P)
     # Gamma^k_{ij} delta_k, Gamma^k_{ij} Y_k (rounded as the strided 1-D gamma[:, i, j] @
     # deltas), R^k_{0ij} and R^k_{i0j} at every (i, j), k last; [(*at, i, j)] picks each row's
@@ -214,8 +213,8 @@ def t1_connection(P, w, case, i, j):
     out = [gd[(*at, i, j)] - bg._vg(0.5 * R0[(*at, i, j)], Ys),  # in the order of cases
            bg._vg((a / 2) * Ri0[(*at, j, i)], deltas),
            gY[(*at, i, j)] + bg._vg((a / 2) * Ri0[(*at, i, j)], deltas),
-           -orc._per_row(P.gu[(*at, j)], 1) * Ys[(*at, i)]]
-    return np.select([orc._per_row(np.equal(case, c), 1) for c in cases], out)
+           -bg._per_row(P.gu[(*at, j)], 1) * Ys[(*at, i)]]
+    return np.select([bg._per_row(np.equal(case, c), 1) for c in cases], out)
 
 
 def t1_connection_fd(P, w, case, i, j, h=1e-4):
@@ -229,10 +228,10 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
         H = orc.lift_field(base, np.eye(m)[k], "H")
 
         def f(q):
-            y, _, _, gu, _ = orc._chart_base(base, np.reshape(q, (-1, 2 * m)))
-            y, gu = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (y, gu))
-            Y = np.eye(m)[k] - orc._per_row(gu[(..., *at, k)], 1) * y
-            return np.where(orc._per_row(delta, 1), H(q), np.concatenate([np.zeros_like(y), Y], -1))
+            C = orc._chart_point(base, np.reshape(q, (-1, 2 * m)))
+            y, gu = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (C.u, C.gu))
+            Y = np.eye(m)[k] - bg._per_row(gu[(..., *at, k)], 1) * y
+            return np.where(bg._per_row(delta, 1), H(q), np.concatenate([np.zeros_like(y), Y], -1))
 
         return f
 
@@ -240,11 +239,12 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
     # the ambient metric on the connection stencil, whose row at P also gives G for the normal
     G, gamma = orc._metric_and_connection(orc.InducedMetric(base, w), P.q, h)
     amb = orc.fd_lift_connection(gamma, P.q, U(P.q), V, h)
-    # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt
-    dg = base.derivatives(P.x, 1)[1]
-    dt = np.concatenate([0.5 * np.einsum("...kij,...i,...j->...k", dg, P.u, P.u), P.gu], -1)
+    # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt,
+    # where 1/2 d_k g(y, y) = (g y)_l Gamma^l_kj y^j by metric compatibility
+    C = orc._chart_point(base, P.q)
+    dt = np.concatenate([bg._vg(C.gu, C.gamma_u), C.gu], -1)
     N = np.linalg.solve(G, dt[..., None])[..., 0]
-    return amb - N * orc._per_row(np.vecdot(dt, amb), 1) / orc._per_row(np.vecdot(dt, N), 1)
+    return amb - N * bg._per_row(np.vecdot(dt, amb), 1) / bg._per_row(np.vecdot(dt, N), 1)
 
 
 def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
@@ -260,11 +260,11 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     def extended_eta(qs):
         # eta of contact_structure(sphere_point(base, x, y), w, rescaled) at each row
         # (x, y) of an (n, 2m) stack, each row checked as sphere_point checks it
-        chart = orc._chart_point(base, w, qs)
-        base._checked(chart[1], qs[:, : base.dim])
+        C = orc._chart_point(base, qs)
+        base._checked(C.gx, C.x)
         # sphere_point's t = |y|^2/2 through r = |y| (|y|^2 is twice the chart's t, exactly)
-        t = 0.5 * _pow(np.sqrt(2.0 * chart[-1].values.t), 2)
-        return _structure(chart, w, t, w.eval(t), rescaled).eta
+        t = 0.5 * _pow(np.sqrt(2.0 * C.t), 2)
+        return _structure(C, w, t, w.eval(t), rescaled).eta
 
     eta = orc._stencil_values(extended_eta, P.q, [U, V], h)
     return np.moveaxis(orc._exterior(eta, np.vecdot, [U, V], h), 0, -1)
@@ -277,7 +277,7 @@ def _residual_vectors(P, w):
     (delta_i, Y_j), (Y_i, delta_j) and (Y_i, Y_j)."""
     m, y, gu, g = P.base.dim, P.u, P.gu, P.gx
     # the coefficient arrays below are indexed [i, j, k], k the generator's index
-    a = orc._per_row(P.values(w).a, 3)
+    a = bg._per_row(P.values(w).a, 3)
     sa = np.sqrt(a)
     deltas, Ys = generators(P)
     xi0 = bg._vg(y, deltas)[..., None, None, :]  # y^k delta_k

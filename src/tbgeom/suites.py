@@ -30,7 +30,7 @@ from .weights import (
     named_family,
 )
 
-__all__ = ["SuiteResult", "SuiteContext", "SUITES", "SUITE_ORDER", "run_suite"]
+__all__ = ["Control", "SuiteResult", "SuiteContext", "SUITES", "SUITE_ORDER", "run_suite"]
 
 
 @dataclass
@@ -188,8 +188,8 @@ def _forms(base, w, q, vecs, h):
     # Omega and the Lee covector of w at q and on the exterior-derivative stencil along
     # vecs (of every row of a stack), from one chart evaluation of them all
     def forms(qs):
-        chart = orc._chart_point(base, w, qs)
-        return orc._omega_matrix(*chart), orc._lee_covector(*chart)
+        C = orc._chart_point(base, qs)
+        return orc._omega_matrix(C, w), orc._lee_covector(C, w)
 
     return orc._stencil_values(forms, q, vecs, h)
 
@@ -458,11 +458,12 @@ def _suite_sphere_bundle(ctx, rng, res):
         if unit:  # the unit-bundle connection on one generator case per sample
             k = np.arange(n)
             t1 = (P, w, np.array(("dd", "Yd", "dY", "YY"))[k % 4], k % m, (k // 4) % m)
-            cols["t1_connection"] = abs(sb.t1_connection(*t1) - sb.t1_connection_fd(*t1)).max(-1)
+            fd = sb.t1_connection_fd(*t1, h=ctx.h)
+            cols["t1_connection"] = abs(sb.t1_connection(*t1) - fd).max(-1)
         # rescaled contact metric condition, numeric d(eta)
         S = sb.contact_structure(P, ww, rescaled=True)
         U, V = tangent_pairs(S, 2)
-        dvals = sb.deta_numeric(P, ww, np.stack([U, V], axis=2), rescaled=True)
+        dvals = sb.deta_numeric(P, ww, np.stack([U, V], axis=2), h=ctx.h, rescaled=True)
         deta.append(abs(dvals - np.vecdot(bg._vg(U, S.G[:, None]), bg._gv(S.phi[:, None], V))))
     res.controls.append(Control("contact_metric_condition", float(np.max(deta)), 1e-8, "max"))
     return cols

@@ -2,8 +2,9 @@
 
 Points of T(M) are pairs (x, u); tangent vectors of T(M) are split into
 horizontal and vertical m-vectors relative to the frame delta_i, d/dy^i.
-All operations are pointwise closed forms; the independent coordinate
-oracle (module ``oracle``) validates every one of them.
+All operations are pointwise closed forms, row by row on stacked points;
+the independent coordinate oracle (module ``oracle``) validates every one
+of them, and reads its chart points as TangentPoints too.
 """
 
 from __future__ import annotations
@@ -44,19 +45,21 @@ class BasePointMismatch(ValueError):
 
 @dataclass(frozen=True)
 class TangentPoint:
-    """Point (x, u) of T(M) and what the closed forms read there, or a stack of them.
+    """Point (x, u) of T(M) and what the closed forms and the oracle's coordinate
+    maps read there, or a stack of them.
 
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
     then kept (read-only); the last three come from one evaluation of the
     base metric jets.  So are the connection map ``gamma_u``, Gamma(., u), and
     ``Ru``, R and nabla R with u in one slot: every term that has u as an
-    argument of Gamma or R reads them.  So
-    are the weights: ``values(w)`` is w.eval(t),
-    evaluated once per weight pair (matched by identity), and ``coeffs(w)``
-    the derived coefficients built from those same values.  A sphere-bundle
-    point is a TangentPoint whose radius r = sqrt(2t) was given, not
-    measured.
+    argument of Gamma or R reads them.  So are the weights: ``values(w)`` is
+    w.eval(t), evaluated once per weight pair (matched by identity), and
+    ``coeffs(w)`` the derived coefficients built from those same values.  A
+    sphere-bundle point is a TangentPoint whose radius r = sqrt(2t) was given,
+    not measured.  The oracle's chart point (``oracle._chart_point``) is a
+    TangentPoint at (x, y) whose Gamma was set from one first-order jet
+    evaluation: it carries no R and never evaluates the third-order jets.
     """
 
     base: bg.ChartMetric
@@ -101,7 +104,7 @@ class TangentPoint:
     def _jets(self):
         return bg._readonly(bg.base_jets(self.base, self.x))
 
-    gamma = property(lambda self: self._jets[0])
+    gamma = cached_property(lambda self: self._jets[0])
     R = property(lambda self: self._jets[1])
     NR = property(lambda self: self._jets[2])
 
@@ -230,49 +233,53 @@ def bundle_metric(w: WeightPair, P: TangentPoint, U: SplitVector, V: SplitVector
                    + b * dot(U.v, gu) * dot(V.v, gu))
 
 
+def _j_blocks(P, w):
+    """The adapted-frame blocks of J at P, row by row on stacks, as the matrices that
+    take X to the horizontal part of J X^V and to the vertical part of J X^H:
+    J X^V = -sqrt(a) X^H + B g(X,u) u^H and J X^H = (1/sqrt a) X^V - A g(X,u) u^V."""
+    d, m = P.coeffs(w), P.base.dim
+    sa = np.sqrt(bg._per_row(d.values.a))
+    ugu = P.u[..., :, None] * P.gu[..., None, :]  # the outer product u (g u)^T
+    return (-sa * np.eye(m) + bg._per_row(d.B_coef) * ugu,
+            np.eye(m) / sa - bg._per_row(d.A_coef) * ugu)
+
+
 def almost_complex(w: WeightPair, P: TangentPoint, U: SplitVector) -> SplitVector:
-    """Compatible almost complex structure applied to U."""
-    d = P.coeffs(w)
-    sa = np.sqrt(d.values.a)
-    gu = P.gu
-    # J X^H = (1/sqrt a) X^V - A g(X,u) u^V ; J X^V = -sqrt(a) X^H + B g(X,u) u^H
-    new_v = U.h / sa - d.A_coef * float(U.h @ gu) * P.u
-    new_h = -sa * U.v + d.B_coef * float(U.v @ gu) * P.u
-    return SplitVector(new_h, new_v, P)
+    """Compatible almost complex structure applied to U, row by row on stacks."""
+    JVH, JHV = _j_blocks(P, w)
+    return SplitVector(bg._gv(JVH, U.v), bg._gv(JHV, U.h), P)
 
 
 def kahler_form(w, P, U, V):
-    """Fundamental 2-form Omega(U, V) = g_A(U, J V)."""
+    """Fundamental 2-form Omega(U, V) = g_A(U, J V), row by row on stacks."""
     return bundle_metric(w, P, U, almost_complex(w, P, V))
 
 
 def lee_form(w, P, U):
-    """Lee form: zero on horizontal vectors, lee_coef * g(X, u) on verticals."""
-    d = P.coeffs(w)
-    return d.lee_coef * float(U.v @ P.gu)
+    """Lee form: zero on horizontal vectors, lee_coef * g(X, u) on verticals, row by
+    row on stacks."""
+    return _scalar(P.coeffs(w).lee_coef * np.vecdot(U.v, P.gu))
 
 
 def nijenhuis(w, base, P, X, Y, slots):
-    """Closed-form integrability tensor on pure horizontal or vertical slots."""
+    """Closed-form integrability tensor on pure horizontal or vertical slots, row by
+    row on stacks (X and Y one vector per row of a stacked P)."""
     check_base(base, P)
     X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
     d = P.coeffs(w)
-    vals = d.values
-    a, ap = vals.a, vals.ap
+    a, ap, B = (bg._per_row(c, 1) for c in (d.values.a, d.values.ap, d.B_coef))
     sa = np.sqrt(a)
-    gu = P.gu
     ru = partial(bg._on, P.Ru[0])  # R(X, Y)u
-    gxu = float(X @ gu)
-    gyu = float(Y @ gu)
+    gxu, gyu = _dot(X, P.gu), _dot(Y, P.gu)
     if slots == "HH":
-        vec = _hh_coef(vals, w.epsilon) * (gxu * Y - gyu * X) + ru(X, Y)
-        return SplitVector.vertical(vec, P)
+        hh = bg._per_row(_hh_coef(d.values, w.epsilon), 1)
+        return SplitVector.vertical(hh * (gxu * Y - gyu * X) + ru(X, Y), P)
     if slots == "VV":
         # g(X,u) restored on the R_{Yu}u term by antisymmetry of N
         vec = (
             -a * ru(X, Y)
-            + sa * d.B_coef * (gyu * ru(X, P.u) - gxu * ru(Y, P.u))
-            - (1 / sa) * (ap / (2 * sa) + d.B_coef) * (gyu * X - gxu * Y)
+            + sa * B * (gyu * ru(X, P.u) - gxu * ru(Y, P.u))
+            - (1 / sa) * (ap / (2 * sa) + B) * (gyu * X - gxu * Y)
         )
         return SplitVector.vertical(vec, P)
     raise ValueError(f"slots must be 'HH' or 'VV', got {slots!r}")

@@ -201,7 +201,7 @@ def _hh_coef(w: WeightValues, epsilon: int):
     # coefficient of g(X,u)Y - g(Y,u)X in the HH Nijenhuis tensor
     A, _ = _ab_coeffs(w, epsilon)
     a, ap = w.a, w.ap
-    return -ap / (2 * a * a) + (a + w.t * ap) / (a * math.sqrt(a)) * A
+    return -ap / (2 * a * a) + (a + w.t * ap) / (a * _sqrt(a)) * A
 
 
 def integrability_constant(pair: WeightPair, t):

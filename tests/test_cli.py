@@ -1,6 +1,8 @@
 """Run-config validation, report artifacts, determinism, exit codes."""
 
 import csv
+import dataclasses
+import inspect
 import io
 import json
 import math
@@ -270,30 +272,31 @@ def test_connection_suite_evaluates_one_stencil_table(monkeypatch):
 
 def test_connection_suite_reads_gamma_once_per_horizontal_lift(monkeypatch):
     rows = []
-    christoffel = bg.christoffel
+    metric_and_christoffel = bg._metric_and_christoffel
 
     def counted(metric, x):
         rows.append(len(x))
-        return christoffel(metric, x)
+        return metric_and_christoffel(metric, x)
 
-    monkeypatch.setattr(bg, "christoffel", counted)
+    monkeypatch.setattr(bg, "_metric_and_christoffel", counted)
     ctx = connection_context(5)
     assert run_suite("connection", ctx).passed
+    # the oracle connection on the 1 + 4 * 4 points of every sample's stencil, then
     # X^H at the samples' points, once for the HH and HV cases, then Y^H on the
     # 5-point stencil of every sample in the HH and the VH case
     n = ctx.samples
-    assert rows == [n, 5 * n, 5 * n]
+    assert rows == [17 * n, n, 5 * n, 5 * n]
 
 
 def test_lck_suite_makes_one_chart_evaluation(monkeypatch):
     sizes = []
-    derived = orc.derived_coeffs
+    coeffs_from = tb._coeffs_from
 
-    def counted(w, t):
-        sizes.append(np.size(t))
-        return derived(w, t)
+    def counted(values, epsilon):
+        sizes.append(np.size(values.t))
+        return coeffs_from(values, epsilon)
 
-    monkeypatch.setattr(orc, "derived_coeffs", counted)
+    monkeypatch.setattr(tb, "_coeffs_from", counted)
     ctx = connection_context(5)
     assert run_suite("lck", ctx).passed
     # the samples' points and the 12 points of each dOmega stencil, as one stack
@@ -326,6 +329,28 @@ def test_sphere_bundle_suite_builds_its_points_once_and_calls_deta_once_per_bund
     n = ctx.samples // 4
     assert points == [1]
     assert shapes == [((n,), (n, 2, 2, 6))] * 2
+
+
+def test_sphere_bundle_suite_differences_at_the_configured_step(monkeypatch):
+    steps = []
+
+    def recording(name):
+        oracle = getattr(sb, name)
+
+        def recorded(*args, **kwargs):
+            call = inspect.signature(oracle).bind(*args, **kwargs)
+            call.apply_defaults()
+            steps.append((name, call.arguments["h"]))
+            return oracle(*args, **kwargs)
+
+        return recorded
+
+    for name in ("t1_connection_fd", "deta_numeric"):
+        monkeypatch.setattr(sb, name, recording(name))
+    res = run_suite("sphere_bundle", dataclasses.replace(sphere_context(8), h=5e-5))
+    assert res.error is None and res.passed
+    # the unit bundle's connection and d(eta), then the Sasaki bundle's d(eta)
+    assert steps == [("t1_connection_fd", 5e-5), ("deta_numeric", 5e-5), ("deta_numeric", 5e-5)]
 
 
 def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):

@@ -354,6 +354,31 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
     assert calls
 
 
+def test_the_oracle_path_never_evaluates_third_order_jets(monkeypatch):
+    # every oracle map reads chart points, whose Gamma comes from first-order jets
+    base, rng = bg.SpaceForm(1.0, 3), np.random.default_rng(12)
+    x, d = rng.uniform(-0.3, 0.3, (3, 3)), rng.standard_normal((3, 3))
+    u = d / np.sqrt(np.vecdot(bg._vg(d, base.matrix(x)), d))[:, None]
+    # the generators read Gamma from the point's full jets: take them before refusing
+    # those, and hand the oracles a fresh point
+    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0))
+    P = sb.sphere_point(base, x, u, r=1.0)
+    X, (U, V) = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 6))
+
+    def refuse(*args):
+        raise AssertionError("base_jets evaluated on the oracle path")
+
+    monkeypatch.setattr(bg, "base_jets", refuse)
+    im, q = orc.InducedMetric(base, CG), P.q
+    out = [im.matrix(q), orc.fd_connection(im, q), orc.fd_curvature(im, q),
+           orc.lift_field(base, X, "H")(q), orc.j_matrix(base, CG, q),
+           orc.omega_matrix(base, CG, q), orc.lee_covector(base, CG, q),
+           orc.fd_nijenhuis(base, CG, q, U, V),
+           sb.deta_numeric(P, CG, np.stack([deltas[:, 0], Ys[:, 1]], axis=1)[:, None]),
+           sb.t1_connection_fd(P, CG, np.array(["dd", "dY", "YY"]), np.arange(3), [1, 0, 2])]
+    assert all(np.isfinite(a).all() and len(a) == 3 for a in out)
+
+
 @pytest.mark.parametrize("base,w", [
     (bg.euclidean(2), named_family("g1")),
     (SF1, CG),
@@ -372,14 +397,19 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
     assert stacked.shape == (40, 2 * m, 2 * m)
     for q, G in zip(qs, stacked):
         assert G.tobytes() == im.matrix(q).tobytes()
-    # the chart point, each derived coefficient and the maps built on it
-    *chart, d = orc._chart_point(base, w, qs)
+    # the chart point's fields, each derived coefficient and the maps built on it
+    chart = orc._chart_point(base, qs)
+    fields = ("x", "u", "gx", "gamma", "gamma_u", "gu", "t")
+    d = chart.coeffs(w)
     maps = [orc.j_matrix, orc.omega_matrix, orc.lee_covector]
     on_stack = [f(base, w, qs) for f in maps]
     assert [a.shape for a in on_stack] == [(40, 2 * m, 2 * m)] * 2 + [(40, 2 * m)]
+    assert "_jets" not in vars(chart)  # a chart point reads no third-order jets
     for i, q in enumerate(qs):
-        *one, e = orc._chart_point(base, w, q)
-        assert [a[i].tobytes() for a in chart] == [a.tobytes() for a in one]
+        one = orc._chart_point(base, q)
+        e = one.coeffs(w)
+        assert [getattr(chart, f)[i].tobytes() for f in fields] == [
+            getattr(one, f).tobytes() for f in fields]
         for many, single in ((d, e), (d.values, e.values)):
             for name, value in vars(single).items():
                 if name != "values":
@@ -393,8 +423,11 @@ def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
     w = WeightPair(CG.a, CG.b, +1, CG.t_domain, CG.name, CG.params)
     qs = np.array([[0.1, -0.2, 0.5, 0.6], [0.1, -0.2, 0.0, 0.0], [0.3, 0.1, -0.4, 0.2]])
     orc.InducedMetric(SF1, w).matrix(qs)  # the metric itself is defined there
+    chart = orc._chart_point(SF1, qs)
+    orc._metric_matrix(chart, w)
+    # the first map that reads the chart point's coefficients raises
     with pytest.raises(WeightDomainError, match="zero section"):
-        orc._chart_point(SF1, w, qs)
+        orc._j_matrix(chart, w)
     with pytest.raises(WeightDomainError, match="zero section"):
         orc.j_matrix(SF1, w, qs)
 
@@ -418,34 +451,31 @@ def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
     assert got.tobytes() == expected.tobytes()
 
 
-def count_calls(monkeypatch, owner, name):
-    calls = []
-    original = getattr(owner, name)
-
-    def counted(*args):
-        calls.append(1)
-        return original(*args)
-
-    monkeypatch.setattr(owner, name, counted)
-    return calls
-
-
 def test_horizontal_lift_reads_one_christoffel_per_distinct_x(monkeypatch):
     q = np.array([0.15, -0.2, 0.5, 0.6])
     X, Y = np.array([0.3, -0.7]), np.array([0.8, 0.1])
     gamma = orc.fd_connection(orc.InducedMetric(SF1, CG), q)
 
-    def plain_h(p):
-        return np.concatenate([Y, -np.einsum("kij,j,i->k", bg.christoffel(SF1, p[:2]), p[2:], Y)])
+    def plain_h(p):  # (Y, -(Gamma y) Y), with the connection map Gamma y at p alone
+        gy = np.einsum("kij,j->ki", bg.christoffel(SF1, p[:2]), p[2:])
+        return np.concatenate([Y, -(gy @ Y)])
 
     # nabla_U V with V evaluated alone at each point, U = (0, X) the vertical lift
     U0 = np.concatenate([np.zeros(2), X])
     expected = orc.fd_directional(plain_h, q, U0) + np.einsum("kij,i,j->k", gamma, U0, plain_h(q))
-    calls = count_calls(monkeypatch, bg, "christoffel")
+    rows = []
+    metric_and_christoffel = bg._metric_and_christoffel
+
+    def counted(metric, x):
+        rows.append((len(x), len(np.unique(x, axis=0))))
+        return metric_and_christoffel(metric, x)
+
+    monkeypatch.setattr(bg, "_metric_and_christoffel", counted)
     U = orc.lift_field(SF1, X, "V")(q)
     got = orc.fd_lift_connection(gamma, q, U, orc.lift_field(SF1, Y, "H"))
-    # the field at q and at the four stencil points along the vertical (0, X) share x
-    assert len(calls) == 1
+    # the field at q and at the four stencil points along the vertical (0, X), which
+    # share x: one first-order evaluation of 5 rows with 1 distinct x
+    assert rows == [(5, 1)]
     assert got.tobytes() == expected.tobytes()
 
 

@@ -142,6 +142,11 @@ def closed_forms(w, base, P, X, Y, Z, U, V, W):
         "scal_basis": tb.scalar_curvature(w, base, P, mode="basis"),
         "scal_space_form": tb.scalar_curvature_space_form(w, base.curvature, base.dim, P),
         "coord": orc.split_to_coord(U),
+        "almost_complex": (lambda r: (r.h, r.v))(tb.almost_complex(w, P, U)),
+        "kahler_form": tb.kahler_form(w, P, U, V),
+        "lee_form": tb.lee_form(w, P, U),
+        **{f"nijenhuis {s}": (lambda r: (r.h, r.v))(tb.nijenhuis(w, base, P, X, Y, s))
+           for s in ("HH", "VV")},
     }
 
 
