@@ -26,7 +26,9 @@ the third-order jets) and t = g(y, y)/2, with the weights evaluated once, on
 first use, on the array of t.  The metric, the frame change, J, Omega, the Lee
 form and the horizontal lift read the point by field name (``u``, ``gx``,
 ``gamma_u``, ``gu``, ``values(w)``, ``coeffs(w)``) and act on its stack axes;
-J's adapted-frame blocks are the closed forms' own, ``tangent_bundle._j_blocks``.
+the coordinate maps (``j_matrix``, ``omega_matrix``, ``lee_covector``) take the
+point itself, a chart point or any TangentPoint, and the weight pair.  J's
+adapted-frame blocks are the closed forms' own, ``tangent_bundle._j_blocks``.
 
 Differential-form conventions (fixed):
     d omega (X, Y)      = 1/2 (X om(Y) - Y om(X) - om([X,Y]))
@@ -111,27 +113,18 @@ def split_to_coord(U):
     return (M @ np.concatenate([U.h, U.v], axis=-1)[..., None])[..., 0]
 
 
-def j_matrix(base, w, q):
-    """Coordinate matrix of the almost complex structure at q = (x, y), or at each
-    row of an (n, 2m) stack."""
-    return _j_matrix(_chart_point(base, q), w)
-
-
-def _j_matrix(P, w):
-    # j_matrix at the chart point P, or at each row of a stacked one
+def j_matrix(P, w):
+    """Coordinate matrix of the almost complex structure at the point P (a chart point
+    or any TangentPoint), or at each row of a stacked one."""
     JVH, JHV = tb._j_blocks(P, w)
     zero = np.zeros(JVH.shape)
     M, Minv = _frame(P.gamma_u)
     return M @ np.block([[zero, JVH], [JHV, zero]]) @ Minv
 
 
-def omega_matrix(base, w, q):
-    """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b), at q or at
-    each row of a stack."""
-    return _omega_matrix(_chart_point(base, q), w)
-
-
-def _omega_matrix(P, w):
+def omega_matrix(P, w):
+    """Coordinate matrix of the fundamental 2-form, Om_ab = Om(e_a, e_b), at the point
+    P, or at each row of a stacked one."""
     # Om(H_i, V_j) = g_A(H_i, J V_j); horizontal-horizontal and
     # vertical-vertical pairings vanish.
     OmHV = P.gx @ tb._j_blocks(P, w)[0]
@@ -141,12 +134,9 @@ def _omega_matrix(P, w):
     return np.swapaxes(Minv, -1, -2) @ Om @ Minv
 
 
-def lee_covector(base, w, q):
-    """Coordinate components of the Lee form at q, or at each row of a stack."""
-    return _lee_covector(_chart_point(base, q), w)
-
-
-def _lee_covector(P, w):
+def lee_covector(P, w):
+    """Coordinate components of the Lee form at the point P, or at each row of a
+    stacked one."""
     lee = bg._per_row(P.coeffs(w).lee_coef, 1) * P.gu
     _, Minv = _frame(P.gamma_u)
     return bg._gv(np.swapaxes(Minv, -1, -2), np.concatenate([np.zeros_like(lee), lee], axis=-1))
@@ -263,17 +253,10 @@ def fd_exterior_derivative(form, q, vectors, h=1e-4):
     return _alternating(along, vectors)
 
 
-def _stencil_values(fun, q, vectors, h):
-    """``fun`` (a map of a stack of points) at q, as entry 0, and at the points of the
-    exterior-derivative stencil along ``vectors``, evaluated once at their distinct rows;
-    ``_exterior`` reads the rest by position."""
-    return _evaluate(fun, _stencil(q, vectors, h))
-
-
 def _exterior(values, form, vectors, h):
     """``fd_exterior_derivative`` of the k-form ``form(value, v_1, .., v_k)`` of a map's
-    values, from the values of ``_stencil_values`` along a list of vectors that begins
-    with ``vectors``; each form value is taken before the quotient, as there."""
+    values, laid out by ``_evaluate`` on the ``_stencil`` along a list of vectors that
+    begins with ``vectors``; each form value is taken before the quotient, as there."""
 
     def along(i, rest):
         return _quotients(form(values[1 + 4 * i : 5 + 4 * i], *rest), h)[0]
@@ -285,11 +268,11 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     """Numeric Nijenhuis tensor of J on coordinate-extended constant fields, at q or at
     each row of an (n, 2m) stack (with U and V one vector per row)."""
     q, U, V = (np.asarray(a, dtype=float) for a in (q, U, V))
-    J0 = j_matrix(base, w, q)
+    J0 = j_matrix(_chart_point(base, q), w)
     JU, JV = bg._gv(J0, U), bg._gv(J0, V)
     # J at the 16 points the four directional derivatives step to, as one stack
     stencil = _stencil(q, [JU, JV, U, V], h)[1:]
-    J = _evaluate(lambda p: j_matrix(base, w, p), stencil)
+    J = _evaluate(lambda p: j_matrix(_chart_point(base, p), w), stencil)
     dJ_JU, dJ_JV, dJ_U, dJ_V = _quotients(J, h)
     # N = [JU,JV] - J[JU,V] - J[U,JV]  (constant fields, [U,V] = 0), with
     # [JU,JV] = (D_{JU} J)V - (D_{JV} J)U, [JU,V] = -(D_V J)U, [U,JV] = (D_U J)V

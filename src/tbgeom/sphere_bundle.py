@@ -8,11 +8,12 @@ tangent sphere bundle of radius r is (Sasaki, r).  P may be a stacked point
 (``TangentPoint.stack`` of sphere points): the functions then act row by row,
 each row equal to the call at P[i] bit for bit, and the verdicts take maxima
 over the rows.  There is one contact construction, ``_structure``: G and J
-at an oracle chart point (a TangentPoint at (x, y)), the normal and the
+from the oracle's coordinate maps at the point it is given, the normal and the
 rescaling to a contact metric structure (c = 2 r sqrt(a(r^2/2))) from the
-weights at the bundle's t, and phi, xi, eta by tangent/normal projection of J;
-``contact_structure`` applies it at P and ``deta_numeric`` on its stencil.  The
-displayed component formulas are test targets, not the implementation.
+weights at that point's t = r^2/2, and phi, xi, eta by tangent/normal projection
+of J; ``contact_structure`` applies it at P and ``deta_numeric`` at the oracle
+chart points of its stencil.  The displayed component formulas are test
+targets, not the implementation.
 """
 
 from __future__ import annotations
@@ -129,23 +130,18 @@ def contact_structure(P, w, rescaled=False, epsilon=None):
     flag the structure is renormalized to a contact metric structure by
     c = 2 r sqrt(a): xi -> -eps c xi, eta -> -eps eta / c, G -> G / c^2.
     """
-    # the normal and the rescaling read the weights at P.t, whose values do not
-    # depend on epsilon; G and J share one chart point, whose t = g(y, y)/2 may
-    # differ from P.t in the last bit
-    vals = P.values(w)
     if epsilon is not None and epsilon != w.epsilon:
         w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
-    return _structure(orc._chart_point(P.base, P.q), w, P.t, vals, rescaled)
+    return _structure(P, w, rescaled)
 
 
-def _structure(C, w, t, vals, rescaled):
-    # the construction of contact_structure at the chart point C (or a stacked one) under
-    # w and the weights ``vals`` at the bundle's t: G and J at C, and the normal and the
-    # rescaling at t, on the radius sqrt(2t) as P.r
-    r = tb._scalar(np.sqrt(2.0 * t))
-    N = _normal(C.u, r, vals)
-    G = orc._metric_matrix(C, w)
-    J = orc._j_matrix(C, w)
+def _structure(P, w, rescaled):
+    # the construction of contact_structure at P (or a stacked one) under w: G, J, the
+    # normal and the rescaling, all read at P, on the radius P.r
+    r, vals = P.r, P.values(w)
+    N = _normal(P.u, r, vals)
+    G = orc._metric_matrix(P, w)
+    J = orc.j_matrix(P, w)
     phi = (np.eye(N.shape[-1]) - _outer(N, bg._gv(G, N))) @ J
     eta = bg._gv(np.swapaxes(J, -1, -2) @ G, N)
     xi = bg._gv(-J, N)
@@ -241,8 +237,7 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
     amb = orc.fd_lift_connection(gamma, P.q, U(P.q), V, h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt,
     # where 1/2 d_k g(y, y) = (g y)_l Gamma^l_kj y^j by metric compatibility
-    C = orc._chart_point(base, P.q)
-    dt = np.concatenate([bg._vg(C.gu, C.gamma_u), C.gu], -1)
+    dt = np.concatenate([bg._vg(P.gu, P.gamma_u), P.gu], -1)
     N = np.linalg.solve(G, dt[..., None])[..., 0]
     return amb - N * bg._per_row(np.vecdot(dt, amb), 1) / bg._per_row(np.vecdot(dt, N), 1)
 
@@ -259,14 +254,13 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
 
     def extended_eta(qs):
         # eta of contact_structure(sphere_point(base, x, y), w, rescaled) at each row
-        # (x, y) of an (n, 2m) stack, each row checked as sphere_point checks it
+        # (x, y) of an (n, 2m) stack, each row checked as sphere_point checks it, on the
+        # radius-|y| bundle at the chart's t = g(y, y)/2
         C = orc._chart_point(base, qs)
         base._checked(C.gx, C.x)
-        # sphere_point's t = |y|^2/2 through r = |y| (|y|^2 is twice the chart's t, exactly)
-        t = 0.5 * _pow(np.sqrt(2.0 * C.t), 2)
-        return _structure(C, w, t, w.eval(t), rescaled).eta
+        return _structure(C, w, rescaled).eta
 
-    eta = orc._stencil_values(extended_eta, P.q, [U, V], h)
+    eta = orc._evaluate(extended_eta, orc._stencil(P.q, [U, V], h))
     return np.moveaxis(orc._exterior(eta, np.vecdot, [U, V], h), 0, -1)
 
 

@@ -189,9 +189,9 @@ def _forms(base, w, q, vecs, h):
     # vecs (of every row of a stack), from one chart evaluation of them all
     def forms(qs):
         C = orc._chart_point(base, qs)
-        return orc._omega_matrix(C, w), orc._lee_covector(C, w)
+        return orc.omega_matrix(C, w), orc.lee_covector(C, w)
 
-    return orc._stencil_values(forms, q, vecs, h)
+    return orc._evaluate(forms, orc._stencil(q, vecs, h))
 
 
 def _domega(Om, vecs, h):

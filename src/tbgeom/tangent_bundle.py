@@ -50,16 +50,18 @@ class TangentPoint:
 
     g_x and the energy density t = g(u, u)/2 are fixed at construction.
     g u, q = (x, u), Gamma, R and nabla R are computed on first use and
-    then kept (read-only); the last three come from one evaluation of the
-    base metric jets.  So are the connection map ``gamma_u``, Gamma(., u), and
-    ``Ru``, R and nabla R with u in one slot: every term that has u as an
-    argument of Gamma or R reads them.  So are the weights: ``values(w)`` is
-    w.eval(t), evaluated once per weight pair (matched by identity), and
-    ``coeffs(w)`` the derived coefficients built from those same values.  A
-    sphere-bundle point is a TangentPoint whose radius r = sqrt(2t) was given,
-    not measured.  The oracle's chart point (``oracle._chart_point``) is a
-    TangentPoint at (x, y) whose Gamma was set from one first-order jet
-    evaluation: it carries no R and never evaluates the third-order jets.
+    then kept (read-only); R and nabla R come from one evaluation of the
+    third-order base metric jets, and Gamma is theirs if R was read first, else
+    it comes from one first-order evaluation (the two are bit-identical), so a
+    point whose R is never read never evaluates the third-order jets.  So are
+    the connection map ``gamma_u``, Gamma(., u), and ``Ru``, R and nabla R with
+    u in one slot: every term that has u as an argument of Gamma or R reads
+    them.  So are the weights: ``values(w)`` is w.eval(t), evaluated once per
+    weight pair (matched by identity), and ``coeffs(w)`` the derived
+    coefficients built from those same values.  A sphere-bundle point is a
+    TangentPoint whose radius r = sqrt(2t) was given, not measured.  The
+    oracle's chart point (``oracle._chart_point``) is a TangentPoint at (x, y)
+    whose Gamma was set from the first-order jet evaluation that also gives g.
     """
 
     base: bg.ChartMetric
@@ -80,10 +82,13 @@ class TangentPoint:
 
     def __getitem__(self, i):
         """Row i of a stacked point, or the stacked point of the rows ``i`` (an index
-        array), reading the stack's jets and the weight values it holds."""
+        array), reading the jets and the weight values the stack holds."""
         x, u, gx, t = self.x[i], self.u[i], self.gx[i], self.t[i]
         row = TangentPoint(self.base, x, u, gx, t if np.ndim(t) else float(t))
-        row.__dict__["_jets"] = bg._readonly(tuple(a[i] for a in self._jets))
+        if "_jets" in self.__dict__:
+            row.__dict__["_jets"] = bg._readonly(tuple(a[i] for a in self._jets))
+        if "gamma" in self.__dict__:
+            row.__dict__["gamma"] = bg._readonly(self.gamma[i])
         for key, (w, vals, d) in self._weights.items():
             row._weights[key] = [w, _rows(vals, i), d and _rows(d, i)]
         return row
@@ -104,7 +109,12 @@ class TangentPoint:
     def _jets(self):
         return bg._readonly(bg.base_jets(self.base, self.x))
 
-    gamma = cached_property(lambda self: self._jets[0])
+    @cached_property
+    def gamma(self):
+        if "_jets" in self.__dict__:
+            return self._jets[0]
+        return bg._readonly(bg.christoffel(self.base, self.x))
+
     R = property(lambda self: self._jets[1])
     NR = property(lambda self: self._jets[2])
 

@@ -60,7 +60,7 @@ def domega(base, w, q, vecs, h=1e-4):
     """Oracle dOmega(v1, v2, v3) of the fundamental form of w at q."""
 
     def om(qq, va, vb):
-        return float(va @ orc.omega_matrix(base, w, qq) @ vb)
+        return float(va @ orc.omega_matrix(orc._chart_point(base, qq), w) @ vb)
 
     return orc.fd_exterior_derivative(om, q, vecs, h=h)
 
@@ -69,9 +69,10 @@ def lck_terms(base, w, q, vecs, h=1e-4):
     """Oracle dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q."""
 
     def lee1(qq, v):
-        return float(orc.lee_covector(base, w, qq) @ v)
+        return float(orc.lee_covector(orc._chart_point(base, qq), w) @ v)
 
-    wed = orc.wedge_1_2(orc.lee_covector(base, w, q), orc.omega_matrix(base, w, q), *vecs)
+    C = orc._chart_point(base, q)
+    wed = orc.wedge_1_2(orc.lee_covector(C, w), orc.omega_matrix(C, w), *vecs)
     return domega(base, w, q, vecs, h), wed, orc.fd_exterior_derivative(lee1, q, vecs[:2], h=h)
 
 

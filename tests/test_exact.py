@@ -95,8 +95,8 @@ def test_exact_lee_form_of_case2_family():
     pair = kahler_family(2, -1.0, 2.0)
     qn = np.array([float(p) for p in point])
     assert np.max(np.abs(np.array(omv.tolist(), dtype=float)
-                         - orc.omega_matrix(base, pair, qn))) <= 1e-14
+                         - orc.omega_matrix(orc._chart_point(base, qn), pair))) <= 1e-14
     # the case-2 form is not closed (largest component 1.84e-2 in the 1/3 convention)
     assert max(abs(v) for v in d_omega) / 3 >= 1e-2
-    lee = orc.lee_covector(base, pair, qn)
+    lee = orc.lee_covector(orc._chart_point(base, qn), pair)
     assert np.max(np.abs(np.array([float(v) for v in theta]) - lee)) <= 1e-12

@@ -17,9 +17,10 @@ and before that, to see what would move, compare without writing anything:
 
     PYTHONPATH=src python3 tests/test_fingerprint.py --compare
 
-which prints, per document and suite, how many pinned numbers moved, the largest
-|new - pinned| as a share of the suite's tolerance, and whether the errors, the
-sample indices and the control names are the pinned ones.
+which prints, per document and suite, how many residuals moved and their largest
+|new - pinned| as a share of the suite's tolerance, how many controls moved and
+their largest as a share of each control's own bound, and whether the errors,
+the sample indices and the control names are the pinned ones.
 """
 
 import json
@@ -114,26 +115,51 @@ def test_residuals_and_controls_match_the_pinned_bits(name):
         assert got[suite] == want, f"{name} / {suite}: {first_difference(got[suite], want)}"
 
 
+def suite_moves(s, want):
+    """How the report suite ``s`` moved from its pinned fingerprint ``want``: for its
+    residuals and for its controls, (moved, pinned, largest move), a move being
+    |new - pinned| as a share of the suite's tolerance for a residual and of the
+    control's own bound for a control; and whether the rest is the pinned fingerprint."""
+    got = pins(s)
+
+    def moved(pairs, scales):
+        shares = [abs(float.fromhex(a) - float.fromhex(b)) / scale
+                  for (a, b), scale in zip(pairs, scales) if a != b]
+        return len(shares), len(pairs), max(shares, default=0.0)
+
+    residuals = list(zip(got["residuals"], want["residuals"]))
+    controls = [(a[1], b[1]) for a, b in zip(got["controls"], want["controls"])]
+    same = (got["error"] == want["error"] and got["sample_indices"] == want["sample_indices"]
+            and [c[0] for c in got["controls"]] == [c[0] for c in want["controls"]])
+    return {"residuals": moved(residuals, [s["tolerance"]] * len(residuals)),
+            "controls": moved(controls, [abs(c["bound"]) for c in s["controls"]]),
+            "same": same}
+
+
+def test_suite_moves_reads_a_control_move_as_a_share_of_its_own_bound():
+    pinned = {"error": None, "residuals": [1.0.hex()], "sample_indices": [0],
+              "controls": [["c", 1e-8.hex()]]}
+    s = {"error": None, "residuals": [1.0], "sample_indices": [0], "tolerance": 1.0,
+         "controls": [{"name": "c", "value": 1.5e-8, "bound": 1e-8}]}
+    assert suite_moves(s, pinned) == {"residuals": (0, 1, 0.0),
+                                      "controls": (1, 1, pytest.approx(0.5)), "same": True}
+
+
 def compare():
-    """Per document and suite, one line: the pinned numbers that moved, the largest move
-    as a share of the suite's tolerance, and whether the rest is the pinned fingerprint."""
+    """Per document and suite, one line: ``suite_moves`` against the pinned fingerprint."""
     pinned = json.loads(PINNED.read_text())
     for name in CONFIGS:
         for s in report_suites(name):
-            got, want = pins(s), pinned.get(name, {}).get(s["name"])
+            want = pinned.get(name, {}).get(s["name"])
             if want is None:
                 print(f"{name} / {s['name']}: not pinned")
                 continue
-            pairs = list(zip(got["residuals"], want["residuals"]))
-            pairs += [(a[1], b[1]) for a, b in zip(got["controls"], want["controls"])]
-            moves = [abs(float.fromhex(a) - float.fromhex(b)) for a, b in pairs if a != b]
-            same = (got["error"] == want["error"]
-                    and got["sample_indices"] == want["sample_indices"]
-                    and [c[0] for c in got["controls"]] == [c[0] for c in want["controls"]])
-            worst = max(moves, default=0.0) / s["tolerance"]
-            print(f"{name} / {s['name']}: {len(moves)} of {len(pairs)} pins moved, "
-                  f"max |new - pinned| / tolerance {worst:.2e}; errors, sample indices "
-                  f"and control names {'identical' if same else 'DIFFER'}")
+            m = suite_moves(s, want)
+            (r, nr, wr), (c, nc, wc) = m["residuals"], m["controls"]
+            print(f"{name} / {s['name']}: residuals {r} of {nr} moved, max {wr:.2e} of the "
+                  f"tolerance; controls {c} of {nc} moved, max {wc:.2e} of their bounds; "
+                  f"errors, sample indices and control names "
+                  f"{'identical' if m['same'] else 'DIFFER'}")
 
 
 if __name__ == "__main__":

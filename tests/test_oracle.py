@@ -168,7 +168,7 @@ def test_cg_fundamental_form_differential_structure():
     gu = g @ y
 
     def om(qq, va, vb):
-        return float(va @ orc.omega_matrix(base, w, qq) @ vb)
+        return float(va @ orc.omega_matrix(orc._chart_point(base, qq), w) @ vb)
 
     m = 2
     H = [np.concatenate([e, np.zeros(m)]) for e in np.eye(m)]
@@ -221,10 +221,10 @@ def test_lee_covector_solves_lck_identity():
         q = np.concatenate([rng.uniform(-0.3, 0.3, 2), rng.uniform(-0.9, 0.9, 2)])
 
         def om(qq, va, vb):
-            return float(va @ orc.omega_matrix(base, w, qq) @ vb)
+            return float(va @ orc.omega_matrix(orc._chart_point(base, qq), w) @ vb)
 
-        lee = orc.lee_covector(base, w, q)
-        Om = orc.omega_matrix(base, w, q)
+        lee = orc.lee_covector(orc._chart_point(base, q), w)
+        Om = orc.omega_matrix(orc._chart_point(base, q), w)
         for _ in range(4):
             vs = [rng.standard_normal(4) for _ in range(3)]
             dom = orc.fd_exterior_derivative(om, q, vs)
@@ -245,7 +245,7 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
     U, V, W = np.eye(4)[0], np.eye(4)[3], np.array([0.3, -0.2, 0.5, 0.1])
 
     def om(qq, va, vb):
-        return float(va @ orc.omega_matrix(SF1, CG, qq) @ vb)
+        return float(va @ orc.omega_matrix(orc._chart_point(SF1, qq), CG) @ vb)
 
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
     P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
@@ -359,8 +359,7 @@ def test_the_oracle_path_never_evaluates_third_order_jets(monkeypatch):
     base, rng = bg.SpaceForm(1.0, 3), np.random.default_rng(12)
     x, d = rng.uniform(-0.3, 0.3, (3, 3)), rng.standard_normal((3, 3))
     u = d / np.sqrt(np.vecdot(bg._vg(d, base.matrix(x)), d))[:, None]
-    # the generators read Gamma from the point's full jets: take them before refusing
-    # those, and hand the oracles a fresh point
+    # the generators are taken at a point of their own, so the oracles get a fresh one
     deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0))
     P = sb.sphere_point(base, x, u, r=1.0)
     X, (U, V) = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 6))
@@ -370,9 +369,10 @@ def test_the_oracle_path_never_evaluates_third_order_jets(monkeypatch):
 
     monkeypatch.setattr(bg, "base_jets", refuse)
     im, q = orc.InducedMetric(base, CG), P.q
+    C = orc._chart_point(base, q)
     out = [im.matrix(q), orc.fd_connection(im, q), orc.fd_curvature(im, q),
-           orc.lift_field(base, X, "H")(q), orc.j_matrix(base, CG, q),
-           orc.omega_matrix(base, CG, q), orc.lee_covector(base, CG, q),
+           orc.lift_field(base, X, "H")(q), orc.j_matrix(C, CG),
+           orc.omega_matrix(C, CG), orc.lee_covector(C, CG),
            orc.fd_nijenhuis(base, CG, q, U, V),
            sb.deta_numeric(P, CG, np.stack([deltas[:, 0], Ys[:, 1]], axis=1)[:, None]),
            sb.t1_connection_fd(P, CG, np.array(["dd", "dY", "YY"]), np.arange(3), [1, 0, 2])]
@@ -402,7 +402,7 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
     fields = ("x", "u", "gx", "gamma", "gamma_u", "gu", "t")
     d = chart.coeffs(w)
     maps = [orc.j_matrix, orc.omega_matrix, orc.lee_covector]
-    on_stack = [f(base, w, qs) for f in maps]
+    on_stack = [f(chart, w) for f in maps]
     assert [a.shape for a in on_stack] == [(40, 2 * m, 2 * m)] * 2 + [(40, 2 * m)]
     assert "_jets" not in vars(chart)  # a chart point reads no third-order jets
     for i, q in enumerate(qs):
@@ -415,7 +415,7 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
                 if name != "values":
                     assert float(getattr(many, name)[i]).hex() == value.hex(), name
         for f, a in zip(maps, on_stack):
-            assert a[i].tobytes() == f(base, w, q).tobytes(), f.__name__
+            assert a[i].tobytes() == f(one, w).tobytes(), f.__name__
 
 
 def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
@@ -427,9 +427,9 @@ def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
     orc._metric_matrix(chart, w)
     # the first map that reads the chart point's coefficients raises
     with pytest.raises(WeightDomainError, match="zero section"):
-        orc._j_matrix(chart, w)
+        orc.j_matrix(chart, w)
     with pytest.raises(WeightDomainError, match="zero section"):
-        orc.j_matrix(SF1, w, qs)
+        orc.j_matrix(orc._chart_point(SF1, qs), w)
 
 
 def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
@@ -485,7 +485,7 @@ def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
     h = 1e-5
 
     def J(p):
-        return orc.j_matrix(SF1, CG, p)
+        return orc.j_matrix(orc._chart_point(SF1, p), CG)
 
     J0 = J(q)
     dJ = {k: orc.fd_directional(J, q, v, h=h) for k, v in
@@ -552,7 +552,7 @@ def test_pointwise_maps_evaluate_the_base_once(monkeypatch, fn):
     x, u = PROBES[3]
     q = np.array(x + u)
     base = bg.SpaceForm(1.0, 3)
-    expected = fn(base, CG, q)
+    expected = fn(orc._chart_point(base, q), CG)
     calls = {"matrix": 0, "derivatives": 0}
     for name in calls:
         original = getattr(bg.ChartMetric, name)
@@ -562,7 +562,7 @@ def test_pointwise_maps_evaluate_the_base_once(monkeypatch, fn):
             return _original(self, *args)
 
         monkeypatch.setattr(bg.ChartMetric, name, counted)
-    got = fn(base, CG, q)
+    got = fn(orc._chart_point(base, q), CG)
     assert calls == {"matrix": 0, "derivatives": 1}
     assert got.tobytes() == expected.tobytes()
 
@@ -571,12 +571,13 @@ def lck_terms_from_public_maps(base, w, q, vecs, h):
     """dOmega, lee ^ Omega and d(lee) with every chart point built afresh."""
 
     def omega_form(p, v1, v2):
-        return float(v1 @ orc.omega_matrix(base, w, p) @ v2)
+        return float(v1 @ orc.omega_matrix(orc._chart_point(base, p), w) @ v2)
 
     def lee_1form(p, v):
-        return float(orc.lee_covector(base, w, p) @ v)
+        return float(orc.lee_covector(orc._chart_point(base, p), w) @ v)
 
-    wed = orc.wedge_1_2(orc.lee_covector(base, w, q), orc.omega_matrix(base, w, q), *vecs)
+    wed = orc.wedge_1_2(orc.lee_covector(orc._chart_point(base, q), w),
+                        orc.omega_matrix(orc._chart_point(base, q), w), *vecs)
     return (orc.fd_exterior_derivative(omega_form, q, vecs, h=h), wed,
             orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h))
 

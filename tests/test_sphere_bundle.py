@@ -426,17 +426,28 @@ def test_contact_structure_evaluates_the_base_once(monkeypatch, w, r, rescaled):
     P = unit_point(SF3, *M3_POINT, r=r)
     calls = count_base_calls(monkeypatch, (WeightPair, "eval"))
     sb.contact_structure(P, w, rescaled=rescaled)
-    # one chart point (jets and weights at its t) and the weights once at P.t
-    assert calls == {"matrix": 0, "derivatives": 1, "eval": 2}
+    # G, J, the normal and the rescaling all read P: first-order jets and the weights
+    # at P.t, once each
+    assert calls == {"matrix": 0, "derivatives": 1, "eval": 1}
+
+
+@pytest.mark.parametrize("w,r", BUNDLES, ids=BUNDLE_IDS)
+def test_a_second_contact_structure_at_a_point_evaluates_nothing(monkeypatch, w, r):
+    P = unit_point(SF3, *M3_POINT, r=r)
+    first = sb.contact_structure(P, w, rescaled=True)
+    calls = count_base_calls(monkeypatch, (WeightPair, "eval"))
+    second = sb.contact_structure(P, w, rescaled=True)
+    # the point keeps its Gamma and its weight values: nothing is evaluated again
+    assert calls == {"matrix": 0, "derivatives": 0, "eval": 0}
+    for f in ("phi", "xi", "eta", "G", "normal"):
+        assert getattr(second, f).tobytes() == getattr(first, f).tobytes(), f
 
 
 def plain_deta(P, w, vectors, h=1e-4):
     # d(eta)(U, V) = 1/2 (U eta(V) - V eta(U)) on the pulled-back extension, written out
-    m = P.base.dim
 
-    def eta(q):
-        Pq = sb.sphere_point(P.base, q[:m], q[m:])
-        return sb.contact_structure(Pq, w, rescaled=True).eta
+    def eta(q):  # the eta of the radius-|y| bundle through q, at its t = g(y, y)/2
+        return sb.contact_structure(orc._chart_point(P.base, q), w, rescaled=True).eta
 
     def along(U, V):
         return orc.fd_directional(lambda q: float(eta(q) @ V), P.q, U, h=h)
@@ -451,16 +462,16 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
     pairs = [(deltas[0], Ys[1]), (deltas[2], deltas[1])]
     expected = plain_deta(P, w, pairs)
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"),
-                             (orc, "_j_matrix"), (orc, "_metric_matrix"))
+                             (orc, "j_matrix"), (orc, "_metric_matrix"))
     rows = count_rows(monkeypatch)
     got = sb.deta_numeric(P, w, pairs)
     # 8 eta evaluations a pair at 16 distinct points: one stacked first-order
     # evaluation of the base metric at their 13 distinct x (the 4 points along the
     # vertical Ys[1] keep P's x), each row checked there (no validate_at), and the
-    # weights on the array of chart t = g(y, y)/2 and of the points' t = r^2/2; J and
-    # G are built once, on the whole stack
-    assert calls == {"matrix": 0, "derivatives": 1, "validate_at": 0, "eval": 2,
-                     "_j_matrix": 1, "_metric_matrix": 1}
+    # weights on the array of chart t = g(y, y)/2; J and G are built once, on the
+    # whole stack
+    assert calls == {"matrix": 0, "derivatives": 1, "validate_at": 0, "eval": 1,
+                     "j_matrix": 1, "_metric_matrix": 1}
     assert rows == [13]
     assert np.array_equal(got, expected)
     # a 2-row stacked point with one pair list per row: one evaluation for both rows,
@@ -496,18 +507,24 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r
     P = unit_point(base, x, u, r=r)
     w_eps = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
     seen = []
-    j_from_chart_point = orc._j_matrix
+    j_matrix = orc.j_matrix
 
     def recorded(*args):
-        seen.append(j_from_chart_point(*args))
+        seen.append(j_matrix(*args))
         return seen[-1]
 
-    monkeypatch.setattr(orc, "_j_matrix", recorded)
+    monkeypatch.setattr(orc, "j_matrix", recorded)
     S = sb.contact_structure(P, w, epsilon=epsilon)
     monkeypatch.undo()
     [J] = seen
-    assert S.G.tobytes() == orc.InducedMetric(base, w_eps).matrix(P.q).tobytes()
-    assert J.tobytes() == orc.j_matrix(base, w_eps, P.q).tobytes()
+    # the oracle maps read P itself, with the weights at the bundle's t = r^2/2 ...
+    assert S.G.tobytes() == orc._metric_matrix(P, w_eps).tobytes()
+    assert J.tobytes() == orc.j_matrix(P, w_eps).tobytes()
+    # ... and agree with them at the chart point of P.q, whose t = g(y, y)/2 may differ
+    # from P.t in the last bit
+    chart = orc._chart_point(base, P.q)
+    for got, want in ((S.G, orc._metric_matrix(chart, w_eps)), (J, orc.j_matrix(chart, w_eps))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.array_equal(S.normal, sb._normal(P.u, P.r, P.values(w_eps)))
     assert S.xi.tobytes() == (-J @ S.normal).tobytes()
 

@@ -133,6 +133,46 @@ def test_one_jet_evaluation_per_point(monkeypatch):
     assert np.array_equal(P.NR, bg.nabla_curvature(base, x))
 
 
+CG_POLY2 = bg.diagonal_polynomial(2, [
+    [{"c": 1.0, "powers": [0, 0]}, {"c": 0.3, "powers": [1, 0]}, {"c": 0.5, "powers": [0, 2]}],
+    [{"c": 1.0, "powers": [0, 0]}, {"c": 1.0, "powers": [2, 0]}, {"c": 0.2, "powers": [1, 1]}],
+])
+
+
+@pytest.mark.parametrize("base", [bg.SpaceForm(1.0, 3), bg.euclidean(2), bg.SpaceForm(-1.0, 3),
+                                  CG_POLY2], ids=["c1", "c0", "c-1", "cg_poly2"])
+def test_gamma_reads_first_order_jets_until_r_is_read(monkeypatch, base):
+    rng = np.random.default_rng(12)
+    x, u = rng.uniform(-0.4, 0.4, (2, 6, base.dim))
+    singles = [point(base, a, b) for a, b in zip(x, u)]
+    stacked = tb.TangentPoint.stack([point(base, a, b) for a, b in zip(x, u)])
+
+    def refuse(*args):
+        raise AssertionError("third-order jets evaluated before R was read")
+
+    monkeypatch.setattr(bg, "base_jets", refuse)
+    first = [(P, P.gamma, P.gamma_u) for P in (*singles, stacked)]
+    row = stacked[np.arange(1, 4)]  # rows of a stack carry its Gamma, not jets
+    assert row.gamma_u.tobytes() == stacked.gamma_u[1:4].tobytes()
+    monkeypatch.undo()
+    calls = []
+    base_jets = bg.base_jets
+
+    def counted(metric, at):
+        calls.append(1)
+        return base_jets(metric, at)
+
+    monkeypatch.setattr(bg, "base_jets", counted)
+    for i, (P, gamma, gamma_u) in enumerate(first):
+        P.R
+        assert len(calls) == i + 1  # one evaluation of R, nabla R (and Gamma) per point
+        assert P.gamma is gamma and P.gamma_u is gamma_u
+        # the two orders give Gamma bit for bit
+        assert gamma.tobytes() == base_jets(base, P.x)[0].tobytes()
+    for P, (gamma, gamma_u) in zip(singles, zip(stacked.gamma, stacked.gamma_u)):
+        assert (P.gamma.tobytes(), P.gamma_u.tobytes()) == (gamma.tobytes(), gamma_u.tobytes())
+
+
 def test_almost_complex_sasaki_swaps_lifts():
     P = point(EU2, [0.2, 0.1], [0.4, 0.9])
     X = np.array([0.7, -0.2])
