@@ -83,7 +83,7 @@ def _chart_point(base, q):
     q = np.asarray(q, dtype=float)
     x, y = q[..., : base.dim], q[..., base.dim :]
     g, gamma = bg._metric_and_christoffel(base, x)
-    P = tb.TangentPoint(base, x, y, g, 0.5 * (y[..., None, :] @ g @ y[..., None])[..., 0, 0])
+    P = tb._point(base, x, y, g)
     P.__dict__["gamma"] = bg._readonly(gamma)
     return P
 

@@ -2,11 +2,12 @@
 the radius-sqrt(a) isometry, and the K-contact/Sasakian verdicts.
 
 There is one bundle: the radius-r bundle g(u, u) = r^2 inside T(M) with the
-metric of a weight pair w, given as a point P of that bundle (``sphere_point``,
-radius P.r) and w.  The paper's unit tangent bundle is (w, r = 1) and its
-tangent sphere bundle of radius r is (Sasaki, r).  P may be a stacked point
-(``TangentPoint.stack`` of sphere points): the functions then act row by row,
-each row equal to the call at P[i] bit for bit, and the verdicts take maxima
+metric of a weight pair w, given as a point P of that bundle
+(``tangent_point(base, x, u, r)``, radius P.r) and w.  The paper's unit tangent
+bundle is (w, r = 1) and its tangent sphere bundle of radius r is (Sasaki, r),
+whose points the rescaling map ``P.at_radius(r)`` gives from the unit bundle's.
+P may be a stacked point: the functions then act row by row, each row equal to
+the call at that row's single point bit for bit, and the verdicts take maxima
 over the rows.  There is one contact construction, ``_structure``: G and J
 from the oracle's coordinate maps at the point it is given, the normal and the
 rescaling to a contact metric structure (c = 2 r sqrt(a(r^2/2))) from the
@@ -29,7 +30,6 @@ from .jets import _pow
 from .weights import WeightPair, named_family
 
 __all__ = [
-    "sphere_point",
     "ContactStructure",
     "generators",
     "induced_metric",
@@ -44,31 +44,6 @@ __all__ = [
 _SASAKI = named_family("sasaki")
 _ISOMETRY_PAIRS = 10  # random tangent pairs per point in isometry_residuals
 _KCONTACT_TOL = 1e-8  # largest K-contact / Sasakian residual of a positive verdict
-
-
-def sphere_point(base, x, u, r=None):
-    """Point of the radius-r sphere bundle: a TangentPoint with t = r^2/2, or a stacked
-    one at (n, m) stacks of x and u (r one radius, or one per row), with the base
-    metric validated once at the stack's distinct x.
-
-    ``r`` defaults to |u|; a given ``r`` must match |u| to 1e-12 in r^2 at every row.
-    """
-    x = np.asarray(x, dtype=float)
-    xs, index = bg._distinct(x) if x.ndim == 2 else (x, ...)
-    return _on_sphere(base, x, np.asarray(u, dtype=float), base.validate_at(xs)[index], r)
-
-
-def _on_sphere(base, x, u, gx, r):
-    # sphere_point at x and u where g_x is known
-    norm2 = np.vecdot(bg._vg(u, gx), u)
-    if r is None:
-        r = np.sqrt(norm2)
-    else:
-        r = np.broadcast_to(np.asarray(r, dtype=float), norm2.shape)
-        off = np.abs(norm2 - r * r)
-        if (off > 1e-12).any():
-            raise bg.GeometryError(f"|g(u,u) - r^2| = {off.max()} > 1e-12")
-    return tb.TangentPoint(base, x, u, gx, 0.5 * _pow(tb._scalar(r), 2))
 
 
 def _outer(a, b):
@@ -152,25 +127,24 @@ def _structure(P, w, rescaled):
     return ContactStructure(phi, xi, eta, G, N, rescaled)
 
 
-def isometry_residuals(base, w, x, u, radii=(None,), rng=None):
-    """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle at (n, m)
-    stacks of x and g-unit u: one dict per radius r of ``radii`` (None for sqrt(a(1/2))).
+def isometry_residuals(w, P, radii=(None,), rng=None):
+    """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle at the unit
+    point P, a stacked one: one dict per radius r of ``radii`` (None for sqrt(a(1/2))).
 
-    Compares the pulled-back rescaled sphere-bundle structure with the rescaled
-    unit-bundle structure, built once for all radii, at _ISOMETRY_PAIRS random
-    tangent pairs per point, drawn radius by radius; all residuals vanish exactly
+    Compares the pulled-back rescaled sphere-bundle structure at ``P.at_radius(r)`` with
+    the rescaled unit-bundle structure, built once for all radii, at _ISOMETRY_PAIRS
+    random tangent pairs per point, drawn radius by radius; all residuals vanish exactly
     when r = sqrt(a(1/2)).
     """
     rng = rng or np.random.default_rng(0)
     a = w.eval(0.5).a
-    m = base.dim
-    P = sphere_point(base, x, u, r=1.0)
+    m = P.base.dim
     S_A = contact_structure(P, w, rescaled=True)
     G_A = S_A.G[:, None]
     out = []
     for r in radii:
         r = float(np.sqrt(a)) if r is None else float(r)
-        S_r = contact_structure(_on_sphere(base, P.x, r * P.u, P.gx, r), _SASAKI, rescaled=True)
+        S_r = contact_structure(P.at_radius(r), _SASAKI, rescaled=True)
         dF = np.concatenate([np.ones(m), r * np.ones(m)])  # the diagonal of the differential
         G_r = S_r.G[:, None]
         # the pairs of each point, drawn U, V, U, V, ..., made G_A-unit tangent vectors
@@ -253,8 +227,8 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
     base = P.base
 
     def extended_eta(qs):
-        # eta of contact_structure(sphere_point(base, x, y), w, rescaled) at each row
-        # (x, y) of an (n, 2m) stack, each row checked as sphere_point checks it, on the
+        # eta of contact_structure(tangent_point(base, x, y), w, rescaled) at each row
+        # (x, y) of an (n, 2m) stack, each row checked as tangent_point checks it, on the
         # radius-|y| bundle at the chart's t = g(y, y)/2
         C = orc._chart_point(base, qs)
         base._checked(C.gx, C.x)

@@ -219,12 +219,12 @@ def _unit(v, g):  # each row of v scaled to g-unit length
 
 def _units(ctx, rng, n, shape=(0,), base=None):
     """n samples, each a point (x, u) of the unit tangent bundle of ``base`` (by default
-    the context's) and then a block of normals of ``shape`` (by default none): the x, the
-    g-unit u and the blocks, each stacked over the samples."""
+    the context's) and then a block of normals of ``shape`` (by default none): the
+    stacked unit point (r = 1) and the blocks, stacked over the samples."""
     base = base or ctx.base
     x, g, (direction, vecs) = ctx.draw(rng, n, lambda: (
         rng.standard_normal(base.dim), rng.standard_normal(shape)), base)
-    return x, _unit(direction, g), vecs
+    return tb._point(base, x, _unit(direction, g), g, r=1.0), vecs
 
 
 def _draw(ctx, rng, n, shape=(0,), weights=None, base=None, t_range=None):
@@ -241,8 +241,7 @@ def _draw(ctx, rng, n, shape=(0,), weights=None, base=None, t_range=None):
     lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
     hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
     u = np.sqrt(2.0 * (lo + (hi - lo) * s))[:, None] * _unit(direction, g)
-    P = tb.TangentPoint(base, x, u, g, 0.5 * np.vecdot(bg._vg(u, g), u))
-    return P, np.moveaxis(vecs, 1, 0)
+    return tb._point(base, x, u, g), np.moveaxis(vecs, 1, 0)
 
 
 def _suite_lck(ctx, rng, res):
@@ -413,8 +412,8 @@ def _suite_sphere_bundle(ctx, rng, res):
     base, w, m = ctx.base, ctx.weights, ctx.base.dim
     sas = named_family("sasaki")
     # per sample: (x, u), then the normals of its checks below, in the order they read them
-    x, u, normals = _units(ctx, rng, max(2, ctx.samples // 4), (_SPHERE_DRAWS, 2 * m))
-    n = len(x)
+    P, normals = _units(ctx, rng, max(2, ctx.samples // 4), (_SPHERE_DRAWS, 2 * m))
+    n = len(P.x)
     pairs = iter(np.moveaxis(normals.reshape(n, -1, 2, 2 * m), 1, 0))
 
     def tangent_pairs(S, k):
@@ -423,15 +422,11 @@ def _suite_sphere_bundle(ctx, rng, res):
                     np.stack([next(pairs) for _ in range(k)], axis=1))
         return UV[:, :, 0], UV[:, :, 1]
 
-    # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r) at each x,
-    # as rows of one stacked point; each bundle's rows are one stack of all samples
-    bundles = [(True, w, 1.0), (False, sas, 1.3)]
-    radii = np.array([r for *_, r in bundles])
-    points = sb.sphere_point(base, np.repeat(x, len(bundles), axis=0),
-                             (radii[:, None] * u[:, None]).reshape(-1, m), r=np.tile(radii, n))
+    # the paper's unit bundle (w, 1) and its tangent sphere bundle (Sasaki, r), whose
+    # points the rescaling map gives from the unit points
     cols, deta = {}, []
-    for b, (unit, ww, r) in enumerate(bundles):
-        P = points[np.arange(b, len(points.t), len(bundles))]
+    for unit, ww, r in ((True, w, 1.0), (False, sas, 1.3)):
+        P = P if unit else P.at_radius(r)
         tag = f"{ww.name} r={r}"
         for eps in ([-1, 1] if unit else [None]):
             S = sb.contact_structure(P, ww, rescaled=False, epsilon=eps)
@@ -470,10 +465,9 @@ def _suite_sphere_bundle(ctx, rng, res):
 
 
 def _suite_isometry(ctx, rng, res):
-    base = ctx.base
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    x, u, _ = _units(ctx, rng, max(2, ctx.samples // 5))
-    good, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
+    P, _ = _units(ctx, rng, max(2, ctx.samples // 5))
+    good, bad = sb.isometry_residuals(w4, P, radii=(None, 1.0), rng=rng)
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
     return {k: good[k] for k in ("metric", "phi", "xi")}
 
@@ -484,8 +478,7 @@ def _suite_k_contact(ctx, rng, res):
     c1 = isinstance(base, bg.SpaceForm) and base.curvature == 1.0
     sf1, eu = base if c1 else bg.SpaceForm(1.0, m), bg.euclidean(m)
     bases, counts = (sf1, eu, base), (max(2, ctx.samples // 4), 2, 2)  # a unit stack each
-    P, Pe, Pc = (sb.sphere_point(b, *_units(ctx, rng, k, base=b)[:2], r=1.0)
-                 for b, k in zip(bases, counts))
+    P, Pe, Pc = (_units(ctx, rng, k, base=b)[0] for b, k in zip(bases, counts))
     sas = named_family("sasaki")
     v = sb.k_contact_verdict(sas, P)
     w2 = WeightPair(lambda t: 2.0, lambda t: 0.0, -1, name="a2")
@@ -509,7 +502,7 @@ def _suite_oracle_cross(ctx, rng, res):
     P, (X, Y, *hv) = _draw(ctx, rng, max(2, ctx.samples // 4), (8, m))
     worst = {"connection": _lift_connections(w, P, X, Y, ("HV",), ctx.h)[0]}
     Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
-    G = im.matrix(P.q)
+    G = orc._metric_matrix(P, w)
     U, V, Wv = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
     cl = orc.split_to_coord(tb.bundle_curvature_general(w, base, P, U, V, Wv))
     Uc, Vc, Wc = (orc.split_to_coord(z) for z in (U, V, Wv))

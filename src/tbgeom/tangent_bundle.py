@@ -9,7 +9,7 @@ of them, and reads its chart points as TangentPoints too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
@@ -46,22 +46,22 @@ class BasePointMismatch(ValueError):
 @dataclass(frozen=True)
 class TangentPoint:
     """Point (x, u) of T(M) and what the closed forms and the oracle's coordinate
-    maps read there, or a stack of them.
+    maps read there, or a stack of them; ``tangent_point`` makes one.
 
-    g_x and the energy density t = g(u, u)/2 are fixed at construction.
-    g u, q = (x, u), Gamma, R and nabla R are computed on first use and
-    then kept (read-only); R and nabla R come from one evaluation of the
-    third-order base metric jets, and Gamma is theirs if R was read first, else
-    it comes from one first-order evaluation (the two are bit-identical), so a
-    point whose R is never read never evaluates the third-order jets.  So are
-    the connection map ``gamma_u``, Gamma(., u), and ``Ru``, R and nabla R with
-    u in one slot: every term that has u as an argument of Gamma or R reads
-    them.  So are the weights: ``values(w)`` is w.eval(t), evaluated once per
-    weight pair (matched by identity), and ``coeffs(w)`` the derived
-    coefficients built from those same values.  A sphere-bundle point is a
-    TangentPoint whose radius r = sqrt(2t) was given, not measured.  The
-    oracle's chart point (``oracle._chart_point``) is a TangentPoint at (x, y)
-    whose Gamma was set from the first-order jet evaluation that also gives g.
+    g_x and the energy density t are fixed at construction: t = g(u, u)/2, or r^2/2
+    on the radius-r sphere bundle.  g u, q = (x, u), Gamma, R and nabla R are
+    computed on first use and then kept (read-only); R and nabla R come from one
+    evaluation of the third-order base metric jets, and Gamma is theirs if R was
+    read first, else it comes from one first-order evaluation (the two are
+    bit-identical), so a point whose R is never read never evaluates the third-order
+    jets.  So are the connection map ``gamma_u``, Gamma(., u), and ``Ru``, R and
+    nabla R with u in one slot: every term that has u as an argument of Gamma or R
+    reads them.  So are the weights: ``values(w)`` is w.eval(t), evaluated once per
+    pair of weight functions and domain, and ``coeffs(w)`` the derived coefficients
+    of those same values at w's sign.  ``at_radius(r)`` is the paper's rescaling map
+    (x, u) -> (x, r u) onto the radius-r sphere bundle, which keeps what depends on x
+    alone.  The oracle's chart point (``oracle._chart_point``) is a TangentPoint at
+    (x, y) whose Gamma was set from the first-order jet evaluation that also gives g.
     """
 
     base: bg.ChartMetric
@@ -69,29 +69,6 @@ class TangentPoint:
     u: np.ndarray
     gx: np.ndarray = field(repr=False)
     t: float
-
-    @classmethod
-    def stack(cls, points):
-        """One point of n rows from n single points on one base: x, u and g_x gain a
-        leading axis and t is an array; the jets come from one evaluation at the distinct x."""
-        base = points[0].base
-        if any(p.base is not base for p in points):
-            raise BasePointMismatch("a stacked point lives on one base metric")
-        x, u, gx, t = (np.array([getattr(p, f) for p in points]) for f in ("x", "u", "gx", "t"))
-        return cls(base, x, u, gx, t)
-
-    def __getitem__(self, i):
-        """Row i of a stacked point, or the stacked point of the rows ``i`` (an index
-        array), reading the jets and the weight values the stack holds."""
-        x, u, gx, t = self.x[i], self.u[i], self.gx[i], self.t[i]
-        row = TangentPoint(self.base, x, u, gx, t if np.ndim(t) else float(t))
-        if "_jets" in self.__dict__:
-            row.__dict__["_jets"] = bg._readonly(tuple(a[i] for a in self._jets))
-        if "gamma" in self.__dict__:
-            row.__dict__["gamma"] = bg._readonly(self.gamma[i])
-        for key, (w, vals, d) in self._weights.items():
-            row._weights[key] = [w, _rows(vals, i), d and _rows(d, i)]
-        return row
 
     @cached_property
     def gu(self):
@@ -140,41 +117,61 @@ class TangentPoint:
 
     @cached_property
     def _weights(self):
-        # id(w) -> [w, w.eval(t), coefficients or None]; holding w keeps its id unique
+        # (a, b, t domain) -> w.eval(t) and (a, b, t domain, eps) -> coefficients; a key
+        # holds the weight functions, so their ids stay unique
         return {}
 
     def values(self, w: WeightPair):
-        """Weight values of ``w`` at t, evaluated on first use and kept."""
-        if id(w) not in self._weights:
-            self._weights[id(w)] = [w, w.eval(self.t), None]
-        return self._weights[id(w)][1]
+        """Weight values of ``w`` at t, evaluated on first use and kept for every pair
+        of the same weight functions and domain, whatever its sign."""
+        key = (w.a, w.b, w.t_domain)
+        if key not in self._weights:
+            self._weights[key] = w.eval(self.t)
+        return self._weights[key]
 
     def coeffs(self, w: WeightPair):
         """Derived coefficients of ``w`` built from ``values(w)`` on first use and
         kept; on the zero section at eps = +1 they raise WeightDomainError."""
-        vals = self.values(w)
-        entry = self._weights[id(w)]
-        if entry[2] is None:
-            entry[2] = _coeffs_from(vals, w.epsilon)
-        return entry[2]
+        key = (w.a, w.b, w.t_domain, w.epsilon)
+        if key not in self._weights:
+            self._weights[key] = _coeffs_from(self.values(w), w.epsilon)
+        return self._weights[key]
+
+    def at_radius(self, r):
+        """The paper's rescaling map F_r(x, u) = (x, r u), at every row of a stack: the
+        point of the radius-r sphere bundle, which holds the g and Gamma of this point,
+        and its R and nabla R where this point holds them; it evaluates no jets beyond
+        this point's Gamma."""
+        P = _point(self.base, self.x, r * self.u, self.gx, r)
+        P.__dict__["gamma"] = self.gamma
+        if "_jets" in self.__dict__:
+            P.__dict__["_jets"] = self._jets
+        return P
 
     def same_place(self, other):
         return self.base is other.base and all(
             np.max(np.abs(a - b)) <= 1e-14 for a, b in ((self.x, other.x), (self.u, other.u)))
 
 
-def _rows(values, i):
-    # WeightValues or DerivedCoefficients of a stacked point at its rows i
-    return type(values)(*(_rows(f, i) if is_dataclass(f) else f[i]
-                          for f in (getattr(values, k.name) for k in fields(values))))
+def tangent_point(base, x, u, r=None):
+    """The point (x, u) of T(M), or the stacked point of (n, m) stacks of x and u, with
+    g validated once at the distinct x and t = g(u, u)/2.  Given one radius ``r``, the
+    point of the radius-r sphere bundle: g(u, u) must be r^2 to 1e-12 at every row,
+    and t = r^2/2."""
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    xs, index = bg._distinct(x) if x.ndim == 2 else (x, ...)
+    return _point(base, x, u, base.validate_at(xs)[index], r)
 
 
-def tangent_point(base, x, u):
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    gx = base.validate_at(x)
-    t = 0.5 * float(u @ gx @ u)
-    return TangentPoint(base, x, u, gx, t)
+def _point(base, x, u, gx, r=None):
+    # tangent_point at x and u where the validated g_x is known
+    norm2 = np.vecdot(bg._vg(u, gx), u)
+    if r is None:
+        return TangentPoint(base, x, u, gx, _scalar(0.5 * norm2))
+    off = np.abs(norm2 - r * r)
+    if (off > 1e-12).any():
+        raise bg.GeometryError(f"|g(u,u) - r^2| = {off.max()} > 1e-12")
+    return TangentPoint(base, x, u, gx, _scalar(np.full(norm2.shape, 0.5 * float(r) ** 2)))
 
 
 @dataclass(frozen=True)

@@ -326,8 +326,7 @@ def test_criterion_09_isometry():
             g = base.matrix(x)
             u = rng.standard_normal(2)
             pts.append((x, u / np.sqrt(u @ g @ u)))
-        x, u = map(np.array, zip(*pts))
-        good, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
+        good, bad = sb.isometry_residuals(w4, unit_points(base, pts), radii=(None, 1.0), rng=rng)
         worst = max(worst, good["metric"], good["phi"], good["xi"])
         worst_ctrl = min(worst_ctrl, bad["metric"])
     ok = worst <= 1e-10 and worst_ctrl >= 0.1
@@ -337,7 +336,7 @@ def test_criterion_09_isometry():
 
 def unit_points(base, pts):
     # the unit-bundle points (x, u) as one stacked point
-    return tb.TangentPoint.stack([sb.sphere_point(base, x, u, r=1.0) for x, u in pts])
+    return tb.tangent_point(base, *map(np.array, zip(*pts)), r=1.0)
 
 
 def test_criterion_10_k_contact():

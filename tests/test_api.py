@@ -1,8 +1,11 @@
 """The public surface: each module's ``__all__`` names exactly the functions and
-classes it defines without a leading underscore."""
+classes it defines without a leading underscore; and a point of T(M) is made in
+one module only."""
 
+import ast
 import importlib
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -22,3 +25,15 @@ def test_all_names_exactly_the_public_functions_and_classes(name):
     named = [k for k in module.__all__ if is_definition(getattr(module, k))]
     assert len(set(module.__all__)) == len(module.__all__)
     assert set(named) == public
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_tangent_bundle_calls_the_tangent_point_class(name):
+    # every other module makes its points through tangent_point, its private twin or
+    # the rescaling map, so t and the radius check are decided in one place
+    path = Path(importlib.import_module(f"tbgeom.{name}").__file__)
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and (
+                 getattr(node.func, "id", None) == "TangentPoint"
+                 or getattr(node.func, "attr", None) == "TangentPoint")]
+    assert name == "tangent_bundle" or calls == [], f"{path.name} calls TangentPoint at {calls}"

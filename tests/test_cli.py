@@ -319,15 +319,18 @@ def test_sphere_bundle_suite_builds_its_points_once_and_calls_deta_once_per_bund
 
     monkeypatch.setattr(sb, "deta_numeric", counted)
     ctx = sphere_context(12)
-    sphere_point = sb.sphere_point
     points = []
-    monkeypatch.setattr(sb, "sphere_point", lambda *a, **k: points.append(1) or sphere_point(*a, **k))
+    units, at_radius = suites._units, tb.TangentPoint.at_radius
+    monkeypatch.setattr(suites, "_units", lambda *a, **k: points.append("unit") or units(*a, **k))
+    monkeypatch.setattr(tb.TangentPoint, "at_radius",
+                        lambda P, r: points.append(("at_radius", r)) or at_radius(P, r))
     res = run_suite("sphere_bundle", ctx)
     assert res.error is None and res.passed
-    # both bundles' points in one stacked sphere point; then one d(eta) call per bundle
-    # on its stacked point, with the 2 pairs of each of its n = 3 rows
+    # one stacked unit point of all samples, and the Sasaki bundle's points rescaled from
+    # it; then one d(eta) call per bundle on its stacked point, with the 2 pairs of each
+    # of its n = 3 rows
     n = ctx.samples // 4
-    assert points == [1]
+    assert points == ["unit", ("at_radius", 1.3)]
     assert shapes == [((n,), (n, 2, 2, 6))] * 2
 
 
@@ -383,8 +386,9 @@ def test_draw_redraws_an_x_inadmissible_for_an_override_base(monkeypatch):
     rng = ctx.rng(0)
     P, _ = suites._draw(ctx, rng, 3)
     assert calls == [(3, 3)]  # one stack, and g and t as a single point has them
-    Q = tb.TangentPoint.stack([tb.tangent_point(ctx.base, x, u) for x, u in zip(P.x, P.u)])
-    assert P.t.tobytes() == Q.t.tobytes() and P.gx.tobytes() == Q.gx.tobytes()
+    singles = [tb.tangent_point(ctx.base, x, u) for x, u in zip(P.x, P.u)]
+    assert P.t.tobytes() == np.array([Q.t for Q in singles]).tobytes()
+    assert P.gx.tobytes() == np.array([Q.gx for Q in singles]).tobytes()
     # an override base is checked too, and a point outside its domain is redrawn: its
     # stack fails after the context base's, and each x is then checked alone on both
     del calls[:]
@@ -474,7 +478,7 @@ def test_kahler_suite_on_an_m3_base_names_the_dimension():
 
 def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
     # the seed-7 closed_m3 benchmark run: the x of each draw are checked as one stack per
-    # base, not once each, and a sphere point built on them checks its distinct x once
+    # base, not once each, and never again outside the draw (a "point" entry)
     calls, inside = {}, []
     validate_at, draw = bg.ChartMetric.validate_at, SuiteContext.draw
 
@@ -500,17 +504,29 @@ def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
         calls[name] = []
         assert run_suite(name, ctx).passed, name
     s3, flat = ("draw", "space_form(c=1.0)"), ("draw", "space_form(c=0.0)")
-    p3, pflat = ("point", "space_form(c=1.0)"), ("point", "space_form(c=0.0)")
     assert calls == {
         "base_checks": [(*s3, 80)], "sectional": [(*s3, 80)], "scalar": [(*s3, 80)],
-        # the two bundles' 40 rows hold the 20 drawn x
-        "sphere_bundle": [(*s3, 20), (*p3, 20)],
+        # the unit points of the 20 drawn x, and the Sasaki points rescaled from them
+        "sphere_bundle": [(*s3, 20)],
         # one unit point for both radii
-        "isometry": [(*s3, 16), (*p3, 16)],
-        # per unit stack a draw and its sphere point: the curvature-1 stack on the config
-        # base (the same space form), then the flat override's draw, then the config base
-        "k_contact": [(*s3, 20), (*p3, 20), (*s3, 2), (*flat, 2), (*pflat, 2), (*s3, 2), (*p3, 2)],
+        "isometry": [(*s3, 16)],
+        # one draw per unit stack: the curvature-1 stack on the config base (the same
+        # space form), then the flat override's draw, then the config base
+        "k_contact": [(*s3, 20), (*s3, 2), (*flat, 2), (*s3, 2)],
     }
+
+
+def test_isometry_suite_evaluates_first_order_jets_once_per_drawn_x(monkeypatch):
+    # the seed-7 closed_m3 benchmark run: the radius-sqrt(a) and radius-1 points are the
+    # rescaled unit points, which hold the unit points' Gamma
+    rows, derivatives = [], bg.ChartMetric.derivatives
+    monkeypatch.setattr(bg.ChartMetric, "derivatives",
+                        lambda self, x, order: rows.append((len(x), order)) or derivatives(self, x, order))
+    cfg = cli.load_config({"base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
+                           "weights": {"name": "sasaki"}, "samples": 80, "seed": 7,
+                           "suites": ["isometry"]})
+    assert run_suite("isometry", cli._build_context(cfg)).passed
+    assert rows == [(16, 1)]
 
 
 def test_unknown_report_format_exits_2(tmp_path, capsys):

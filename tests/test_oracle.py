@@ -248,7 +248,7 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
         return float(va @ orc.omega_matrix(orc._chart_point(SF1, qq), CG) @ vb)
 
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
-    P = sb.sphere_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
+    P = tb.tangent_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
     deltas, Ys = sb.generators(P)
     # (path, directions of each call of the one quotient rule)
     paths = {
@@ -341,8 +341,8 @@ def test_first_order_readers_build_no_higher_jets(monkeypatch):
     u = u / np.sqrt(u @ base.matrix(x) @ u)
     # the generators read Gamma from the point's full jets: take them before counting,
     # and hand the oracles a fresh point
-    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0))
-    P = sb.sphere_point(base, x, u, r=1.0)
+    deltas, Ys = sb.generators(tb.tangent_point(base, x, u, r=1.0))
+    P = tb.tangent_point(base, x, u, r=1.0)
     monkeypatch.setattr(jets, "_sym_gh", counted)
     bg.christoffel(base, x)
     sb.t1_connection_fd(P, CG, "dY", 0, 1)
@@ -360,8 +360,8 @@ def test_the_oracle_path_never_evaluates_third_order_jets(monkeypatch):
     x, d = rng.uniform(-0.3, 0.3, (3, 3)), rng.standard_normal((3, 3))
     u = d / np.sqrt(np.vecdot(bg._vg(d, base.matrix(x)), d))[:, None]
     # the generators are taken at a point of their own, so the oracles get a fresh one
-    deltas, Ys = sb.generators(sb.sphere_point(base, x, u, r=1.0))
-    P = sb.sphere_point(base, x, u, r=1.0)
+    deltas, Ys = sb.generators(tb.tangent_point(base, x, u, r=1.0))
+    P = tb.tangent_point(base, x, u, r=1.0)
     X, (U, V) = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 6))
 
     def refuse(*args):
@@ -409,7 +409,7 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
         one = orc._chart_point(base, q)
         e = one.coeffs(w)
         assert [getattr(chart, f)[i].tobytes() for f in fields] == [
-            getattr(one, f).tobytes() for f in fields]
+            np.asarray(getattr(one, f)).tobytes() for f in fields]
         for many, single in ((d, e), (d.values, e.values)):
             for name, value in vars(single).items():
                 if name != "values":

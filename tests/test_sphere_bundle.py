@@ -22,42 +22,48 @@ def unit_point(base, x, direction, r=1.0):
     g = base.validate_at(x)
     d = np.asarray(direction, float)
     d = d / np.sqrt(d @ g @ d)
-    return sb.sphere_point(base, x, r * d, r=r)
+    return tb.tangent_point(base, x, r * d, r=r)
+
+
+def hexes(a):
+    # float.hex of every number in a (an array, a float, or a tuple of arrays)
+    if isinstance(a, tuple):
+        return [h for b in a for h in hexes(b)]
+    return [float(v).hex() for v in np.ravel(a)]
 
 
 def unit_points(base, pts):
     # the unit-bundle points (x, u) as one stacked point
-    return tb.TangentPoint.stack([sb.sphere_point(base, x, u, r=1.0) for x, u in pts])
+    return tb.tangent_point(base, *map(np.array, zip(*pts)), r=1.0)
 
 
-def test_sphere_point_radius_check():
+def test_tangent_point_radius_check():
     with pytest.raises(bg.GeometryError):
-        sb.sphere_point(EU2, [0.0, 0.0], [1.0, 0.0], r=2.0)
-    P = sb.sphere_point(EU2, [0.0, 0.0], [0.6, 0.8])
+        tb.tangent_point(EU2, [0.0, 0.0], [1.0, 0.0], r=2.0)
+    P = tb.tangent_point(EU2, [0.0, 0.0], [0.6, 0.8])
     assert P.r == pytest.approx(1.0)
 
 
-def test_sphere_point_on_a_stack_checks_every_row_with_one_validation(monkeypatch):
+def test_tangent_point_on_a_stack_checks_every_row_with_one_validation(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.uniform(-0.4, 0.4, (4, 2))
     u = np.array([unit_point(SF1, xi, rng.standard_normal(2)).u for xi in x])
-    singles = [sb.sphere_point(SF1, xi, 1.3 * ui, r=1.3) for xi, ui in zip(x, u)]
-    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
-    for r in (1.3, np.full(4, 1.3), None):
-        calls.update(validate_at=0)
-        P = sb.sphere_point(SF1, x, 1.3 * u, r=r)
+    for r in (1.3, None):
+        singles = [tb.tangent_point(SF1, xi, 1.3 * ui, r=r) for xi, ui in zip(x, u)]
+        calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
+        P = tb.tangent_point(SF1, x, 1.3 * u, r=r)
         assert calls["validate_at"] == 1
         for i, Pi in enumerate(singles):
             for f in ("x", "u", "gx"):
                 assert getattr(P, f)[i].tobytes() == getattr(Pi, f).tobytes()
-            if r is not None:
-                assert P.t[i].hex() == Pi.t.hex()
-    # the radius is checked at every row; a wrong one anywhere raises
+            assert P.t[i].hex() == Pi.t.hex()
+    # the radius is checked at every row; a u off it anywhere raises
+    u[2] *= 1.2 / 1.3
     with pytest.raises(bg.GeometryError, match="r\\^2"):
-        sb.sphere_point(SF1, x, 1.3 * u, r=[1.3, 1.3, 1.2, 1.3])
+        tb.tangent_point(SF1, x, 1.3 * u, r=1.3)
 
 
-def test_sphere_point_is_a_tangent_point_with_the_given_radius():
+def test_tangent_point_with_a_radius_has_t_of_the_radius():
     rng = np.random.default_rng(5)
     for r in (1.3, 1.0, None):
         for _ in range(20):
@@ -65,17 +71,43 @@ def test_sphere_point_is_a_tangent_point_with_the_given_radius():
             d = rng.standard_normal(2)
             d = d / np.sqrt(d @ SF1.matrix(x) @ d)
             u = (1.0 if r is None else r) * d
-            P = sb.sphere_point(SF1, x, u, r=r)
-            assert isinstance(P, tb.TangentPoint)
-            r_given = float(np.sqrt(u @ SF1.matrix(x) @ u)) if r is None else float(r)
-            assert P.r == r_given
-            assert P.t == 0.5 * r_given**2
+            P = tb.tangent_point(SF1, x, u, r=r)
+            assert isinstance(P, tb.TangentPoint) and isinstance(P.t, float)
+            # t = r^2/2 for a given radius, else g(u, u)/2 as measured
+            assert P.t == (0.5 * float(u @ SF1.matrix(x) @ u) if r is None else 0.5 * r**2)
             assert np.array_equal(P.q, np.concatenate([x, u]))
+
+
+@pytest.mark.parametrize("holds", ["gamma", "R"])
+def test_the_rescaling_map_evaluates_nothing_and_is_the_point_at_r_u(monkeypatch, holds):
+    rng = np.random.default_rng(9)
+    x = rng.uniform(-0.4, 0.4, (4, 3))
+    x[2] = x[0]  # two rows over one x
+    P = unit_points(SF3, [(xi, unit_point(SF3, xi, rng.standard_normal(3)).u) for xi in x])
+    getattr(P, holds)
+    P.values(CG)
+    calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"))
+    monkeypatch.setattr(bg, "base_jets", lambda *a: calls.update(base_jets=1))
+    Q = P.at_radius(1.3)
+    assert calls == {"matrix": 0, "derivatives": 0, "validate_at": 0, "eval": 0}
+    # Gamma, and R and nabla R where P holds them, are P's own; the rest is Q's
+    assert Q.gamma is P.gamma
+    assert ("_jets" in vars(Q)) == (holds == "R") and "gu" not in vars(Q)
+    if holds == "R":
+        assert Q.R is P.R and Q.NR is P.NR
+    monkeypatch.undo()
+    want = tb.tangent_point(SF3, x, 1.3 * P.u, r=1.3)
+    for f in ("x", "u", "gx", "t", "gamma", "gu", "gamma_u", "R", "NR", "Ru"):
+        assert hexes(getattr(Q, f)) == hexes(getattr(want, f)), f
+    assert hexes(Q.values(SAS).a) == hexes(want.values(SAS).a)
+    # the map checks the radius as tangent_point does: P must be a unit point
+    with pytest.raises(bg.GeometryError, match="r\\^2"):
+        Q.at_radius(2.0)
 
 
 def test_generators_flat_axis_fiber():
     # r = 1, Euclidean, u = e1: Z_1 = 0 and Z_2 = d/dv^2
-    P = sb.sphere_point(EU2, [0.0, 0.0], [1.0, 0.0], r=1.0)
+    P = tb.tangent_point(EU2, [0.0, 0.0], [1.0, 0.0], r=1.0)
     deltas, verts = sb.generators(P)
     assert np.allclose(deltas[:, :2], np.eye(2)) and np.allclose(deltas[:, 2:], 0)
     assert np.allclose(verts[0], 0)
@@ -112,7 +144,7 @@ def test_induced_metric_displays_match_ambient():
 
 def test_induced_metric_flat_unit_case():
     # r = 1, u = e1, Euclidean: G_r(Z_k, Z_l) = delta_kl on the nonzero rows
-    P = sb.sphere_point(EU2, [0.4, 0.4], [1.0, 0.0], r=1.0)
+    P = tb.tangent_point(EU2, [0.4, 0.4], [1.0, 0.0], r=1.0)
     _, _, G_vv = sb.induced_metric(P, SAS)
     assert G_vv[1, 1] == pytest.approx(1.0)
     assert abs(G_vv[0, 0]) <= 1e-15
@@ -245,7 +277,7 @@ def test_rescaled_contact_metric_condition():
 def test_isometry_identity_at_unit_weight():
     x = np.array([0.1, 0.2])
     g = EU2.matrix(x); u = np.array([0.6, 0.7]); u /= np.sqrt(u @ g @ u)
-    (res,) = sb.isometry_residuals(EU2, SAS, x[None], u[None])
+    (res,) = sb.isometry_residuals(SAS, tb.tangent_point(EU2, x[None], u[None], r=1.0))
     assert res["r"] == 1.0
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-14
 
@@ -260,24 +292,26 @@ def test_isometry_a4(base):
         g = base.matrix(x)
         u = rng.standard_normal(2)
         pts.append((x, u / np.sqrt(u @ g @ u)))
-    x, u = map(np.array, zip(*pts))
-    res, bad = sb.isometry_residuals(base, w4, x, u, radii=(None, 1.0), rng=rng)
+    res, bad = sb.isometry_residuals(w4, unit_points(base, pts), radii=(None, 1.0), rng=rng)
     assert res["r"] == pytest.approx(2.0)
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-12
     assert bad["metric"] >= 0.1
 
 
-def test_isometry_residuals_validate_once_for_all_radii(monkeypatch):
+def test_isometry_residuals_evaluate_nothing_at_the_other_radii(monkeypatch):
     rng = np.random.default_rng(6)
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
     x = rng.uniform(-0.3, 0.3, (3, 2))
-    u = np.array([unit_point(SF1, xi, rng.standard_normal(2)).u for xi in x])
+    P = unit_points(SF1, [(xi, unit_point(SF1, xi, rng.standard_normal(2)).u) for xi in x])
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
-    both = sb.isometry_residuals(SF1, w4, x, u, radii=(None, 1.0), rng=np.random.default_rng(3))
-    assert calls["validate_at"] == 1
+    rows = count_rows(monkeypatch)
+    both = sb.isometry_residuals(w4, P, radii=(None, 1.0), rng=np.random.default_rng(3))
+    # the unit point's one first-order evaluation serves every radius, and no x is
+    # validated again
+    assert calls["validate_at"] == 0 and rows == [3]
     # the same numbers as one call per radius drawing from the same rng in turn
     rng = np.random.default_rng(3)
-    assert both == [sb.isometry_residuals(SF1, w4, x, u, radii=(r,), rng=rng)[0] for r in (None, 1.0)]
+    assert both == [sb.isometry_residuals(w4, P, radii=(r,), rng=rng)[0] for r in (None, 1.0)]
 
 
 def test_t1_connection_flat_base():
@@ -437,10 +471,17 @@ def test_a_second_contact_structure_at_a_point_evaluates_nothing(monkeypatch, w,
     first = sb.contact_structure(P, w, rescaled=True)
     calls = count_base_calls(monkeypatch, (WeightPair, "eval"))
     second = sb.contact_structure(P, w, rescaled=True)
-    # the point keeps its Gamma and its weight values: nothing is evaluated again
+    flipped = sb.contact_structure(P, w, rescaled=True, epsilon=-w.epsilon)
+    # the point keeps its Gamma and its weight values, which do not depend on eps:
+    # nothing is evaluated again, for the pair or for its eps-flipped copy
     assert calls == {"matrix": 0, "derivatives": 0, "eval": 0}
+    monkeypatch.undo()
+    fresh = sb.contact_structure(unit_point(SF3, *M3_POINT, r=r), w, rescaled=True,
+                                 epsilon=-w.epsilon)
     for f in ("phi", "xi", "eta", "G", "normal"):
         assert getattr(second, f).tobytes() == getattr(first, f).tobytes(), f
+        assert getattr(flipped, f).tobytes() == getattr(fresh, f).tobytes(), f
+    assert not np.array_equal(flipped.xi, first.xi)  # the sign is the flipped pair's
 
 
 def plain_deta(P, w, vectors, h=1e-4):
@@ -481,7 +522,8 @@ def test_deta_numeric_evaluates_each_base_point_once(monkeypatch, w, r):
     both = [pairs, [(dQ[1], YQ[0]), (YQ[2], dQ[0])]]
     singles = [got, sb.deta_numeric(Q, w, both[1])]
     rows.clear()
-    stacked = sb.deta_numeric(tb.TangentPoint.stack([P, Q]), w, both)
+    PQ = tb.tangent_point(SF3, *(np.stack([getattr(A, f) for A in (P, Q)]) for f in "xu"), r=r)
+    stacked = sb.deta_numeric(PQ, w, both)
     assert len(rows) == 1 and stacked.shape == (2, 2)
     for one, many in zip(singles, stacked):
         assert [v.hex() for v in many.tolist()] == [v.hex() for v in one.tolist()]

@@ -153,7 +153,7 @@ def closed_forms(w, base, P, X, Y, Z, U, V, W):
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("w", [named_family("cheeger_gromoll"), kahler_family(1, 1.0, -0.5)],
                          ids=["eps=-1", "eps=+1"])
-def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
+def test_a_stacked_point_equals_its_single_points_row_by_row(m, w):
     base, rng = bg.SpaceForm(1.0, m), np.random.default_rng(10 * m + w.epsilon)
     xs = rng.uniform(-0.4, 0.4, (3, m))
     singles = []
@@ -161,7 +161,8 @@ def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
         d = rng.standard_normal(m)
         u = np.sqrt(2 * rng.uniform(0.1, 0.8)) * d / np.sqrt(d @ base.matrix(x) @ d)
         singles.append(tb.tangent_point(base, x, u))
-    P = tb.TangentPoint.stack(singles)
+    P = tb.tangent_point(base, *(np.array([getattr(Q, f) for Q in singles]) for f in "xu"))
+    assert hexes(P.t) == hexes([Q.t for Q in singles])
     X, Y, Z, *hv = rng.standard_normal((9, len(singles), m))
     U, V, W = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
     stacked = closed_forms(w, base, P, X, Y, Z, U, V, W)
@@ -170,17 +171,6 @@ def test_a_stacked_point_equals_its_single_points_row_by_row(monkeypatch, m, w):
         single = closed_forms(w, base, Pi, X[i], Y[i], Z[i], Ui, Vi, Wi)
         for name, want in single.items():
             assert hexes(row(stacked[name], i)) == hexes(want), f"row {i}: {name}"
-    # rows read the stack's jets and weight values: no base-jet or weight evaluation
-    calls = []
-    monkeypatch.setattr(bg, "base_jets", lambda *a: calls.append(a))
-    monkeypatch.setattr(type(w), "eval", lambda *a: calls.append(a))
-    for i, Pi in enumerate(singles):
-        Pr = P[i]
-        assert isinstance(Pr.t, float) and Pr.t == Pi.t
-        assert hexes([Pr.gamma, Pr.R, Pr.NR]) == hexes([Pi.gamma, Pi.R, Pi.NR])
-        assert hexes(Pr.coeffs(w).F3) == hexes(Pi.coeffs(w).F3)
-    assert hexes(P[np.array([3, 0])].R) == hexes([singles[3].R, singles[0].R])
-    assert calls == []
 
 
 def sphere_forms(P, w):
@@ -205,8 +195,9 @@ def test_a_stacked_sphere_point_equals_its_single_points_row_by_row(m, w, r):
     singles = []
     for x in rng.uniform(-0.4, 0.4, (3, m))[[0, 1, 0, 2]]:  # two rows share x
         d = rng.standard_normal(m)
-        singles.append(sb.sphere_point(base, x, r * d / np.sqrt(d @ base.matrix(x) @ d), r=r))
-    stacked = sphere_forms(tb.TangentPoint.stack(singles), w)
+        singles.append(tb.tangent_point(base, x, r * d / np.sqrt(d @ base.matrix(x) @ d), r=r))
+    P = tb.tangent_point(base, *(np.array([getattr(Q, f) for Q in singles]) for f in "xu"), r=r)
+    stacked = sphere_forms(P, w)
     for i, Pi in enumerate(singles):
         for name, want in sphere_forms(Pi, w).items():
             assert hexes(row(stacked[name], i)) == hexes(want), f"row {i}: {name}"
@@ -225,7 +216,8 @@ def test_a_stack_evaluates_the_jets_once_at_its_distinct_x(monkeypatch):
     monkeypatch.setattr(bg.ChartMetric, "derivatives", counted)
     bg.base_jets(base, x)
     assert rows == [(2, 3)]
-    # the sphere-bundle suite: the unit and Sasaki points at each sample x, one stack
+    # the sphere-bundle suite: the Sasaki points are the rescaled unit points, which
+    # hold the third-order jets of the sample x
     del rows[:]
     ctx = SuiteContext(base=base, weights=named_family("cheeger_gromoll"), samples=8, seed=3,
                        h=1e-4, chart_box=np.tile([-0.4, 0.4], (3, 1)), fiber_range=(0.3, 1.5))

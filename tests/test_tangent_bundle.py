@@ -145,15 +145,13 @@ def test_gamma_reads_first_order_jets_until_r_is_read(monkeypatch, base):
     rng = np.random.default_rng(12)
     x, u = rng.uniform(-0.4, 0.4, (2, 6, base.dim))
     singles = [point(base, a, b) for a, b in zip(x, u)]
-    stacked = tb.TangentPoint.stack([point(base, a, b) for a, b in zip(x, u)])
+    stacked = tb.tangent_point(base, x, u)
 
     def refuse(*args):
         raise AssertionError("third-order jets evaluated before R was read")
 
     monkeypatch.setattr(bg, "base_jets", refuse)
     first = [(P, P.gamma, P.gamma_u) for P in (*singles, stacked)]
-    row = stacked[np.arange(1, 4)]  # rows of a stack carry its Gamma, not jets
-    assert row.gamma_u.tobytes() == stacked.gamma_u[1:4].tobytes()
     monkeypatch.undo()
     calls = []
     base_jets = bg.base_jets
@@ -326,11 +324,9 @@ def test_curvature_slot_cases_agree_with_the_einsum_reference(base, layout):
     # u read from the point's Ru tensors, not contracted as one more vector of R and nabla R
     m, rng = base.dim, np.random.default_rng(base.dim)
     x = rng.uniform(-0.5, 0.5, (4, m))
-    u, g = 0.9 * rng.standard_normal((4, m)), base.validate_at(x)
-    P = tb.TangentPoint(base, x, u, g, 0.5 * np.vecdot(bg._vg(u, g), u))
+    u = 0.9 * rng.standard_normal((4, m))
+    P = tb.tangent_point(base, x[1], u[1]) if layout == "point" else tb.tangent_point(base, x, u)
     shape = {"point": (m,), "stack": (4, m), "k vectors": (3, 4, m)}[layout]
-    if layout == "point":
-        P = P[1]
     assert np.abs(P.NR).max() > 0.1  # nabla R does not vanish on this base
     X, Y, Z = rng.standard_normal((3, *shape))
     for case in ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV"):
