@@ -1,14 +1,16 @@
 """Truncated Taylor (jet) arithmetic up to third order.
 
 A jet carries the value of a scalar expression together with its
-derivatives up to order three, so one evaluation on seeded jets yields
+derivatives up to a fixed order, so one evaluation on seeded jets yields
 every derivative needed downstream, exactly.  ``Taylor`` (one variable,
-four floats) serves the weights a(t), b(t); ``Jet`` (n variables, numpy
-arrays) serves the base metric components, truncated at the order its
-caller reads: 1 for g and its first derivatives, 3 for the curvature and
-its covariant derivative.  They share ``-``, ``/``, ``reciprocal`` and
-``**`` and differ in ``+``, ``*``, negation and ``compose``.  A ``Taylor``
-may carry arrays, one entry per t, each equal to its float evaluation.
+three floats) serves the weights a(t), b(t), of which ``WeightPair.eval``
+reads a to a'' and b to b'; ``Jet`` (n variables, numpy arrays) serves the
+base metric components, truncated at the order its caller reads: 1 for g and
+its first derivatives, 3 for the curvature and its covariant derivative.
+They share ``-``, ``/``, ``reciprocal`` and ``**`` and differ in ``+``,
+``*``, negation and ``compose``; a map of a series computes its derivative
+factors only up to the series' order.  A ``Taylor`` may carry arrays, one
+entry per t, each equal to its float evaluation.
 
 A ``Jet`` may likewise be seeded at a stack of N points (vector-mode
 Taylor arithmetic): ``v`` is then an (N,) array and the stack is the
@@ -53,12 +55,17 @@ class Series:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _chain(self, *factors):
+        # compose with f, f', f'', ... given as callables, each called only up to this order
+        return self.compose(*(f() for f in factors[: self.order + 1]))
+
     def reciprocal(self):
         u = self.v
         zero = u == 0.0
         if zero.any() if isinstance(zero, np.ndarray) else zero:
             raise ZeroDivisionError("jet reciprocal at zero value")
-        return self.compose(1.0 / u, -1.0 / _pow(u, 2), 2.0 / _pow(u, 3), -6.0 / _pow(u, 4))
+        return self._chain(lambda: 1.0 / u, lambda: -1.0 / _pow(u, 2),
+                           lambda: 2.0 / _pow(u, 3), lambda: -6.0 / _pow(u, 4))
 
     def __truediv__(self, other):
         if not isinstance(other, Series):
@@ -77,17 +84,19 @@ class Series:
                 out = out * self
             return out
         u = self.v
-        return self.compose(_pow(u, p), p * _pow(u, p - 1), p * (p - 1) * _pow(u, p - 2),
-                            p * (p - 1) * (p - 2) * _pow(u, p - 3))
+        return self._chain(lambda: _pow(u, p), lambda: p * _pow(u, p - 1),
+                           lambda: p * (p - 1) * _pow(u, p - 2),
+                           lambda: p * (p - 1) * (p - 2) * _pow(u, p - 3))
 
 
 class Taylor(Series):
-    """Value and first three derivatives of a function of one variable."""
+    """Value and first two derivatives of a function of one variable."""
 
-    __slots__ = ("v", "d1", "d2", "d3")
+    __slots__ = ("v", "d1", "d2")
+    order = 2
 
-    def __init__(self, v, d1=0.0, d2=0.0, d3=0.0):
-        self.v, self.d1, self.d2, self.d3 = v, d1, d2, d3
+    def __init__(self, v, d1=0.0, d2=0.0):
+        self.v, self.d1, self.d2 = v, d1, d2
 
     @classmethod
     def var(cls, value):
@@ -95,43 +104,36 @@ class Taylor(Series):
 
     def derivative(self):
         """The series shifted down one order; its unknown top order is NaN."""
-        return Taylor(self.d1, self.d2, self.d3, math.nan)
+        return Taylor(self.d1, self.d2, math.nan)
 
     def __add__(self, other):
         if isinstance(other, Taylor):
-            return Taylor(self.v + other.v, self.d1 + other.d1,
-                          self.d2 + other.d2, self.d3 + other.d3)
-        return Taylor(self.v + _num(other), self.d1, self.d2, self.d3)
+            return Taylor(self.v + other.v, self.d1 + other.d1, self.d2 + other.d2)
+        return Taylor(self.v + _num(other), self.d1, self.d2)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Taylor(-self.v, -self.d1, -self.d2, -self.d3)
+        return Taylor(-self.v, -self.d1, -self.d2)
 
     def __mul__(self, other):
         if not isinstance(other, Taylor):
             c = _num(other)
-            return Taylor(c * self.v, c * self.d1, c * self.d2, c * self.d3)
+            return Taylor(c * self.v, c * self.d1, c * self.d2)
         # Leibniz rule, with the rounding order of Jet at n = 1
         a, b = self, other
         return Taylor(
             a.v * b.v,
             a.v * b.d1 + b.v * a.d1,
             a.v * b.d2 + b.v * a.d2 + a.d1 * b.d1 + b.d1 * a.d1,
-            a.v * b.d3 + b.v * a.d3 + 3.0 * (a.d2 * b.d1) + 3.0 * (b.d2 * a.d1),
         )
 
     __rmul__ = __mul__
 
-    def compose(self, f0, f1, f2, f3):
+    def compose(self, f0, f1, f2):
         """Chain rule for a scalar map f applied to this series."""
-        g, h = self.d1, self.d2
-        return Taylor(
-            f0,
-            f1 * g,
-            f2 * (g * g) + f1 * h,
-            f3 * (g * g * g) + f2 * (3.0 * (h * g)) + f1 * self.d3,
-        )
+        g = self.d1
+        return Taylor(f0, f1 * g, f2 * (g * g) + f1 * self.d2)
 
 
 def _sym_gh(g: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -216,8 +218,8 @@ class Jet(Series):
 
     __rmul__ = __mul__
 
-    def compose(self, f0, f1, f2, f3):
-        """Chain rule for a scalar map f applied to this jet."""
+    def compose(self, f0, f1, f2=None, f3=None):
+        """Chain rule for a scalar map f applied to this jet; an order-1 jet reads f0, f1."""
         g, h, c = self.d1, self.d2, self.d3
         if h is None:
             return Jet(self.n, f0, f1 * g)
@@ -233,19 +235,21 @@ def sqrt(x):
     if isinstance(x, Series):
         u = x.v
         s = _num(np.sqrt(u))
-        return x.compose(s, 0.5 / s, -0.25 / (u * s), 0.375 / (_pow(u, 2) * s))
+        return x._chain(lambda: s, lambda: 0.5 / s, lambda: -0.25 / (u * s),
+                        lambda: 0.375 / (_pow(u, 2) * s))
     return np.sqrt(x)
 
 
 def exp(x):
     if isinstance(x, Series):
         e = _num(np.exp(x.v))
-        return x.compose(e, e, e, e)
+        return x.compose(*[e] * (x.order + 1))
     return np.exp(x)
 
 
 def log(x):
     if isinstance(x, Series):
         u = x.v
-        return x.compose(_num(np.log(u)), 1.0 / u, -1.0 / _pow(u, 2), 2.0 / _pow(u, 3))
+        return x._chain(lambda: _num(np.log(u)), lambda: 1.0 / u, lambda: -1.0 / _pow(u, 2),
+                        lambda: 2.0 / _pow(u, 3))
     return np.log(x)

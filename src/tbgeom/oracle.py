@@ -187,9 +187,11 @@ def _quotients(values, h):
 def _connection(G, points, h):
     # Christoffel symbols at ``points`` (a point, or any stack) from the metric components
     # G on the coordinate stencil of each, the stencil on axis 0
-    for cond, p in zip(np.ravel(np.linalg.cond(G[0])), np.reshape(points, (-1, points.shape[-1]))):
-        if cond > 1e8:
-            warnings.warn(f"metric conditioning {cond:.2e} at {p}")
+    lam = np.abs(np.linalg.eigvalsh(G[0]))  # G is symmetric: cond = |lam| max / |lam| min
+    with np.errstate(divide="ignore"):
+        cond = np.ravel(lam.max(-1) / lam.min(-1))
+    for c, p in zip(cond[cond > 1e8], np.reshape(points, (-1, points.shape[-1]))[cond > 1e8]):
+        warnings.warn(f"metric conditioning {c:.2e} at {p}")
     dG = np.moveaxis(_quotients(G[1:], h), 0, -3)
     return bg._levi_civita(np.linalg.inv(G[0]), dG)
 
@@ -280,22 +282,28 @@ def fd_nijenhuis(base, w, q, U, V, h=1e-5):
     return gv(dJ_JU, V) - gv(dJ_JV, U) + gv(J0, gv(dJ_V, U)) - gv(J0, gv(dJ_U, V))
 
 
+def _lift(P, X, kind):
+    # coordinate components of the horizontal lift (X, -Gamma(X, u)) or the vertical lift
+    # (0, X) of X at the point P, row by row on a stacked one; only X^H reads P (gamma_u)
+    parts = [X, -bg._gv(P.gamma_u, X)] if kind == "H" else [np.zeros(np.shape(X)), X]
+    return np.concatenate(parts, axis=-1)
+
+
 def lift_field(base, X, kind):
     """Coordinate field of the horizontal or vertical lift of a constant X, at a point
     q or at each row of a stack of points (..., n, 2m); X may be one vector per row
     (n, m), the same at every position of the leading axes.  The horizontal lift
-    (X, -Gamma(X, y)) reads the connection map of one chart point per call."""
+    (X, -Gamma(X, y)) reads the connection map of one chart point per call; at a
+    TangentPoint the lift reads the point's own (``_lift``)."""
     X = np.asarray(X, dtype=float)
     m = base.dim
     if kind not in ("H", "V"):
         raise ValueError(f"kind must be 'H' or 'V', got {kind!r}")
 
     def field(q):
-        qs = np.reshape(q, (-1, 2 * m))
         Xs = np.broadcast_to(X, np.shape(q)[:-1] + (m,)).reshape(-1, m)
-        parts = ([Xs, -bg._gv(_chart_point(base, qs).gamma_u, Xs)]
-                 if kind == "H" else [np.zeros(Xs.shape), Xs])
-        return np.concatenate(parts, axis=-1).reshape(np.shape(q))
+        C = _chart_point(base, np.reshape(q, (-1, 2 * m))) if kind == "H" else None
+        return _lift(C, Xs, kind).reshape(np.shape(q))
 
     return field
 

@@ -137,7 +137,7 @@ def isometry_residuals(w, P, radii=(None,), rng=None):
     when r = sqrt(a(1/2)).
     """
     rng = rng or np.random.default_rng(0)
-    a = w.eval(0.5).a
+    a = float(np.ravel(P.values(w).a)[0])  # every row's t is 1/2
     m = P.base.dim
     S_A = contact_structure(P, w, rescaled=True)
     G_A = S_A.G[:, None]
@@ -194,21 +194,21 @@ def t1_connection_fd(P, w, case, i, j, h=1e-4):
     of all rows, each row equal to the call at its point bit for bit."""
     base, m, at = P.base, P.base.dim, ((np.arange(len(P.t)),) if np.ndim(P.t) else ())
 
-    def field(delta, k):  # at q or a stack of points: delta_k where ``delta``, else Y_k
-        H = orc.lift_field(base, np.eye(m)[k], "H")
-
-        def f(q):
-            C = orc._chart_point(base, np.reshape(q, (-1, 2 * m)))
-            y, gu = (np.reshape(c, np.shape(q)[:-1] + (m,)) for c in (C.u, C.gu))
-            Y = np.eye(m)[k] - bg._per_row(gu[(..., *at, k)], 1) * y
-            return np.where(bg._per_row(delta, 1), H(q), np.concatenate([np.zeros_like(y), Y], -1))
+    def field(delta, k):  # delta_k where ``delta``, else Y_k, at a point C laid out as ``lead``
+        def f(C, lead):
+            e = np.broadcast_to(np.eye(m)[k], lead + (m,))
+            H = orc._lift(C, e.reshape(-1, m), "H").reshape(lead + (2 * m,))
+            y, gu = (np.reshape(c, lead + (m,)) for c in (C.u, C.gu))
+            Y = e - bg._per_row(gu[(..., *at, k)], 1) * y
+            return np.where(bg._per_row(delta, 1), H, np.concatenate([np.zeros_like(y), Y], -1))
 
         return f
 
     U, V = field(np.isin(case, ("dd", "dY")), i), field(np.isin(case, ("dd", "Yd")), j)
     # the ambient metric on the connection stencil, whose row at P also gives G for the normal
     G, gamma = orc._metric_and_connection(orc.InducedMetric(base, w), P.q, h)
-    amb = orc.fd_lift_connection(gamma, P.q, U(P.q), V, h)
+    amb = orc.fd_lift_connection(gamma, P.q, U(P, np.shape(P.t)), lambda q: V(
+        orc._chart_point(base, np.reshape(q, (-1, 2 * m))), np.shape(q)[:-1]), h)
     # the bundle is a level set of t = g(y, y)/2: dt = (1/2 d_x g(y, y), g y), N = G^-1 dt,
     # where 1/2 d_k g(y, y) = (g y)_l Gamma^l_kj y^j by metric compatibility
     dt = np.concatenate([bg._vg(P.gu, P.gamma_u), P.gu], -1)
@@ -286,7 +286,7 @@ def k_contact_verdict(w, P):
         return float(np.max(np.sqrt(np.maximum(np.vecdot(bg._vg(vectors, G), vectors), 0.0))))
 
     kc, sas = map(worst, _residual_vectors(P, w))
-    a = w.eval(0.5).a
+    a = float(np.ravel(P.values(w).a)[0])  # every row's t is 1/2
     predicted = isinstance(P.base, bg.SpaceForm) and abs(P.base.curvature - 1.0 / a) < 1e-12
     return {
         "k_contact_residual": kc,

@@ -254,7 +254,8 @@ def _suite_almost_kahler(ctx, rng, res):
     base, m = ctx.base, ctx.base.dim
     pair = almost_kahler_complete(lambda t: 1.0 + t, epsilon=-1, name="ak(1+t)")
     cg = named_family("cheeger_gromoll")
-    P, vecs = _draw(ctx, rng, ctx.samples, (3, 2 * m), weights=pair)
+    # at least 4 points, so that the cg_not_almost_kahler control does not rest on one draw
+    P, vecs = _draw(ctx, rng, max(4, ctx.samples), (3, 2 * m), weights=pair)
     dom = _domega(_forms(base, pair, P.q, vecs, ctx.h)[0], vecs, ctx.h)
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
@@ -295,16 +296,21 @@ def _rop(R, X, Y, Z):
 def _lift_connections(w, P, X, Y, cases, h):
     """Per case, the largest |closed - FD| component of nabla on the lifts of X and Y at
     each row of P: the closed form against the lift fields differenced on the oracle
-    connection, from one ``fd_connection`` call and one evaluation of X^H and X^V at P."""
+    connection, from one ``fd_connection`` call and, per lift of Y, one
+    ``fd_lift_connection`` call along the lifts of X at P (read from P), stacked."""
     base = P.base
+    # the closed forms first: they read R, whose jets then give the Gamma of the lifts at P
+    closed = [orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y)) for case in cases]
     gamma = orc.fd_connection(orc.InducedMetric(base, w), P.q, h=h)
-    U = {k: orc.lift_field(base, X, k)(P.q) for k in dict.fromkeys(c[0] for c in cases)}
-    out = []
-    for case in cases:
-        closed = orc.split_to_coord(tb.bundle_connection(w, base, P, case, X, Y))
-        num = orc.fd_lift_connection(gamma, P.q, U[case[0]], orc.lift_field(base, Y, case[1]), h=h)
-        out.append(np.max(np.abs(closed - num), axis=-1))
-    return out
+    num = {}
+    for kind in dict.fromkeys(c[1] for c in cases):
+        along = [c for c in cases if c[1] == kind]
+        k = len(along)
+        U = np.concatenate([orc._lift(P, X, c[0]) for c in along])
+        nab = orc.fd_lift_connection(np.tile(gamma, (k, 1, 1, 1)), np.tile(P.q, (k, 1)), U,
+                                     orc.lift_field(base, np.tile(Y, (k, 1)), kind), h=h)
+        num.update(zip(along, np.split(nab, k)))
+    return [np.max(np.abs(c - num[case]), axis=-1) for c, case in zip(closed, cases)]
 
 
 def _suite_connection(ctx, rng, res):
@@ -323,25 +329,26 @@ def _suite_curvature(ctx, rng, res):
     P, (X, Y, Z, *hv) = _draw(ctx, rng, max(1, ctx.samples // 4), (11, m))
     closed = [orc.split_to_coord(tb.bundle_curvature(w, base, P, case, X, Y, Z))
               for case in _SLOT_CASES]
-    lifts = {k: [orc.lift_field(base, v, k)(P.q) for v in (X, Y, Z)] for k in "HV"}
+    lifts = {k: [orc._lift(P, v, k) for v in (X, Y, Z)] for k in "HV"}
     Rhat = orc.fd_curvature(im, P.q, h=ctx.h)
     cols = {}
     for case, cl in zip(_SLOT_CASES, closed):
         Uc, Vc, Wc = (lifts[k][n] for n, k in enumerate(case))
         cols[case] = np.max(np.abs(cl - _rop(Rhat, Uc, Vc, Wc)), axis=-1)
     # closed-form curvature symmetries + first Bianchi on random splits
-    U, V, W, S = (tb.SplitVector(h, v, P) for h, v in zip(hv[::2], hv[1::2]))
+    UVWS = tb.SplitVector(np.stack(hv[::2]), np.stack(hv[1::2]), P)  # on a leading axis
 
-    def gen(A, B, C):
-        return tb.bundle_curvature_general(w, base, P, A, B, C)
+    def rows(A, *k):  # the split vectors of A numbered k, stacked on a leading axis
+        return tb.SplitVector(A.h[list(k)], A.v[list(k)], P)
 
-    def riem(A, B, C, D):
-        return tb.bundle_metric(w, P, gen(A, B, C), D)
-
-    r = riem(U, V, W, S)
-    bsum = gen(U, V, W) + gen(V, W, U) + gen(W, U, V)
-    sym = [abs(r + riem(V, U, W, S)), abs(r + riem(U, V, S, W)), abs(r - riem(W, S, U, V)),
-           np.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum)))]
+    # the six distinct R(A, B)C that the checks read, from one stacked call: R(U, V)W,
+    # R(V, W)U, R(W, U)V, R(V, U)W, R(U, V)S and R(W, S)U
+    R = tb.bundle_curvature_general(w, base, P, *(rows(UVWS, *k) for k in (
+        (0, 1, 2, 1, 0, 2), (1, 2, 0, 0, 1, 3), (2, 0, 1, 2, 3, 0))))
+    # g(R(U, V)W, S), g(R(V, U)W, S), g(R(U, V)S, W) and g(R(W, S)U, V)
+    r, vu, uvs, ws = tb.bundle_metric(w, P, rows(R, 0, 3, 4, 5), rows(UVWS, 3, 3, 2, 1))
+    bsum = tb.SplitVector(R.h[0] + R.h[1] + R.h[2], R.v[0] + R.v[1] + R.v[2], P)
+    sym = [abs(r + vu), abs(r + uvs), abs(r - ws), np.sqrt(abs(tb.bundle_metric(w, P, bsum, bsum)))]
     res.controls.append(Control("curvature_symmetries", float(np.max(sym)), 1e-8, "max"))
     return cols
 

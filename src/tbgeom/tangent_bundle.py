@@ -55,13 +55,14 @@ class TangentPoint:
     read first, else it comes from one first-order evaluation (the two are
     bit-identical), so a point whose R is never read never evaluates the third-order
     jets.  So are the connection map ``gamma_u``, Gamma(., u), and ``Ru``, R and
-    nabla R with u in one slot: every term that has u as an argument of Gamma or R
-    reads them.  So are the weights: ``values(w)`` is w.eval(t), evaluated once per
-    pair of weight functions and domain, and ``coeffs(w)`` the derived coefficients
-    of those same values at w's sign.  ``at_radius(r)`` is the paper's rescaling map
-    (x, u) -> (x, r u) onto the radius-r sphere bundle, which keeps what depends on x
-    alone.  The oracle's chart point (``oracle._chart_point``) is a TangentPoint at
-    (x, y) whose Gamma was set from the first-order jet evaluation that also gives g.
+    nabla R with u in one slot: every term that has u as an argument of Gamma or R,
+    and every horizontal lift at the point (``oracle._lift``), reads them.  So are
+    the weights: ``values(w)`` is w.eval(t), evaluated once per pair of weight
+    functions and domain, and ``coeffs(w)`` the derived coefficients of those same
+    values at w's sign.  ``at_radius(r)`` is the paper's rescaling map (x, u) ->
+    (x, r u) onto the radius-r sphere bundle, which keeps what depends on x alone.
+    The oracle's chart point (``oracle._chart_point``) is a TangentPoint at (x, y)
+    whose Gamma was set from the first-order jet evaluation that also gives g.
     """
 
     base: bg.ChartMetric
@@ -393,13 +394,15 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion.
 
-    The nonzero slot terms, all at P, are summed on their h and v arrays.  On
-    stacks a term nonzero in some row is evaluated for every row; where its
-    slot vector is zero it adds exactly 0.0, which leaves each sum unchanged.
+    The nonzero slot terms, all at P, are summed on their h and v arrays in order,
+    from one ``bundle_curvature`` call per slot case (the two HVH terms are stacked,
+    and so are the two HVV terms).  On stacks a term nonzero in some row is evaluated
+    for every row; where its slot vector is zero it adds exactly 0.0, which leaves
+    each sum unchanged.
     """
     check_base(base, P)
     uh, uv, vh, vv, wh, wv = (np.any(a) for a in (U.h, U.v, V.h, V.v, W.h, W.v))
-    terms = [
+    live = [t for t in (
         ("HHH", U.h, V.h, W.h, 1.0, uh and vh and wh),
         ("HHV", U.h, V.h, W.v, 1.0, uh and vh and wv),
         ("HVH", U.h, V.v, W.h, 1.0, uh and vv and wh),
@@ -408,14 +411,16 @@ def bundle_curvature_general(w, base, P, U, V, W):
         ("HVV", V.h, U.v, W.v, -1.0, vh and uv and wv),
         ("VVH", U.v, V.v, W.h, 1.0, uv and vv and wh),
         ("VVV", U.v, V.v, W.v, 1.0, uv and vv and wv),
-    ]
-    h = np.zeros(P.base.dim)
-    v = np.zeros(P.base.dim)
-    for case, X, Y, Z, sign, live in terms:
-        if live:
-            r = bundle_curvature(w, base, P, case, X, Y, Z)
-            h = h + sign * r.h
-            v = v + sign * r.v
+    ) if t[5]]
+    parts = {}  # R(X, Y)Z of each live term, by its position in ``live``
+    for case in dict.fromkeys(t[0] for t in live):
+        at = [n for n, t in enumerate(live) if t[0] == case]
+        r = bundle_curvature(w, base, P, case, *(
+            np.stack(np.broadcast_arrays(*(live[n][k] for n in at))) for k in (1, 2, 3)))
+        parts.update((n, (r.h[i], r.v[i])) for i, n in enumerate(at))
+    h = v = np.zeros(P.base.dim)
+    for n, t in enumerate(live):
+        h, v = h + t[4] * parts[n][0], v + t[4] * parts[n][1]
     return SplitVector(h, v, P)
 
 

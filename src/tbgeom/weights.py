@@ -236,12 +236,13 @@ def almost_kahler_complete(a, epsilon=-1, t_domain=(0.0, math.inf), name=None):
     """
 
     def b(t):
-        # a' is the derivative series of a at a seed, composed with t
+        # a' is the derivative series of a at a seed, composed with t; its unknown top is NaN
         s = a(Taylor.var(t.v if isinstance(t, Series) else t))
         if not isinstance(s, Taylor):
             return 0.0
         ap = s.derivative()
-        apt = t.compose(ap.v, ap.d1, ap.d2, ap.d3) if isinstance(t, Series) else ap.v
+        apt = (t.compose(*(ap.v, ap.d1, ap.d2, math.nan)[: t.order + 1])
+               if isinstance(t, Series) else ap.v)
         return apt * (1 + t * apt / (2 * a(t)))
 
     pair = WeightPair(a, b, epsilon, t_domain, name or "almost_kahler_complete")

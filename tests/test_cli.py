@@ -112,6 +112,17 @@ def test_kahler_not_closed_control_reads_at_least_four_points():
     assert sorted(set(suite["sample_indices"])) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize("seed", [3, 18, 43])
+def test_almost_kahler_control_reads_at_least_four_points(seed):
+    # at one sample the cg_not_almost_kahler control rested on one draw, and at these
+    # seeds that draw's |dOmega| (1.8e-3, 9.7e-5 and 3.7e-3) was under the 1e-2 floor
+    doc = json.loads((CONFIGS / "cg_sphere.json").read_text())
+    doc.update(suites=["almost_kahler"], samples=1, seed=seed, out=None)
+    suite = cli.run(cli.load_config(doc))["suites"][0]
+    assert suite["passed"], suite["controls"]
+    assert sorted(set(suite["sample_indices"])) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_base_checks_pass_near_the_edge_of_the_hyperbolic_chart(seed):
     # c = -1 is admissible at |x| < 2; at |x| ~ 1.99 |Gamma| reaches 5e2, and the plain
@@ -281,11 +292,33 @@ def test_connection_suite_reads_gamma_once_per_horizontal_lift(monkeypatch):
     monkeypatch.setattr(bg, "_metric_and_christoffel", counted)
     ctx = connection_context(5)
     assert run_suite("connection", ctx).passed
-    # the oracle connection on the 1 + 4 * 4 points of every sample's stencil, then
-    # X^H at the samples' points, once for the HH and HV cases, then Y^H on the
-    # 5-point stencil of every sample in the HH and the VH case
+    # the oracle connection on the 1 + 4 * 4 points of every sample's stencil, then Y^H
+    # on the 5-point stencils along X^H and X^V of every sample, as one stack; X^H at
+    # the samples' points reads their own Gamma, which the closed forms' jets gave
     n = ctx.samples
-    assert rows == [17 * n, n, 5 * n, 5 * n]
+    assert rows == [17 * n, 10 * n]
+
+
+def test_curvature_suite_makes_one_bundle_curvature_call_per_slot_case(monkeypatch):
+    cases, general = [], []
+    curvature, curvature_general = tb.bundle_curvature, tb.bundle_curvature_general
+
+    def counted(w, base, P, case, *vectors):
+        cases.append(case)
+        return curvature(w, base, P, case, *vectors)
+
+    def counted_general(w, base, P, *vectors):
+        general.append(vectors[0].h.shape)
+        return curvature_general(w, base, P, *vectors)
+
+    monkeypatch.setattr(tb, "bundle_curvature", counted)
+    monkeypatch.setattr(tb, "bundle_curvature_general", counted_general)
+    ctx = connection_context(8)
+    assert run_suite("curvature", ctx).passed
+    # the six slot cases against the oracle, then the six distinct R(A, B)C of the
+    # symmetry control as one stacked general call, which makes one call per slot case
+    assert general == [(6, ctx.samples // 4, 2)]
+    assert cases == list(suites._SLOT_CASES) * 2
 
 
 def test_lck_suite_makes_one_chart_evaluation(monkeypatch):

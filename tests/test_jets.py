@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from tbgeom import base_geometry as bg
+from tbgeom import jets
 from tbgeom.jets import Jet, Taylor, exp, log, sqrt
 
 
@@ -34,9 +36,9 @@ def test_scalar_functions_match_finite_differences(func, ref):
     assert j.v == pytest.approx(g(t0), abs=1e-12)
     assert j.d1 == pytest.approx(fd4(g, t0), abs=1e-9)
     assert j.d2 == pytest.approx(fd4(lambda s: fd4(g, s), t0, h=3e-3), abs=1e-6)
-    # third order against the general Jet seeded in one variable
+    # second order against the general Jet seeded in one variable
     x = Jet.seed([t0])[0]
-    assert j.d3 == pytest.approx(func(x * x + 0.5).d3[0, 0, 0], rel=1e-12)
+    assert j.d2 == pytest.approx(func(x * x + 0.5).d2[0, 0], rel=1e-12)
 
 
 def test_mixed_partials_symmetric():
@@ -57,7 +59,7 @@ def test_division_and_power():
     assert f.d1 == pytest.approx(fd4(g, 1.5), abs=1e-7)
     x = Jet.seed([1.5])[0]
     ref = (x ** 3 + 1.0) / (2.0 - x)
-    assert [f.d2, f.d3] == pytest.approx([ref.d2[0, 0], ref.d3[0, 0, 0]], rel=1e-12)
+    assert f.d2 == pytest.approx(ref.d2[0, 0], rel=1e-12)
     assert (t ** -2).v == pytest.approx(1.5 ** -2)
 
 
@@ -69,9 +71,8 @@ def test_jet_derivative_is_jet_evaluable():
     ap = a(Taylor.var(0.5)).derivative()
     assert ap.v == pytest.approx(np.exp(0.5) * 1.5)
     assert ap.d1 == pytest.approx(np.exp(0.5) * 2.5)
-    assert ap.d2 == pytest.approx(np.exp(0.5) * 3.5)
-    # its third derivative would need a'''' and is unknown, never a finite guess
-    assert math.isnan(ap.d3)
+    # its second derivative would need a''' and is unknown, never a finite guess
+    assert math.isnan(ap.d2)
     # it takes part in further jet arithmetic: (a'^2)' = 2 a' a''
     assert (ap * ap).d1 == pytest.approx(2 * ap.v * ap.d1)
 
@@ -132,3 +133,36 @@ def test_jets_of_different_orders_do_not_combine():
     for order in (0, 2, 4):
         with pytest.raises(ValueError, match="order must be 1 or 3"):
             Jet.seed([0.5], order)
+
+
+def test_a_taylor_series_carries_the_value_and_two_derivatives():
+    t = Taylor.var(0.5)
+    f = exp(sqrt(t) * log(t + 2.0)) / (1.0 + t) ** 1.5
+    assert Taylor.__slots__ == ("v", "d1", "d2") and f.order == 2
+    x = Jet.seed([0.5])[0]
+    ref = exp(sqrt(x) * log(x + 2.0)) / (1.0 + x) ** 1.5
+    assert (f.v, f.d1, f.d2) == (ref.v, ref.d1[0], ref.d2[0, 0])
+
+
+def test_first_order_jets_take_no_power_above_the_second(monkeypatch):
+    # an order-1 jet reads only f' of reciprocal, sqrt, log and **, whose powers of the
+    # value stop at u^2; the third and fourth powers are in the higher factors
+    exponents = []
+    pow_ = jets._pow
+
+    def counted(u, p):
+        exponents.append(p)
+        return pow_(u, p)
+
+    monkeypatch.setattr(jets, "_pow", counted)
+    x = np.array([[0.1, -0.2], [0.3, 0.05]])
+    first = bg.SpaceForm(1.0, 2).derivatives(x, 1)
+    assert exponents and max(exponents) < 3
+    exponents.clear()
+    full = bg.SpaceForm(1.0, 2).derivatives(x, 3)
+    assert max(exponents) >= 3
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, full))
+    exponents.clear()
+    u, v = Jet.seed([0.7, 1.3], 1)
+    sqrt(u * v), log(u + v), (u * v) ** 1.5, (u * v).reciprocal()
+    assert max(exponents) < 3

@@ -603,3 +603,13 @@ def test_lck_terms_build_one_chart_point_per_distinct_point(monkeypatch, m):
     # (4 along each of the 3 vectors); the d(lee) stencil along v1 and v2 is 8 of those 12
     assert calls == [13]
     assert got == expected
+
+
+def test_an_ill_conditioned_metric_warns_once_naming_its_point():
+    # g = diag(1, 1e-10 + x^2): condition 1e10 at x = 0, about 1 at x = 1
+    metric = bg.diagonal_polynomial(2, [[{"c": 1.0, "powers": [0, 0]}],
+                                        [{"c": 1e-10, "powers": [0, 0]},
+                                         {"c": 1.0, "powers": [2, 0]}]])
+    with pytest.warns(UserWarning) as caught:
+        orc.fd_connection(metric, np.array([[1.0, 0.5], [0.0, 0.5]]))
+    assert [str(w.message) for w in caught] == ["metric conditioning 1.00e+10 at [0.  0.5]"]

@@ -256,6 +256,44 @@ def test_sphere_bundle_oracle_evaluation_counts(monkeypatch):
     assert calls["matrix"] == 1 and calls["rows"] == 1 + 8 * 2
 
 
+def test_t1_connection_fd_makes_one_chart_point_per_field_evaluation(monkeypatch):
+    rows = []
+    chart_point = orc._chart_point
+
+    def counted(base, q):
+        rows.append(len(q))
+        return chart_point(base, q)
+
+    monkeypatch.setattr(orc, "_chart_point", counted)
+    P = unit_points(SF1, [(p.x, p.u) for p in (unit_point(SF1, [0.2, -0.1], [0.8, 0.45]),
+                                                unit_point(SF1, [-0.3, 0.1], [0.2, 0.9]))])
+    sb.t1_connection_fd(P, CG, np.array(["dY", "Yd"]), np.array([0, 1]), np.array([1, 0]))
+    # the ambient metric on the 1 + 8m connection stencil of both rows, then the second
+    # field on the 5-point stencil along the first, whose H and Y parts share one chart
+    # point; the first field at P reads P itself
+    assert rows == [2 * (1 + 8 * 2), 2 * 5]
+
+
+def test_isometry_and_k_contact_evaluate_each_pair_once_per_point(monkeypatch):
+    calls = []
+    evaluate = WeightPair.eval
+
+    def counted(self, t):
+        calls.append(self.name)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(WeightPair, "eval", counted)
+    pts = [(p.x, p.u) for p in (unit_point(SF1, [0.2, -0.1], [0.8, 0.45]),
+                                unit_point(SF1, [-0.3, 0.1], [0.2, 0.9]))]
+    w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
+    sb.isometry_residuals(w4, unit_points(SF1, pts), radii=(None, 1.0))
+    # a(1/2) is read from the unit point's values; Sasaki's at each radius-r point
+    assert calls == ["a4", "sasaki", "sasaki"]
+    calls.clear()
+    sb.k_contact_verdict(CG, unit_points(SF1, pts))
+    assert calls == ["cheeger_gromoll"]
+
+
 def test_rescaled_contact_metric_condition():
     rng = np.random.default_rng(4)
     # the radius-r bundle of any weight pair, the paper's two bundles first
