@@ -166,11 +166,11 @@ def write_report(report, out_path, fmt):
     out = Path(out_path)
     written = []
     if fmt in ("json", "both"):
-        p = out.with_suffix(".json")
+        p = out.with_name(out.name + ".json")
         p.write_text(json.dumps(report, indent=2, sort_keys=True))
         written.append(p)
     if fmt in ("csv", "both"):
-        p = out.with_suffix(".csv")
+        p = out.with_name(out.name + ".csv")
         with p.open("w", newline="") as fh:
             wr = csv.writer(fh)
             wr.writerow(["suite", "sample_index", "residual", "tolerance", "pass"])

@@ -5,20 +5,22 @@ bundle metric is realized as an explicit 2m x 2m component matrix and all
 derived objects (connection, curvature, exterior derivatives, Nijenhuis
 tensor) are obtained by one quotient rule: central differences at the steps
 h and h/2, combined by one Richardson extrapolation step.  This module is the
-only place that differences on a chart, and every derivative follows one
-pattern: ``_stencil`` lays out the call's stencil as one array (q, then the
-points stepped to along each direction, on axis 0), ``_evaluate`` runs the
-map once on the array's distinct rows and lays the values out as the points
-are, and ``_quotients`` differences the values by their position in the
-stencil.  ``fd_connection`` is the metric on the coordinate stencil,
-differenced into the Levi-Civita symbols; ``fd_curvature`` is the same rule
-applied to the connection on the outer stencil, with the metric of all inner
-stencils evaluated as one stack.
+only place that differences on a chart or lays out a stencil, and every
+derivative follows one pattern: ``_stencil`` lays out the call's stencil as one
+array (q, then the points stepped to along each direction, on axis 0),
+``_evaluate`` runs the map once on the array's distinct rows and lays the values
+out as the points are, and ``_quotients`` differences the values by their
+position in the stencil.  ``fd_connection`` is the metric on the coordinate
+stencil, differenced into the Levi-Civita symbols; ``fd_curvature`` is the same
+rule applied to the connection on the outer stencil, with the metric of all
+inner stencils evaluated as one stack.  ``fd_exterior_derivative`` evaluates a
+map of points once on the stencil along its vectors and returns, for each form
+the map gives (a covector or a matrix), its value at q and its exterior
+derivative; the suites' dOmega and d(lee) and the sphere bundle's d(eta) are
+its calls.
 The metric is any object with ``matrix(q)`` on a stack of points: the
 induced metric, whose stack's distinct base points x are evaluated as one
-stack of first-order jets, or a base ``ChartMetric``.  The public callables
-(``fd_directional``, ``fd_exterior_derivative``) evaluate their function at
-each stencil point, a point or a stack, and feed the same quotient rule.
+stack of first-order jets, or a base ``ChartMetric``.
 ``_chart_point`` takes a point q or an (n, 2m) stack and returns a
 ``TangentPoint`` at (x, y): g and Gamma at the distinct x from one stacked
 first-order jet evaluation (Gamma is set on the point, which never evaluates
@@ -57,7 +59,6 @@ __all__ = [
     "fd_curvature",
     "fd_exterior_derivative",
     "fd_nijenhuis",
-    "fd_directional",
     "lift_field",
     "fd_lift_connection",
 ]
@@ -223,47 +224,31 @@ def fd_curvature(metric, q, h=1e-4):
     return bg._curvature_from(gamma[0], dgamma)
 
 
-def fd_directional(fun, q, v, h=1e-4):
-    """Directional derivative of a scalar- or array-valued function, evaluated at each
-    point the quotient rule steps to (a point, or a stack where q is one)."""
-    q = np.asarray(q, dtype=float)
-    points = _stencil(q, [np.asarray(v, dtype=float)], h)[1:]
-    return _quotients([fun(p) for p in points], h)[0]
-
-
-def _alternating(along, vectors):
-    # the 1/(k+1)-normalized exterior derivative from along(i, rest): the derivative
-    # along vectors[i] of the form on the other vectors
-    vectors, total = list(vectors), 0.0
-    for i in range(len(vectors)):
-        total += (-1.0) ** i * along(i, vectors[:i] + vectors[i + 1 :])
-    return total / len(vectors)
-
-
-def fd_exterior_derivative(form, q, vectors, h=1e-4):
-    """Numeric exterior derivative on constant coordinate-extended vectors.
-
-    ``form(q, v_1, .., v_k)`` evaluates the k-form; the result follows the
-    1/(k+1)-normalized convention (brackets of constant fields vanish).
-    """
+def fd_exterior_derivative(fun, q, vectors, h=1e-4):
+    """The value at q and the numeric exterior derivative of each form that ``fun``, a
+    map of points, returns, from one evaluation of ``fun`` on the stencil along all of
+    ``vectors``.  A covector is a 1-form, differentiated along ``vectors[:2]``, and a
+    matrix a 2-form, along ``vectors[:3]``, on constant coordinate-extended vectors in
+    the 1/(k+1)-normalized convention (brackets of constant fields vanish); each form
+    is contracted with the other vectors at every stencil point before the quotient.
+    q may be a point or a stack of them, and a vector one per row.  Returns a (value,
+    derivative) pair, or a tuple of them where ``fun`` returns a tuple."""
     q = np.asarray(q, dtype=float)
     vectors = [np.asarray(v, dtype=float) for v in vectors]
+    points = _stencil(q, vectors, h)
 
-    def along(i, rest):
-        return fd_directional(lambda p: form(p, *rest), q, vectors[i], h=h)
+    def derivative(values):
+        # (-1)^i times the quotient along vectors[i] of the form on the other vectors
+        vecs, total = vectors[: values.ndim - points.ndim + 2], 0.0
+        for i in range(len(vecs)):
+            form, rest = values[1 + 4 * i : 5 + 4 * i], vecs[:i] + vecs[i + 1 :]
+            for v in rest[:-1]:
+                form = bg._vg(v, form)
+            total += (-1.0) ** i * _quotients(np.vecdot(form, rest[-1]), h)[0]
+        return values[0], total / len(vecs)
 
-    return _alternating(along, vectors)
-
-
-def _exterior(values, form, vectors, h):
-    """``fd_exterior_derivative`` of the k-form ``form(value, v_1, .., v_k)`` of a map's
-    values, laid out by ``_evaluate`` on the ``_stencil`` along a list of vectors that
-    begins with ``vectors``; each form value is taken before the quotient, as there."""
-
-    def along(i, rest):
-        return _quotients(form(values[1 + 4 * i : 5 + 4 * i], *rest), h)[0]
-
-    return _alternating(along, vectors)
+    out = _evaluate(fun, points)
+    return tuple(map(derivative, out)) if isinstance(out, tuple) else derivative(out)
 
 
 def fd_nijenhuis(base, w, q, U, V, h=1e-5):

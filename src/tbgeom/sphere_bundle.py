@@ -234,8 +234,7 @@ def deta_numeric(P, w, vectors, h=1e-4, rescaled=True):
         base._checked(C.gx, C.x)
         return _structure(C, w, rescaled).eta
 
-    eta = orc._evaluate(extended_eta, orc._stencil(P.q, [U, V], h))
-    return np.moveaxis(orc._exterior(eta, np.vecdot, [U, V], h), 0, -1)
+    return np.moveaxis(orc.fd_exterior_derivative(extended_eta, P.q, [U, V], h)[1], 0, -1)
 
 
 def _residual_vectors(P, w):

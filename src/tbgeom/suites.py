@@ -184,33 +184,17 @@ def _suite_base_checks(ctx, rng, res):
     return cols
 
 
-def _forms(base, w, q, vecs, h):
-    # Omega and the Lee covector of w at q and on the exterior-derivative stencil along
-    # vecs (of every row of a stack), from one chart evaluation of them all
-    def forms(qs):
-        C = orc._chart_point(base, qs)
-        return orc.omega_matrix(C, w), orc.lee_covector(C, w)
-
-    return orc._evaluate(forms, orc._stencil(q, vecs, h))
-
-
-def _domega(Om, vecs, h):
-    """Numeric dOmega(v1, v2, v3) at q, or at each row of a stack, from the fundamental
-    form on the stencil of ``_forms``."""
-
-    def omega_form(Om, v1, v2):
-        return np.vecdot(bg._vg(v1, Om), v2)
-
-    return orc._exterior(Om, omega_form, vecs, h)
-
-
 def _lck_terms(base, w, q, vecs, h):
     """dOmega(v1, v2, v3), (lee ^ Omega)(v1, v2, v3) and d(lee)(v1, v2) at q, or at each
     row of a stack, from one chart evaluation of q and the dOmega stencil (the d(lee)
     stencil is part of it)."""
-    Om, lee = _forms(base, w, q, vecs, h)
-    dlee = orc._exterior(lee, np.vecdot, vecs[:2], h)
-    return _domega(Om, vecs, h), orc.wedge_1_2(lee[0], Om[0], *vecs), dlee
+
+    def forms(qs):
+        C = orc._chart_point(base, qs)
+        return orc.omega_matrix(C, w), orc.lee_covector(C, w)
+
+    (Om, dom), (lee, dlee) = orc.fd_exterior_derivative(forms, q, vecs, h)
+    return dom, orc.wedge_1_2(lee, Om, *vecs), dlee
 
 
 def _unit(v, g):  # each row of v scaled to g-unit length
@@ -256,11 +240,16 @@ def _suite_almost_kahler(ctx, rng, res):
     cg = named_family("cheeger_gromoll")
     # at least 4 points, so that the cg_not_almost_kahler control does not rest on one draw
     P, vecs = _draw(ctx, rng, max(4, ctx.samples), (3, 2 * m), weights=pair)
-    dom = _domega(_forms(base, pair, P.q, vecs, ctx.h)[0], vecs, ctx.h)
+
+    def domega(w, vecs):  # numeric dOmega of w along vecs at the rows of P
+        return orc.fd_exterior_derivative(
+            lambda qs: orc.omega_matrix(orc._chart_point(base, qs), w), P.q, vecs, ctx.h)[1]
+
+    dom = domega(pair, vecs)
     # negative control: non-closedness is an existence claim, so the
     # Cheeger-Gromoll form must be visibly non-closed somewhere on the sample
     vh, v1, v2 = np.eye(2 * m)[[0, m, 2 * m - 1]]
-    cg_domega = _domega(_forms(base, cg, P.q, [vh, v1, v2], ctx.h)[0], [vh, v1, v2], ctx.h)
+    cg_domega = domega(cg, [vh, v1, v2])
     res.controls.append(Control("cg_not_almost_kahler", float(np.max(abs(cg_domega))), 1e-2, "min"))
     return {"domega": abs(dom), "lee_coef": abs(P.coeffs(pair).lee_coef)}
 
@@ -416,7 +405,7 @@ _SPHERE_DRAWS = (3 * 3 + 2 * 2) * 2  # per sample: 3 pairs per structure, 2 per 
 
 
 def _suite_sphere_bundle(ctx, rng, res):
-    base, w, m = ctx.base, ctx.weights, ctx.base.dim
+    w, m = ctx.weights, ctx.base.dim
     sas = named_family("sasaki")
     # per sample: (x, u), then the normals of its checks below, in the order they read them
     P, normals = _units(ctx, rng, max(2, ctx.samples // 4), (_SPHERE_DRAWS, 2 * m))
@@ -449,7 +438,7 @@ def _suite_sphere_bundle(ctx, rng, res):
                 [abs(bg._gv(S.phi, S.xi)).max(-1), abs(np.vecdot(S.eta, S.xi) - 1.0)], -1)
         # induced metric displays vs ambient restriction
         G_dd, G_dv, G_vv = sb.induced_metric(P, ww)
-        amb = orc.InducedMetric(base, ww).matrix(P.q)
+        amb = orc._metric_matrix(P, ww)
         deltas, verts = sb.generators(P)
         dT, vT = np.swapaxes(deltas, -1, -2), np.swapaxes(verts, -1, -2)
         cols[f"{tag} G_dd, G_dv, G_vv"] = np.stack([abs(A).max(axis=(-2, -1)) for A in (

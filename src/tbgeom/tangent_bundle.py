@@ -280,7 +280,7 @@ def nijenhuis(w, base, P, X, Y, slots):
     ru = partial(bg._on, P.Ru[0])  # R(X, Y)u
     gxu, gyu = _dot(X, P.gu), _dot(Y, P.gu)
     if slots == "HH":
-        hh = bg._per_row(_hh_coef(d.values, w.epsilon), 1)
+        hh = bg._per_row(_hh_coef(d), 1)
         return SplitVector.vertical(hh * (gxu * Y - gyu * X) + ru(X, Y), P)
     if slots == "VV":
         # g(X,u) restored on the R_{Yu}u term by antisymmetry of N
@@ -394,34 +394,41 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
 def bundle_curvature_general(w, base, P, U, V, W):
     """R(U, V) W for arbitrary split vectors, by multilinear expansion.
 
-    The nonzero slot terms, all at P, are summed on their h and v arrays in order,
-    from one ``bundle_curvature`` call per slot case (the two HVH terms are stacked,
-    and so are the two HVV terms).  On stacks a term nonzero in some row is evaluated
-    for every row; where its slot vector is zero it adds exactly 0.0, which leaves
-    each sum unchanged.
+    The vectors broadcast against each other and the point, and may carry a leading
+    axis k beyond the axes of the point; without one, the whole stack is one k.  Each slot term is evaluated only at the k where its three
+    slot vectors are nonzero, from one ``bundle_curvature`` call per slot case (the two
+    HVH terms share one, and so do the two HVV terms); a term live at every k is
+    evaluated on the vectors as they are.  The terms are added to the h and v sums in
+    order, each at the k where it is evaluated.
     """
     check_base(base, P)
-    uh, uv, vh, vv, wh, wv = (np.any(a) for a in (U.h, U.v, V.h, V.v, W.h, W.v))
-    live = [t for t in (
-        ("HHH", U.h, V.h, W.h, 1.0, uh and vh and wh),
-        ("HHV", U.h, V.h, W.v, 1.0, uh and vh and wv),
-        ("HVH", U.h, V.v, W.h, 1.0, uh and vv and wh),
-        ("HVV", U.h, V.v, W.v, 1.0, uh and vv and wv),
-        ("HVH", V.h, U.v, W.h, -1.0, vh and uv and wh),
-        ("HVV", V.h, U.v, W.v, -1.0, vh and uv and wv),
-        ("VVH", U.v, V.v, W.h, 1.0, uv and vv and wh),
-        ("VVV", U.v, V.v, W.v, 1.0, uv and vv and wv),
-    ) if t[5]]
-    parts = {}  # R(X, Y)Z of each live term, by its position in ``live``
-    for case in dict.fromkeys(t[0] for t in live):
-        at = [n for n, t in enumerate(live) if t[0] == case]
-        r = bundle_curvature(w, base, P, case, *(
-            np.stack(np.broadcast_arrays(*(live[n][k] for n in at))) for k in (1, 2, 3)))
-        parts.update((n, (r.h[i], r.v[i])) for i, n in enumerate(at))
-    h = v = np.zeros(P.base.dim)
-    for n, t in enumerate(live):
-        h, v = h + t[4] * parts[n][0], v + t[4] * parts[n][1]
-    return SplitVector(h, v, P)
+    *slots, _ = np.broadcast_arrays(U.h, U.v, V.h, V.v, W.h, W.v, P.u)
+    one_k = slots[0].ndim == P.u.ndim
+    if one_k:
+        slots = [a[None] for a in slots]
+    nonzero = [np.any(a, axis=tuple(range(1, a.ndim))) for a in slots]  # per k
+    terms = []  # (case, its slots' positions in ``slots``, sign, the k it is live at)
+    for case, ijk, sign in (
+        ("HHH", (0, 2, 4), 1.0), ("HHV", (0, 2, 5), 1.0), ("HVH", (0, 3, 4), 1.0),
+        ("HVV", (0, 3, 5), 1.0), ("HVH", (2, 1, 4), -1.0), ("HVV", (2, 1, 5), -1.0),
+        ("VVH", (1, 3, 4), 1.0), ("VVV", (1, 3, 5), 1.0),
+    ):
+        live = nonzero[ijk[0]] & nonzero[ijk[1]] & nonzero[ijk[2]]
+        if live.any():
+            terms.append((case, ijk, sign, slice(None) if live.all() else live))
+    parts = [None] * len(terms)  # R(X, Y)Z of each term, at the k it is live at
+    for case in dict.fromkeys(t[0] for t in terms):
+        at = [n for n, t in enumerate(terms) if t[0] == case]
+        pieces = [[slots[i][terms[n][3]] for i in terms[n][1]] for n in at]
+        r = bundle_curvature(w, base, P, case, *map(np.concatenate, zip(*pieces)))
+        ends = np.cumsum([0] + [len(p[0]) for p in pieces])
+        for n, lo, hi in zip(at, ends, ends[1:]):
+            parts[n] = r.h[lo:hi], r.v[lo:hi]
+    h, v = np.zeros(slots[0].shape), np.zeros(slots[0].shape)
+    for (_, _, sign, k), (th, tv) in zip(terms, parts):
+        h[k] += sign * th
+        v[k] += sign * tv
+    return SplitVector(h[0], v[0], P) if one_k else SplitVector(h, v, P)
 
 
 def area_squared(w, P, U, V):
@@ -467,9 +474,10 @@ def scalar_curvature(w, base, P, mode="closed"):
     + ((1-m)/a)(m F2 + 4t F3); the -a/2 coefficient is the
     oracle-verified one (the horizontal-vertical sectional block carries a
     weight a).  ``basis`` sums g_A(R(E_a, E_b) E_b, E_a) in (a, b) order over
-    the ordered pairs a != b of the adapted orthonormal basis, from four
-    batched ``bundle_curvature`` calls (HHH, HVV, -HVH, VVV); both modes
-    agree with the coordinate oracle.  Both sums add their terms in order.
+    the ordered pairs a != b of the adapted orthonormal basis, from one
+    ``bundle_curvature_general`` call with the pairs on its k axis (each pair
+    has one live slot term: HHH, HVV, -HVH or VVV); both modes agree with the
+    coordinate oracle.  Both sums add their terms in order.
     """
     check_base(base, P)
     m = base.dim
@@ -478,17 +486,8 @@ def scalar_curvature(w, base, P, mode="closed"):
         E = adapted_basis(w, P)
         Eh, Ev = (np.stack([getattr(e, part) for e in E]) for part in "hv")
         al, be = np.nonzero(~np.eye(2 * m, dtype=bool))
-        Ah, Av, Bh, Bv = Eh[al], Ev[al], Eh[be], Ev[be]
-        Rh, Rv = np.zeros(Ah.shape), np.zeros(Ah.shape)
-        for case, rows, X, Y, Z, sign in (
-            ("HHH", (al < m) & (be < m), Ah, Bh, Bh, 1.0),
-            ("HVV", (al < m) & (be >= m), Ah, Bv, Bv, 1.0),
-            ("HVH", (al >= m) & (be < m), Bh, Av, Bh, -1.0),
-            ("VVV", (al >= m) & (be >= m), Av, Bv, Bv, 1.0),
-        ):
-            r = bundle_curvature(w, base, P, case, *(A[rows] for A in (X, Y, Z)))
-            Rh[rows], Rv[rows] = sign * r.h, sign * r.v
-        num = bundle_metric(w, P, SplitVector(Rh, Rv, P), SplitVector(Ah, Av, P))
+        A, B = SplitVector(Eh[al], Ev[al], P), SplitVector(Eh[be], Ev[be], P)
+        num = bundle_metric(w, P, bundle_curvature_general(w, base, P, A, B, B), A)
         return _scalar(np.cumsum(num, axis=0)[-1])  # one pair at a time, in (a, b) order
     R = P.R
     scal = np.einsum("...kj,...kj->...", np.linalg.inv(P.gx), np.einsum("...ikij->...kj", R))

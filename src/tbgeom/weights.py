@@ -167,13 +167,6 @@ def _ab_coeffs(w: WeightValues, epsilon: int):
     return A, B
 
 
-def _lee_coef(w: WeightValues, epsilon: int):
-    # oracle-adjudicated Lee coefficient: (1/sqrt(a)) (a'/(2 sqrt(a)) + B(t))
-    _, B = _ab_coeffs(w, epsilon)
-    sa = _sqrt(w.a)
-    return (w.ap / (2 * sa) + B) / sa
-
-
 def derived_coeffs(pair: WeightPair, t):
     """Connection, curvature, complex-structure and Lee coefficients at a float t
     or at each t of a 1-D array."""
@@ -194,19 +187,20 @@ def _coeffs_from(w: WeightValues, epsilon: int):
     F2 = L - M * (1 + 2 * tt * L)
     F3 = N - (Mp + M * M + 2 * tt * M * N)
     A, B = _ab_coeffs(w, epsilon)
-    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, _lee_coef(w, epsilon), w)
+    sa = _sqrt(a)
+    lee = (ap / (2 * sa) + B) / sa  # the oracle-adjudicated (1/sqrt(a)) (a'/(2 sqrt(a)) + B)
+    return DerivedCoefficients(L, M, N, F1, F2, F3, A, B, lee, w)
 
 
-def _hh_coef(w: WeightValues, epsilon: int):
+def _hh_coef(d: DerivedCoefficients):
     # coefficient of g(X,u)Y - g(Y,u)X in the HH Nijenhuis tensor
-    A, _ = _ab_coeffs(w, epsilon)
-    a, ap = w.a, w.ap
-    return -ap / (2 * a * a) + (a + w.t * ap) / (a * _sqrt(a)) * A
+    a, ap = d.values.a, d.values.ap
+    return -ap / (2 * a * a) + (a + d.values.t * ap) / (a * _sqrt(a)) * d.A_coef
 
 
 def integrability_constant(pair: WeightPair, t):
     """c(t) = -a'/(2a^2) + ((a + t a')/(a sqrt(a))) A(t); constant iff integrable."""
-    return _hh_coef(pair.eval(t), pair.epsilon)
+    return _hh_coef(derived_coeffs(pair, t))
 
 
 def kahler_system_residuals(pair: WeightPair, t, c):

@@ -1,7 +1,9 @@
 """Random draws and reference kernels shared by the tests: t inside a weight pair's domain,
 split vectors, the one-by-one rejection sampler that ``SuiteContext.draw`` must reproduce,
-and the einsum forms of the base jets and of the bundle curvature's slot cases that the
-matrix-product kernels of ``base_geometry`` and ``tangent_bundle`` must agree with."""
+the einsum forms of the base jets and of the bundle curvature's slot cases that the
+matrix-product kernels of ``base_geometry`` and ``tangent_bundle`` must agree with, and the
+point-by-point directional and exterior derivatives that the oracle's stacked stencils
+must agree with."""
 
 import math
 
@@ -154,3 +156,24 @@ def reference_bundle_curvature(w, P, case, X, Y, Z):
         return zero, (F1 * gzu * (gxu * Y - gyu * X) + F2 * (gxz * Y - gyz * X)
                       + F3 * (gxz * gyu - gyz * gxu) * u)
     raise ValueError(case)
+
+
+def fd_directional(fun, q, v, h=1e-4):
+    """Directional derivative along v at q of a scalar- or array-valued function, each
+    point evaluated alone: the central quotients at the steps h and h/2, combined by one
+    Richardson step, (4 D(h/2) - D(h)) / 3, as the oracle's quotient rule."""
+    q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+    f = [np.asarray(fun(q + s * v)) - np.asarray(fun(q - s * v)) for s in (h, h / 2)]
+    return (4.0 * (f[1] / h) - f[0] / (2 * h)) / 3.0
+
+
+def fd_exterior_derivative(form, q, vectors, h=1e-4):
+    """Numeric exterior derivative of the k-form ``form(q, v_1, .., v_k)`` on constant
+    coordinate-extended vectors, in the 1/(k+1)-normalized convention (brackets of
+    constant fields vanish): the alternating sum of the ``fd_directional`` derivatives
+    of the form on the other vectors."""
+    vectors, total = [np.asarray(v, dtype=float) for v in vectors], 0.0
+    for i, v in enumerate(vectors):
+        rest = vectors[:i] + vectors[i + 1 :]
+        total += (-1.0) ** i * fd_directional(lambda p: form(p, *rest), q, v, h=h)
+    return total / len(vectors)

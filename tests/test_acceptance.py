@@ -28,7 +28,7 @@ from tbgeom.weights import (
     named_family,
     weights_from_spec,
 )
-from sampling import random_split_vector, sample_domain
+from sampling import fd_exterior_derivative, random_split_vector, sample_domain
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -62,7 +62,7 @@ def domega(base, w, q, vecs, h=1e-4):
     def om(qq, va, vb):
         return float(va @ orc.omega_matrix(orc._chart_point(base, qq), w) @ vb)
 
-    return orc.fd_exterior_derivative(om, q, vecs, h=h)
+    return fd_exterior_derivative(om, q, vecs, h=h)
 
 
 def lck_terms(base, w, q, vecs, h=1e-4):
@@ -73,7 +73,7 @@ def lck_terms(base, w, q, vecs, h=1e-4):
 
     C = orc._chart_point(base, q)
     wed = orc.wedge_1_2(orc.lee_covector(C, w), orc.omega_matrix(C, w), *vecs)
-    return domega(base, w, q, vecs, h), wed, orc.fd_exterior_derivative(lee1, q, vecs[:2], h=h)
+    return domega(base, w, q, vecs, h), wed, fd_exterior_derivative(lee1, q, vecs[:2], h=h)
 
 
 def domega_max(base, w, rng, n, h=1e-4):

@@ -1,6 +1,6 @@
 """The public surface: each module's ``__all__`` names exactly the functions and
-classes it defines without a leading underscore; and a point of T(M) is made in
-one module only."""
+classes it defines without a leading underscore; a point of T(M) is made in one
+module only; and only the oracle lays out, evaluates and differences stencils."""
 
 import ast
 import importlib
@@ -37,3 +37,15 @@ def test_only_tangent_bundle_calls_the_tangent_point_class(name):
                  getattr(node.func, "id", None) == "TangentPoint"
                  or getattr(node.func, "attr", None) == "TangentPoint")]
     assert name == "tangent_bundle" or calls == [], f"{path.name} calls TangentPoint at {calls}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_only_the_oracle_lays_out_and_differences_stencils(name):
+    # every other module differences through the oracle's public routines, so the stencil
+    # layout, its evaluation and the quotient rule are decided in one place
+    path = Path(importlib.import_module(f"tbgeom.{name}").__file__)
+    private = {"_stencil", "_evaluate", "_quotients"}
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in private
+                                                or getattr(node.func, "attr", None) in private)]
+    assert name == "oracle" or calls == [], f"{path.name} calls a stencil helper at {calls}"

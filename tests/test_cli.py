@@ -123,6 +123,21 @@ def test_almost_kahler_control_reads_at_least_four_points(seed):
     assert sorted(set(suite["sample_indices"])) == [0, 1, 2, 3]
 
 
+def test_the_polynomial_base_config_catches_a_wrong_nabla_r(monkeypatch):
+    # the shipped space-form configs have nabla R = 0, so no nabla R term of the closed
+    # curvature reaches their verdicts; over this base a negated nabla R fails both
+    # suites that compare the closed curvature with the oracle's
+    doc = json.loads((CONFIGS / "cg_poly2.json").read_text())
+    doc.update(samples=4, seed=0, out=None)
+    rep = cli.run(cli.load_config(doc))
+    assert rep["all_passed"], [s["name"] for s in rep["suites"] if not s["passed"]]
+    monkeypatch.setattr(tb.TangentPoint, "NR", property(lambda self: -self._jets[2]))
+    doc.update(suites=["curvature", "oracle_cross"])
+    rep = cli.run(cli.load_config(doc))
+    assert [s["passed"] for s in rep["suites"]] == [False, False]
+    assert all(s["max_residual"] > 10 * s["tolerance"] for s in rep["suites"])
+
+
 @pytest.mark.parametrize("seed", [0, 1, 3])
 def test_base_checks_pass_near_the_edge_of_the_hyperbolic_chart(seed):
     # c = -1 is admissible at |x| < 2; at |x| ~ 1.99 |Gamma| reaches 5e2, and the plain
@@ -218,6 +233,20 @@ def test_cli_overrides(tmp_path):
     assert rep["config"]["samples"] == 3
     assert rep["config"]["seed"] == 5
     assert not (tmp_path / "r.csv").exists()
+
+
+def test_a_dotted_out_path_gets_the_suffix_appended(tmp_path):
+    # --out PATH writes PATH.json and PATH.csv, so runs named seed.7 and seed.8 keep
+    # their own files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_cfg(samples=2)))
+    for seed in ("7", "8"):
+        out = str(tmp_path / f"seed.{seed}")
+        assert cli.main(["verify", "--config", str(cfg_path), "--seed", seed, "--out", out,
+                         "--format", "both"]) == 0
+    written = sorted(p.name for p in tmp_path.iterdir() if p != cfg_path)
+    assert written == ["seed.7.csv", "seed.7.json", "seed.8.csv", "seed.8.json"]
+    assert json.loads((tmp_path / "seed.7.json").read_text())["config"]["seed"] == 7
 
 
 @pytest.mark.parametrize("h", ["0", "5"])
@@ -403,6 +432,21 @@ def test_sectional_suite_evaluates_the_weights_once_per_sample(monkeypatch):
     assert res.error is None and res.passed
     # one evaluation on the stack's t, one value per sample
     assert sizes == [ctx.samples]
+
+
+def test_sectional_suite_evaluates_each_plane_at_its_live_slot_terms(monkeypatch):
+    calls, curvature = [], tb.bundle_curvature
+
+    def counted(w, base, P, case, *vectors):
+        calls.append((case, vectors[0].shape))
+        return curvature(w, base, P, case, *vectors)
+
+    monkeypatch.setattr(tb, "bundle_curvature", counted)
+    ctx = sphere_context(4)
+    assert run_suite("sectional", ctx).passed
+    # the planes XH^YH, XH^YV and E_i^E_m (i < 3) of R(U, V)V: HHH on the first plane,
+    # HVV on the other four, at every sample
+    assert calls == [("HHH", (1, ctx.samples, 3)), ("HVV", (4, ctx.samples, 3))]
 
 
 def validate_at_shapes(monkeypatch):

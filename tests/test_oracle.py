@@ -9,6 +9,7 @@ import tbgeom.jets as jets
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
+from sampling import fd_directional, fd_exterior_derivative
 from tbgeom.suites import SuiteContext, _lck_terms, run_suite
 from tbgeom.weights import WeightDomainError, WeightPair, kahler_family, named_family
 
@@ -155,7 +156,7 @@ def test_exterior_derivative_conventions():
     rng = np.random.default_rng(5)
     for _ in range(3):
         v1, v2 = rng.standard_normal(4), rng.standard_normal(4)
-        assert abs(orc.fd_exterior_derivative(df, q, [v1, v2])) <= 1e-6
+        assert abs(fd_exterior_derivative(df, q, [v1, v2])) <= 1e-6
 
 
 def test_cg_fundamental_form_differential_structure():
@@ -174,15 +175,15 @@ def test_cg_fundamental_form_differential_structure():
     H = [np.concatenate([e, np.zeros(m)]) for e in np.eye(m)]
     V = [np.concatenate([np.zeros(m), e]) for e in np.eye(m)]
     # vanishing slots
-    assert abs(orc.fd_exterior_derivative(om, q, [H[0], H[1], V[0]])) <= 1e-6
-    assert abs(orc.fd_exterior_derivative(om, q, [V[0], V[1], H[0]]) - (
-        orc.fd_exterior_derivative(om, q, [H[0], V[0], V[1]]))) >= 0  # smoke
+    assert abs(fd_exterior_derivative(om, q, [H[0], H[1], V[0]])) <= 1e-6
+    assert abs(fd_exterior_derivative(om, q, [V[0], V[1], H[0]]) - (
+        fd_exterior_derivative(om, q, [H[0], V[0], V[1]]))) >= 0  # smoke
     # HVV slot structure: ratio to the displayed bracket is t-dependent only
     vals = []
     for (i, j, k) in [(0, 0, 1), (1, 0, 1)]:
         X, Y, Z = np.eye(m)[i], np.eye(m)[j], np.eye(m)[k]
         bracket = float((X @ g @ Y) * (Z @ gu) - (X @ g @ Z) * (Y @ gu))
-        d = orc.fd_exterior_derivative(om, q, [H[i], V[j], V[k]])
+        d = fd_exterior_derivative(om, q, [H[i], V[j], V[k]])
         vals.append((d, bracket))
     ratios = [d / b for d, b in vals if abs(b) > 1e-12]
     assert len(ratios) >= 2
@@ -227,7 +228,7 @@ def test_lee_covector_solves_lck_identity():
         Om = orc.omega_matrix(orc._chart_point(base, q), w)
         for _ in range(4):
             vs = [rng.standard_normal(4) for _ in range(3)]
-            dom = orc.fd_exterior_derivative(om, q, vs)
+            dom = fd_exterior_derivative(om, q, vs)
             assert dom == pytest.approx(orc.wedge_1_2(lee, Om, *vs), abs=1e-9)
 
 
@@ -243,17 +244,15 @@ def test_every_chart_derivative_steps_through_one_central_quotient(monkeypatch):
     monkeypatch.setattr(orc, "_quotients", counted)
     q = np.array([0.25, -0.1, 0.6, 0.4])
     U, V, W = np.eye(4)[0], np.eye(4)[3], np.array([0.3, -0.2, 0.5, 0.1])
-
-    def om(qq, va, vb):
-        return float(va @ orc.omega_matrix(orc._chart_point(SF1, qq), CG) @ vb)
-
     x, u = np.array([0.2, -0.1]), np.array([0.8, 0.45])
     P = tb.tangent_point(SF1, x, u / np.sqrt(u @ SF1.matrix(x) @ u), r=1.0)
     deltas, Ys = sb.generators(P)
     # (path, directions of each call of the one quotient rule)
     paths = {
         "fd_connection(ChartMetric)": (lambda: orc.fd_connection(SF1, q[:2]), [2]),
-        "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(om, q, [U, V, W]), [1] * 3),
+        # dOmega along U, V and W: Omega on the other two along each
+        "fd_exterior_derivative": (lambda: orc.fd_exterior_derivative(
+            lambda qs: orc.omega_matrix(orc._chart_point(SF1, qs), CG), q, [U, V, W]), [1] * 3),
         "fd_nijenhuis": (lambda: orc.fd_nijenhuis(SF1, CG, q, U, V), [4]),
         # the connection on the 4-dim chart, then one field derivative
         "t1_connection_fd": (lambda: sb.t1_connection_fd(P, CG, "dY", 0, 1), [4, 1]),
@@ -276,7 +275,7 @@ def test_a_step_that_does_not_move_the_point_raises():
             orc.fd_connection(im, q, h=h)
     # a step below the spacing of the floats at a coordinate leaves it where it was
     with pytest.raises(ValueError, match="underflows"):
-        orc.fd_directional(lambda p: p, np.array([1e20, 0.0]), [1.0, 0.0])
+        orc.fd_exterior_derivative(lambda p: p, np.array([1e20, 0.0]), [[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="underflows"):
         orc.fd_curvature(SF1, np.array([[0.1, 0.2], [0.3, 1e17]]))
 
@@ -442,7 +441,7 @@ def test_fd_connection_evaluates_its_stencil_as_one_stack(monkeypatch):
 
     im = orc.InducedMetric(SF1, CG)
     q = np.array([0.15, -0.2, 0.5, 0.6])
-    # the public quotients, every point evaluated alone where it is used
+    # the reference quotients, every point evaluated alone where it is used
     expected = bg._levi_civita(np.linalg.inv(im.matrix(q)), plain_partials(im.matrix, q))
     monkeypatch.setattr(orc.InducedMetric, "matrix", counted)
     got = orc.fd_connection(im, q)
@@ -462,7 +461,7 @@ def test_horizontal_lift_reads_one_christoffel_per_distinct_x(monkeypatch):
 
     # nabla_U V with V evaluated alone at each point, U = (0, X) the vertical lift
     U0 = np.concatenate([np.zeros(2), X])
-    expected = orc.fd_directional(plain_h, q, U0) + np.einsum("kij,i,j->k", gamma, U0, plain_h(q))
+    expected = fd_directional(plain_h, q, U0) + np.einsum("kij,i,j->k", gamma, U0, plain_h(q))
     rows = []
     metric_and_christoffel = bg._metric_and_christoffel
 
@@ -488,7 +487,7 @@ def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
         return orc.j_matrix(orc._chart_point(SF1, p), CG)
 
     J0 = J(q)
-    dJ = {k: orc.fd_directional(J, q, v, h=h) for k, v in
+    dJ = {k: fd_directional(J, q, v, h=h) for k, v in
           {"JU": J0 @ U, "JV": J0 @ V, "U": U, "V": V}.items()}
     expected = dJ["JU"] @ V - dJ["JV"] @ U + J0 @ (dJ["V"] @ U) - J0 @ (dJ["U"] @ V)
     rows = []
@@ -507,8 +506,8 @@ def test_fd_nijenhuis_evaluates_one_base_point_per_distinct_x(monkeypatch):
 
 
 def plain_partials(fun, q, h=1e-4):
-    # d_k fun(q) on axis 0, each from the public directional derivative
-    return np.stack([orc.fd_directional(fun, q, e, h=h) for e in np.eye(len(q))])
+    # d_k fun(q) on axis 0, each from the reference directional derivative
+    return np.stack([fd_directional(fun, q, e, h=h) for e in np.eye(len(q))])
 
 
 def _plain_fd_curvature(im, q, h=1e-4):
@@ -578,8 +577,8 @@ def lck_terms_from_public_maps(base, w, q, vecs, h):
 
     wed = orc.wedge_1_2(orc.lee_covector(orc._chart_point(base, q), w),
                         orc.omega_matrix(orc._chart_point(base, q), w), *vecs)
-    return (orc.fd_exterior_derivative(omega_form, q, vecs, h=h), wed,
-            orc.fd_exterior_derivative(lee_1form, q, vecs[:2], h=h))
+    return (fd_exterior_derivative(omega_form, q, vecs, h=h), wed,
+            fd_exterior_derivative(lee_1form, q, vecs[:2], h=h))
 
 
 @pytest.mark.parametrize("m", [2, 3])
@@ -603,6 +602,44 @@ def test_lck_terms_build_one_chart_point_per_distinct_point(monkeypatch, m):
     # (4 along each of the 3 vectors); the d(lee) stencil along v1 and v2 is 8 of those 12
     assert calls == [13]
     assert got == expected
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_fd_exterior_derivative_is_the_pointwise_reference_on_every_row(m):
+    base = bg.SpaceForm(1.0, m)
+    w = named_family("lck_example")
+    rng = np.random.default_rng(10 + m)
+    n = 3
+    qs = np.concatenate([rng.uniform(-0.3, 0.3, (n, m)), rng.uniform(-0.8, 0.8, (n, m))], -1)
+    vecs = rng.standard_normal((3, n, 2 * m))  # v1, v2, v3, one per row
+    calls = []
+
+    def forms(p):  # Omega, the Lee form and the eta of the radius-|y| bundle through p
+        calls.append(len(p))
+        C = orc._chart_point(base, p)
+        return (orc.omega_matrix(C, w), orc.lee_covector(C, w),
+                sb.contact_structure(C, w, rescaled=True).eta)
+
+    stacked = orc.fd_exterior_derivative(forms, qs, vecs)
+    # one evaluation, at the distinct points of the rows' stencils: q and 4 points along
+    # each of the 3 vectors, per row
+    assert calls == [n * 13]
+    for i, q in enumerate(qs):
+        vs = list(vecs[:, i])
+        single = orc.fd_exterior_derivative(forms, q, vs)
+        for (value, d), (one_value, one_d) in zip(stacked, single):
+            assert value[i].tobytes() == one_value.tobytes()
+            assert d[i].tobytes() == one_d.tobytes()
+
+        def covector(k):  # the k-th covector of ``forms`` on v, at a point alone
+            return lambda p, v: float(forms(p[None])[k][0] @ v)
+
+        reference = [fd_exterior_derivative(
+            lambda p, va, vb: float(va @ forms(p[None])[0][0] @ vb), q, vs),
+            fd_exterior_derivative(covector(1), q, vs[:2]),
+            fd_exterior_derivative(covector(2), q, vs[:2])]
+        # dOmega, d(lee) and d(eta), each the point-by-point quotient bit for bit
+        assert [d[i] for _, d in stacked] == reference
 
 
 def test_an_ill_conditioned_metric_warns_once_naming_its_point():

@@ -8,6 +8,7 @@ import tbgeom.base_geometry as bg
 import tbgeom.oracle as orc
 import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
+from sampling import fd_directional
 from tbgeom.suites import SuiteContext, run_suite
 from tbgeom.weights import WeightPair, named_family
 
@@ -529,7 +530,7 @@ def plain_deta(P, w, vectors, h=1e-4):
         return sb.contact_structure(orc._chart_point(P.base, q), w, rescaled=True).eta
 
     def along(U, V):
-        return orc.fd_directional(lambda q: float(eta(q) @ V), P.q, U, h=h)
+        return fd_directional(lambda q: float(eta(q) @ V), P.q, U, h=h)
 
     return np.array([(along(U, V) - along(V, U)) / 2 for U, V in vectors])
 

@@ -596,6 +596,18 @@ def test_general_curvature_makes_no_point_comparison(monkeypatch):
     assert calls == [1]
 
 
+def test_general_curvature_takes_one_vector_for_every_row_of_a_stacked_point():
+    # vectors of shape (m,) broadcast against the point's rows, as each vector tiled per row
+    rng = np.random.default_rng(31)
+    P = tb.tangent_point(SF1, rng.uniform(-0.3, 0.3, (4, 2)), rng.uniform(-0.8, 0.8, (4, 2)))
+    hv = rng.standard_normal((6, 2))
+    shared = [tb.SplitVector(hv[k], hv[k + 1], P) for k in (0, 2, 4)]
+    tiled = [tb.SplitVector(np.tile(A.h, (4, 1)), np.tile(A.v, (4, 1)), P) for A in shared]
+    got, want = (tb.bundle_curvature_general(CG, SF1, P, *vs) for vs in (shared, tiled))
+    assert got.h.shape == (4, 2)
+    assert got.h.tobytes() == want.h.tobytes() and got.v.tobytes() == want.v.tobytes()
+
+
 CASES = ("HHH", "HHV", "HVH", "HVV", "VVH", "VVV")
 
 
@@ -663,10 +675,14 @@ def test_basis_scalar_makes_four_slot_calls(monkeypatch):
         original = getattr(tb, name)
 
         def counted(*args, _seen=seen, _original=original):
-            _seen.append(args[3])
+            # a slot call's case and rows, a general call's rows
+            _seen.append((args[3], len(args[4])) if isinstance(args[3], str) else len(args[3].h))
             return _original(*args)
 
         monkeypatch.setattr(tb, name, counted)
     tb.scalar_curvature(CG, base, P, mode="basis")
-    assert calls == {"bundle_curvature": ["HHH", "HVV", "HVH", "VVV"],
-                     "bundle_curvature_general": []}
+    # one general call over the 30 ordered pairs of the adapted basis, in which each pair
+    # has one live slot term: HHH on the 6 horizontal pairs, HVV and -HVH on the 9 mixed
+    # pairs of each order, VVV on the 6 vertical pairs
+    assert calls == {"bundle_curvature": [("HHH", 6), ("HVV", 9), ("HVH", 9), ("VVV", 6)],
+                     "bundle_curvature_general": [30]}
