@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -33,29 +33,33 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    base: dict
-    weights: dict
-    suites: list
-    samples: int = 20
-    seed: int = 0
-    h: float = 1e-4
-    tolerances: dict = field(default_factory=dict)
-    chart_box: list | None = None
-    fiber_range: tuple = (0.3, 1.5)
-    out: str | None = None
-    format: str = "both"
+KEYS = ("base", "weights", "suites", "samples", "seed", "h", "tolerances", "chart_box",
+        "fiber_range", "out", "format")
 
-    def echo(self):
-        doc = {k: v for k, v in vars(self).items() if k not in ("out", "format")}
-        return dict(doc, suites=list(self.suites), tolerances=dict(self.tolerances),
-                    fiber_range=list(self.fiber_range))
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A validated run: the suite context built from the config, the suites to run and
+    their tolerance overrides, the report basename and format, and the config as the
+    report echoes it."""
+
+    context: SuiteContext
+    suites: list
+    tolerances: dict
+    out: str | None
+    format: str
+    echo: dict
 
 
 def load_config(doc) -> RunConfig:
+    """Validate a run-config document and build the base metric, the weight pair and the
+    chart box it names.  A missing, unknown or invalid field raises ConfigError naming
+    the field."""
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
+    for key in doc:
+        if key not in KEYS:
+            raise ConfigError(f"config.{key}: unknown field; known: {', '.join(KEYS)}")
     for fld in ("base", "weights", "suites"):
         if fld not in doc:
             raise ConfigError(f"config.{fld}: missing required field")
@@ -90,19 +94,30 @@ def load_config(doc) -> RunConfig:
     fmt = doc.get("format", "both")
     if fmt not in FORMATS:
         raise ConfigError(f"config.format: expected one of {', '.join(FORMATS)}, got {fmt!r}")
-    return RunConfig(
-        base=doc["base"],
-        weights=doc["weights"],
-        suites=list(suites),
-        samples=samples,
-        seed=seed,
-        h=h,
-        tolerances=dict(tolerances),
-        chart_box=doc.get("chart_box"),
-        fiber_range=fiber_range,
-        out=doc.get("out"),
-        format=fmt,
-    )
+    # GeometryError and WeightDomainError are ValueErrors, as are bad numbers in a spec
+    try:
+        base = metric_from_spec(doc["base"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"config.base: {exc}") from exc
+    try:
+        weights = weights_from_spec(doc["weights"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"config.weights: {exc}") from exc
+    chart_box = doc.get("chart_box")
+    if chart_box is not None:
+        try:
+            box = np.asarray(chart_box, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config.chart_box: {exc}") from exc
+        if box.shape != (base.dim, 2) or not np.all(np.isfinite(box) & (box[:, :1] < box[:, 1:])):
+            raise ConfigError(f"config.chart_box: expected {base.dim} finite rows lo < hi")
+    else:
+        box = np.tile(np.array([-0.4, 0.4]), (base.dim, 1))
+    echo = {"base": doc["base"], "weights": doc["weights"], "suites": list(suites),
+            "samples": samples, "seed": seed, "h": h, "tolerances": dict(tolerances),
+            "chart_box": chart_box, "fiber_range": list(fiber_range)}
+    return RunConfig(SuiteContext(base, weights, samples, seed, h, box, fiber_range),
+                     list(suites), dict(tolerances), doc.get("out"), fmt, echo)
 
 
 def _integer(doc, name, default, low):
@@ -116,45 +131,14 @@ def _integer(doc, name, default, low):
     return value
 
 
-def _build_context(cfg: RunConfig) -> SuiteContext:
-    # GeometryError and WeightDomainError are ValueErrors, as are bad numbers in a spec
-    try:
-        base = metric_from_spec(cfg.base)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"config.base: {exc}") from exc
-    try:
-        weights = weights_from_spec(cfg.weights)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"config.weights: {exc}") from exc
-    if cfg.chart_box is not None:
-        try:
-            box = np.asarray(cfg.chart_box, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"config.chart_box: {exc}") from exc
-        if box.shape != (base.dim, 2) or not np.all(np.isfinite(box) & (box[:, :1] < box[:, 1:])):
-            raise ConfigError(f"config.chart_box: expected {base.dim} finite rows lo < hi")
-    else:
-        box = np.tile(np.array([-0.4, 0.4]), (base.dim, 1))
-    return SuiteContext(
-        base=base,
-        weights=weights,
-        samples=cfg.samples,
-        seed=cfg.seed,
-        h=cfg.h,
-        chart_box=box,
-        fiber_range=cfg.fiber_range,
-    )
-
-
 def run(cfg: RunConfig) -> dict:
     """Execute the configured suites and assemble the report."""
-    ctx = _build_context(cfg)
     start = time.monotonic()
-    results = [run_suite(name, ctx, cfg.tolerances.get(name))
+    results = [run_suite(name, cfg.context, cfg.tolerances.get(name))
                for name in SUITE_ORDER if name in cfg.suites]
     report = {
         "schema": SCHEMA_VERSION,
-        "config": cfg.echo(),
+        "config": cfg.echo,
         "suites": [r.as_dict() for r in results],
         "all_passed": bool(all(r.passed for r in results)),
         "wall_time_s": time.monotonic() - start,
@@ -256,10 +240,10 @@ def main(argv=None):
         doc.update((k, v) for k, v in overrides.items() if v is not None)
     try:
         cfg = load_config(doc)
-        report = run(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    report = run(cfg)
     _summarize(report)
     if cfg.out:
         for p in write_report(report, cfg.out, cfg.format):

@@ -151,10 +151,9 @@ class Jet(Series):
     order, so callers that read only first derivatives build nothing else.
     """
 
-    __slots__ = ("n", "v", "d1", "d2", "d3")
+    __slots__ = ("v", "d1", "d2", "d3")
 
-    def __init__(self, n, v, d1, d2=None, d3=None):
-        self.n = n
+    def __init__(self, v, d1, d2=None, d3=None):
         self.v = v  # a float, or an (N,) array for a stack
         self.d1, self.d2, self.d3 = d1, d2, d3
 
@@ -175,7 +174,7 @@ class Jet(Series):
             d1 = np.zeros((n,) + stack)
             d1[i] = 1.0
             high = (np.zeros((n, n) + stack), np.zeros((n, n, n) + stack)) if order == 3 else ()
-            jets.append(cls(n, x[..., i] if stack else float(x[i]), d1, *high))
+            jets.append(cls(x[..., i] if stack else float(x[i]), d1, *high))
         return jets
 
     def _operand(self, other):
@@ -192,29 +191,29 @@ class Jet(Series):
             # a constant adds +0.0 to every derivative, turning -0.0 into +0.0
             v, d1, d2, d3 = float(other), 0.0, 0.0, 0.0
         if self.d2 is None:
-            return Jet(self.n, self.v + v, self.d1 + d1)
-        return Jet(self.n, self.v + v, self.d1 + d1, self.d2 + d2, self.d3 + d3)
+            return Jet(self.v + v, self.d1 + d1)
+        return Jet(self.v + v, self.d1 + d1, self.d2 + d2, self.d3 + d3)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.d2 is None:
-            return Jet(self.n, -self.v, -self.d1)
-        return Jet(self.n, -self.v, -self.d1, -self.d2, -self.d3)
+            return Jet(-self.v, -self.d1)
+        return Jet(-self.v, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
         if not isinstance(other, Jet):
             c = float(other)
             if self.d2 is None:
-                return Jet(self.n, c * self.v, c * self.d1)
-            return Jet(self.n, c * self.v, c * self.d1, c * self.d2, c * self.d3)
+                return Jet(c * self.v, c * self.d1)
+            return Jet(c * self.v, c * self.d1, c * self.d2, c * self.d3)
         a, b = self, self._operand(other)
         d1 = a.v * b.d1 + b.v * a.d1
         if a.d2 is None:
-            return Jet(self.n, a.v * b.v, d1)
+            return Jet(a.v * b.v, d1)
         d2 = a.v * b.d2 + b.v * a.d2 + a.d1[:, None] * b.d1[None] + b.d1[:, None] * a.d1[None]
         d3 = a.v * b.d3 + b.v * a.d3 + _sym_gh(b.d1, a.d2) + _sym_gh(a.d1, b.d2)
-        return Jet(self.n, a.v * b.v, d1, d2, d3)
+        return Jet(a.v * b.v, d1, d2, d3)
 
     __rmul__ = __mul__
 
@@ -222,10 +221,10 @@ class Jet(Series):
         """Chain rule for a scalar map f applied to this jet; an order-1 jet reads f0, f1."""
         g, h, c = self.d1, self.d2, self.d3
         if h is None:
-            return Jet(self.n, f0, f1 * g)
+            return Jet(f0, f1 * g)
         gg = g[:, None] * g[None]  # outer products on the leading axes, any stack axis last
         d3 = f3 * (gg[:, :, None] * g[None, None]) + f2 * _sym_gh(g, h) + f1 * c
-        return Jet(self.n, f0, f1 * g, f2 * gg + f1 * h, d3)
+        return Jet(f0, f1 * g, f2 * gg + f1 * h, d3)
 
 
 # values from numpy, whose exp and log differ from math's in the last bit

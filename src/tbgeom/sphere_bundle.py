@@ -90,7 +90,6 @@ class ContactStructure:
     eta: np.ndarray
     G: np.ndarray
     normal: np.ndarray
-    rescaled: bool
 
     def tangent_projector(self):
         N, GN = self.normal, bg._gv(self.G, self.normal)
@@ -106,7 +105,7 @@ def contact_structure(P, w, rescaled=False, epsilon=None):
     c = 2 r sqrt(a): xi -> -eps c xi, eta -> -eps eta / c, G -> G / c^2.
     """
     if epsilon is not None and epsilon != w.epsilon:
-        w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name, w.params)
+        w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name)
     return _structure(P, w, rescaled)
 
 
@@ -124,7 +123,7 @@ def _structure(P, w, rescaled):
         eps, c = w.epsilon, 2 * r * np.sqrt(vals.a)
         xi, eta = bg._per_row(-eps * c, 1) * xi, bg._per_row(-eps / c, 1) * eta
         G = G / bg._per_row(4 * _pow(r, 2) * vals.a)
-    return ContactStructure(phi, xi, eta, G, N, rescaled)
+    return ContactStructure(phi, xi, eta, G, N)
 
 
 def isometry_residuals(w, P, radii=(None,), rng=None):

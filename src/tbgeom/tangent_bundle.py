@@ -199,18 +199,6 @@ class SplitVector:
         _check_same(self, other)
         return SplitVector(self.h + other.h, self.v + other.v, self.at)
 
-    def __sub__(self, other):
-        _check_same(self, other)
-        return SplitVector(self.h - other.h, self.v - other.v, self.at)
-
-    def __mul__(self, c):
-        return SplitVector(self.h * float(c), self.v * float(c), self.at)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
-
 
 def _check_same(U, V):
     if U.at is not V.at and not U.at.same_place(V.at):

@@ -71,8 +71,7 @@ class WeightPair:
     ``b`` is ``a`` that one evaluation serves both.
     """
 
-    def __init__(self, a, b, epsilon=-1, t_domain=(0.0, math.inf), name="custom",
-                 params=None):
+    def __init__(self, a, b, epsilon=-1, t_domain=(0.0, math.inf), name="custom"):
         if epsilon not in (-1, 1):
             raise WeightDomainError(f"epsilon must be +-1, got {epsilon}")
         if not float(t_domain[0]) < float(t_domain[1]):
@@ -82,7 +81,6 @@ class WeightPair:
         self.epsilon = int(epsilon)
         self.t_domain = (float(t_domain[0]), float(t_domain[1]))
         self.name = name
-        self.params = dict(params or {})
 
     def contains(self, t):
         lo, hi = self.t_domain
@@ -277,8 +275,7 @@ def kahler_family(case, c, kappa):
                 (8 * c * t) * (1 + kappa * t)
             )
 
-        return WeightPair(a, b, +1, (1e-12, -1.0 / kappa), "kahler_case1",
-                          {"c": c, "kappa": kappa})
+        return WeightPair(a, b, +1, (1e-12, -1.0 / kappa), "kahler_case1")
     if case == 2:
         if not kappa * c < 0:
             raise WeightDomainError("case 2 needs kappa*c < 0")
@@ -290,8 +287,7 @@ def kahler_family(case, c, kappa):
         def b(t):
             return kappa**2 / ((8 * c) * (1 + kappa * t) * (1 + sqrt(1 + kappa * t)))
 
-        return WeightPair(a, b, -1, (0.0, hi), "kahler_case2",
-                          {"c": c, "kappa": kappa})
+        return WeightPair(a, b, -1, (0.0, hi), "kahler_case2")
     raise WeightDomainError(f"unknown case {case!r} (expected 1 or 2)")
 
 
@@ -322,7 +318,7 @@ def _lck_example(c=1.0, k=1.0):
         s = sqrt(1.0 + 2.0 * t)
         return exp(2.0 * s) / (2.0 * (c * exp(2.0 * s) * t + (1.0 + t + s) * k))
 
-    return WeightPair(a, a, -1, name="lck_example", params={"c": c, "k": k})
+    return WeightPair(a, a, -1, name="lck_example")
 
 
 def _scal_a23():
@@ -339,8 +335,7 @@ def _scal_exp(m):
     def b(t):
         return exp(-1.5 * ((m - 2.0) * t + (m / 3.0) * log(t)))
 
-    return WeightPair(lambda t: 2.0 / 3.0, b, -1, (1e-12, math.inf),
-                      "scal_exp", {"m": m})
+    return WeightPair(lambda t: 2.0 / 3.0, b, -1, (1e-12, math.inf), "scal_exp")
 
 
 def _scal_band(k, c, m):
@@ -356,8 +351,7 @@ def _scal_band(k, c, m):
             2.0 + m + 2.0 * c * c * (2.0 - 3.0 * k) * k * t * t
         )
 
-    return WeightPair(lambda t: k, b, -1, name="scal_band",
-                      params={"k": k, "c": c, "m": m})
+    return WeightPair(lambda t: k, b, -1, name="scal_band")
 
 
 def _scal_t2(k, c, m):
@@ -379,8 +373,7 @@ def _scal_t2(k, c, m):
             m * (2.0 + m) - 2.0 * k * (2.0 + m) * t - 2.0 * c * c * m * t * t
         )
 
-    return WeightPair(lambda t: 1.0, b, -1, (0.0, t2), "scal_t2",
-                      params={"k": k, "c": c, "m": m})
+    return WeightPair(lambda t: 1.0, b, -1, (0.0, t2), "scal_t2")
 
 
 def _flat_power(a0, k):
@@ -399,8 +392,7 @@ def _flat_power(a0, k):
 
     if k == 0.0:
         b = lambda t: 0.0  # noqa: E731 - k * a' vanishes identically
-    return WeightPair(a, b, -1, (1e-12, math.inf), "flat_power",
-                      params={"a0": a0, "k": k})
+    return WeightPair(a, b, -1, (1e-12, math.inf), "flat_power")
 
 
 FAMILIES = {
@@ -456,7 +448,7 @@ def weights_from_spec(doc):
     if "name" in doc:
         pair = named_family(doc["name"], **doc.get("params", {}))
         if eps is not None and eps != pair.epsilon:
-            pair = WeightPair(pair.a, pair.b, eps, pair.t_domain, pair.name, pair.params)
+            pair = WeightPair(pair.a, pair.b, eps, pair.t_domain, pair.name)
         return pair
 
     def build(spec):

@@ -49,3 +49,28 @@ def test_only_the_oracle_lays_out_and_differences_stencils(name):
              if isinstance(node, ast.Call) and (getattr(node.func, "id", None) in private
                                                 or getattr(node.func, "attr", None) in private)]
     assert name == "oracle" or calls == [], f"{path.name} calls a stencil helper at {calls}"
+
+
+def test_every_stored_attribute_is_read():
+    # each dataclass field and each self.x = ... of a class in src/ is read back somewhere
+    # in src/; a read that only copies the value into a new instance of the same class
+    # does not count, as the copy is then the one thing that holds it
+    trees = [ast.parse(Path(importlib.import_module(f"tbgeom.{name}").__file__).read_text())
+             for name in MODULES]
+    copied_into = {}  # id of an attribute passed straight to a call -> the callee's name
+    for node in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        callee = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        for arg in [*node.args, *(k.value for k in node.keywords)]:
+            copied_into[id(arg)] = callee
+    reads = {(node.attr, copied_into.get(id(node))) for tree in trees for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    stored = set()
+    for cls in (n for tree in trees for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        stored |= {(cls.name, node.target.id) for node in cls.body
+                   if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)}
+        stored |= {(cls.name, node.attr) for node in ast.walk(cls)
+                   if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                   and getattr(node.value, "id", None) == "self"}
+    unread = sorted(f"{cls}.{attr}" for cls, attr in stored
+                    if not any(a == attr and into != cls for a, into in reads))
+    assert len(stored) > 60 and unread == [], f"stored but never read: {unread}"

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sampling
+import test_fingerprint
 
 from tbgeom import base_geometry as bg
 from tbgeom import cli
@@ -37,6 +38,12 @@ def base_cfg(**over):
 
 
 def test_config_validation_errors_name_fields():
+    with pytest.raises(cli.ConfigError, match="config: expected a JSON object"):
+        cli.load_config([base_cfg()])
+    with pytest.raises(cli.ConfigError, match="config.weights: missing required field"):
+        cli.load_config({k: v for k, v in base_cfg().items() if k != "weights"})
+    with pytest.raises(cli.ConfigError, match="config.tolerances: expected an object"):
+        cli.load_config(base_cfg(tolerances=[1e-3]))
     with pytest.raises(cli.ConfigError, match="config.suites"):
         cli.load_config(base_cfg(suites=[]))
     with pytest.raises(cli.ConfigError, match="config.suites"):
@@ -48,9 +55,36 @@ def test_config_validation_errors_name_fields():
     with pytest.raises(cli.ConfigError, match="config.tolerances"):
         cli.load_config(base_cfg(tolerances={"nope": 1e-3}))
     with pytest.raises(cli.ConfigError, match="config.base"):
-        cli.run(cli.load_config(base_cfg(base={"kind": "nope", "dim": 2})))
+        cli.load_config(base_cfg(base={"kind": "nope", "dim": 2}))
     with pytest.raises(cli.ConfigError, match="config.weights"):
-        cli.run(cli.load_config(base_cfg(weights={"name": "nope"})))
+        cli.load_config(base_cfg(weights={"name": "nope"}))
+
+
+def test_unknown_top_level_key_exits_2_and_names_it(tmp_path, capsys):
+    # a misspelled "samples" or "tolerances" must not fall back to the defaults: the run
+    # would pass at 20 samples and the default tolerance, as if the config asked for that
+    doc = {k: v for k, v in base_cfg(suites=["scalar"]).items() if k != "samples"}
+    doc.update(sample=3, tolerance={"scalar": 1e-30})
+    with pytest.raises(cli.ConfigError, match="config.sample: unknown field"):
+        cli.load_config(doc)
+    with pytest.raises(cli.ConfigError, match="config.tolerance: unknown field"):
+        cli.load_config(base_cfg(tolerance={"scalar": 1e-30}))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(doc, out=str(tmp_path / "report"))))
+    assert cli.main(["verify", "--config", str(cfg_path)]) == 2
+    assert "config.sample" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg_path]
+
+
+def test_shipped_benchmark_and_fingerprint_configs_hold_only_known_keys():
+    docs = [json.loads(p.read_text()) for p in sorted(CONFIGS.glob("*.json"))]
+    docs += [json.loads(p.read_text())["config"]
+             for p in sorted((CONFIGS.parent / "bench" / "workloads").glob("*.json"))]
+    docs += test_fingerprint.INLINE.values()
+    assert len(docs) == 11
+    for doc in docs:
+        assert set(doc) <= set(cli.KEYS)
+        assert cli.load_config(doc).echo["suites"] == doc["suites"]
 
 
 def test_sasaki_flat_curvature_suite_passes_tightly():
@@ -576,7 +610,7 @@ def test_closed_m3_validates_each_draw_as_one_stack_per_base(monkeypatch):
                            "weights": {"name": "sasaki"}, "samples": 80, "seed": 7,
                            "suites": ["base_checks", "sectional", "scalar", "sphere_bundle",
                                       "isometry", "k_contact"]})
-    ctx = cli._build_context(cfg)
+    ctx = cfg.context
     for name in cfg.suites:
         calls[name] = []
         assert run_suite(name, ctx).passed, name
@@ -602,7 +636,7 @@ def test_isometry_suite_evaluates_first_order_jets_once_per_drawn_x(monkeypatch)
     cfg = cli.load_config({"base": {"kind": "space_form", "dim": 3, "params": {"curvature": 1.0}},
                            "weights": {"name": "sasaki"}, "samples": 80, "seed": 7,
                            "suites": ["isometry"]})
-    assert run_suite("isometry", cli._build_context(cfg)).passed
+    assert run_suite("isometry", cfg.context).passed
     assert rows == [(16, 1)]
 
 
@@ -716,6 +750,32 @@ def test_a_nan_after_a_finite_value_fails_its_suite(monkeypatch, suite, owner, n
     res = run_suite(suite, ctx)
     assert sum(samples) >= 2 and res.error is None
     assert not res.passed
+
+
+def test_sectional_suite_reports_an_error_off_a_space_form():
+    doc = json.loads((CONFIGS / "cg_poly2.json").read_text())
+    doc.update(suites=["sectional"], samples=2, out=None)
+    (suite,) = cli.run(cli.load_config(doc))["suites"]
+    assert suite["error"] == "sectional display suite needs a space-form base"
+    assert not suite["passed"] and suite["residuals"] == []
+
+
+def test_summary_line_names_the_error_and_the_failed_controls():
+    controls = [Control("floor", 1e-3, 1e-2, "min"), Control("fine", 0.0, 1.0, "max"),
+                Control("cap", 2.0, 1.0, "max")]
+    suites = [SuiteResult("sectional", "Thm", 1e-8, error="GeometryError: off the chart"),
+              SuiteResult("scalar", "Prop", 1e-8, residuals=[1e-10], controls=controls),
+              SuiteResult("lck", "Prop", 1e-8, residuals=[1e-10])]
+    buf = io.StringIO()
+    cli._summarize({"suites": [s.as_dict() for s in suites], "all_passed": False,
+                    "wall_time_s": 1.5}, file=buf)
+    lines = buf.getvalue().splitlines()
+    assert lines[0].startswith("[FAIL] sectional")
+    assert lines[0].endswith("(tol 1.0e-08, n=0)  error: GeometryError: off the chart")
+    assert lines[1].startswith("[FAIL] scalar")
+    assert lines[1].endswith("(tol 1.0e-08, n=1)  failed controls: floor, cap")
+    assert lines[2].startswith("[PASS] lck") and lines[2].endswith("(tol 1.0e-08, n=1)")
+    assert lines[3:] == ["FAILURES present in 1.5s"]
 
 
 def test_list_suites_catalogue():

@@ -419,7 +419,7 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
 
 def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
     # A(t), B(t) are undefined at t = 0 for eps = +1: one such row fails the whole stack
-    w = WeightPair(CG.a, CG.b, +1, CG.t_domain, CG.name, CG.params)
+    w = WeightPair(CG.a, CG.b, +1, CG.t_domain, CG.name)
     qs = np.array([[0.1, -0.2, 0.5, 0.6], [0.1, -0.2, 0.0, 0.0], [0.3, 0.1, -0.4, 0.2]])
     orc.InducedMetric(SF1, w).matrix(qs)  # the metric itself is defined there
     chart = orc._chart_point(SF1, qs)

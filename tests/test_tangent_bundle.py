@@ -425,6 +425,20 @@ def test_adapted_basis_orthonormal_and_vertical_mixed_plane():
             assert abs(tb.bundle_sectional(pair, SF1, P, E[i], E[2])) <= 1e-12
 
 
+def test_bundle_sectional_rejects_a_degenerate_plane():
+    P = point(SF1, [0.2, -0.1], [0.6, 0.3])
+    U = random_split_vector(P, np.random.default_rng(16))
+    for V in (U, tb.SplitVector(2.0 * U.h, 2.0 * U.v, P)):
+        with pytest.raises(bg.DegeneratePlaneError, match="degenerate bundle plane"):
+            tb.bundle_sectional(CG, SF1, P, U, V)
+
+
+def test_adapted_basis_needs_a_nonzero_fiber_vector():
+    P = point(SF1, [0.2, -0.1], [0.0, 0.0])
+    with pytest.raises(bg.GeometryError, match="nonzero fiber vector"):
+        tb.adapted_basis(CG, P)
+
+
 def test_vertical_sectional_display():
     # K(E_{m+1}, E_{m+k}) = -(F2 + 2t F3)/a on the adapted basis
     P = point(SF1, [0.05, 0.15], [0.9, 0.2])

@@ -275,6 +275,7 @@ def test_flat_power_family():
     ("flat_power", {"a0": 1.0, "k": 2.0}),
     ("flat_power", {"a0": 0.5, "k": -1.0}),
     ("flat_exp", {"a0": 2.0}),
+    ("flat_power", {"a0": 2.0, "k": 0.0}),  # b = k a' is the constant 0
 ])
 def test_flat_families_satisfy_flatness_relation(name, params):
     pair = wt.named_family(name, **params)
@@ -307,6 +308,20 @@ def test_scal_t2_domain_bound():
         pair.eval(1.01 * t2)
 
 
+@pytest.mark.parametrize("k,m,t2", [(0.5, 2, 2.0), (0.75, 3, 2.0), (0.0, 2, math.inf),
+                                    (-0.5, 3, math.inf)])
+def test_scal_t2_domain_on_a_flat_base(k, m, t2):
+    # at c = 0 the denominator m(2+m) - 2k(2+m) t is linear: its root m/(2k) bounds the
+    # domain for k > 0, and for k <= 0 it has no positive root
+    pair = wt.named_family("scal_t2", k=k, c=0.0, m=m)
+    assert pair.t_domain == (0.0, t2)
+    for t in (0.1, 0.9 * min(t2, 10.0)):
+        assert pair.eval(t).vertical_norm_weight == pytest.approx(m / (m - 2 * k * t), rel=1e-14)
+    if t2 < math.inf:
+        with pytest.raises(wt.WeightDomainError, match="outside domain"):
+            pair.eval(t2)
+
+
 def test_weights_from_spec():
     pair = wt.weights_from_spec({"name": "cheeger_gromoll"})
     assert pair.name == "cheeger_gromoll"
@@ -317,3 +332,16 @@ def test_weights_from_spec():
     assert custom.eval(2.0).b == pytest.approx(math.exp(-2.0))
     with pytest.raises(wt.WeightDomainError):
         wt.weights_from_spec({"a": {"nope": []}, "b": {"poly": [0.0]}})
+
+
+@pytest.mark.parametrize("name,params", [("cheeger_gromoll", {}),
+                                         ("scal_t2", {"k": 0.3, "c": 1.0, "m": 2})])
+def test_weights_from_spec_epsilon_keeps_the_named_family(name, params):
+    family = wt.named_family(name, **params)
+    for eps in (-1, 1):
+        pair = wt.weights_from_spec({"name": name, "params": params, "epsilon": eps})
+        assert pair.epsilon == eps
+        assert (pair.name, pair.t_domain) == (family.name, family.t_domain)
+        assert (pair.b is pair.a) == (family.b is family.a)
+        for t in (0.2, 0.9):
+            assert pair.eval(t) == family.eval(t)
