@@ -286,6 +286,13 @@ def base_jets(metric, x):
     evaluation at the stack's distinct x, and each row equals the single call bit
     for bit.
     """
+    gamma, R, nabla_r = _curvature_jets(metric, x)
+    return gamma, R, nabla_r()
+
+
+def _curvature_jets(metric, x):
+    # Gamma and R of base_jets, and a function of no arguments that completes its nabla R
+    # from the same jets, so that a caller that reads R alone skips d2Gamma and nabla R
     xs, index = _distinct(x) if np.ndim(x) == 2 else (x, ...)
     g, dg, d2g, d3g = metric.derivatives(xs, 3)
     m, lead = g.shape[-1], g.shape[:-2]
@@ -306,28 +313,32 @@ def base_jets(metric, x):
     G, G2 = ginv[..., None, :, :], ginv[..., None, None, :, :]  # g^-1 at each p, each (p, q)
     dginv = -(G @ dg @ G)
     dgamma = 0.5 * (mat(mat(dginv, m * m, m) @ coreT, m, m, m, m) + mat(G @ dcoreT, m, m, m, m))
-    dginv_p, dg_q = dginv[..., :, None, :, :], dg[..., None, :, :, :]
-    d2ginv = -(dginv_p @ dg_q @ G2 + G2 @ d2g @ G2 + G2 @ dg_q @ dginv_p)
-    # dginv[q, k, l] dcore[p, i, j, l] at [p, q, k, i, j]; its (q, p) transpose is the other
-    cross = mat(mat(dginv, 1, m * m, m) @ dcoreT, *five)
-    d2gamma = 0.5 * (mat(mat(d2ginv, m ** 3, m) @ coreT, *five) + cross
-                     + np.swapaxes(cross, -5, -4) + mat(G2 @ d2coreT, *five))
     R = _curvature_from(gamma, dgamma)
-    # dR[p, h, k, i, j] = d_p R^h_{kij}, from d2Gamma[p, i, h, j, k] = d_p d_i G^h_jk and
-    # the quadratic terms dG^h_il G^l_jk + G^h_il dG^l_jk, summed at [p, h, i, j, k]
-    *_, p, i, h, j, k = range(d2gamma.ndim)
-    dterm = d2gamma.transpose(*_, p, h, k, i, j)
-    dquad = np.moveaxis(mat(mat(dgamma, m ** 3, m) @ mat(gamma, m, m * m), *five)
-                        + mat(mat(gamma, 1, m * m, m) @ mat(dgamma, m, m, m * m), *five),
-                        -1, -3)
-    dR = dterm - np.swapaxes(dterm, -1, -2) + dquad - np.swapaxes(dquad, -1, -2)
-    # the Gamma terms of nabla R[l, h, k, i, j], each one product summing p, added one at
-    # a time so that few (n, m^5) arrays are held at once
-    gT = np.swapaxes(mat(gamma, m, m * m), -1, -2)[..., None, :, :]  # [(l k), p]
-    NR = (dR + l_first(mat(gamma, m * m, m) @ mat(R, m, m ** 3), -4)
-          - l_first(gT @ mat(R, m, m, m * m), -4) - l_first(gT @ mat(R, m * m, m, m), -3)
-          - l_first(mat(R, m ** 3, m) @ mat(gamma, m, m * m), -2))
-    return gamma[index], R[index], NR[index]
+
+    def nabla_r():
+        dginv_p, dg_q = dginv[..., :, None, :, :], dg[..., None, :, :, :]
+        d2ginv = -(dginv_p @ dg_q @ G2 + G2 @ d2g @ G2 + G2 @ dg_q @ dginv_p)
+        # dginv[q, k, l] dcore[p, i, j, l] at [p, q, k, i, j]; its (q, p) transpose is the other
+        cross = mat(mat(dginv, 1, m * m, m) @ dcoreT, *five)
+        d2gamma = 0.5 * (mat(mat(d2ginv, m ** 3, m) @ coreT, *five) + cross
+                         + np.swapaxes(cross, -5, -4) + mat(G2 @ d2coreT, *five))
+        # dR[p, h, k, i, j] = d_p R^h_{kij}, from d2Gamma[p, i, h, j, k] = d_p d_i G^h_jk and
+        # the quadratic terms dG^h_il G^l_jk + G^h_il dG^l_jk, summed at [p, h, i, j, k]
+        *_, p, i, h, j, k = range(d2gamma.ndim)
+        dterm = d2gamma.transpose(*_, p, h, k, i, j)
+        dquad = np.moveaxis(mat(mat(dgamma, m ** 3, m) @ mat(gamma, m, m * m), *five)
+                            + mat(mat(gamma, 1, m * m, m) @ mat(dgamma, m, m, m * m), *five),
+                            -1, -3)
+        dR = dterm - np.swapaxes(dterm, -1, -2) + dquad - np.swapaxes(dquad, -1, -2)
+        # the Gamma terms of nabla R[l, h, k, i, j], each one product summing p, added one
+        # at a time so that few (n, m^5) arrays are held at once
+        gT = np.swapaxes(mat(gamma, m, m * m), -1, -2)[..., None, :, :]  # [(l k), p]
+        NR = (dR + l_first(mat(gamma, m * m, m) @ mat(R, m, m ** 3), -4)
+              - l_first(gT @ mat(R, m, m, m * m), -4) - l_first(gT @ mat(R, m * m, m, m), -3)
+              - l_first(mat(R, m ** 3, m) @ mat(gamma, m, m * m), -2))
+        return NR[index]
+
+    return gamma[index], R[index], nabla_r
 
 
 def _curvature_from(gamma, dgamma):
@@ -340,7 +351,7 @@ def _curvature_from(gamma, dgamma):
 
 def curvature(metric, x):
     """Curvature R[h, k, i, j] = R^h_{kij}, with R(e_i, e_j) e_k = R^h_{kij} e_h."""
-    return base_jets(metric, x)[1]
+    return _curvature_jets(metric, x)[1]
 
 
 def nabla_curvature(metric, x):

@@ -10,7 +10,7 @@ of them, and reads its chart points as TangentPoints too.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -50,13 +50,15 @@ class TangentPoint:
 
     g_x and the energy density t are fixed at construction: t = g(u, u)/2, or r^2/2
     on the radius-r sphere bundle.  g u, q = (x, u), Gamma, R and nabla R are
-    computed on first use and then kept (read-only); R and nabla R come from one
-    evaluation of the third-order base metric jets, and Gamma is theirs if R was
-    read first, else it comes from one first-order evaluation (the two are
-    bit-identical), so a point whose R is never read never evaluates the third-order
-    jets.  So are the connection map ``gamma_u``, Gamma(., u), and ``Ru``, R and
-    nabla R with u in one slot: every term that has u as an argument of Gamma or R,
-    and every horizontal lift at the point (``oracle._lift``), reads them.  So are
+    computed on first use and then kept (read-only); R comes from one evaluation of
+    the third-order base metric jets, nabla R from the same jets when it is first
+    read, and Gamma is theirs if R was read first, else it comes from one first-order
+    evaluation (the two are bit-identical), so a point whose R is never read never
+    evaluates the third-order jets, and one whose nabla R is never read never
+    contracts it.  So are the connection map ``gamma_u``, Gamma(., u), ``Ru``, R with
+    u in one slot, and ``NRu``, nabla R with u in one slot: every term that has u as
+    an argument of Gamma, R or nabla R, and every horizontal lift at the point
+    (``oracle._lift``), reads them.  So are
     the weights: ``values(w)`` is w.eval(t), evaluated once per pair of weight
     functions and domain, and ``coeffs(w)`` the derived coefficients of those same
     values at w's sign.  ``at_radius(r)`` is the paper's rescaling map (x, u) ->
@@ -85,7 +87,10 @@ class TangentPoint:
 
     @cached_property
     def _jets(self):
-        return bg._readonly(bg.base_jets(self.base, self.x))
+        # Gamma, R and the function that completes nabla R from their jets, once for this
+        # point and every point of the rescaling map that shares its jets
+        gamma, R, nabla_r = bg._curvature_jets(self.base, self.x)
+        return (*bg._readonly((gamma, R)), cache(nabla_r))
 
     @cached_property
     def gamma(self):
@@ -94,7 +99,10 @@ class TangentPoint:
         return bg._readonly(bg.christoffel(self.base, self.x))
 
     R = property(lambda self: self._jets[1])
-    NR = property(lambda self: self._jets[2])
+
+    @cached_property
+    def NR(self):
+        return bg._readonly(self._jets[2]())
 
     @cached_property
     def gamma_u(self):
@@ -103,18 +111,27 @@ class TangentPoint:
 
     @cached_property
     def Ru(self):
-        """R(., .)u [h, i, j], R(u, .). [h, j, k], (nabla_. R)(., .)u [h, l, i, j] and
-        (nabla_. R)(u, .). [h, l, j, k]: u summed into one slot of R or nabla R, h first and
-        the other slots in the order of the arguments of R(X, Y)Z and (nabla_W R)(X, Y)Z."""
+        """R(., .)u [h, i, j] and R(u, .). [h, j, k]: u summed into one slot of R, h first
+        and the other slots in the order of the arguments of R(X, Y)Z."""
+        return self._on_u(((self.R, 1, (), ()), (self.R, 2, -1, -2)))
+
+    @cached_property
+    def NRu(self):
+        """(nabla_. R)(., .)u [h, l, i, j] and (nabla_. R)(u, .). [h, l, j, k]: u summed
+        into one slot of nabla R, h first and the other slots in the order of the
+        arguments of (nabla_W R)(X, Y)Z."""
+        return self._on_u(((self.NR, 2, -4, -3), (self.NR, 3, (-4, -2), (-3, -1))))
+
+    def _on_u(self, slots):
+        # per (T, k, src, dst): u, a row vector, summed into core axis k of T, whose
+        # remaining axes then move from src to dst
         lead, m, u = self.R.shape[:-4], self.base.dim, self.u[..., None, None, :]
 
-        def on_u(T, k):  # u, a row vector, on core axis k of T
+        def on_u(T, k):
             return (u @ T.reshape(lead + (m ** k, m, -1))).reshape(T.shape[:-1])
 
-        return bg._readonly(tuple(
-            np.ascontiguousarray(np.moveaxis(on_u(T, k), src, dst)) for T, k, src, dst in (
-                (self.R, 1, (), ()), (self.R, 2, -1, -2),
-                (self.NR, 2, -4, -3), (self.NR, 3, (-4, -2), (-3, -1)))))
+        return bg._readonly(tuple(np.ascontiguousarray(np.moveaxis(on_u(T, k), src, dst))
+                                  for T, k, src, dst in slots))
 
     @cached_property
     def _weights(self):
@@ -324,7 +341,7 @@ def bundle_curvature(w, base, P, case, X, Y, Z):
     gu, u = P.gu, P.u
     R, on, vg = P.R, bg._on, partial(bg._vg, g=P.gx)  # R(X, Y)Z is on(R, Z, X, Y)
     # R(X, Y)u, R(u, Y)Z, (nabla_W R)(X, Y)u and (nabla_W R)(u, Y)Z, as functions of W, X, Y, Z
-    ru, ur, nru, nur = (partial(on, T) for T in P.Ru)
+    ru, ur, nru, nur = (partial(on, T) for T in (*P.Ru, *P.NRu))
 
     if case == "HHH":
         h = on(R, Z, X, Y) + (a / 4) * (

@@ -165,7 +165,7 @@ def test_the_polynomial_base_config_catches_a_wrong_nabla_r(monkeypatch):
     doc.update(samples=4, seed=0, out=None)
     rep = cli.run(cli.load_config(doc))
     assert rep["all_passed"], [s["name"] for s in rep["suites"] if not s["passed"]]
-    monkeypatch.setattr(tb.TangentPoint, "NR", property(lambda self: -self._jets[2]))
+    monkeypatch.setattr(tb.TangentPoint, "NR", property(lambda self: -self._jets[2]()))
     doc.update(suites=["curvature", "oracle_cross"])
     rep = cli.run(cli.load_config(doc))
     assert [s["passed"] for s in rep["suites"]] == [False, False]

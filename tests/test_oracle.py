@@ -364,9 +364,9 @@ def test_the_oracle_path_never_evaluates_third_order_jets(monkeypatch):
     X, (U, V) = rng.standard_normal((3, 3)), rng.standard_normal((2, 3, 6))
 
     def refuse(*args):
-        raise AssertionError("base_jets evaluated on the oracle path")
+        raise AssertionError("third-order jets evaluated on the oracle path")
 
-    monkeypatch.setattr(bg, "base_jets", refuse)
+    monkeypatch.setattr(bg, "_curvature_jets", refuse)
     im, q = orc.InducedMetric(base, CG), P.q
     C = orc._chart_point(base, q)
     out = [im.matrix(q), orc.fd_connection(im, q), orc.fd_curvature(im, q),

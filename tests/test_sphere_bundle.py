@@ -88,7 +88,7 @@ def test_the_rescaling_map_evaluates_nothing_and_is_the_point_at_r_u(monkeypatch
     getattr(P, holds)
     P.values(CG)
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"), (WeightPair, "eval"))
-    monkeypatch.setattr(bg, "base_jets", lambda *a: calls.update(base_jets=1))
+    monkeypatch.setattr(bg, "_curvature_jets", lambda *a: calls.update(base_jets=1))
     Q = P.at_radius(1.3)
     assert calls == {"matrix": 0, "derivatives": 0, "validate_at": 0, "eval": 0}
     # Gamma, and R and nabla R where P holds them, are P's own; the rest is Q's
@@ -612,13 +612,13 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r
 
 def test_k_contact_suite_shares_one_jet_evaluation_between_its_curvature_1_verdicts(monkeypatch):
     calls = []
-    base_jets = bg.base_jets
+    curvature_jets = bg._curvature_jets
 
     def counted(metric, x):
         calls.append((metric, len(x)))
-        return base_jets(metric, x)
+        return curvature_jets(metric, x)
 
-    monkeypatch.setattr(bg, "base_jets", counted)
+    monkeypatch.setattr(bg, "_curvature_jets", counted)
     ctx = SuiteContext(base=bg.SpaceForm(0.5, 3), weights=CG, samples=16, seed=3, h=1e-4,
                        chart_box=np.tile([-0.4, 0.4], (3, 1)), fiber_range=(0.3, 1.5))
     assert run_suite("k_contact", ctx).passed

@@ -150,26 +150,44 @@ def test_gamma_reads_first_order_jets_until_r_is_read(monkeypatch, base):
     def refuse(*args):
         raise AssertionError("third-order jets evaluated before R was read")
 
-    monkeypatch.setattr(bg, "base_jets", refuse)
+    monkeypatch.setattr(bg, "_curvature_jets", refuse)
     first = [(P, P.gamma, P.gamma_u) for P in (*singles, stacked)]
     monkeypatch.undo()
     calls = []
-    base_jets = bg.base_jets
+    curvature_jets = bg._curvature_jets
 
     def counted(metric, at):
         calls.append(1)
-        return base_jets(metric, at)
+        return curvature_jets(metric, at)
 
-    monkeypatch.setattr(bg, "base_jets", counted)
+    monkeypatch.setattr(bg, "_curvature_jets", counted)
     for i, (P, gamma, gamma_u) in enumerate(first):
         P.R
         assert len(calls) == i + 1  # one evaluation of R, nabla R (and Gamma) per point
         assert P.gamma is gamma and P.gamma_u is gamma_u
         # the two orders give Gamma bit for bit
-        assert gamma.tobytes() == base_jets(base, P.x)[0].tobytes()
+        assert gamma.tobytes() == curvature_jets(base, P.x)[0].tobytes()
     for P, (gamma, gamma_u) in zip(singles, zip(stacked.gamma, stacked.gamma_u)):
         assert (P.gamma.tobytes(), P.gamma_u.tobytes()) == (gamma.tobytes(), gamma_u.tobytes())
 
+
+
+def test_nabla_r_is_contracted_only_where_it_is_read():
+    # the connection and the scalar curvature read R alone; nabla R and its slots of u
+    # are formed on first read, bit for bit those of base_jets
+    rng = np.random.default_rng(13)
+    x, u = rng.uniform(-0.4, 0.4, (2, 5, 2))
+    X, Y = rng.standard_normal((2, 5, 2))
+    P = tb.tangent_point(CG_POLY2, x, u)
+    for case in ("HH", "HV", "VH", "VV"):
+        tb.bundle_connection(CG, CG_POLY2, P, case, X, Y)
+    tb.scalar_curvature(CG, CG_POLY2, P)
+    assert "NR" not in vars(P) and "NRu" not in vars(P)
+    assert P._jets[2].cache_info().currsize == 0
+    tb.bundle_curvature(CG, CG_POLY2, P, "HHH", X, Y, X)
+    assert "NRu" in vars(P)
+    want = bg.base_jets(CG_POLY2, x)
+    assert [a.tobytes() for a in (P.gamma, P.R, P.NR)] == [a.tobytes() for a in want]
 
 def test_almost_complex_sasaki_swaps_lifts():
     P = point(EU2, [0.2, 0.1], [0.4, 0.9])
