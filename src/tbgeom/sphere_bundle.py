@@ -27,7 +27,7 @@ from . import base_geometry as bg
 from . import oracle as orc
 from . import tangent_bundle as tb
 from .jets import _pow
-from .weights import WeightPair, named_family
+from .weights import named_family
 
 __all__ = [
     "ContactStructure",
@@ -104,9 +104,7 @@ def contact_structure(P, w, rescaled=False, epsilon=None):
     flag the structure is renormalized to a contact metric structure by
     c = 2 r sqrt(a): xi -> -eps c xi, eta -> -eps eta / c, G -> G / c^2.
     """
-    if epsilon is not None and epsilon != w.epsilon:
-        w = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name)
-    return _structure(P, w, rescaled)
+    return _structure(P, w if epsilon is None else w.with_epsilon(epsilon), rescaled)
 
 
 def _structure(P, w, rescaled):

@@ -113,6 +113,13 @@ class WeightPair:
                 raise WeightDomainError(f"{self.name}: {what}={bad[0]} <= 0 at t={bad[1]}")
         return w
 
+    def with_epsilon(self, epsilon):
+        """The pair of the same weight functions, domain and name at sign ``epsilon``:
+        this pair where that is its own sign."""
+        if epsilon == self.epsilon:
+            return self
+        return WeightPair(self.a, self.b, epsilon, self.t_domain, self.name)
+
     def __repr__(self):
         return f"WeightPair({self.name}, eps={self.epsilon})"
 
@@ -447,9 +454,7 @@ def weights_from_spec(doc):
         raise WeightDomainError(f"epsilon: expected the integer -1 or +1, got {eps!r}")
     if "name" in doc:
         pair = named_family(doc["name"], **doc.get("params", {}))
-        if eps is not None and eps != pair.epsilon:
-            pair = WeightPair(pair.a, pair.b, eps, pair.t_domain, pair.name)
-        return pair
+        return pair if eps is None else pair.with_epsilon(eps)
 
     def build(spec):
         if "poly" in spec:

@@ -11,7 +11,7 @@ import tbgeom.sphere_bundle as sb
 import tbgeom.tangent_bundle as tb
 from sampling import fd_directional, fd_exterior_derivative
 from tbgeom.suites import SuiteContext, _lck_terms, run_suite
-from tbgeom.weights import WeightDomainError, WeightPair, kahler_family, named_family
+from tbgeom.weights import WeightDomainError, kahler_family, named_family
 
 SAS = named_family("sasaki")
 CG = named_family("cheeger_gromoll")
@@ -419,7 +419,7 @@ def test_induced_metric_on_a_stack_matches_each_single_call_bit_for_bit(base, w)
 
 def test_chart_point_on_a_stack_through_the_zero_section_raises_at_eps_plus_1():
     # A(t), B(t) are undefined at t = 0 for eps = +1: one such row fails the whole stack
-    w = WeightPair(CG.a, CG.b, +1, CG.t_domain, CG.name)
+    w = CG.with_epsilon(+1)
     qs = np.array([[0.1, -0.2, 0.5, 0.6], [0.1, -0.2, 0.0, 0.0], [0.3, 0.1, -0.4, 0.2]])
     orc.InducedMetric(SF1, w).matrix(qs)  # the metric itself is defined there
     chart = orc._chart_point(SF1, qs)

@@ -299,7 +299,7 @@ def test_rescaled_contact_metric_condition():
     rng = np.random.default_rng(4)
     # the radius-r bundle of any weight pair, the paper's two bundles first
     inputs = [(SAS, 1.6), (CG, 1.0)] + [
-        (WeightPair(w.a, w.b, eps, w.t_domain, w.name), r)
+        (w.with_epsilon(eps), r)
         for w, r in [(CG, 1.3), (named_family("g1"), 0.7)]
         for eps in (-1, 1)
     ]
@@ -586,7 +586,7 @@ def test_contact_structure_metric_and_j_are_the_oracle_maps(monkeypatch, m, w, r
     base = bg.SpaceForm(1.0, m)
     x, u = (v[:m] for v in M3_POINT)
     P = unit_point(base, x, u, r=r)
-    w_eps = WeightPair(w.a, w.b, epsilon, w.t_domain, w.name)
+    w_eps = w.with_epsilon(epsilon)
     seen = []
     j_matrix = orc.j_matrix
 
