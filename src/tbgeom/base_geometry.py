@@ -107,21 +107,37 @@ class ChartMetric:
     def validate_at(self, x):
         return self._checked(self.matrix(x), x)
 
+    def admits(self, x):
+        """One verdict per row of an (n, m) stack: whether ``validate_at`` takes that x
+        alone, that is x is a point of the chart and g there is symmetric positive
+        definite; g is evaluated once, at the rows inside the chart."""
+        x = np.asarray(x, dtype=float)
+        ok = np.ones(len(x), bool) if self.domain is None else np.ravel(self.domain(x))
+        if ok.any():
+            asym, low, _ = _flaws(self.matrix(x[ok]))
+            ok[ok] = ~(asym | low)
+        return ok
+
     def _checked(self, g, x):
         # g at x, checked symmetric and positive definite; on an (n, m, m) stack at the
         # rows of x every row is checked, and an error names the first bad row's point
         xs, gs = np.reshape(x, (-1, self.dim)), np.reshape(g, (-1, self.dim, self.dim))
-        asym = np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) != 0.0
+        asym, low, w = _flaws(gs)
         if asym.any():
             raise GeometryError(f"{self.name}: components not symmetric at {xs[asym.argmax()]}")
-        w = np.linalg.eigvalsh(gs)
-        low = w.min(axis=1) <= 0.0
         if low.any():
             i = low.argmax()
             raise SingularMetricError(
                 f"{self.name}: metric not positive definite at {xs[i]} (eigenvalues {w[i]})"
             )
         return g
+
+
+def _flaws(gs):
+    # per matrix of an (n, m, m) stack: whether it is not symmetric, whether it is not
+    # positive definite, and its eigenvalues
+    w = np.linalg.eigvalsh(gs)
+    return np.abs(gs - gs.transpose(0, 2, 1)).max(axis=(1, 2)) != 0.0, w.min(axis=1) <= 0.0, w
 
 
 class SpaceForm(ChartMetric):

@@ -42,7 +42,6 @@ __all__ = [
 ]
 
 _SASAKI = named_family("sasaki")
-_ISOMETRY_PAIRS = 10  # random tangent pairs per point in isometry_residuals
 _KCONTACT_TOL = 1e-8  # largest K-contact / Sasakian residual of a positive verdict
 
 
@@ -124,29 +123,28 @@ def _structure(P, w, rescaled):
     return ContactStructure(phi, xi, eta, G, N)
 
 
-def isometry_residuals(w, P, radii=(None,), rng=None):
+def isometry_residuals(w, P, normals, radii=(None,)):
     """Residuals of the rescaling map (x, u) -> (x, r u) on the unit bundle at the unit
     point P, a stacked one: one dict per radius r of ``radii`` (None for sqrt(a(1/2))).
 
     Compares the pulled-back rescaled sphere-bundle structure at ``P.at_radius(r)`` with
-    the rescaled unit-bundle structure, built once for all radii, at _ISOMETRY_PAIRS
-    random tangent pairs per point, drawn radius by radius; all residuals vanish exactly
-    when r = sqrt(a(1/2)).
+    the rescaled unit-bundle structure, built once for all radii, on tangent pairs made
+    from ``normals``, one (n, 2k, 2m) array of drawn vectors per radius: each point's
+    vectors, projected tangent and made unit, are its k pairs U, V, U, V, ...; all
+    residuals vanish exactly when r = sqrt(a(1/2)).
     """
-    rng = rng or np.random.default_rng(0)
     a = float(np.ravel(P.values(w).a)[0])  # every row's t is 1/2
     m = P.base.dim
     S_A = contact_structure(P, w, rescaled=True)
     G_A = S_A.G[:, None]
     out = []
-    for r in radii:
+    for r, drawn in zip(radii, normals, strict=True):
         r = float(np.sqrt(a)) if r is None else float(r)
         S_r = contact_structure(P.at_radius(r), _SASAKI, rescaled=True)
         dF = np.concatenate([np.ones(m), r * np.ones(m)])  # the diagonal of the differential
         G_r = S_r.G[:, None]
         # the pairs of each point, drawn U, V, U, V, ..., made G_A-unit tangent vectors
-        UV = bg._gv(S_A.tangent_projector()[:, None],
-                    rng.standard_normal((len(P.x), 2 * _ISOMETRY_PAIRS, 2 * m)))
+        UV = bg._gv(S_A.tangent_projector()[:, None], drawn)
         UV = UV / np.sqrt(np.vecdot(bg._vg(UV, G_A), UV))[..., None]
         U, V = UV[:, 0::2], UV[:, 1::2]
 

@@ -13,6 +13,7 @@ its bound.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -114,43 +115,50 @@ class SuiteContext:
     fiber_range: tuple
 
     def rng(self, suite_index):
-        return np.random.default_rng([self.seed, suite_index])
+        """The generator of suite number ``suite_index``: Python's Mersenne Twister seeded
+        with the string "seed/index", which it hashes with SHA-512, so the draws are the
+        same in every process whatever its hash seed."""
+        return random.Random(f"{self.seed}/{suite_index}")
 
-    def draw(self, rng, n, block, base=None):
-        """n samples, each an x of the chart box and then the numbers of ``block()`` (a
-        tuple): the (n, m) stack of x, the metric g of ``base`` (by default the context's)
-        there, and the blocks' columns, each entry of the tuple stacked over the samples.
+    def draw(self, rng, n, base=None):
+        """An (n, m) stack of x of the chart box, each admissible for the context's base
+        and ``base`` (by default the same), and the metric g of ``base`` there.
 
-        Every x must be admissible for the context's base and ``base``.  One pass takes
-        each x as admissible and validates them as one stack per base; only if a stack
-        holds an inadmissible x are the samples drawn again from the same rng state,
-        each x checked alone and an inadmissible one redrawn.
+        The x are drawn as one stack and validated as one stack per base.  Only if a
+        stack holds an inadmissible x are the rows that a base does not admit found and
+        drawn again, as one stack, until both bases admit every row.
         """
         base = base or self.base
         lo, hi = self.chart_box[:, 0], self.chart_box[:, 1]
+        x = lo + (hi - lo) * _uniform(rng, (n, self.base.dim))
+        for _ in range(1000):
+            try:
+                g = self.base.validate_at(x)
+                return x, (g if base is self.base else base.validate_at(x))
+            except bg.GeometryError:
+                bad = ~(self.base.admits(x) & base.admits(x))
+                if not bad.any():
+                    raise
+                x[bad] = lo + (hi - lo) * _uniform(rng, (int(bad.sum()), self.base.dim))
+        raise bg.ChartDomainError("chart box contains no admissible points")
 
-        def g_at(x):  # g of base at x (or a stack of x), admissible for both bases
-            g = self.base.validate_at(x)
-            return g if base is self.base else base.validate_at(x)
 
-        def sample(check):  # an x that ``check`` takes, its g, then the sample's block
-            for _ in range(1000):
-                x = lo + (hi - lo) * rng.random(self.base.dim)
-                try:
-                    g = check(x)
-                except bg.GeometryError:
-                    continue
-                return x, g, block()
-            raise bg.ChartDomainError("chart box contains no admissible points")
+def _uniform(rng, shape):
+    """Uniforms on [0, 1) of ``shape`` in row-major order from one call on the bits of
+    ``rng``: the top 53 bits of each 64-bit little-endian word, times 2^-53."""
+    words = np.frombuffer(rng.randbytes(8 * math.prod(shape)), dtype="<u8")
+    return ((words >> 11) * 2.0 ** -53).reshape(shape)
 
-        state = rng.bit_generator.state
-        x, _, blocks = zip(*[sample(lambda x: None) for _ in range(n)])
-        try:
-            g = g_at(np.array(x))
-        except bg.GeometryError:
-            rng.bit_generator.state = state
-            x, g, blocks = zip(*[sample(g_at) for _ in range(n)])
-        return np.array(x), np.array(g), [np.array(c) for c in zip(*blocks)]
+
+def _normal(rng, shape):
+    """Standard normals of ``shape``, n rows of k numbers, by Box-Muller on each row's
+    own uniforms: a row takes 2h of them, h = ceil(k/2), the first h giving the radii
+    and the last h the angles, and its k normals are the h cosines, then the sines."""
+    n, k = shape[0], math.prod(shape[1:])
+    h = (k + 1) // 2
+    u = _uniform(rng, (n, 2, h))
+    r, angle = np.sqrt(-2.0 * np.log1p(-u[:, 0])), 2.0 * np.pi * u[:, 1]
+    return np.concatenate([r * np.cos(angle), r * np.sin(angle)], axis=-1)[:, :k].reshape(shape)
 
 
 # ---------------------------------------------------------------- suites
@@ -159,9 +167,7 @@ class SuiteContext:
 def _suite_base_checks(ctx, rng, res):
     base, m = ctx.base, ctx.base.dim
     sf = isinstance(base, bg.SpaceForm)
-    # per sample: x, then on a space form the plane X, Y of its sectional check
-    x, g, XY = ctx.draw(rng, ctx.samples,
-                        lambda: tuple(rng.standard_normal((2, m)) if sf else ()))
+    x, g = ctx.draw(rng, ctx.samples)
     gam, R, NR = bg.base_jets(base, x)
     low = bg.lower_curvature(g, R)
     fd = orc.fd_connection(base, x, h=1e-5)
@@ -180,6 +186,8 @@ def _suite_base_checks(ctx, rng, res):
         c, gd = base.curvature, np.einsum("...jl,hi->...hlij", g, np.eye(m))  # g_jl d^h_i
         ident = c * (gd - np.swapaxes(gd, -1, -2))
         cols["space_form"] = np.abs(R - ident).reshape(len(x), -1).max(axis=1)
+        # the plane X, Y of each x's sectional check
+        XY = np.moveaxis(_normal(rng, (len(x), 2, m)), 1, 0)
         cols["sectional"] = np.abs(bg._sectional(g, R, *XY) - c)
     return cols
 
@@ -203,23 +211,27 @@ def _unit(v, g):  # each row of v scaled to g-unit length
 
 def _units(ctx, rng, n, shape=(0,), base=None):
     """n samples, each a point (x, u) of the unit tangent bundle of ``base`` (by default
-    the context's) and then a block of normals of ``shape`` (by default none): the
-    stacked unit point (r = 1) and the blocks, stacked over the samples."""
+    the context's) and a block of normals of ``shape`` (by default none): the stacked
+    unit point (r = 1) and the (n, *shape) blocks.  The x are drawn first, then the
+    directions, then the blocks, each as one stack."""
     base = base or ctx.base
-    x, g, (direction, vecs) = ctx.draw(rng, n, lambda: (
-        rng.standard_normal(base.dim), rng.standard_normal(shape)), base)
+    x, g = ctx.draw(rng, n, base)
+    direction, vecs = _normal(rng, (n, base.dim)), _normal(rng, (n, *shape))
     return tb._point(base, x, _unit(direction, g), g, r=1.0), vecs
 
 
 def _draw(ctx, rng, n, shape=(0,), weights=None, base=None, t_range=None):
-    """n samples, each a point of T(M) over ``base`` (by default the context's) and then
-    a block of normals of ``shape`` (by default none): the stacked point, and the blocks'
+    """n samples, each a point of T(M) over ``base`` (by default the context's) and a
+    block of normals of ``shape`` (by default none): the stacked point, and the blocks'
     rows as one leading axis.  A point is an x of the chart box and a g-unit direction
     there, scaled to an energy t drawn uniformly from ``t_range`` (by default that of the
-    fiber range) inside the domain of ``weights`` (by default the context's)."""
+    fiber range) inside the domain of ``weights`` (by default the context's).  The x are
+    drawn first, then the directions, the uniforms of t and the blocks, each as one
+    stack."""
     w, base = weights or ctx.weights, base or ctx.base
-    x, g, (direction, s, vecs) = ctx.draw(rng, n, lambda: (
-        rng.standard_normal(base.dim), rng.random(), rng.standard_normal(shape)), base)
+    x, g = ctx.draw(rng, n, base)
+    direction, s = _normal(rng, (n, base.dim)), _uniform(rng, (n,))
+    vecs = _normal(rng, (n, *shape))
     lo, hi = t_range or (0.5 * ctx.fiber_range[0] ** 2, 0.5 * ctx.fiber_range[1] ** 2)
     dlo, dhi = w.t_domain
     lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
@@ -460,10 +472,14 @@ def _suite_sphere_bundle(ctx, rng, res):
     return cols
 
 
+_ISOMETRY_PAIRS = 10  # per point and radius: the random tangent pairs of the isometry
+
+
 def _suite_isometry(ctx, rng, res):
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    P, _ = _units(ctx, rng, max(2, ctx.samples // 5))
-    good, bad = sb.isometry_residuals(w4, P, radii=(None, 1.0), rng=rng)
+    shape = (2, 2 * _ISOMETRY_PAIRS, 2 * ctx.base.dim)  # per point: the pairs of each radius
+    P, normals = _units(ctx, rng, max(2, ctx.samples // 5), shape)
+    good, bad = sb.isometry_residuals(w4, P, np.moveaxis(normals, 1, 0), radii=(None, 1.0))
     res.controls.append(Control("wrong_radius_metric", bad["metric"], 0.1, "min"))
     return {k: good[k] for k in ("metric", "phi", "xi")}
 

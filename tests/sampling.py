@@ -1,5 +1,5 @@
 """Random draws and reference kernels shared by the tests: t inside a weight pair's domain,
-split vectors, the one-by-one rejection sampler that ``SuiteContext.draw`` must reproduce,
+split vectors, the row-by-row sampler that the suites' stacked draws must equal bit for bit,
 the einsum forms of the base jets and of the bundle curvature's slot cases that the
 matrix-product kernels of ``base_geometry`` and ``tangent_bundle`` must agree with, and the
 point-by-point directional and exterior derivatives that the oracle's stacked stencils
@@ -29,40 +29,76 @@ def random_split_vector(P, rng):
     return SplitVector(rng.standard_normal(m), rng.standard_normal(m), P)
 
 
-def admissible_x(ctx, rng, base=None):
-    """The next x of the context's chart box admissible for its base and then for
-    ``base`` (by default the same), and g of ``base`` there, checked one x at a time."""
+def uniforms(rng, k):
+    """The next k uniforms of a suite's generator, one 64-bit word at a time: the top 53
+    bits of each word, times 2^-53."""
+    return np.array([(rng.getrandbits(64) >> 11) * 2.0**-53 for _ in range(k)])
+
+
+def normals(rng, k):
+    """One row of k standard normals: Box-Muller on the row's next 2h uniforms, h =
+    ceil(k/2), the first h giving the radii and the last h the angles; the h cosines,
+    then the h sines."""
+    h = (k + 1) // 2
+    u = uniforms(rng, 2 * h)
+    r, angle = np.sqrt(-2.0 * np.log1p(-u[:h])), 2.0 * np.pi * u[h:]
+    return np.concatenate([r * np.cos(angle), r * np.sin(angle)])[:k]
+
+
+def admissible_xs(ctx, rng, n, base=None):
+    """n x of the context's chart box drawn as ``SuiteContext.draw`` draws them, row by
+    row: n rows, then, round by round, each row that the context's base or ``base`` (by
+    default the same) does not take alone drawn again, in row order.  Each x with g of
+    ``base`` there."""
     base = base or ctx.base
-    lo, hi = ctx.chart_box[:, 0], ctx.chart_box[:, 1]
-    for _ in range(1000):
-        x = lo + (hi - lo) * rng.random(ctx.base.dim)
+    lo, hi, m = ctx.chart_box[:, 0], ctx.chart_box[:, 1], ctx.base.dim
+
+    def admitted(x):
         try:
-            g = ctx.base.validate_at(x)
-            return x, g if base is ctx.base else base.validate_at(x)
+            ctx.base.validate_at(x), base.validate_at(x)
         except GeometryError:
-            continue
+            return False
+        return True
+
+    xs = [lo + (hi - lo) * uniforms(rng, m) for _ in range(n)]
+    for _ in range(1000):
+        bad = [i for i, x in enumerate(xs) if not admitted(x)]
+        if not bad:
+            return [(x, base.validate_at(x)) for x in xs]
+        for i in bad:
+            xs[i] = lo + (hi - lo) * uniforms(rng, m)
     raise ChartDomainError("chart box contains no admissible points")
 
 
-def unit_point(ctx, rng, base=None):
-    """An admissible x, g there and a g-unit direction u, one sample at a time."""
-    x, g = admissible_x(ctx, rng, base)
-    u = rng.standard_normal((base or ctx.base).dim)
-    return x, g, u / math.sqrt(u @ g @ u)
+def unit_points(ctx, rng, n, shape=(0,), base=None):
+    """n admissible x, g there and a g-unit direction u, and a block of normals of
+    ``shape`` each, drawn row by row: the x, then the directions, then the blocks."""
+    base = base or ctx.base
+    xg = admissible_xs(ctx, rng, n, base)
+    directions = [normals(rng, base.dim) for _ in range(n)]
+    blocks = [normals(rng, math.prod(shape)).reshape(shape) for _ in range(n)]
+    return [(x, g, u / math.sqrt(u @ g @ u)) for (x, g), u in zip(xg, directions)], blocks
 
 
-def tangent_point(ctx, rng, weights=None, base=None, t_range=None):
-    """A point of T(M) drawn as the suites draw it, one sample at a time: a unit point,
-    scaled to an energy t drawn uniformly inside the fiber range and the weights' domain."""
+def tangent_points(ctx, rng, n, shape=(0,), weights=None, base=None, t_range=None):
+    """n points of T(M) drawn as the suites draw them, row by row, and a block of normals
+    of ``shape`` each: unit points scaled to an energy t drawn uniformly inside the fiber
+    range and the weights' domain; the x, then the directions, the uniforms of t and
+    the blocks."""
     w, base = weights or ctx.weights, base or ctx.base
-    x, g, direction = unit_point(ctx, rng, base)
+    xg = admissible_xs(ctx, rng, n, base)
+    directions = [normals(rng, base.dim) for _ in range(n)]
+    s = [uniforms(rng, 1)[0] for _ in range(n)]
+    blocks = [normals(rng, math.prod(shape)).reshape(shape) for _ in range(n)]
     lo, hi = t_range or (0.5 * ctx.fiber_range[0] ** 2, 0.5 * ctx.fiber_range[1] ** 2)
     dlo, dhi = w.t_domain
     lo = max(lo, dlo if dlo > 0 else (1e-6 if w.epsilon == +1 else lo))
     hi = min(hi, dhi * 0.98 if math.isfinite(dhi) else hi)
-    t = lo + (hi - lo) * rng.random()
-    u = math.sqrt(2.0 * t) * direction
-    return TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u))
+    points = []
+    for (x, g), d, si in zip(xg, directions, s):
+        u = math.sqrt(2.0 * (lo + (hi - lo) * si)) * (d / math.sqrt(d @ g @ d))
+        points.append(TangentPoint(base, x, u, g, 0.5 * float(u @ g @ u)))
+    return points, blocks
 
 
 def reference_base_jets(metric, x):

@@ -326,7 +326,8 @@ def test_criterion_09_isometry():
             g = base.matrix(x)
             u = rng.standard_normal(2)
             pts.append((x, u / np.sqrt(u @ g @ u)))
-        good, bad = sb.isometry_residuals(w4, unit_points(base, pts), radii=(None, 1.0), rng=rng)
+        normals = rng.standard_normal((2, 4, 20, 4))
+        good, bad = sb.isometry_residuals(w4, unit_points(base, pts), normals, radii=(None, 1.0))
         worst = max(worst, good["metric"], good["phi"], good["xi"])
         worst_ctrl = min(worst_ctrl, bad["metric"])
     ok = worst <= 1e-10 and worst_ctrl >= 0.1

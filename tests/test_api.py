@@ -74,3 +74,13 @@ def test_every_stored_attribute_is_read():
     unread = sorted(f"{cls}.{attr}" for cls, attr in stored
                     if not any(a == attr and into != cls for a, into in reads))
     assert len(stored) > 60 and unread == [], f"stored but never read: {unread}"
+
+
+def test_no_module_draws_from_numpy_random():
+    # the suites draw from the standard library's generator (suites.SuiteContext.rng), so
+    # a run never imports numpy.random
+    src = Path(importlib.import_module("tbgeom").__file__).parent
+    hits = [f"{path.name}:{n}" for path in sorted(src.glob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if "np.random" in line or "numpy.random" in line]
+    assert hits == []

@@ -287,7 +287,8 @@ def test_isometry_and_k_contact_evaluate_each_pair_once_per_point(monkeypatch):
     pts = [(p.x, p.u) for p in (unit_point(SF1, [0.2, -0.1], [0.8, 0.45]),
                                 unit_point(SF1, [-0.3, 0.1], [0.2, 0.9]))]
     w4 = WeightPair(lambda t: 4.0, lambda t: 0.0, -1, name="a4")
-    sb.isometry_residuals(w4, unit_points(SF1, pts), radii=(None, 1.0))
+    normals = np.random.default_rng(0).standard_normal((2, 2, 20, 4))
+    sb.isometry_residuals(w4, unit_points(SF1, pts), normals, radii=(None, 1.0))
     # a(1/2) is read from the unit point's values; Sasaki's at each radius-r point
     assert calls == ["a4", "sasaki", "sasaki"]
     calls.clear()
@@ -316,7 +317,8 @@ def test_rescaled_contact_metric_condition():
 def test_isometry_identity_at_unit_weight():
     x = np.array([0.1, 0.2])
     g = EU2.matrix(x); u = np.array([0.6, 0.7]); u /= np.sqrt(u @ g @ u)
-    (res,) = sb.isometry_residuals(SAS, tb.tangent_point(EU2, x[None], u[None], r=1.0))
+    normals = np.random.default_rng(0).standard_normal((1, 1, 20, 4))
+    (res,) = sb.isometry_residuals(SAS, tb.tangent_point(EU2, x[None], u[None], r=1.0), normals)
     assert res["r"] == 1.0
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-14
 
@@ -331,7 +333,8 @@ def test_isometry_a4(base):
         g = base.matrix(x)
         u = rng.standard_normal(2)
         pts.append((x, u / np.sqrt(u @ g @ u)))
-    res, bad = sb.isometry_residuals(w4, unit_points(base, pts), radii=(None, 1.0), rng=rng)
+    normals = rng.standard_normal((2, 3, 20, 4))
+    res, bad = sb.isometry_residuals(w4, unit_points(base, pts), normals, radii=(None, 1.0))
     assert res["r"] == pytest.approx(2.0)
     assert max(res["metric"], res["phi"], res["xi"]) <= 1e-12
     assert bad["metric"] >= 0.1
@@ -344,13 +347,14 @@ def test_isometry_residuals_evaluate_nothing_at_the_other_radii(monkeypatch):
     P = unit_points(SF1, [(xi, unit_point(SF1, xi, rng.standard_normal(2)).u) for xi in x])
     calls = count_base_calls(monkeypatch, (bg.ChartMetric, "validate_at"))
     rows = count_rows(monkeypatch)
-    both = sb.isometry_residuals(w4, P, radii=(None, 1.0), rng=np.random.default_rng(3))
+    normals = rng.standard_normal((2, 3, 20, 4))
+    both = sb.isometry_residuals(w4, P, normals, radii=(None, 1.0))
     # the unit point's one first-order evaluation serves every radius, and no x is
     # validated again
     assert calls["validate_at"] == 0 and rows == [3]
-    # the same numbers as one call per radius drawing from the same rng in turn
-    rng = np.random.default_rng(3)
-    assert both == [sb.isometry_residuals(w4, P, radii=(r,), rng=rng)[0] for r in (None, 1.0)]
+    # the same numbers as one call per radius on its own normals
+    assert both == [sb.isometry_residuals(w4, P, normals[[i]], radii=(r,))[0]
+                    for i, r in enumerate((None, 1.0))]
 
 
 def test_t1_connection_flat_base():
